@@ -10,12 +10,12 @@ Subpackages:
 - :mod:`nullcone.report`   deterministic verification suites
 """
 
+__version__ = "0.1.0"
+
 from .algebra import MatrixLieAlgebra, build_algebra
 from .roots import RootSystem, SimpleType, build_root_system
 from .shifts import classify_rho_minus, classify_rho_plus, full_shift_report
 from .weyl import chain_of_lines, generate_weyl, weyl_orbit_pairs
-
-__version__ = "0.1.0"
 
 __all__ = [
     "MatrixLieAlgebra",

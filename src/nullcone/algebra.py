@@ -26,34 +26,14 @@ from functools import lru_cache
 from . import linalg as la
 from .roots import RootSystem, build_root_system
 
-_SUPPORTED = {"A": range(1, 9), "B": range(2, 5), "C": range(3, 5)}
+#: ranks with a matrix realization, per family
+SUPPORTED_RANKS = {"A": range(1, 9), "B": range(2, 5), "C": range(3, 5)}
 
 
 def _basis_cell(n: int, i: int, j: int, value=1):
     return tuple(
         tuple(value if (a, b) == (i, j) else 0 for b in range(n)) for a in range(n)
     )
-
-
-def _intify(m):
-    """Replace integral Fraction entries by plain ints (fast-path friendly)."""
-    return tuple(
-        tuple(int(x) if isinstance(x, Fraction) and x.denominator == 1 else x for x in row)
-        for row in m
-    )
-
-
-@lru_cache(maxsize=None)
-def _inv_vandermonde(npoints: int):
-    v = [[Fraction(t) ** k for k in range(npoints)] for t in range(npoints)]
-    return la.inverse(v)
-
-
-def interpolate_coeffs(values):
-    """Coefficients of the polynomial with the given values at 0, 1, 2, ...."""
-    inv = _inv_vandermonde(len(values))
-    out = la.mat_vec(inv, [Fraction(v) for v in values])
-    return tuple(int(c) if c.denominator == 1 else c for c in out)
 
 
 def nilpotent_exp(m):
@@ -92,10 +72,12 @@ class MatrixLieAlgebra:
     """One exact matrix realization, with invariants and polarizations."""
 
     def __init__(self, family: str, rank: int):
-        if family not in _SUPPORTED or rank not in _SUPPORTED[family]:
+        if rank not in SUPPORTED_RANKS.get(family, ()):
+            supported = ", ".join(
+                f"{fam}{ranks[0]}-{fam}{ranks[-1]}" for fam, ranks in SUPPORTED_RANKS.items()
+            )
             raise ValueError(
-                f"no matrix realization for {family}{rank}: supported are "
-                "A1-A8, B2-B4, C3-C4"
+                f"no matrix realization for {family}{rank}: supported are {supported}"
             )
         self.rs: RootSystem = build_root_system(family, rank)
         self.family = family
@@ -132,10 +114,13 @@ class MatrixLieAlgebra:
                 self.h_basis.append(
                     la.add(_basis_cell(N, k, k), _basis_cell(N, N - 1 - k, N - 1 - k, -1))
                 )
+            roots = {tuple(self._root_e_coords(r)): r for r in self.rs.positive_roots}
             for (i, j), vec in self._form_graded_cells().items():
-                root = self._cell_root(i, j)
-                vec = _intify(vec)
-                (pos if i < j else neg)[root if i < j else tuple(-c for c in root)] = vec
+                weight = self._cell_weight(i, j)
+                if i < j:
+                    pos[roots[weight]] = vec
+                else:
+                    neg[roots[tuple(-c for c in weight)]] = vec
             assert set(pos) == set(self.rs.positive_roots)
         self.pos_vectors = pos
         self.neg_vectors = neg
@@ -164,42 +149,31 @@ class MatrixLieAlgebra:
         return la.is_zero(la.add(la.mul(la.transpose(x), j), la.mul(j, x)))
 
     def _form_graded_cells(self) -> dict:
-        """One basis vector per mirror pair of off-diagonal cells."""
+        """One basis vector per mirror pair of off-diagonal cells.
+
+        The form J is anti-diagonal with signs s_i = J[i][N-1-i], so E_ik -
+        s_i s_k E_{N-1-k,N-1-i} preserves it; a self-mirror cell (i + k = N-1)
+        gives E_ik alone when s_i s_k = -1 (type C) and nothing otherwise.
+        Keys are the first cell of each pair in row-major order.
+        """
         N = self.size
         j = self._form_matrix()
         out = {}
         for i in range(N):
             for k in range(N):
-                if i == k:
-                    continue
                 mi, mk = N - 1 - k, N - 1 - i
-                if (mi, mk) < (i, k):
-                    continue  # mirror cell already handled
-                candidates = []
-                cells = [(i, k)] if (mi, mk) == (i, k) else [(i, k), (mi, mk)]
-                rows = []
-                for a in range(N):
-                    for b in range(N):
-                        row = []
-                        for (ci, ck) in cells:
-                            e = _basis_cell(N, ci, ck)
-                            val = la.add(la.mul(la.transpose(e), j), la.mul(j, e))[a][b]
-                            row.append(val)
-                        rows.append(row)
-                kern = la.nullspace(rows)
-                if not kern:
-                    continue
-                assert len(kern) == 1
-                coeffs = kern[0]
-                scale = 1 / coeffs[0] if coeffs[0] != 0 else 1 / coeffs[-1]
-                vec = la.zeros(N, N)
-                for (ci, ck), c in zip(cells, coeffs):
-                    vec = la.add(vec, _basis_cell(N, ci, ck, c * scale))
-                out[(i, k)] = vec
+                if i == k or (mi, mk) < (i, k):
+                    continue  # diagonal, or mirror cell already handled
+                sign = j[i][N - 1 - i] * j[k][N - 1 - k]
+                if (mi, mk) == (i, k):
+                    if sign == -1:
+                        out[(i, k)] = _basis_cell(N, i, k)
+                else:
+                    out[(i, k)] = la.sub(_basis_cell(N, i, k), _basis_cell(N, mi, mk, sign))
         return out
 
-    def _cell_root(self, i: int, k: int) -> tuple:
-        """Simple-root coordinates of the cell (i, k)'s weight."""
+    def _cell_weight(self, i: int, k: int) -> tuple:
+        """e-coordinates of the weight of the cell (i, k)."""
         n, N = self.rank, self.size
 
         def d(pos, idx):  # e_idx coordinate of the diagonal unit at pos
@@ -209,26 +183,7 @@ class MatrixLieAlgebra:
                 return -1
             return 0
 
-        e_coords = [d(i, t) - d(k, t) for t in range(n)]
-        # change of basis from e-coordinates to simple-root coordinates
-        rows = []
-        for t in range(n):
-            row = [0] * n
-            for s in range(n):  # beta_s in e-coordinates
-                if self.family == "B":
-                    vals = [1 if u == s else (-1 if u == s + 1 else 0) for u in range(n)]
-                    if s == n - 1:
-                        vals = [1 if u == n - 1 else 0 for u in range(n)]
-                else:
-                    vals = [1 if u == s else (-1 if u == s + 1 else 0) for u in range(n)]
-                    if s == n - 1:
-                        vals = [2 if u == n - 1 else 0 for u in range(n)]
-                row[s] = vals[t]
-            rows.append(row)
-        sol = la.solve(rows, e_coords)
-        coords = tuple(int(x) for x in sol)
-        assert all(Fraction(c) == s for c, s in zip(coords, sol))
-        return coords
+        return tuple(d(i, t) - d(k, t) for t in range(n))
 
     # -- membership and components ------------------------------------------
 
@@ -310,17 +265,15 @@ class MatrixLieAlgebra:
             return [
                 (1 if t == lo else 0) - (1 if t == hi else 0) for t in range(self.size)
             ][: self.size]
+        # beta_s = e_s - e_{s+1} for s < n, beta_n = e_n (B) or 2 e_n (C)
+        last = 1 if self.family == "B" else 2
         out = [0] * n
         for s, c in enumerate(root):
-            if self.family == "B":
-                vec = [1 if u == s else (-1 if u == s + 1 else 0) for u in range(n)]
-                if s == n - 1:
-                    vec = [1 if u == n - 1 else 0 for u in range(n)]
+            if s < n - 1:
+                out[s] += c
+                out[s + 1] -= c
             else:
-                vec = [1 if u == s else (-1 if u == s + 1 else 0) for u in range(n)]
-                if s == n - 1:
-                    vec = [2 if u == n - 1 else 0 for u in range(n)]
-            out = [o + c * v for o, v in zip(out, vec)]
+                out[s] += last * c
         return out
 
     @property
@@ -366,7 +319,7 @@ class MatrixLieAlgebra:
             values.append(self.eval_all_p(la.add(x, la.scale(t, y))))
         out = []
         for idx, d in enumerate(self.degrees):
-            coeffs = interpolate_coeffs([values[t][idx] for t in range(d + 1)])
+            coeffs = la.interpolate([values[t][idx] for t in range(d + 1)])
             out.append(tuple(coeffs))
         if verify:
             t = dmax + 1
@@ -408,16 +361,6 @@ class MatrixLieAlgebra:
         """d/dt p_i(x + t v) at t = 0, for every invariant i."""
         return tuple(la.trace(la.mul(g, v)) for g in self.gradient_matrices(x))
 
-    def directional_derivatives_interpolated(self, x, v):
-        """Same derivatives by polynomial interpolation; independent route."""
-        dmax = self.degrees[-1]
-        values = [self.eval_all_p(la.add(x, la.scale(t, v))) for t in range(dmax + 1)]
-        out = []
-        for idx, d in enumerate(self.degrees):
-            coeffs = interpolate_coeffs([values[t][idx] for t in range(d + 1)])
-            out.append(coeffs[1] if len(coeffs) > 1 else Fraction(0))
-        return tuple(out)
-
     def epsilon_all(self, x):
         """Trace-form gradients of every invariant at x, as algebra elements."""
         grads = self.gradient_matrices(x)
@@ -443,7 +386,7 @@ class MatrixLieAlgebra:
         out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(d)]
         for a in range(n):
             for b in range(n):
-                coeffs = interpolate_coeffs([m[a][b] for m in mats])
+                coeffs = la.interpolate([m[a][b] for m in mats])
                 for k in range(d):
                     out[k][a][b] = coeffs[k]
         return [la.mat(m) for m in out]

@@ -32,14 +32,14 @@ class TangentReport:
     kernel_dim: int
 
 
-def _pair_map_columns(alg: MatrixLieAlgebra, x, y, fiber_basis):
+def _pair_map_columns(alg: MatrixLieAlgebra, x, y, v_basis, w_basis):
     cols = []
     for xi in alg.basis:
         cols.append(la.flatten(la.commutator(xi, x)) + la.flatten(la.commutator(xi, y)))
     zero = (0,) * alg.size**2
-    for v in fiber_basis:
+    for v in v_basis:
         cols.append(la.flatten(v) + zero)
-    for w in fiber_basis:
+    for w in w_basis:
         cols.append(zero + la.flatten(w))
     return cols
 
@@ -49,7 +49,7 @@ def rank_borel_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_borel(x) and alg.in_borel(y)):
         raise ValueError("x and y must lie in the standard Borel subalgebra")
     fiber = list(alg.h_basis) + [alg.pos_vectors[r] for r in alg.rs.positive_roots]
-    cols = _pair_map_columns(alg, x, y, fiber)
+    cols = _pair_map_columns(alg, x, y, fiber, fiber)
     r = la.rank(cols)
     return TangentReport((x, y), "borel_pair", len(cols), r, len(cols) - r)
 
@@ -59,7 +59,7 @@ def rank_nullcone_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_nilradical(x) and alg.in_nilradical(y)):
         raise ValueError("x and y must lie in the nilradical of the Borel")
     fiber = [alg.pos_vectors[r] for r in alg.rs.positive_roots]
-    cols = _pair_map_columns(alg, x, y, fiber)
+    cols = _pair_map_columns(alg, x, y, fiber, fiber)
     r = la.rank(cols)
     return TangentReport((x, y), "nullcone_pair", len(cols), r, len(cols) - r)
 
@@ -84,14 +84,7 @@ def rank_nonregular_stratum_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
             out.append(alg.pos_vectors[root])
         return out
 
-    cols = []
-    for xi in alg.basis:
-        cols.append(la.flatten(la.commutator(xi, x)) + la.flatten(la.commutator(xi, y)))
-    zero = (0,) * alg.size**2
-    for v in stratum_basis(x):
-        cols.append(la.flatten(v) + zero)
-    for w in stratum_basis(y):
-        cols.append(zero + la.flatten(w))
+    cols = _pair_map_columns(alg, x, y, stratum_basis(x), stratum_basis(y))
     r = la.rank(cols)
     return TangentReport((x, y), "nullcone_pair", len(cols), r, len(cols) - r)
 
@@ -108,7 +101,7 @@ def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not alg.in_nilradical(y):
         raise ValueError("y must lie in the nilradical")
     fiber = [alg.pos_vectors[r] for r in alg.rs.positive_roots]
-    cols = _pair_map_columns(alg, x, y, fiber)
+    cols = _pair_map_columns(alg, x, y, fiber, fiber)
     r = la.rank(cols)
     return TangentReport((x, y), "mu_map", len(cols), r, len(cols) - r)
 
@@ -152,7 +145,6 @@ def _normalize_line(v):
 
 
 def _common_kernel(x, y):
-    rows = [list(rx) + [0] * 0 for rx in x]  # placeholder, replaced below
     rows = [list(r) for r in x] + [list(r) for r in y]
     return la.nullspace(rows)
 
@@ -174,7 +166,7 @@ def _subspace_intersection(basis1, basis2):
 
 def _column_space(m):
     cols = la.transpose(m)
-    rr, pivots = la.rref(cols)
+    _, pivots = la.rref(cols)
     return [tuple(Fraction(x) for x in cols[p]) for p in pivots]
 
 
@@ -328,21 +320,6 @@ def h_coords(alg: MatrixLieAlgebra, x) -> tuple:
         tuple(1 if j == i else 0 for j in range(alg.rank)) for i in range(alg.rank)
     ]
     return tuple(alg.root_value(s, x) for s in simple)
-
-
-def h_from_coords(alg: MatrixLieAlgebra, xi):
-    """Cartan element with the given simple-root values."""
-    rows = []
-    simple = [
-        tuple(1 if j == i else 0 for j in range(alg.rank)) for i in range(alg.rank)
-    ]
-    for s in simple:
-        rows.append([alg.root_value(s, h) for h in alg.h_basis])
-    sol = la.solve(rows, list(xi))
-    out = la.zeros(alg.size, alg.size)
-    for c, h in zip(sol, alg.h_basis):
-        out = la.add(out, la.scale(c, h))
-    return out
 
 
 def sigma_fiber_is_weyl_orbit(alg: MatrixLieAlgebra, group, pair_a, pair_b) -> bool:

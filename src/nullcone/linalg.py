@@ -5,14 +5,17 @@ Everything in this package that looks like numerics is done here, with
 Matrices are sequences of equal-length rows; functions return tuples of
 tuples so results are hashable and safe to share between threads.
 
-Rank and determinant use fraction-free (Bareiss) elimination on integer
-input and plain Gaussian elimination on rational input; both are exact.
+Rank uses fraction-free (Bareiss) elimination on small integer input and
+reduced row echelon form otherwise; the determinant is Bareiss on integer
+input only.  Both are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import index, mul as mul_op
 from typing import Sequence
 
 Vec = tuple
@@ -93,45 +96,29 @@ def rank(rows) -> int:
     elimination, whose gcd-reduced entries stay small where Bareiss minors
     would grow with the number of pivots.
     """
-    m = [list(row) for row in rows]
-    if not m or not m[0]:
+    if not rows or not rows[0]:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    if min(nrows, ncols) <= 24 and _all_int(rows):
-        r = 0
-        prev = 1
-        for c in range(ncols):
-            piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            pivot = m[r][c]
-            for i in range(r + 1, nrows):
-                mic = m[i][c]
-                if mic == 0 and pivot == prev:
-                    continue
-                row_i, row_r = m[i], m[r]
-                for j in range(c + 1, ncols):
-                    row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
-                row_i[c] = 0
-            prev = pivot
-            r += 1
-            if r == nrows:
-                break
-        return r
-    m = [[Fraction(x) for x in row] for row in m]
+    nrows, ncols = len(rows), len(rows[0])
+    if min(nrows, ncols) > 24 or not _all_int(rows):
+        return len(rref(rows)[1])
+    m = [list(row) for row in rows]
     r = 0
+    prev = 1
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivot = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            if mic == 0 and pivot == prev:
+                continue
+            row_i, row_r = m[i], m[r]
+            for j in range(c + 1, ncols):
+                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
         r += 1
         if r == nrows:
             break
@@ -214,47 +201,34 @@ def inverse(rows) -> Mat:
     return tuple(tuple(row[n:]) for row in m[:n])
 
 
-def det(rows):
-    """Determinant, exact (Bareiss on integer input)."""
-    n = len(rows)
+def det(rows) -> int:
+    """Determinant of an integer square matrix (Bareiss, all divisions exact).
+
+    Raises TypeError on non-integer entries, where the exact floor divisions
+    would silently truncate.
+    """
+    m = [list(map(index, row)) for row in rows]
+    n = len(m)
     if n == 0:
         return 1
-    m = [list(row) for row in rows]
     sign = 1
-    if _all_int(rows):
-        prev = 1
-        for c in range(n - 1):
-            piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            pivot = m[c][c]
-            for i in range(c + 1, n):
-                mic = m[i][c]
-                row_i, row_c = m[i], m[c]
-                for j in range(c + 1, n):
-                    row_i[j] = (row_i[j] * pivot - mic * row_c[j]) // prev
-                row_i[c] = 0
-            prev = pivot
-        return sign * m[n - 1][n - 1]
-    m = [[Fraction(x) for x in row] for row in m]
-    out = Fraction(1)
-    for c in range(n):
+    prev = 1
+    for c in range(n - 1):
         piv = next((i for i in range(c, n) if m[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
         pivot = m[c][c]
-        out *= pivot
+        row_c = m[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pivot
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * out
+            row_i = m[i]
+            mic = row_i[c]
+            for j in range(c + 1, n):
+                row_i[j] = (row_i[j] * pivot - mic * row_c[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 def faddeev(rows):
@@ -288,35 +262,28 @@ def faddeev(rows):
 
 
 @lru_cache(maxsize=None)
-def _char_interp_inverse(npoints: int):
-    v = [[Fraction(t) ** k for k in range(npoints)] for t in range(npoints)]
-    return inverse(v)
+def _vandermonde_inverse(npoints: int):
+    """(D, D * V^-1) for the Vandermonde matrix V of the nodes 0..npoints-1.
+
+    D is the least common denominator, so D * V^-1 has integer entries and
+    interpolation divides once per coefficient.
+    """
+    inv = inverse([[t**k for k in range(npoints)] for t in range(npoints)])
+    d = lcm(*(x.denominator for row in inv for x in row))
+    return d, tuple(tuple(int(x * d) for x in row) for row in inv)
 
 
-def _det_int(m, n):
-    """Bareiss determinant of an integer list-of-lists (destructive)."""
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        row_c = m[c]
-        for i in range(c + 1, n):
-            row_i = m[i]
-            mic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * pivot - mic * row_c[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def interpolate(values) -> tuple:
+    """Coefficients of the polynomial with the given values at 0, 1, 2, ....
+
+    Integral coefficients come back as plain ints, the others as Fractions.
+    """
+    d, scaled = _vandermonde_inverse(len(values))
+    out = []
+    for row in scaled:
+        c = Fraction(sum(map(mul_op, row, values)), d)
+        out.append(c.numerator if c.denominator == 1 else c)
+    return tuple(out)
 
 
 def char_poly(rows) -> tuple:
@@ -329,27 +296,17 @@ def char_poly(rows) -> tuple:
     if n == 0:
         return ()
     if _all_int(rows):
-        values = []
-        for t in range(n + 1):
-            work = [
-                [(t if a == b else 0) - rows[a][b] for b in range(n)]
-                for a in range(n)
-            ]
-            values.append(_det_int(work, n))
-        inv = _char_interp_inverse(n + 1)
-        poly = mat_vec(inv, values)  # coefficients of t^0..t^n
-        out = []
-        for k in range(1, n + 1):
-            c = poly[n - k]
-            assert c.denominator == 1
-            out.append(int(c))
-        return tuple(out)
+        values = [
+            det(
+                ((t if a == b else 0) - x for b, x in enumerate(row))
+                for a, row in enumerate(rows)
+            )
+            for t in range(n + 1)
+        ]
+        poly = interpolate(values)  # coefficients of t^0..t^n
+        assert all(isinstance(c, int) for c in poly)
+        return poly[-2::-1]
     return faddeev(rows)[0]
-
-
-def row_space_rank(vectors) -> int:
-    """Rank of the span of a list of equal-length vectors."""
-    return rank(list(vectors))
 
 
 def in_span(vectors, v) -> bool:

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import geometry as geo
 from . import linalg as la
-from .algebra import build_algebra
+from . import __version__
+from .algebra import SUPPORTED_RANKS, build_algebra
 from .roots import POSITIVE_ROOT_COUNTS, SimpleType, build_root_system
 from .shifts import full_shift_report
 from .weyl import (
@@ -33,7 +34,7 @@ from .weyl import (
 )
 
 SCHEMA_ID = "nullcone-report/1"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 SUITES = ("roots", "shifts", "invariants", "geometry")
 
@@ -47,10 +48,7 @@ DEFAULT_TYPES = (
 )
 
 #: types with a matrix realization (invariants/geometry suites)
-ALGEBRA_TYPES = tuple(
-    f"{fam}{n}" for fam, ns in (("A", range(1, 9)), ("B", range(2, 5)), ("C", range(3, 5)))
-    for n in ns
-)
+ALGEBRA_TYPES = tuple(f"{fam}{n}" for fam, ns in SUPPORTED_RANKS.items() for n in ns)
 
 _EXHAUSTIVE_WEYL_CAP = 1152  # largest group walked element by element
 
@@ -761,17 +759,20 @@ def _geometry_checks(config: RunConfig, tname: str) -> list:
     return out
 
 
+def _shifts_checks(config: RunConfig, tname: str) -> list:
+    stype = SimpleType.from_name(tname)
+    return [
+        _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
+        for o in full_shift_report(build_root_system(stype.family, stype.rank))
+    ]
+
+
 # -- assembly ------------------------------------------------------------------
 
 
 _SUITE_FUNCS = {
     "roots": _roots_checks,
-    "shifts": lambda config, tname: [
-        _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
-        for o in full_shift_report(
-            build_root_system(tname[0], int(tname[1:]))
-        )
-    ],
+    "shifts": _shifts_checks,
     "invariants": _invariants_checks,
     "geometry": _geometry_checks,
 }

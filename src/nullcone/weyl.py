@@ -134,10 +134,6 @@ def inversions(rs: RootSystem, w: WeylElement) -> int:
     return w.inversion_count(rs)
 
 
-def length(rs: RootSystem, w: WeylElement) -> int:
-    return w.inversion_count(rs)
-
-
 @dataclass(frozen=True)
 class TorusBorel:
     """A Borel subalgebra containing the fixed Cartan, labelled by w(b)."""

@@ -26,6 +26,66 @@ def test_supported_types_and_dimensions():
     assert build_algebra("C", 3).degrees == (2, 4, 6)
 
 
+def _nullspace_cells(alg):
+    """Reference B/C root vectors: one nullspace per mirror pair of cells.
+
+    For each pair of off-diagonal cells (i, k), (N-1-k, N-1-i) the solution
+    space of x^T J + J x = 0 inside their span is solved for, and the
+    solution is scaled to coefficient 1 on its first nonzero cell.
+    """
+    N = alg.size
+    j = alg._form_matrix()
+    out = []
+    for i in range(N):
+        for k in range(N):
+            mi, mk = N - 1 - k, N - 1 - i
+            if i == k or (mi, mk) < (i, k):
+                continue
+            cells = [(i, k)] if (mi, mk) == (i, k) else [(i, k), (mi, mk)]
+            units = [
+                la.mat([[int((a, b) == cell) for b in range(N)] for a in range(N)])
+                for cell in cells
+            ]
+            images = [
+                la.flatten(la.add(la.mul(la.transpose(e), j), la.mul(j, e))) for e in units
+            ]
+            kern = la.nullspace(la.transpose(images))
+            if not kern:
+                continue
+            assert len(kern) == 1
+            coeffs = kern[0]
+            lead = next(c for c in coeffs if c != 0)
+            vec = la.zeros(N, N)
+            for e, c in zip(units, coeffs):
+                vec = la.add(vec, la.scale(c / lead, e))
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("fam,rk", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)])
+def test_closed_form_root_vectors_match_nullspace_oracle(fam, rk):
+    alg = build_algebra(fam, rk)
+    oracle = _nullspace_cells(alg)
+    assert len(oracle) == 2 * alg.rs.num_positive
+
+    def weight_vector(root, sign):
+        # the oracle vector x with [h, x] = sign * root(h) x for every Cartan h
+        found = [
+            x
+            for x in oracle
+            if all(
+                la.commutator(h, x) == la.scale(sign * alg.root_value(root, h), x)
+                for h in alg.h_basis
+            )
+        ]
+        assert len(found) == 1
+        return found[0]
+
+    for root in alg.rs.positive_roots:
+        assert alg.pos_vectors[root] == weight_vector(root, 1)
+        assert alg.neg_vectors[root] == weight_vector(root, -1)
+
+
 def test_unsupported_types_rejected():
     for fam, rk in [("D", 4), ("A", 9), ("B", 5), ("C", 5), ("G", 2), ("F", 4), ("E", 6)]:
         with pytest.raises(ValueError):
@@ -124,8 +184,9 @@ def test_epsilon_gradient_pairing_dual_routes():
         alg = build_algebra(fam, rk)
         x = alg.random_element(rng, 2)
         v = alg.random_element(rng, 2)
+        # the t^1 coefficients of p_i(x + t v), by interpolation of char_poly
         assert alg.directional_derivatives(x, v) == tuple(
-            alg.directional_derivatives_interpolated(x, v)
+            coeffs[1] for coeffs in alg.polarize_all(x, v)
         )
         eps = alg.epsilon_all(x)
         for i in range(alg.rank):

@@ -40,6 +40,15 @@ def test_det_matches_permutation_expansion(m):
     assert la.det(m) == det_by_permutations(m)
 
 
+def test_det_rejects_non_integer_entries():
+    # Bareiss floor divisions would truncate rational entries silently
+    with pytest.raises(TypeError):
+        la.det([[Fraction(1, 2), 1], [1, 1]])
+    with pytest.raises(TypeError):
+        la.det([[1, 0], [0, Fraction(3)]])
+    assert la.det([]) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_char_poly_matches_det_of_pencil(m):

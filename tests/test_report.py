@@ -1,6 +1,7 @@
 """Report determinism, CLI behaviour and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,19 @@ def test_structured_reports_are_byte_identical():
     lines_a = structured_lines(config, run(config)[1])
     lines_b = structured_lines(config, run(config)[1])
     assert "\n".join(lines_a) == "\n".join(lines_b)
+
+
+def test_structured_report_matches_golden_file(tmp_path):
+    # tests/data/golden_small.jsonl was written by
+    #   nullcone-verify all --type A1 --type A2 --type B2 --type C3 --format structured
+    # so any change of a check id, claim, status or witness shows up here
+    out = tmp_path / "report.jsonl"
+    argv = ["all", "--format", "structured", "--out", str(out)]
+    for tname in ("A1", "A2", "B2", "C3"):
+        argv += ["--type", tname]
+    assert main(argv) == 1  # the shifts suite flags the source's C3 plus-count
+    golden = Path(__file__).parent / "data" / "golden_small.jsonl"
+    assert out.read_text().splitlines() == golden.read_text().splitlines()
 
 
 def test_structured_schema_and_ordering():
