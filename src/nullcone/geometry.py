@@ -32,7 +32,8 @@ class TangentReport:
     kernel_dim: int
 
 
-def _pair_map_columns(alg: MatrixLieAlgebra, x, y, v_basis, w_basis):
+def _pair_map_report(alg: MatrixLieAlgebra, x, y, map_kind, v_basis, w_basis):
+    """Rank and kernel of (xi, v, w) -> ([xi, x] + v, [xi, y] + w) over the given fibers."""
     cols = []
     for xi in alg.basis:
         cols.append(la.flatten(la.commutator(xi, x)) + la.flatten(la.commutator(xi, y)))
@@ -41,7 +42,8 @@ def _pair_map_columns(alg: MatrixLieAlgebra, x, y, v_basis, w_basis):
         cols.append(la.flatten(v) + zero)
     for w in w_basis:
         cols.append(zero + la.flatten(w))
-    return cols
+    r = la.rank(cols)
+    return TangentReport((x, y), map_kind, len(cols), r, len(cols) - r)
 
 
 def rank_borel_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -49,9 +51,7 @@ def rank_borel_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_borel(x) and alg.in_borel(y)):
         raise ValueError("x and y must lie in the standard Borel subalgebra")
     fiber = list(alg.h_basis) + [alg.pos_vectors[r] for r in alg.rs.positive_roots]
-    cols = _pair_map_columns(alg, x, y, fiber, fiber)
-    r = la.rank(cols)
-    return TangentReport((x, y), "borel_pair", len(cols), r, len(cols) - r)
+    return _pair_map_report(alg, x, y, "borel_pair", fiber, fiber)
 
 
 def rank_nullcone_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -59,9 +59,7 @@ def rank_nullcone_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_nilradical(x) and alg.in_nilradical(y)):
         raise ValueError("x and y must lie in the nilradical of the Borel")
     fiber = [alg.pos_vectors[r] for r in alg.rs.positive_roots]
-    cols = _pair_map_columns(alg, x, y, fiber, fiber)
-    r = la.rank(cols)
-    return TangentReport((x, y), "nullcone_pair", len(cols), r, len(cols) - r)
+    return _pair_map_report(alg, x, y, "nullcone_pair", fiber, fiber)
 
 
 def rank_nonregular_stratum_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -84,9 +82,7 @@ def rank_nonregular_stratum_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
             out.append(alg.pos_vectors[root])
         return out
 
-    cols = _pair_map_columns(alg, x, y, stratum_basis(x), stratum_basis(y))
-    r = la.rank(cols)
-    return TangentReport((x, y), "nullcone_pair", len(cols), r, len(cols) - r)
+    return _pair_map_report(alg, x, y, "nullcone_pair", stratum_basis(x), stratum_basis(y))
 
 
 def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -101,9 +97,7 @@ def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not alg.in_nilradical(y):
         raise ValueError("y must lie in the nilradical")
     fiber = [alg.pos_vectors[r] for r in alg.rs.positive_roots]
-    cols = _pair_map_columns(alg, x, y, fiber, fiber)
-    r = la.rank(cols)
-    return TangentReport((x, y), "mu_map", len(cols), r, len(cols) - r)
+    return _pair_map_report(alg, x, y, "mu_map", fiber, fiber)
 
 
 def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:

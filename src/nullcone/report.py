@@ -4,7 +4,9 @@ A run is configured by :class:`RunConfig` and produces a list of
 :class:`CheckResult`.  Structured output is line-delimited JSON sorted by
 check id with a versioned schema identifier; it contains no timing and no
 environment data, so two runs with the same configuration are
-byte-identical.  Text output is for humans and includes timings.
+byte-identical.  Text output is for humans and includes each check's
+measured time: the time since the previous record of its suite x type unit,
+so set-up shared by several checks is charged to the first of them.
 
 Exit status convention: 0 when nothing failed, 1 when any check failed
 (undecided and skipped do not fail a run), 2 for usage errors.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import geometry as geo
@@ -76,14 +78,25 @@ def _rng(config: RunConfig, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{label}")
 
 
-def _result(check_id, claim, ok, witness=None, elapsed=0.0) -> CheckResult:
+def _sampled_check(config: RunConfig, label: str, sample, count=None) -> bool:
+    """A sampled check passes iff ``sample(rng)`` holds on every seeded draw.
+
+    ``rng`` is seeded by ``label``; ``count`` defaults to max(3, samples // 5).
+    """
+    rng = _rng(config, label)
+    if count is None:
+        count = max(3, config.samples // 5)
+    return all(sample(rng) for _ in range(count))
+
+
+def _result(check_id, claim, ok, witness=None) -> CheckResult:
     if ok in ("undecided", "skipped"):
         status = ok
     else:
         status = "pass" if ok else "fail"
     if status in ("fail", "undecided") and witness is None:
         witness = "no further detail"
-    return CheckResult(check_id, claim, status, witness, elapsed)
+    return CheckResult(check_id, claim, status, witness)
 
 
 def _parse_type(name: str):
@@ -96,18 +109,15 @@ def _parse_type(name: str):
 # -- roots suite ---------------------------------------------------------------
 
 
-def _roots_checks(config: RunConfig, tname: str) -> list:
+def _roots_checks(config: RunConfig, tname: str):
     stype = SimpleType.from_name(tname)
     rs = build_root_system(stype.family, stype.rank)
-    out = []
     expected = POSITIVE_ROOT_COUNTS[stype.family](stype.rank)
-    out.append(
-        _result(
-            f"roots/{tname}/positive-count",
-            "number of positive roots matches the classical closed form",
-            len(rs.positive_roots) == expected,
-            {"found": len(rs.positive_roots), "expected": expected},
-        )
+    yield _result(
+        f"roots/{tname}/positive-count",
+        "number of positive roots matches the classical closed form",
+        len(rs.positive_roots) == expected,
+        {"found": len(rs.positive_roots), "expected": expected},
     )
 
     bad = []
@@ -124,14 +134,12 @@ def _roots_checks(config: RunConfig, tname: str) -> list:
             images.add(img)
         if len(images) != len(rs.positive_roots):
             bad.append((i, "not injective"))
-    out.append(
-        _result(
-            f"roots/{tname}/simple-reflection-permutation",
-            "each simple reflection permutes the other positive roots and "
-            "negates its own root",
-            not bad,
-            bad or None,
-        )
+    yield _result(
+        f"roots/{tname}/simple-reflection-permutation",
+        "each simple reflection permutes the other positive roots and "
+        "negates its own root",
+        not bad,
+        bad or None,
     )
 
     total = [0] * rs.rank
@@ -143,13 +151,11 @@ def _roots_checks(config: RunConfig, tname: str) -> list:
         sum(rs.cartan[i][j] * half_sum[j] for j in range(rs.rank))
         for i in range(rs.rank)
     )
-    out.append(
-        _result(
-            f"roots/{tname}/rho-half-sum",
-            "half the sum of the positive roots pairs to 1 with every simple coroot",
-            pairings == (1,) * rs.rank,
-            pairings if pairings != (1,) * rs.rank else None,
-        )
+    yield _result(
+        f"roots/{tname}/rho-half-sum",
+        "half the sum of the positive roots pairs to 1 with every simple coroot",
+        pairings == (1,) * rs.rank,
+        pairings if pairings != (1,) * rs.rank else None,
     )
 
     bad = []
@@ -159,87 +165,69 @@ def _roots_checks(config: RunConfig, tname: str) -> list:
             img = rs.reflect_root(r, i)
             if rs.is_root(img) and rs.weight_of_root(img) != rs.reflect(wr, i):
                 bad.append((r, i))
-    out.append(
-        _result(
-            f"roots/{tname}/weight-reflect-commutes",
-            "reflecting a root then taking coroot pairings equals reflecting "
-            "the pairings",
-            not bad,
-            bad or None,
-        )
+    yield _result(
+        f"roots/{tname}/weight-reflect-commutes",
+        "reflecting a root then taking coroot pairings equals reflecting "
+        "the pairings",
+        not bad,
+        bad or None,
     )
 
     order = weyl_order(rs)
+    order_id = f"roots/{tname}/weyl-order"
+    order_claim = "generated Weyl group order matches the classical formula"
     if order > config.max_weyl_order:
-        out.append(
-            _result(
-                f"roots/{tname}/weyl-order",
-                "generated Weyl group order matches the classical formula",
-                "skipped",
-                f"group order {order} above the cap {config.max_weyl_order}",
-            )
+        yield _result(
+            order_id,
+            order_claim,
+            "skipped",
+            f"group order {order} above the cap {config.max_weyl_order}",
         )
-        return out
+        return
     group = generate_weyl(rs, config.max_weyl_order)
-    out.append(
-        _result(
-            f"roots/{tname}/weyl-order",
-            "generated Weyl group order matches the classical formula",
-            len(group) == order,
-            {"generated": len(group), "expected": order},
-        )
+    yield _result(
+        order_id, order_claim, len(group) == order, {"generated": len(group), "expected": order}
     )
-    out.append(
-        _result(
-            f"roots/{tname}/torus-borel-count",
-            "distinct torus-fixed Borels (sets w(R+)) number exactly |W|",
-            borels_containing_torus(rs, group) == order,
-        )
+    yield _result(
+        f"roots/{tname}/torus-borel-count",
+        "distinct torus-fixed Borels (sets w(R+)) number exactly |W|",
+        borels_containing_torus(rs, group) == order,
     )
     if order <= _EXHAUSTIVE_WEYL_CAP:
         bad = [w.word for w in group if len(w.word) != inversions(rs, w)]
-        out.append(
-            _result(
-                f"roots/{tname}/length-inversions",
-                "reduced word length equals the inversion count for every element",
-                not bad,
-                bad[:5] or None,
-            )
+        yield _result(
+            f"roots/{tname}/length-inversions",
+            "reduced word length equals the inversion count for every element",
+            not bad,
+            bad[:5] or None,
         )
-    return out
 
 
 # -- invariants suite -----------------------------------------------------------
 
 
-def _invariants_checks(config: RunConfig, tname: str) -> list:
+def _invariants_checks(config: RunConfig, tname: str):
     if tname not in ALGEBRA_TYPES:
-        return [
-            _result(
-                f"invariants/{tname}/matrix-realization",
-                "a matrix realization exists for this type",
-                "skipped",
-                "no realization shipped (type D uses a Pfaffian; E/F/G none)",
-            )
-        ]
+        yield _result(
+            f"invariants/{tname}/matrix-realization",
+            "a matrix realization exists for this type",
+            "skipped",
+            "no realization shipped (type D uses a Pfaffian; E/F/G none)",
+        )
+        return
     stype = SimpleType.from_name(tname)
     alg = build_algebra(stype.family, stype.rank)
-    out = []
-    out.append(
-        _result(
-            f"invariants/{tname}/degree-sum",
-            "invariant degrees sum to the Borel dimension",
-            sum(alg.degrees) == alg.borel_dim,
-            {"degrees": alg.degrees, "borel_dim": alg.borel_dim},
-        )
+    yield _result(
+        f"invariants/{tname}/degree-sum",
+        "invariant degrees sum to the Borel dimension",
+        sum(alg.degrees) == alg.borel_dim,
+        {"degrees": alg.degrees, "borel_dim": alg.borel_dim},
     )
-    out.append(
-        _result(
-            f"invariants/{tname}/sigma-length",
-            "the polarization vector has borel_dim + rank entries",
-            len(alg.sigma(la.zeros(alg.size, alg.size), la.zeros(alg.size, alg.size)))
-            == alg.borel_dim + alg.rank,
-        )
+    yield _result(
+        f"invariants/{tname}/sigma-length",
+        "the polarization vector has borel_dim + rank entries",
+        len(alg.sigma(la.zeros(alg.size, alg.size), la.zeros(alg.size, alg.size)))
+        == alg.borel_dim + alg.rank,
     )
 
     rng = _rng(config, f"invariants/{tname}/polarization")
@@ -259,148 +247,130 @@ def _invariants_checks(config: RunConfig, tname: str) -> list:
                 bad = {"invariant": idx + 1, "a": a, "b": b}
         if bad:
             break
-    out.append(
-        _result(
-            f"invariants/{tname}/polarization-identity",
-            "p_i(a x + b y) equals its polarization expansion exactly on "
-            "seeded integer samples",
-            bad is None,
-            bad,
-        )
+    yield _result(
+        f"invariants/{tname}/polarization-identity",
+        "p_i(a x + b y) equals its polarization expansion exactly on "
+        "seeded integer samples",
+        bad is None,
+        bad,
     )
 
-    rng = _rng(config, f"invariants/{tname}/borel-reduction")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
+    def borel_reduction(rng):
         x = alg.random_element(rng, 2, where="b")
         y = alg.random_element(rng, 2, where="b")
-        x0 = alg.h_component(x)
-        y0 = alg.h_component(y)
-        if alg.sigma(x, y) != alg.sigma(x0, y0):
-            ok = False
-    out.append(
-        _result(
-            f"invariants/{tname}/sigma-borel-reduction",
-            "on Borel pairs sigma only sees the Cartan components",
-            ok,
-        )
+        return alg.sigma(x, y) == alg.sigma(alg.h_component(x), alg.h_component(y))
+
+    yield _result(
+        f"invariants/{tname}/sigma-borel-reduction",
+        "on Borel pairs sigma only sees the Cartan components",
+        _sampled_check(config, f"invariants/{tname}/borel-reduction", borel_reduction),
     )
 
-    rng = _rng(config, f"invariants/{tname}/conjugation")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
+    def conjugation(rng):
         x = alg.random_element(rng, 2)
         y = alg.random_element(rng, 2)
         g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
         g = g * alg.torus([rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(alg.rank)])
-        if alg.sigma(g.conjugate(x), g.conjugate(y)) != alg.sigma(x, y):
-            ok = False
-    out.append(
-        _result(
-            f"invariants/{tname}/sigma-conjugation-invariance",
-            "sigma is constant under sampled unipotent and torus conjugations",
-            ok,
-        )
+        return alg.sigma(g.conjugate(x), g.conjugate(y)) == alg.sigma(x, y)
+
+    yield _result(
+        f"invariants/{tname}/sigma-conjugation-invariance",
+        "sigma is constant under sampled unipotent and torus conjugations",
+        _sampled_check(config, f"invariants/{tname}/conjugation", conjugation),
     )
 
-    rng = _rng(config, f"invariants/{tname}/euler")
-    ok = True
-    for _ in range(3):
+    def euler(rng):
         x = alg.random_element(rng, 2)
         eps = alg.epsilon_all(x)
         ps = alg.eval_all_p(x)
-        for i, d in enumerate(alg.degrees):
-            if alg.trace_form(eps[i], x) != d * ps[i]:
-                ok = False
-    out.append(
-        _result(
-            f"invariants/{tname}/euler-identity",
-            "the trace-form gradient satisfies <eps_i(x), x> = d_i p_i(x)",
-            ok,
-        )
+        return all(alg.trace_form(eps[i], x) == d * ps[i] for i, d in enumerate(alg.degrees))
+
+    yield _result(
+        f"invariants/{tname}/euler-identity",
+        "the trace-form gradient satisfies <eps_i(x), x> = d_i p_i(x)",
+        _sampled_check(config, f"invariants/{tname}/euler", euler, 3),
     )
 
-    rng = _rng(config, f"invariants/{tname}/gradient")
-    ok = True
-    x = alg.random_element(rng, 2)
-    eps = alg.epsilon_all(x)
-    for v in alg.basis:
-        derivs = alg.directional_derivatives(x, v)
-        for i in range(alg.rank):
-            if alg.trace_form(eps[i], v) != derivs[i]:
-                ok = False
-    out.append(
-        _result(
-            f"invariants/{tname}/gradient-pairing",
-            "<eps_i(x), v> equals the exact directional derivative for every "
-            "basis direction",
-            ok,
-        )
+    def gradient_pairing(rng):
+        x = alg.random_element(rng, 2)
+        eps = alg.epsilon_all(x)
+        for v in alg.basis:
+            derivs = alg.directional_derivatives(x, v)
+            if any(alg.trace_form(eps[i], v) != derivs[i] for i in range(alg.rank)):
+                return False
+        return True
+
+    yield _result(
+        f"invariants/{tname}/gradient-pairing",
+        "<eps_i(x), v> equals the exact directional derivative for every "
+        "basis direction",
+        _sampled_check(config, f"invariants/{tname}/gradient", gradient_pairing, 1),
     )
 
-    rng = _rng(config, f"invariants/{tname}/eps-polarization")
-    ok = True
-    x = alg.random_element(rng, 2)
-    y = alg.random_element(rng, 2)
-    a, b = 2, 3
-    target = alg.epsilon_all(la.add(la.scale(a, x), la.scale(b, y)))
-    for i, d in enumerate(alg.degrees, start=1):
-        parts = alg.epsilon_polarize(i, x, y)
-        total = la.zeros(alg.size, alg.size)
-        for m, part in enumerate(parts):
-            total = la.add(
-                total, la.scale(Fraction(a) ** (d - m - 1) * Fraction(b) ** m, part)
-            )
-        if total != target[i - 1]:
-            ok = False
-    out.append(
-        _result(
-            f"invariants/{tname}/epsilon-polarization-identity",
-            "the gradient polarizations reassemble eps_i(a x + b y) exactly",
-            ok,
-        )
+    def eps_polarization(rng):
+        x = alg.random_element(rng, 2)
+        y = alg.random_element(rng, 2)
+        a, b = 2, 3
+        target = alg.epsilon_all(la.add(la.scale(a, x), la.scale(b, y)))
+        for i, d in enumerate(alg.degrees, start=1):
+            total = la.zeros(alg.size, alg.size)
+            for m, part in enumerate(alg.epsilon_polarize(i, x, y)):
+                total = la.add(
+                    total, la.scale(Fraction(a) ** (d - m - 1) * Fraction(b) ** m, part)
+                )
+            if total != target[i - 1]:
+                return False
+        return True
+
+    yield _result(
+        f"invariants/{tname}/epsilon-polarization-identity",
+        "the gradient polarizations reassemble eps_i(a x + b y) exactly",
+        _sampled_check(config, f"invariants/{tname}/eps-polarization", eps_polarization, 1),
     )
 
-    if tname in ("A1", "A2", "B2"):
-        group = generate_weyl(alg.rs, config.max_weyl_order)
-        rng = _rng(config, f"invariants/{tname}/weyl")
-        ok = True
-        for _ in range(3):
-            x = alg.random_element(rng, 3, where="h")
-            y = alg.random_element(rng, 2, where="h")
-            s0 = alg.sigma(x, y)
-            for w in group:
-                rep = alg.weyl_rep(w.word)
-                if alg.sigma(rep.conjugate(x), rep.conjugate(y)) != s0:
-                    ok = False
-        out.append(
-            _result(
-                f"invariants/{tname}/sigma-weyl-invariance",
-                "sigma is invariant under the whole realized Weyl group on "
-                "Cartan pairs",
-                ok,
-            )
-        )
+    if tname not in ("A1", "A2", "B2"):
+        return
+    group = generate_weyl(alg.rs, config.max_weyl_order)
 
-    if tname in ("A1", "A2", "B2"):
-        rng = _rng(config, f"invariants/{tname}/span")
-        ok = True
-        count = max(5, config.samples // 5)
-        for _ in range(count):
-            x, y = _regular_pencil_pair(alg, rng)
-            span = alg.borel_span(x, y)
-            if span.dim != alg.borel_dim or not span.in_borel:
-                ok = False
-        out.append(
-            _result(
-                f"invariants/{tname}/gradient-span-borel",
-                "on regular Borel pencils the gradient polarizations span "
-                "exactly the Borel subalgebra",
-                ok,
-                {"pairs_checked": count},
-            )
-        )
-    return out
+    def weyl_invariance(rng):
+        x = alg.random_element(rng, 3, where="h")
+        y = alg.random_element(rng, 2, where="h")
+        s0 = alg.sigma(x, y)
+        for w in group:
+            rep = alg.weyl_rep(w.word)
+            if alg.sigma(rep.conjugate(x), rep.conjugate(y)) != s0:
+                return False
+        return True
+
+    yield _result(
+        f"invariants/{tname}/sigma-weyl-invariance",
+        "sigma is invariant under the whole realized Weyl group on "
+        "Cartan pairs",
+        _sampled_check(config, f"invariants/{tname}/weyl", weyl_invariance, 3),
+    )
+
+    def span_is_borel(rng):
+        span = alg.borel_span(*_regular_pencil_pair(alg, rng))
+        return span.dim == alg.borel_dim and span.in_borel
+
+    count = max(5, config.samples // 5)
+    yield _result(
+        f"invariants/{tname}/gradient-span-borel",
+        "on regular Borel pencils the gradient polarizations span "
+        "exactly the Borel subalgebra",
+        _sampled_check(config, f"invariants/{tname}/span", span_is_borel, count),
+        {"pairs_checked": count},
+    )
+
+
+def _regular_cartan(alg, rng):
+    """A regular semisimple element of the Cartan subalgebra, drawn from ``rng``."""
+    for _ in range(1000):
+        # regularity needs rank many distinct absolute diagonal values
+        h = alg.random_element(rng, alg.rank + 2, where="h")
+        if alg.is_regular_element(h):
+            return h
+    raise AssertionError("could not draw a regular semisimple element")
 
 
 def _regular_pencil_pair(alg, rng):
@@ -412,11 +382,7 @@ def _regular_pencil_pair(alg, rng):
     for a = 0, so every nonzero pencil member is regular (and the sampled
     precondition of borel_span necessarily passes).
     """
-    while True:
-        h = alg.random_element(rng, alg.rank + 2, where="h")
-        if alg.is_regular_element(h):
-            break
-    x = la.add(h, alg.random_element(rng, 2, where="u"))
+    x = la.add(_regular_cartan(alg, rng), alg.random_element(rng, 2, where="u"))
     y = alg.random_element(rng, 2, where="u")
     for root in alg.rs.positive_roots:
         if alg.rs.is_simple(root):
@@ -427,20 +393,18 @@ def _regular_pencil_pair(alg, rng):
 # -- geometry suite ---------------------------------------------------------------
 
 
-def _geometry_checks(config: RunConfig, tname: str) -> list:
-    out = []
+def _geometry_checks(config: RunConfig, tname: str):
     stype = SimpleType.from_name(tname)
     rs = build_root_system(stype.family, stype.rank)
     order = weyl_order(rs)
-    if order <= config.max_weyl_order:
+    fiber_id = f"geometry/{tname}/regular-semisimple-fiber-count"
+    fiber_claim = "torus Borels containing a regular semisimple element number |W|"
+    if order > config.max_weyl_order:
+        yield _result(fiber_id, fiber_claim, "skipped", f"group order {order} above the cap")
+    else:
         group = generate_weyl(rs, config.max_weyl_order)
-        out.append(
-            _result(
-                f"geometry/{tname}/regular-semisimple-fiber-count",
-                "torus Borels containing a regular semisimple element number |W|",
-                borels_containing_torus(rs, group) == order,
-                {"expected": order},
-            )
+        yield _result(
+            fiber_id, fiber_claim, borels_containing_torus(rs, group) == order, {"expected": order}
         )
         rng = _rng(config, f"geometry/{tname}/chains")
         bad = []
@@ -458,183 +422,131 @@ def _geometry_checks(config: RunConfig, tname: str) -> list:
                 continue
             if len(chain) != len(w.word) + 1 or chain[-1].perm != w.perm:
                 bad.append((w.word, "wrong endpoints"))
-        out.append(
-            _result(
-                f"geometry/{tname}/line-chains",
-                "every torus Borel pair sharing a nilpotent support is joined "
-                "by a chain of projective lines of length l(w)",
-                not bad,
-                bad[:5] or None,
-            )
-        )
-    else:
-        out.append(
-            _result(
-                f"geometry/{tname}/regular-semisimple-fiber-count",
-                "torus Borels containing a regular semisimple element number |W|",
-                "skipped",
-                f"group order {order} above the cap",
-            )
+        yield _result(
+            f"geometry/{tname}/line-chains",
+            "every torus Borel pair sharing a nilpotent support is joined "
+            "by a chain of projective lines of length l(w)",
+            not bad,
+            bad[:5] or None,
         )
 
     if tname not in ALGEBRA_TYPES:
-        out.append(
-            _result(
-                f"geometry/{tname}/matrix-checks",
-                "tangent-rank and fiber checks on the matrix realization",
-                "skipped",
-                "no matrix realization for this type",
-            )
+        yield _result(
+            f"geometry/{tname}/matrix-checks",
+            "tangent-rank and fiber checks on the matrix realization",
+            "skipped",
+            "no matrix realization for this type",
         )
-        return out
+        return
 
     alg = build_algebra(stype.family, stype.rank)
     b_g, rk = alg.borel_dim, alg.rank
     rng = _rng(config, f"geometry/{tname}/ranks")
     xreg = alg.regular_nilpotent()
-    hreg = None
-    for _ in range(1000):
-        # regularity needs rank many distinct absolute diagonal values
-        cand = alg.random_element(rng, alg.rank + 2, where="h")
-        if alg.is_regular_element(cand):
-            hreg = cand
-            break
-    if hreg is None:
-        raise AssertionError("could not draw a regular semisimple element")
+    hreg = _regular_cartan(alg, rng)
     rep = geo.rank_borel_pair(alg, hreg, la.add(xreg, alg.random_element(rng, 2, where="b")))
-    out.append(
-        _result(
-            f"geometry/{tname}/borel-pair-rank",
-            "the Borel-pair tangent map attains rank 3*b_g - rk at a witness point",
-            rep.rank == 3 * b_g - rk,
-            {"rank": rep.rank, "expected": 3 * b_g - rk},
-        )
+    yield _result(
+        f"geometry/{tname}/borel-pair-rank",
+        "the Borel-pair tangent map attains rank 3*b_g - rk at a witness point",
+        rep.rank == 3 * b_g - rk,
+        {"rank": rep.rank, "expected": 3 * b_g - rk},
     )
     rep = geo.rank_nullcone_pair(alg, xreg, alg.random_element(rng, 2, where="u"))
-    out.append(
-        _result(
-            f"geometry/{tname}/nullcone-pair-rank",
-            "the nilpotent-pair tangent map attains rank 3*(b_g - rk) at a "
-            "regular nilpotent witness",
-            rep.rank == 3 * (b_g - rk),
-            {"rank": rep.rank, "expected": 3 * (b_g - rk)},
-        )
+    yield _result(
+        f"geometry/{tname}/nullcone-pair-rank",
+        "the nilpotent-pair tangent map attains rank 3*(b_g - rk) at a "
+        "regular nilpotent witness",
+        rep.rank == 3 * (b_g - rk),
+        {"rank": rep.rank, "expected": 3 * (b_g - rk)},
     )
     rep = geo.mu_kernel(alg, xreg, alg.random_element(rng, 2, where="u"))
-    out.append(
-        _result(
-            f"geometry/{tname}/mu-kernel",
-            "the pair map on g x u x u has kernel dimension b_g at a regular "
-            "nilpotent",
-            rep.kernel_dim == b_g,
-            {"kernel": rep.kernel_dim, "expected": b_g},
-        )
+    yield _result(
+        f"geometry/{tname}/mu-kernel",
+        "the pair map on g x u x u has kernel dimension b_g at a regular "
+        "nilpotent",
+        rep.kernel_dim == b_g,
+        {"kernel": rep.kernel_dim, "expected": b_g},
     )
-    out.append(
-        _result(
-            f"geometry/{tname}/rank-nullity",
-            "rank plus kernel dimension equals the domain dimension",
-            rep.rank + rep.kernel_dim == rep.domain_dim,
-        )
+    yield _result(
+        f"geometry/{tname}/rank-nullity",
+        "rank plus kernel dimension equals the domain dimension",
+        rep.rank + rep.kernel_dim == rep.domain_dim,
     )
 
     rng = _rng(config, f"geometry/{tname}/pencil")
     y = alg.random_element(rng, 2, where="u")
     tangents = geo.nullcone_tangent_spanners(alg, xreg, y)
-    out.append(
-        _result(
-            f"geometry/{tname}/pencil-tangent-vanishing",
-            "tangent directions of the nilpotent pair variety annihilate the "
-            "invariant differentials along the whole pencil",
-            geo.pencil_tangent_vanishing(alg, xreg, y, tangents, range(6)),
-        )
+    yield _result(
+        f"geometry/{tname}/pencil-tangent-vanishing",
+        "tangent directions of the nilpotent pair variety annihilate the "
+        "invariant differentials along the whole pencil",
+        geo.pencil_tangent_vanishing(alg, xreg, y, tangents, range(6)),
     )
 
-    rng = _rng(config, f"geometry/{tname}/pencil-consistency")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
+    def pencil_consistency(rng):
         x = alg.random_element(rng, 2, where="h")
         yh = alg.random_element(rng, 2, where="h")
-        if not geo.sigma_pencil_consistency(alg, x, yh, range(alg.degrees[-1] + 1)):
-            ok = False
-    out.append(
-        _result(
-            f"geometry/{tname}/sigma-pencil-consistency",
-            "sigma reassembled along a pencil of parameters reproduces the "
-            "plain invariants pointwise",
-            ok,
-        )
+        return geo.sigma_pencil_consistency(alg, x, yh, range(alg.degrees[-1] + 1))
+
+    yield _result(
+        f"geometry/{tname}/sigma-pencil-consistency",
+        "sigma reassembled along a pencil of parameters reproduces the "
+        "plain invariants pointwise",
+        _sampled_check(config, f"geometry/{tname}/pencil-consistency", pencil_consistency),
     )
 
-    rng = _rng(config, f"geometry/{tname}/commuting")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
+    def commuting(rng):
         h1 = alg.random_element(rng, 2, where="h")
         h2 = alg.random_element(rng, 2, where="h")
         g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
         if not geo.conjugated_cartan_sigma_check(alg, h1, h2, g):
-            ok = False
+            return False
         n_elem = alg.random_element(rng, 2, where="u")
-        if not geo.nilpotent_polynomial_sigma_check(
+        return geo.nilpotent_polynomial_sigma_check(
             alg, n_elem, [rng.randint(-2, 2) for _ in range(2)]
-        ):
-            ok = False
-    out.append(
-        _result(
-            f"geometry/{tname}/commuting-pairs-sigma",
-            "sigma collapses commuting pairs to their Cartan data: conjugated "
-            "Cartan pairs keep their value, nilpotent polynomial pairs give 0",
-            ok,
         )
+
+    yield _result(
+        f"geometry/{tname}/commuting-pairs-sigma",
+        "sigma collapses commuting pairs to their Cartan data: conjugated "
+        "Cartan pairs keep their value, nilpotent polynomial pairs give 0",
+        _sampled_check(config, f"geometry/{tname}/commuting", commuting),
     )
 
-    rng = _rng(config, f"geometry/{tname}/tau")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
+    def h_component_conjugation(rng):
         x = alg.random_element(rng, 2, where="b")
         word = tuple(rng.randint(1, alg.rank) for _ in range(rng.randint(0, 4)))
         b_elem = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
         b_elem = b_elem * alg.torus(
             [rng.choice([1, 2, Fraction(1, 2), 3]) for _ in range(alg.rank)]
         )
-        if not geo.h_component_conjugation_check(alg, x, word, b_elem):
-            ok = False
-    out.append(
-        _result(
-            f"geometry/{tname}/h-component-conjugation",
-            "conjugating a Borel element by n_w b moves its Cartan component "
-            "by exactly w",
-            ok,
-        )
+        return geo.h_component_conjugation_check(alg, x, word, b_elem)
+
+    yield _result(
+        f"geometry/{tname}/h-component-conjugation",
+        "conjugating a Borel element by n_w b moves its Cartan component "
+        "by exactly w",
+        _sampled_check(config, f"geometry/{tname}/tau", h_component_conjugation),
     )
 
-    rng = _rng(config, f"geometry/{tname}/grading")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
-        x = alg.random_element(rng, 2, where="b")
-        good, _heights = geo.height_grading_check(alg, x)
-        if not good:
-            ok = False
-    out.append(
-        _result(
-            f"geometry/{tname}/height-grading",
-            "Borel elements decompose into height-graded eigencomponents of "
-            "the grading element",
-            ok,
-        )
+    def height_grading(rng):
+        good, _heights = geo.height_grading_check(alg, alg.random_element(rng, 2, where="b"))
+        return good
+
+    yield _result(
+        f"geometry/{tname}/height-grading",
+        "Borel elements decompose into height-graded eigencomponents of "
+        "the grading element",
+        _sampled_check(config, f"geometry/{tname}/grading", height_grading),
     )
 
     if tname in ("A1", "A2", "B2"):
         group = generate_weyl(alg.rs, config.max_weyl_order)
         rng = _rng(config, f"geometry/{tname}/fibers")
-        pairs = []
-        for _ in range(max(5, config.samples // 2)):
-            pairs.append(
-                (
-                    alg.random_element(rng, 3, where="h"),
-                    alg.random_element(rng, 3, where="h"),
-                )
-            )
+        pairs = [
+            (alg.random_element(rng, 3, where="h"), alg.random_element(rng, 3, where="h"))
+            for _ in range(max(5, config.samples // 2))
+        ]
         ok = True
         for i, pa in enumerate(pairs):
             w = group[rng.randrange(len(group))]
@@ -645,32 +557,26 @@ def _geometry_checks(config: RunConfig, tname: str) -> list:
             if i + 1 < len(pairs):
                 if not geo.sigma_fiber_is_weyl_orbit(alg, group, pa, pairs[i + 1]):
                     ok = False
-        out.append(
-            _result(
-                f"geometry/{tname}/sigma-fiber-weyl-orbit",
-                "two Cartan pairs share a sigma value exactly when they share "
-                "a diagonal Weyl orbit",
-                ok,
-            )
+        yield _result(
+            f"geometry/{tname}/sigma-fiber-weyl-orbit",
+            "two Cartan pairs share a sigma value exactly when they share "
+            "a diagonal Weyl orbit",
+            ok,
         )
 
-    rng = _rng(config, f"geometry/{tname}/monotonicity")
-    ok = True
-    for _ in range(max(3, config.samples // 5)):
+    def rank_monotonicity(rng):
         xb = alg.random_element(rng, 2, where="b")
         yb = alg.random_element(rng, 2, where="b")
         if geo.rank_borel_pair(alg, xb, yb).rank > 3 * b_g - rk:
-            ok = False
+            return False
         xu = alg.random_element(rng, 2, where="u")
         yu = alg.random_element(rng, 2, where="u")
-        if geo.rank_nullcone_pair(alg, xu, yu).rank > 3 * (b_g - rk):
-            ok = False
-    out.append(
-        _result(
-            f"geometry/{tname}/rank-monotonicity",
-            "tangent ranks never exceed their generic values at any sampled point",
-            ok,
-        )
+        return geo.rank_nullcone_pair(alg, xu, yu).rank <= 3 * (b_g - rk)
+
+    yield _result(
+        f"geometry/{tname}/rank-monotonicity",
+        "tangent ranks never exceed their generic values at any sampled point",
+        _sampled_check(config, f"geometry/{tname}/monotonicity", rank_monotonicity),
     )
 
     rng = _rng(config, f"geometry/{tname}/hyperplanes")
@@ -685,14 +591,12 @@ def _geometry_checks(config: RunConfig, tname: str) -> list:
         for z in (x, y):
             if not any(alg.root_value(r, z) == 0 for r in alg.rs.positive_roots):
                 ok = False
-    out.append(
-        _result(
-            f"geometry/{tname}/nonregular-pair-hyperplanes",
-            "both members of a doubly non-regular Cartan pair lie on explicit "
-            "root hyperplanes (so such pairs have codimension at least two)",
-            ok,
-            {"pairs_witnessed": found},
-        )
+    yield _result(
+        f"geometry/{tname}/nonregular-pair-hyperplanes",
+        "both members of a doubly non-regular Cartan pair lie on explicit "
+        "root hyperplanes (so such pairs have codimension at least two)",
+        ok,
+        {"pairs_witnessed": found},
     )
 
     if tname in ("A1", "A2"):
@@ -714,22 +618,20 @@ def _geometry_checks(config: RunConfig, tname: str) -> list:
             observed_stratum = max(
                 observed_stratum, geo.rank_nonregular_stratum_pair(alg, xu, yu).rank
             )
-        out.append(
-            _result(
-                f"geometry/{tname}/singular-stratum-ranks",
-                "measured tangent ranks over doubly non-regular nilpotent "
-                "pairs, reported against the generic value minus four",
-                samples > 0,
-                {
-                    "samples": samples,
-                    "max_rank": observed_plain,
-                    "max_stratum_rank": observed_stratum,
-                    "generic": 3 * (b_g - rk),
-                    "generic_minus_four": 3 * (b_g - rk) - 4,
-                    "stratum_rank_le_generic_minus_four": observed_stratum
-                    <= 3 * (b_g - rk) - 4,
-                },
-            )
+        yield _result(
+            f"geometry/{tname}/singular-stratum-ranks",
+            "measured tangent ranks over doubly non-regular nilpotent "
+            "pairs, reported against the generic value minus four",
+            samples > 0,
+            {
+                "samples": samples,
+                "max_rank": observed_plain,
+                "max_stratum_rank": observed_stratum,
+                "generic": 3 * (b_g - rk),
+                "generic_minus_four": 3 * (b_g - rk) - 4,
+                "stratum_rank_le_generic_minus_four": observed_stratum
+                <= 3 * (b_g - rk) - 4,
+            },
         )
 
     if alg.family == "A" and alg.size <= 4:
@@ -747,24 +649,19 @@ def _geometry_checks(config: RunConfig, tname: str) -> list:
                 undecided += 1
             else:
                 rejected.append(m.reason)
-        out.append(
-            _result(
-                f"geometry/{tname}/membership-constructed-pairs",
-                "conjugated nilradical pairs are never rejected by the "
-                "common-flag search",
-                not rejected,
-                {"members": members, "undecided": undecided, "rejected": rejected},
-            )
+        yield _result(
+            f"geometry/{tname}/membership-constructed-pairs",
+            "conjugated nilradical pairs are never rejected by the "
+            "common-flag search",
+            not rejected,
+            {"members": members, "undecided": undecided, "rejected": rejected},
         )
-    return out
 
 
-def _shifts_checks(config: RunConfig, tname: str) -> list:
+def _shifts_checks(config: RunConfig, tname: str):
     stype = SimpleType.from_name(tname)
-    return [
-        _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
-        for o in full_shift_report(build_root_system(stype.family, stype.rank))
-    ]
+    for o in full_shift_report(build_root_system(stype.family, stype.rank)):
+        yield _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
 
 
 # -- assembly ------------------------------------------------------------------
@@ -776,6 +673,32 @@ _SUITE_FUNCS = {
     "invariants": _invariants_checks,
     "geometry": _geometry_checks,
 }
+
+
+def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
+    """The records of one suite x type unit, each timed as it arrives.
+
+    A record's elapsed time runs from the previous record of the unit (or
+    the unit's start), so set-up shared by later checks is charged to the
+    first check after it.  A unit that hits the Weyl enumeration cap
+    reports only that skip.
+    """
+    start = last = time.perf_counter()
+    results = []
+    try:
+        for check in _SUITE_FUNCS[suite](config, tname):
+            now = time.perf_counter()
+            results.append(replace(check, elapsed=now - last))
+            last = now
+    except WeylOrderError as exc:
+        skip = _result(
+            f"{suite}/{tname}/enumeration",
+            "group enumeration within the configured cap",
+            "skipped",
+            str(exc),
+        )
+        return [replace(skip, elapsed=time.perf_counter() - start)]
+    return results
 
 
 def run(config: RunConfig):
@@ -796,22 +719,7 @@ def run(config: RunConfig):
                     )
                 )
                 continue
-            start = time.perf_counter()
-            try:
-                checks = _SUITE_FUNCS[suite](config, tname)
-            except WeylOrderError as exc:
-                checks = [
-                    _result(
-                        f"{suite}/{tname}/enumeration",
-                        "group enumeration within the configured cap",
-                        "skipped",
-                        str(exc),
-                    )
-                ]
-            elapsed = time.perf_counter() - start
-            share = elapsed / max(1, len(checks))
-            for c in checks:
-                results.append(CheckResult(c.check_id, c.claim, c.status, c.witness, share))
+            results.extend(_unit_results(config, suite, tname))
     results.sort(key=lambda c: c.check_id)
     exit_code = 1 if any(c.status == "fail" for c in results) else 0
     return exit_code, results

@@ -53,6 +53,9 @@ class CheckOutcome:
 
 
 def _evidence_verdict(rs: RootSystem, alpha, sign: int) -> ShiftVerdict:
+    alpha = tuple(alpha)
+    if not rs.is_positive_root(alpha):
+        raise ValueError(f"{alpha} is not a positive root of {rs.stype}")
     shift = "minus" if sign < 0 else "plus"
     lam = rs.rho_shift(alpha, sign)
     gamma = rs.zero_pairing_witness(lam)
@@ -72,23 +75,11 @@ def _evidence_verdict(rs: RootSystem, alpha, sign: int) -> ShiftVerdict:
 
 def classify_rho_minus(rs: RootSystem, alpha) -> ShiftVerdict:
     """Verdict for rho - alpha; alpha must be a positive root."""
-    alpha = tuple(alpha)
-    if not rs.is_positive_root(alpha):
-        raise ValueError(f"{alpha} is not a positive root of {rs.stype}")
-    if rs.is_simple(alpha):
-        i = rs.simple_index(alpha)
-        lam = rs.rho_shift(alpha, -1)
-        refl = rs.reflect(lam, i)
-        if rs.is_regular(refl) and rs.is_dominant(refl):
-            return ShiftVerdict("minus", alpha, REGULAR_AFTER_REFLECTION, i)
     return _evidence_verdict(rs, alpha, -1)
 
 
 def classify_rho_plus(rs: RootSystem, alpha) -> ShiftVerdict:
     """Verdict for rho + alpha; alpha must be a positive root."""
-    alpha = tuple(alpha)
-    if not rs.is_positive_root(alpha):
-        raise ValueError(f"{alpha} is not a positive root of {rs.stype}")
     return _evidence_verdict(rs, alpha, +1)
 
 

@@ -2,13 +2,11 @@
 
 Elements act on the roots; the action is stored as a permutation of the
 full root list (positive roots first, then their negatives), which both
-composes cheaply and makes inversion counting a table scan.  The matrix of
-an element on simple-root coordinates can be recovered from the images of
-the simple roots.  Elements are deduplicated by their action (words are
-not canonical); generation is a breadth-first closure over right
-multiplication by simple reflections, so the stored word of each element
-is its lexicographically smallest reduced word.  Groups are immutable
-once generated.
+composes cheaply and makes inversion counting a table scan.  Elements are
+deduplicated by their action (words are not canonical); generation is a
+breadth-first closure over right multiplication by simple reflections, so
+the stored word of each element is its lexicographically smallest reduced
+word.  Groups are immutable once generated.
 """
 
 from __future__ import annotations
@@ -52,16 +50,6 @@ class WeylElement:
     def apply_root(self, rs: RootSystem, r) -> tuple:
         all_roots, index = _root_index(rs)
         return all_roots[self.perm[index[tuple(r)]]]
-
-    def matrix(self, rs: RootSystem) -> tuple:
-        """Integer matrix of the action on simple-root coordinates."""
-        all_roots, index = _root_index(rs)
-        n = rs.rank
-        cols = []
-        for i in range(n):
-            beta = tuple(1 if j == i else 0 for j in range(n))
-            cols.append(all_roots[self.perm[index[beta]]])
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
     def apply_h(self, rs: RootSystem, xi) -> tuple:
         """Action on a point of the Cartan subalgebra.

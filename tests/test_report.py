@@ -1,10 +1,12 @@
 """Report determinism, CLI behaviour and exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from nullcone import report
 from nullcone.cli import main
 from nullcone.report import (
     DEFAULT_TYPES,
@@ -112,3 +114,35 @@ def test_cli_exit_codes():
 
 def test_default_types_cover_the_standard_list():
     assert "E8" in DEFAULT_TYPES and "G2" in DEFAULT_TYPES and "D4" in DEFAULT_TYPES
+
+
+def test_text_timings_are_measured_per_check(monkeypatch):
+    # a slow torus-Borel count must show up on its own check only, not be
+    # spread evenly over the seven roots/A2 checks
+    count = report.borels_containing_torus
+
+    def slow_count(*args):
+        time.sleep(0.05)
+        return count(*args)
+
+    monkeypatch.setattr(report, "borels_containing_torus", slow_count)
+    start = time.perf_counter()
+    _, results = run(RunConfig(suites=("roots",), types=("A2",)))
+    wall = time.perf_counter() - start
+    elapsed = {c.check_id: c.elapsed for c in results}
+    assert sum(elapsed.values()) <= wall
+    assert len(elapsed) == 7
+    assert elapsed.pop("roots/A2/torus-borel-count") >= 0.05
+    assert all(t < 0.05 for t in elapsed.values()), elapsed
+
+
+def test_weyl_cap_inside_a_unit_reports_only_the_enumeration_skip():
+    # the invariants suite enumerates W(A2) after five checks have passed;
+    # hitting the cap drops those and leaves the single skip record
+    code, results = run(
+        RunConfig(suites=("invariants",), types=("A2",), max_weyl_order=2)
+    )
+    assert code == 0
+    assert [(c.check_id, c.status) for c in results] == [
+        ("invariants/A2/enumeration", "skipped")
+    ]
