@@ -13,6 +13,17 @@ import sys
 from .report import DEFAULT_TYPES, SUITES, RunConfig, run, structured_lines, text_lines
 
 
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nullcone-verify",
@@ -29,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="simple type such as A2 or E8 (repeatable; default: the standard list)",
         )
         p.add_argument("--seed", type=int, default=1789)
-        p.add_argument("--samples", type=int, default=25)
-        p.add_argument("--max-weyl-order", type=int, default=10**6)
+        p.add_argument("--samples", type=_positive_int, default=25)
+        p.add_argument("--max-weyl-order", type=_positive_int, default=10**6)
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser

@@ -192,9 +192,16 @@ class RootSystem:
         return tuple(sorted(positive, key=lambda r: (sum(r), r)))
 
     def _coroot_in_simple_coroots(self, r: Root) -> tuple:
-        """Coordinates m with r^vee = sum m_i beta_i^vee."""
+        """Integer coordinates m with r^vee = sum m_i beta_i^vee.
+
+        m_i = n_i * len2(beta_i) / len2(r); coroots form a root system with
+        the simple coroots as a base, so every m_i is an integer.
+        """
         len2 = self.root_length2(r)
-        return tuple(Fraction(n_i) * l / len2 for n_i, l in zip(r, self.lengths))
+        coords = tuple(Fraction(n_i) * l / len2 for n_i, l in zip(r, self.lengths))
+        if any(c.denominator != 1 for c in coords):
+            raise AssertionError(f"{self.stype}: coroot of {r} is not integral: {coords}")
+        return tuple(c.numerator for c in coords)
 
     # -- basic queries -----------------------------------------------------
 

@@ -2,17 +2,21 @@
 
 Elements act on the roots; the action is stored as a permutation of the
 full root list (positive roots first, then their negatives), which both
-composes cheaply and makes inversion counting a table scan.  Elements are
-deduplicated by their action (words are not canonical); generation is a
-breadth-first closure over right multiplication by simple reflections, so
-the stored word of each element is its lexicographically smallest reduced
-word.  Groups are immutable once generated.
+composes cheaply (one ``operator.itemgetter`` call per simple reflection)
+and makes inversion counting a table scan.  Elements are deduplicated by
+their action (words are not canonical); generation is a breadth-first
+closure over right multiplication by simple reflections that skips the
+descents of each element (w s_i is shorter than w iff w(alpha_i) < 0, so
+it was found at an earlier level), and the stored word of each element is
+its lexicographically smallest reduced word.  Each group is enumerated
+once per process and root system and is immutable once generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .roots import RootSystem, WEYL_ORDERS
 
@@ -31,15 +35,18 @@ def _root_index(rs: RootSystem):
 
 
 @lru_cache(maxsize=None)
-def _generator_perms(rs: RootSystem):
+def _right_multipliers(rs: RootSystem):
+    """One getter per simple reflection s_i, sending the permutation of w
+    to that of w s_i: (w s_i)(r) = w(s_i(r)), read through s_i's image table.
+    """
     all_roots, index = _root_index(rs)
-    perms = []
-    for i in range(1, rs.rank + 1):
-        perms.append(tuple(index[rs.reflect_root(r, i)] for r in all_roots))
-    return tuple(perms)
+    return tuple(
+        itemgetter(*(index[rs.reflect_root(r, i)] for r in all_roots))
+        for i in range(1, rs.rank + 1)
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     word: tuple  # lexicographically smallest reduced word, 1-based indices
     perm: tuple  # image indices of the full root list under the action
@@ -79,41 +86,55 @@ def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> tuple:
     """Enumerate the full Weyl group, refusing if it exceeds max_order.
 
     Returns the elements sorted by (length, word); the identity is first.
+    The cap is checked on every call; the group itself is enumerated once
+    per root system and the same tuple is returned afterwards.
     """
     order = weyl_order(rs)
     if order > max_order:
         raise WeylOrderError(
             f"Weyl group of {rs.stype} has order {order}, above the cap {max_order}"
         )
-    gens = _generator_perms(rs)
-    n = rs.rank
-    ident = tuple(range(2 * rs.num_positive))
+    return _enumerate_weyl(rs)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_weyl(rs: RootSystem) -> tuple:
+    multipliers = _right_multipliers(rs)
+    m = rs.num_positive
+    _, index = _root_index(rs)
+    simple = [
+        index[tuple(1 if j == i else 0 for j in range(rs.rank))] for i in range(rs.rank)
+    ]
+    letters = tuple(zip(range(1, rs.rank + 1), simple, multipliers))
+    ident = tuple(range(2 * m))
     seen = {ident: ()}
     frontier = [(ident, ())]
     while frontier:
         nxt = []
         for perm, word in frontier:
-            for i in range(n):
-                # right multiplication (w s_i)(r) = w(s_i(r))
-                g = gens[i]
-                p2 = tuple(perm[g[j]] for j in range(len(perm)))
+            for letter, alpha, times_s in letters:
+                if perm[alpha] >= m:
+                    continue  # w(alpha_i) < 0: w s_i is shorter, already seen
+                p2 = times_s(perm)
                 if p2 not in seen:
-                    w2 = word + (i + 1,)
+                    w2 = word + (letter,)
                     seen[p2] = w2
                     nxt.append((p2, w2))
         frontier = nxt
+    order = weyl_order(rs)
     if len(seen) != order:
         raise AssertionError(f"generated {len(seen)} elements, expected {order}")
     elems = [WeylElement(word=w, perm=p) for p, w in seen.items()]
+    # the closure already finds elements in this order; sorting keeps the
+    # order from resting on that
     return tuple(sorted(elems, key=lambda e: (len(e.word), e.word)))
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
-    gens = _generator_perms(rs)
+    multipliers = _right_multipliers(rs)
     perm = tuple(range(2 * rs.num_positive))
     for i in word:
-        g = gens[i - 1]
-        perm = tuple(perm[g[j]] for j in range(len(perm)))
+        perm = multipliers[i - 1](perm)
     return WeylElement(word=tuple(word), perm=perm)
 
 
@@ -147,9 +168,12 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
     """Count the distinct torus-fixed Borels w(b) over the generated group.
 
     Computed from the root-image sets rather than from |W|, so the test
-    that this equals the group order is not circular.
+    that this equals the group order is not circular.  Each set w(R+) is
+    keyed by its sorted tuple of root indices, the same set as
+    ``TorusBorel(w).positive_set`` at a fraction of a frozenset's memory.
     """
-    return len({TorusBorel(w).positive_set(rs) for w in group})
+    m = rs.num_positive
+    return len({tuple(sorted(w.perm[:m])) for w in group})
 
 
 def _inverse_image(rs: RootSystem, w: WeylElement, r):
@@ -177,7 +201,12 @@ def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
             raise ValueError(
                 f"precondition failed: w^(-1){s} is not a positive root"
             )
-    chain = [element_from_word(rs, w.word[:q]) for q in range(len(w.word) + 1)]
+    multipliers = _right_multipliers(rs)
+    perm = tuple(range(2 * rs.num_positive))
+    chain = [WeylElement(word=(), perm=perm)]
+    for q, letter in enumerate(w.word, 1):
+        perm = multipliers[letter - 1](perm)
+        chain.append(WeylElement(word=w.word[:q], perm=perm))
     # defensive verification of the step conditions
     for step in range(1, len(chain)):
         prev, letter = chain[step - 1], w.word[step - 1]

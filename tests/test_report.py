@@ -146,3 +146,20 @@ def test_weyl_cap_inside_a_unit_reports_only_the_enumeration_skip():
     assert [(c.check_id, c.status) for c in results] == [
         ("invariants/A2/enumeration", "skipped")
     ]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_rejects_samples_below_one(value, capsys):
+    # zero samples would let every sampled check pass on nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--type", "A1", "--samples", value])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_rejects_max_weyl_order_below_one(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--type", "A1", "--max-weyl-order", value])
+    assert exc.value.code == 2
+    assert "--max-weyl-order" in capsys.readouterr().err

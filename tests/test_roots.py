@@ -65,6 +65,29 @@ def test_rho_is_half_sum_of_positives(family, rank):
     assert rs.is_regular(rs.rho) and rs.is_dominant(rs.rho)
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_coroot_coordinates_are_integers(family, rank):
+    rs = build_root_system(family, rank)
+    for r, coords in rs._coroot_coords.items():
+        assert all(type(c) is int for c in coords), (r, coords)
+
+    # r^vee = 2r/(r, r) in simple-coroot coordinates, recomputed over Fraction
+    fraction_coroots = []
+    for r in rs.positive_roots:
+        len2 = sum(
+            Fraction(r[i]) * r[j] * rs.bilinear[i][j] for i in range(rank) for j in range(rank)
+        )
+        fraction_coroots.append([Fraction(n_i) * l / len2 for n_i, l in zip(r, rs.lengths)])
+
+    def fraction_regular(lam):
+        return all(sum(x * c for x, c in zip(lam, m)) != 0 for m in fraction_coroots)
+
+    for alpha in rs.positive_roots:
+        for sign in (1, -1):
+            lam = rs.rho_shift(alpha, sign)
+            assert rs.is_regular(lam) == fraction_regular(lam), (alpha, sign)
+
+
 def test_rank_bounds():
     with pytest.raises(ValueError):
         SimpleType("C", 2)

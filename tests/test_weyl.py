@@ -7,6 +7,7 @@ import pytest
 from nullcone.roots import build_root_system
 from nullcone.weyl import (
     TorusBorel,
+    WeylElement,
     WeylOrderError,
     borels_containing_torus,
     chain_of_lines,
@@ -151,6 +152,89 @@ def test_orbit_pairs():
     orbit = weyl_orbit_pairs(rs2, g2, ((1, 2), (3, 5)))
     assert len(orbit) == 6
     assert len(generate_weyl(rs2)) % len(orbit) == 0
+
+
+def _oracle_weyl(rs):
+    """The plain breadth-first closure: every letter, one tuple per image."""
+    all_roots = list(rs.positive_roots) + [tuple(-x for x in r) for r in rs.positive_roots]
+    index = {r: i for i, r in enumerate(all_roots)}
+    gens = [
+        tuple(index[rs.reflect_root(r, i)] for r in all_roots) for i in range(1, rs.rank + 1)
+    ]
+    ident = tuple(range(len(all_roots)))
+    seen = {ident: ()}
+    frontier = [(ident, ())]
+    while frontier:
+        nxt = []
+        for perm, word in frontier:
+            for i, g in enumerate(gens):
+                p2 = tuple(perm[g[j]] for j in range(len(perm)))
+                if p2 not in seen:
+                    seen[p2] = word + (i + 1,)
+                    nxt.append((p2, seen[p2]))
+        frontier = nxt
+    return sorted(((w, p) for p, w in seen.items()), key=lambda wp: (len(wp[0]), wp[0]))
+
+
+ORACLE_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES)
+def test_generation_matches_the_plain_closure(family, rank):
+    rs = build_root_system(family, rank)
+    group = generate_weyl(rs)
+    assert [(w.word, w.perm) for w in group] == _oracle_weyl(rs)
+    assert borels_containing_torus(rs, group) == len(
+        {TorusBorel(w).positive_set(rs) for w in group}
+    )
+    # a Borel is the set w(R+), not the order its roots are listed in
+    m = rs.num_positive
+    relisted = [WeylElement(w.word, w.perm[m - 1 :: -1] + w.perm[m:]) for w in group]
+    assert borels_containing_torus(rs, list(group) + relisted) == len(group)
+
+
+def test_e6_order_words_and_sampled_lengths():
+    rs = build_root_system("E", 6)
+    group = generate_weyl(rs)
+    assert len(group) == 51840
+    keys = [(len(w.word), w.word) for w in group]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len({w.perm for w in group}) == len(group)
+    for w in random.Random("e6-lengths").sample(group, 300):
+        assert len(w.word) == inversions(rs, w)
+        assert element_from_word(rs, w.word).perm == w.perm
+    assert borels_containing_torus(rs, group) == len(
+        {TorusBorel(w).positive_set(rs) for w in group}
+    )
+
+
+def test_group_is_enumerated_once_per_root_system():
+    rs = build_root_system("B", 3)
+    assert generate_weyl(rs) is generate_weyl(rs, 48)
+
+
+def test_cap_is_checked_after_the_group_is_cached():
+    rs = build_root_system("D", 4)
+    assert len(generate_weyl(rs, 10**6)) == 192
+    with pytest.raises(WeylOrderError, match="192"):
+        generate_weyl(rs, 191)
+    with pytest.raises(WeylOrderError):
+        generate_weyl(rs, max_order=1)
+
+
+def test_chain_prefixes_are_the_elements_of_the_prefix_words():
+    # prefixes of a lexicographically smallest reduced word are the stored
+    # words of their own elements
+    rs = build_root_system("F", 4)
+    group = generate_weyl(rs)
+    w = group[-1]  # the longest element, 24 letters
+    chain = chain_of_lines(rs, [], w)
+    assert [c.word for c in chain] == [w.word[:q] for q in range(len(w.word) + 1)]
+    by_word = {g.word: g.perm for g in group}
+    assert [c.perm for c in chain] == [by_word[c.word] for c in chain]
 
 
 def test_weyl_order_formulas():
