@@ -1,17 +1,21 @@
 """Exact matrix realizations of the simple Lie algebras of types A, B, C.
 
 sl(n+1) is realized as traceless matrices; so(2n+1) and sp(2n) preserve
-anti-diagonal bilinear forms, chosen so that the standard Borel subalgebra
-consists of the upper-triangular members and the Cartan subalgebra of the
-diagonal ones.  The basis is root-graded and ordered (Cartan part, positive
-root vectors in the root system's order, negative root vectors).
+anti-diagonal forms J, s_i = J[i][N-1-i], chosen so that the standard Borel
+subalgebra consists of the upper-triangular members and the Cartan
+subalgebra of the diagonal ones.  x lies in so/sp iff x = -mirror(x), where
+mirror(x) = J^-1 x^T J is the cell rule s_a s_b x[N-1-b][N-1-a].  The basis
+is root-graded and ordered (Cartan part, positive root vectors in the root
+system's order, negative root vectors); each basis vector is 1 on a cell
+where all later ones vanish, so coordinates are read off matrix cells.
 
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; their two-variable polarizations are computed by exact
 interpolation at integer parameters and re-checked at a held-out point.
 The bilinear form is the trace form of the defining representation, which
 is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
-2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization.
+2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization; a
+gradient is the orthogonal projection onto g for this form.
 
 Type D is not realized (its last fundamental invariant is a Pfaffian, not a
 characteristic-polynomial coefficient); root-level coverage of type D lives
@@ -83,6 +87,8 @@ class MatrixLieAlgebra:
         self.family = family
         self.rank = rank
         self.size = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank}[family]
+        # s_i = J[i][N-1-i]: all +1 for so(2n+1), +1 then -1 for sp(2n); no form for A
+        self._signs = tuple(1 if family != "C" or i < rank else -1 for i in range(self.size))
         if family == "A":
             self.degrees = tuple(range(2, rank + 2))
         else:
@@ -91,7 +97,10 @@ class MatrixLieAlgebra:
         self.dim = len(self.basis)
         assert self.dim == self.rank + 2 * self.rs.num_positive
         assert sum(self.degrees) == self.borel_dim
-        self._gram = None
+        n, p = rank, self.rs.num_positive
+        self.subspace_indices = {
+            "g": range(self.dim), "b": range(n + p), "u": range(n, n + p), "h": range(n)
+        }
 
     # -- construction -------------------------------------------------------
 
@@ -130,23 +139,20 @@ class MatrixLieAlgebra:
             + [neg[r] for r in self.rs.positive_roots]
         )
         for x in self.basis:
-            assert self._in_form_algebra(x)
+            assert self.in_algebra(x)
+        # the first nonzero cell of each basis vector, where it is 1
+        self._cells = [
+            next((a, b) for a, row in enumerate(x) for b, c in enumerate(row) if c)
+            for x in self.basis
+        ]
 
-    def _form_matrix(self):
-        n, N = self.rank, self.size
-        j = [[0] * N for _ in range(N)]
-        for i in range(N):
-            if self.family == "B":
-                j[i][N - 1 - i] = 1
-            else:
-                j[i][N - 1 - i] = 1 if i < n else -1
-        return la.mat(j)
-
-    def _in_form_algebra(self, x) -> bool:
-        if self.family == "A":
-            return la.trace(x) == 0
-        j = self._form_matrix()
-        return la.is_zero(la.add(la.mul(la.transpose(x), j), la.mul(j, x)))
+    def _mirror(self, m):
+        """J^-1 m^T J for the so/sp form J, cell by cell."""
+        s, last = self._signs, self.size - 1
+        return tuple(
+            tuple(sa * sb * m[last - b][last - a] for b, sb in enumerate(s))
+            for a, sa in enumerate(s)
+        )
 
     def _form_graded_cells(self) -> dict:
         """One basis vector per mirror pair of off-diagonal cells.
@@ -156,15 +162,14 @@ class MatrixLieAlgebra:
         gives E_ik alone when s_i s_k = -1 (type C) and nothing otherwise.
         Keys are the first cell of each pair in row-major order.
         """
-        N = self.size
-        j = self._form_matrix()
+        N, s = self.size, self._signs
         out = {}
         for i in range(N):
             for k in range(N):
                 mi, mk = N - 1 - k, N - 1 - i
                 if i == k or (mi, mk) < (i, k):
                     continue  # diagonal, or mirror cell already handled
-                sign = j[i][N - 1 - i] * j[k][N - 1 - k]
+                sign = s[i] * s[k]
                 if (mi, mk) == (i, k):
                     if sign == -1:
                         out[(i, k)] = _basis_cell(N, i, k)
@@ -192,7 +197,9 @@ class MatrixLieAlgebra:
         return self.rs.borel_dim
 
     def in_algebra(self, x) -> bool:
-        return self._in_form_algebra(x)
+        if self.family == "A":
+            return la.trace(x) == 0
+        return la.is_zero(la.add(x, self._mirror(x)))
 
     def in_borel(self, x) -> bool:
         return self.in_algebra(x) and all(
@@ -222,12 +229,14 @@ class MatrixLieAlgebra:
         return x0, la.sub(x, x0)
 
     def coordinates(self, x):
-        """Coordinates of x in the root-graded basis."""
-        cols = [la.flatten(b) for b in self.basis]
-        sol = la.solve(la.transpose(cols), la.flatten(x))
-        if sol is None:
+        """Coordinates of x in the root-graded basis, one matrix cell each."""
+        if not self.in_algebra(x):
             raise ValueError("element is not in the algebra span")
-        return sol
+        out = [x[a][b] for a, b in self._cells]
+        if self.family == "A":  # h_k = E_kk - E_{k+1,k+1}
+            for k in range(1, self.rank):
+                out[k] += out[k - 1]
+        return tuple(out)
 
     # -- element predicates ---------------------------------------------------
 
@@ -235,8 +244,7 @@ class MatrixLieAlgebra:
         return la.is_zero(la.mat_pow(x, self.size))
 
     def centralizer_dim(self, x) -> int:
-        cols = [la.flatten(la.commutator(x, b)) for b in self.basis]
-        return self.dim - la.rank(la.transpose(cols))
+        return self.dim - la.rank([self.coordinates(la.commutator(x, b)) for b in self.basis])
 
     def is_regular_element(self, x) -> bool:
         """Regular = centralizer of minimal dimension (the rank)."""
@@ -342,13 +350,6 @@ class MatrixLieAlgebra:
 
     # -- gradients -------------------------------------------------------------
 
-    def _gram_matrix(self):
-        if self._gram is None:
-            self._gram = tuple(
-                tuple(la.trace(la.mul(a, b)) for b in self.basis) for a in self.basis
-            )
-        return self._gram
-
     def trace_form(self, x, y):
         return la.trace(la.mul(x, y))
 
@@ -362,18 +363,12 @@ class MatrixLieAlgebra:
         return tuple(la.trace(la.mul(g, v)) for g in self.gradient_matrices(x))
 
     def epsilon_all(self, x):
-        """Trace-form gradients of every invariant at x, as algebra elements."""
+        """Trace-form gradients in g: G - (tr G / N) I on sl, (G - mirror(G)) / 2 on so/sp."""
         grads = self.gradient_matrices(x)
-        gram = self._gram_matrix()
-        out = []
-        for g in grads:
-            rhs = [la.trace(la.mul(g, b)) for b in self.basis]
-            sol = la.solve(gram, rhs)
-            eps = la.zeros(self.size, self.size)
-            for c, b in zip(sol, self.basis):
-                eps = la.add(eps, la.scale(c, b))
-            out.append(eps)
-        return tuple(out)
+        if self.family == "A":
+            ident = la.identity(self.size)
+            return tuple(la.sub(g, la.scale(Fraction(la.trace(g), len(g)), ident)) for g in grads)
+        return tuple(la.scale(Fraction(1, 2), la.sub(g, self._mirror(g))) for g in grads)
 
     def epsilon(self, i: int, x):
         return self.epsilon_all(x)[i - 1]
@@ -489,21 +484,11 @@ class MatrixLieAlgebra:
 
     def random_element(self, rng, bound: int = 2, where: str = "g"):
         """Integer-coefficient combination of basis vectors, seeded by rng."""
-        if where == "g":
-            basis = self.basis
-        elif where == "b":
-            basis = list(self.h_basis) + [
-                self.pos_vectors[r] for r in self.rs.positive_roots
-            ]
-        elif where == "u":
-            basis = [self.pos_vectors[r] for r in self.rs.positive_roots]
-        elif where == "h":
-            basis = list(self.h_basis)
-        else:
+        if where not in self.subspace_indices:
             raise ValueError(f"unknown subspace {where!r}")
         out = la.zeros(self.size, self.size)
-        for b in basis:
-            out = la.add(out, la.scale(rng.randint(-bound, bound), b))
+        for k in self.subspace_indices[where]:
+            out = la.add(out, la.scale(rng.randint(-bound, bound), self.basis[k]))
         return out
 
 

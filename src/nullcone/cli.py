@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .report import DEFAULT_TYPES, SUITES, RunConfig, run, structured_lines, text_lines
+from .roots import SimpleType
 
 
 def _positive_int(text: str) -> int:
@@ -22,6 +24,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return value
+
+
+def _simple_type(text: str) -> str:
+    """A valid simple type name such as A2, kept as typed; else a usage error (exit 2)."""
+    try:
+        SimpleType.from_name(text)
+    except (ValueError, IndexError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid simple type {text!r}: {exc}") from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--type",
             action="append",
             dest="types",
+            type=_simple_type,
             metavar="T",
             help="simple type such as A2 or E8 (repeatable; default: the standard list)",
         )
@@ -48,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     suites = SUITES if args.suite == "all" else (args.suite,)
     config = RunConfig(
         suites=suites,
@@ -58,17 +71,18 @@ def main(argv=None) -> int:
         max_weyl_order=args.max_weyl_order,
         output_format=args.format,
     )
-    exit_code, results = run(config)
-    if args.format == "structured":
-        lines = structured_lines(config, results)
-    else:
-        lines = text_lines(config, results)
-    payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    # open --out before the run, so an unwritable path costs no run time
+    try:
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"argument --out: cannot write {args.out!r}: {exc.strerror}")
+    with out as fh:
+        exit_code, results = run(config)
+        if args.format == "structured":
+            lines = structured_lines(config, results)
+        else:
+            lines = text_lines(config, results)
+        fh.write("\n".join(lines) + "\n")
     return exit_code
 
 

@@ -2,11 +2,11 @@
 
 The maps under study send (xi, v, w) to ([xi, x] + v, [xi, y] + w) with v, w
 ranging over the Borel subalgebra (pairs in a common Borel) or its
-nilradical (pairs of nilpotents in a common Borel).  All ranks and kernels
-are computed by exact elimination over the rationals, so the dimension
-statements become integer equalities: generic rank 3*b_g - rk for the Borel
-pair map, 3*(b_g - rk) for the nilpotent pair map, and kernel dimension b_g
-for the nilradical map at a regular nilpotent first coordinate.
+nilradical (pairs of nilpotents in a common Borel).  Ranks are exact, in
+root coordinates, so the dimension statements become integer equalities:
+generic rank 3*b_g - rk for the Borel pair map, 3*(b_g - rk) for the
+nilpotent pair map, and kernel dimension b_g for the nilradical map at a
+regular nilpotent first coordinate.
 
 Also here: a sound (never falsely positive or negative) common-flag search
 deciding nullcone membership for small type A, sigma-fiber/Weyl-orbit
@@ -32,25 +32,31 @@ class TangentReport:
     kernel_dim: int
 
 
-def _pair_map_report(alg: MatrixLieAlgebra, x, y, map_kind, v_basis, w_basis):
-    """Rank and kernel of (xi, v, w) -> ([xi, x] + v, [xi, y] + w) over the given fibers."""
-    cols = []
+def _pair_map_report(alg: MatrixLieAlgebra, x, y, map_kind, v_fiber, w_fiber):
+    """Rank and kernel of (xi, v, w) -> ([xi, x] + v, [xi, y] + w) over the given fibers.
+
+    Fibers are sets of basis indices, i.e. unit coordinate vectors, so the rank
+    is |v| + |w| plus that of the bracket coordinates outside them
+    (Marsaglia-Styan 1974).
+    """
+    rows = []
     for xi in alg.basis:
-        cols.append(la.flatten(la.commutator(xi, x)) + la.flatten(la.commutator(xi, y)))
-    zero = (0,) * alg.size**2
-    for v in v_basis:
-        cols.append(la.flatten(v) + zero)
-    for w in w_basis:
-        cols.append(zero + la.flatten(w))
-    r = la.rank(cols)
-    return TangentReport((x, y), map_kind, len(cols), r, len(cols) - r)
+        cx = alg.coordinates(la.commutator(xi, x))
+        cy = alg.coordinates(la.commutator(xi, y))
+        rows.append(
+            [c for k, c in enumerate(cx) if k not in v_fiber]
+            + [c for k, c in enumerate(cy) if k not in w_fiber]
+        )
+    domain = alg.dim + len(v_fiber) + len(w_fiber)
+    r = len(v_fiber) + len(w_fiber) + la.rank(rows)
+    return TangentReport((x, y), map_kind, domain, r, domain - r)
 
 
 def rank_borel_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     """Tangent rank of the Borel-pair parametrization at (identity, x, y)."""
     if not (alg.in_borel(x) and alg.in_borel(y)):
         raise ValueError("x and y must lie in the standard Borel subalgebra")
-    fiber = list(alg.h_basis) + [alg.pos_vectors[r] for r in alg.rs.positive_roots]
+    fiber = alg.subspace_indices["b"]
     return _pair_map_report(alg, x, y, "borel_pair", fiber, fiber)
 
 
@@ -58,7 +64,7 @@ def rank_nullcone_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     """Tangent rank of the nilpotent-pair parametrization at (identity, x, y)."""
     if not (alg.in_nilradical(x) and alg.in_nilradical(y)):
         raise ValueError("x and y must lie in the nilradical of the Borel")
-    fiber = [alg.pos_vectors[r] for r in alg.rs.positive_roots]
+    fiber = alg.subspace_indices["u"]
     return _pair_map_report(alg, x, y, "nullcone_pair", fiber, fiber)
 
 
@@ -73,16 +79,12 @@ def rank_nonregular_stratum_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_nilradical(x) and alg.in_nilradical(y)):
         raise ValueError("x and y must lie in the nilradical of the Borel")
 
-    def stratum_basis(z):
+    def stratum_fiber(z):
         coords = alg.coordinates(z)
-        out = []
-        for idx, root in enumerate(alg.rs.positive_roots):
-            if alg.rs.is_simple(root) and coords[alg.rank + idx] == 0:
-                continue
-            out.append(alg.pos_vectors[root])
-        return out
+        u = alg.subspace_indices["u"]
+        return {k for k, r in zip(u, alg.rs.positive_roots) if coords[k] or not alg.rs.is_simple(r)}
 
-    return _pair_map_report(alg, x, y, "nullcone_pair", stratum_basis(x), stratum_basis(y))
+    return _pair_map_report(alg, x, y, "nullcone_pair", stratum_fiber(x), stratum_fiber(y))
 
 
 def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -96,7 +98,7 @@ def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
         raise ValueError("x must be a regular nilpotent element of the nilradical")
     if not alg.in_nilradical(y):
         raise ValueError("y must lie in the nilradical")
-    fiber = [alg.pos_vectors[r] for r in alg.rs.positive_roots]
+    fiber = alg.subspace_indices["u"]
     return _pair_map_report(alg, x, y, "mu_map", fiber, fiber)
 
 

@@ -5,9 +5,9 @@ Everything in this package that looks like numerics is done here, with
 Matrices are sequences of equal-length rows; functions return tuples of
 tuples so results are hashable and safe to share between threads.
 
-Rank uses fraction-free (Bareiss) elimination on small integer input and
-reduced row echelon form otherwise; the determinant is Bareiss on integer
-input only.  Both are exact.
+Rank uses fraction-free (Bareiss) elimination on every integer input and
+reduced row echelon form on anything else; the determinant is Bareiss on
+integer input only.  Both are exact.
 """
 
 from __future__ import annotations
@@ -91,15 +91,14 @@ def _all_int(rows) -> bool:
 def rank(rows) -> int:
     """Rank of a matrix, exact.
 
-    Small integer matrices go through fraction-free Bareiss elimination
-    (all divisions exact); everything else through Fraction Gaussian
-    elimination, whose gcd-reduced entries stay small where Bareiss minors
-    would grow with the number of pivots.
+    Integer matrices go through fraction-free Bareiss elimination (all
+    divisions exact, entries bounded by minors of the input); anything else
+    through Fraction Gaussian elimination.
     """
     if not rows or not rows[0]:
         return 0
     nrows, ncols = len(rows), len(rows[0])
-    if min(nrows, ncols) > 24 or not _all_int(rows):
+    if not _all_int(rows):
         return len(rref(rows)[1])
     m = [list(row) for row in rows]
     r = 0

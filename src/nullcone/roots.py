@@ -233,12 +233,9 @@ class RootSystem:
         return sum(r)
 
     def root_length2(self, r) -> Fraction:
-        b = self.bilinear
-        return sum(
-            Fraction(r[i]) * r[j] * b[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        """(r, r) = sum_i len2(beta_i)/2 * r_i * <r, beta_i^vee>, one term per simple root."""
+        pairings = self.weight_of_root(r)
+        return sum(l * c * p for l, c, p in zip(self.lengths, r, pairings)) / 2
 
     # -- reflections and pairings ------------------------------------------
 

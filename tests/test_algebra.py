@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcone import linalg as la
-from nullcone.algebra import build_algebra
+from nullcone.algebra import SUPPORTED_RANKS, build_algebra
 
 E = ((0, 1), (0, 0))
 F = ((0, 0), (1, 0))
@@ -26,6 +26,22 @@ def test_supported_types_and_dimensions():
     assert build_algebra("C", 3).degrees == (2, 4, 6)
 
 
+def _form_matrix(family, rank):
+    """The anti-diagonal form J preserved by so(2n+1) (B) or sp(2n) (C)."""
+    N = 2 * rank + 1 if family == "B" else 2 * rank
+    return la.mat(
+        [
+            [(1 if family == "B" or i < rank else -1) if k == N - 1 - i else 0 for k in range(N)]
+            for i in range(N)
+        ]
+    )
+
+
+def _gram_matrix(alg):
+    """Trace-form Gram matrix of the basis."""
+    return [[la.trace(la.mul(a, b)) for b in alg.basis] for a in alg.basis]
+
+
 def _nullspace_cells(alg):
     """Reference B/C root vectors: one nullspace per mirror pair of cells.
 
@@ -34,7 +50,7 @@ def _nullspace_cells(alg):
     solution is scaled to coefficient 1 on its first nonzero cell.
     """
     N = alg.size
-    j = alg._form_matrix()
+    j = _form_matrix(alg.family, alg.rank)
     out = []
     for i in range(N):
         for k in range(N):
@@ -84,6 +100,86 @@ def test_closed_form_root_vectors_match_nullspace_oracle(fam, rk):
     for root in alg.rs.positive_roots:
         assert alg.pos_vectors[root] == weight_vector(root, 1)
         assert alg.neg_vectors[root] == weight_vector(root, -1)
+
+
+ALL_TYPES = [(fam, rk) for fam, ranks in SUPPORTED_RANKS.items() for rk in ranks]
+
+
+def _solve_coordinates(alg, x):
+    """Reference coordinates: the flattened basis solved against x."""
+    return la.solve(la.transpose([la.flatten(b) for b in alg.basis]), la.flatten(x))
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_coordinates_match_flattened_solve_oracle(fam, rk):
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"coords:{fam}{rk}")
+    x = alg.random_element(rng, 3)
+    torus = alg.torus([Q(k + 2, 2 * k + 1) for k in range(rk)])
+    y = la.scale(Q(1, 7), torus.conjugate(alg.random_element(rng, 2)))
+    assert any(isinstance(c, Q) and c.denominator != 1 for row in y for c in row)
+    for z in (x, y, la.zeros(alg.size, alg.size)):
+        assert alg.coordinates(z) == _solve_coordinates(alg, z)
+    for k, b in enumerate(alg.basis):
+        assert alg.coordinates(b) == tuple(int(j == k) for j in range(alg.dim))
+
+
+@pytest.mark.parametrize("fam,rk", [("A", 1), ("A", 3), ("B", 2), ("C", 3)])
+def test_coordinates_reject_matrices_outside_the_algebra(fam, rk):
+    alg = build_algebra(fam, rk)
+    outside = [la.identity(alg.size)]
+    if fam != "A":  # one off-diagonal cell without its mirror cell
+        e01 = [[int((a, b) == (0, 1)) for b in range(alg.size)] for a in range(alg.size)]
+        outside.append(la.mat(e01))
+    for m in outside:
+        assert _solve_coordinates(alg, m) is None
+        with pytest.raises(ValueError):
+            alg.coordinates(m)
+
+
+@pytest.mark.parametrize("fam,rk", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)])
+def test_in_algebra_matches_form_equation(fam, rk):
+    alg = build_algebra(fam, rk)
+    j = _form_matrix(fam, rk)
+    j_inv = la.inverse(j)
+    rng = random.Random(f"member:{fam}{rk}")
+    N = alg.size
+    seen = set()
+    for _ in range(20):
+        m = la.mat([[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)])
+        member = la.sub(m, la.mul(la.mul(j_inv, la.transpose(m)), j))
+        a, b = rng.randrange(N), rng.randrange(N)
+        cell = la.mat([[int((r, c) == (a, b)) for c in range(N)] for r in range(N)])
+        nudged = la.add(member, cell)
+        for x in (m, member, nudged):
+            expected = la.is_zero(la.add(la.mul(la.transpose(x), j), la.mul(j, x)))
+            assert alg.in_algebra(x) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def _gram_solve_epsilon(alg, x):
+    """Reference gradients: solve the Gram system of the basis, sum the basis."""
+    gram = _gram_matrix(alg)
+    out = []
+    for g in alg.gradient_matrices(x):
+        sol = la.solve(gram, [la.trace(la.mul(g, b)) for b in alg.basis])
+        eps = la.zeros(alg.size, alg.size)
+        for c, b in zip(sol, alg.basis):
+            eps = la.add(eps, la.scale(c, b))
+        out.append(eps)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fam,rk", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3)])
+def test_epsilon_matches_gram_solve_oracle(fam, rk):
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"eps:{fam}{rk}")
+    torus = alg.torus([Q(2, 3)] + [k + 2 for k in range(rk - 1)])
+    for x in (alg.random_element(rng, 2), torus.conjugate(alg.random_element(rng, 2))):
+        eps = alg.epsilon_all(x)
+        assert eps == _gram_solve_epsilon(alg, x)
+        assert all(alg.in_algebra(e) for e in eps)
 
 
 def test_unsupported_types_rejected():
@@ -305,5 +401,5 @@ def test_trace_form_proportional_constants_documented():
     # trace form must be nondegenerate on each realization
     for fam, rk in [("A", 2), ("B", 2), ("C", 3)]:
         alg = build_algebra(fam, rk)
-        gram = alg._gram_matrix()
+        gram = _gram_matrix(alg)
         assert la.rank(gram) == alg.dim

@@ -28,6 +28,82 @@ def test_sl2_tangent_ranks():
     assert geo.rank_nullcone_pair(alg, Z2, Z2).rank == 2 * (alg.borel_dim - alg.rank)
 
 
+def _flattened_pair_rank(alg, x, y, v_basis, w_basis):
+    """Reference (domain, rank) of the pair map on flattened matrices.
+
+    Fiber directions are zero-padded columns next to the flattened brackets.
+    """
+    zero = (0,) * alg.size**2
+    cols = [la.flatten(la.commutator(xi, x)) + la.flatten(la.commutator(xi, y)) for xi in alg.basis]
+    cols += [la.flatten(v) + zero for v in v_basis]
+    cols += [zero + la.flatten(w) for w in w_basis]
+    return len(cols), len(la.rref(cols)[1])
+
+
+def _flattened_centralizer_dim(alg, x):
+    return alg.dim - len(la.rref([la.flatten(la.commutator(x, b)) for b in alg.basis])[1])
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3)]
+)
+def test_pair_ranks_and_centralizers_match_flattened_oracle(family, rank):
+    alg = build_algebra(family, rank)
+    rng = random.Random(f"oracle:{family}{rank}")
+    roots = alg.rs.positive_roots
+    zero = la.zeros(alg.size, alg.size)
+    u_basis = [alg.pos_vectors[r] for r in roots]
+    b_basis = list(alg.h_basis) + u_basis
+
+    def nilradical(dropped):
+        # a nilradical element whose coefficients on the dropped simple roots vanish
+        coeffs = {r: 0 if r in dropped else rng.choice([-2, -1, 1, 2]) for r in roots}
+        out = zero
+        for r, c in coeffs.items():
+            out = la.add(out, la.scale(c, alg.pos_vectors[r]))
+        stratum = [alg.pos_vectors[r] for r in roots if r not in dropped]
+        return out, stratum
+
+    def check(report, oracle):
+        assert (report.domain_dim, report.rank) == oracle
+        assert report.kernel_dim == report.domain_dim - report.rank
+
+    h = alg.random_element(rng, 3, where="h")
+    torus = alg.torus([Q(2, 3)] + [k + 2 for k in range(rank - 1)])
+    xb, yb = alg.random_element(rng, 2, where="b"), alg.random_element(rng, 2, where="b")
+    borel_points = [
+        (xb, yb),
+        (torus.conjugate(xb), torus.conjugate(yb)),
+        (zero, zero),
+        (zero, h),
+        (h, la.add(alg.regular_nilpotent(), yb)),
+    ]
+    for x, y in borel_points:
+        check(geo.rank_borel_pair(alg, x, y), _flattened_pair_rank(alg, x, y, b_basis, b_basis))
+
+    xu, yu = alg.random_element(rng, 2, where="u"), alg.random_element(rng, 2, where="u")
+    for x, y in [(xu, yu), (zero, zero), (alg.regular_nilpotent(), yu)]:
+        check(geo.rank_nullcone_pair(alg, x, y), _flattened_pair_rank(alg, x, y, u_basis, u_basis))
+    check(
+        geo.mu_kernel(alg, alg.regular_nilpotent(), yu),
+        _flattened_pair_rank(alg, alg.regular_nilpotent(), yu, u_basis, u_basis),
+    )
+
+    simple = [r for r in roots if alg.rs.is_simple(r)]
+    xs, x_stratum = nilradical({simple[0]})
+    ys, y_stratum = nilradical({simple[-1], simple[0]})
+    assert not alg.is_regular_element(xs) and not alg.is_regular_element(ys)
+    check(
+        geo.rank_nonregular_stratum_pair(alg, xs, ys),
+        _flattened_pair_rank(alg, xs, ys, x_stratum, y_stratum),
+    )
+    check(geo.rank_nullcone_pair(alg, xs, ys), _flattened_pair_rank(alg, xs, ys, u_basis, u_basis))
+
+    g = alg.random_element(rng, 2)
+    for z in (g, torus.conjugate(g), zero, h, alg.regular_nilpotent(), xs, ys):
+        assert alg.centralizer_dim(z) == _flattened_centralizer_dim(alg, z)
+
+
 def test_sl2_mu_kernel():
     alg = build_algebra("A", 1)
     rep = geo.mu_kernel(alg, E, Z2)

@@ -1,5 +1,6 @@
 """Exact linear algebra, checked against brute-force oracles."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -104,10 +105,27 @@ def test_rank_and_nullspace_consistency():
 
 
 def test_rank_large_matrix_avoids_entry_blowup():
-    # 40 pivots would make Bareiss minors astronomically large
+    # Bareiss entries are minors of the input, so 40 pivots on entries in
+    # -3..3 stay below Hadamard's bound (3 * sqrt(40))^40 < 10^52
     n = 40
     m = [[(i * j + i + 2 * j) % 7 - 3 for j in range(n + 5)] for i in range(n)]
     assert 0 < la.rank(m) <= n
+
+
+def test_integer_rank_matches_rref_on_large_matrices():
+    # integer input of any size goes through Bareiss; rref is the reference
+    rng = random.Random("rank-large")
+
+    def rand(rows, cols):
+        return [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+
+    full = rand(30, 28)
+    deficient = la.mul(rand(32, 20), rand(20, 36))  # rank at most 20
+    for m in (full, deficient):
+        assert min(len(m), len(m[0])) > 24
+        assert la.rank(m) == len(la.rref(m)[1])
+    assert la.rank(full) == 28
+    assert la.rank(deficient) == 20
 
 
 def test_solve_and_inverse():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nullcone import report
+from nullcone import cli, report
 from nullcone.cli import main
 from nullcone.report import (
     DEFAULT_TYPES,
@@ -163,3 +163,22 @@ def test_cli_rejects_max_weyl_order_below_one(value, capsys):
         main(["roots", "--type", "A1", "--max-weyl-order", value])
     assert exc.value.code == 2
     assert "--max-weyl-order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["X9", "C2", "A", ""])
+def test_cli_rejects_invalid_type(value, capsys):
+    # an unknown type would otherwise run nothing and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--type", value])
+    assert exc.value.code == 2
+    assert "--type" in capsys.readouterr().err
+
+
+def test_cli_rejects_unwritable_out_before_running(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--type", "A1", "--out", str(tmp_path / "missing" / "report.txt")])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []

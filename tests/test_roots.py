@@ -65,6 +65,22 @@ def test_rho_is_half_sum_of_positives(family, rank):
     assert rs.is_regular(rs.rho) and rs.is_dominant(rs.rho)
 
 
+def _double_sum_length2(rs, r):
+    """Reference (r, r) = sum_ij r_i r_j (beta_i, beta_j) over the symmetrized form."""
+    n = rs.rank
+    return sum(Fraction(r[i]) * r[j] * rs.bilinear[i][j] for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_root_length2_matches_double_sum(family, rank):
+    rs = build_root_system(family, rank)
+    for r in rs.positive_roots:
+        for root in (r, tuple(-c for c in r)):
+            got = rs.root_length2(root)
+            assert got == _double_sum_length2(rs, root) and isinstance(got, Fraction)
+    assert {rs.root_length2(r) for r in rs.positive_roots} == set(rs.lengths)
+
+
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_coroot_coordinates_are_integers(family, rank):
     rs = build_root_system(family, rank)
@@ -74,9 +90,7 @@ def test_coroot_coordinates_are_integers(family, rank):
     # r^vee = 2r/(r, r) in simple-coroot coordinates, recomputed over Fraction
     fraction_coroots = []
     for r in rs.positive_roots:
-        len2 = sum(
-            Fraction(r[i]) * r[j] * rs.bilinear[i][j] for i in range(rank) for j in range(rank)
-        )
+        len2 = _double_sum_length2(rs, r)
         fraction_coroots.append([Fraction(n_i) * l / len2 for n_i, l in zip(r, rs.lengths)])
 
     def fraction_regular(lam):
