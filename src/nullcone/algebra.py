@@ -12,6 +12,9 @@ where all later ones vanish, so coordinates are read off matrix cells.
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; their two-variable polarizations are computed by exact
 interpolation at integer parameters and re-checked at a held-out point.
+Group elements carry their inverses in closed form (exp m with exp -m,
+diag p with diag 1/p), so nothing is inverted by elimination and integral
+elements keep int entries.
 The bilinear form is the trace form of the defining representation, which
 is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
 2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization; a
@@ -24,7 +27,6 @@ in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg as la
@@ -40,30 +42,36 @@ def _basis_cell(n: int, i: int, j: int, value=1):
     )
 
 
+def _diagonal(entries):
+    n = len(entries)
+    return tuple(tuple(d if a == b else 0 for b in range(n)) for a, d in enumerate(entries))
+
+
 def nilpotent_exp(m):
-    """exp of a nilpotent matrix, exact."""
+    """exp of a nilpotent matrix, exact; integral entries stay ints."""
     n = len(m)
-    out = la.identity(n)
-    term = la.identity(n)
-    k = 0
-    while True:
-        k += 1
-        term = la.scale(Fraction(1, k), la.mul(term, m))
+    out = term = la.identity(n)
+    for k in range(1, n + 2):
+        term = la.divide(la.mul(term, m), k)
         if la.is_zero(term):
             return out
         out = la.add(out, term)
-        if k > n:
-            raise ValueError("matrix is not nilpotent")
+    raise ValueError("matrix is not nilpotent")
 
 
 class GroupElement:
-    """An invertible matrix with a cached exact inverse."""
+    """An invertible matrix together with its exact inverse."""
 
     __slots__ = ("mat", "inv")
 
-    def __init__(self, mat, inv=None):
+    def __init__(self, mat, inv):
         self.mat = la.mat(mat)
-        self.inv = la.inverse(mat) if inv is None else la.mat(inv)
+        self.inv = la.mat(inv)
+
+    @classmethod
+    def exp(cls, m) -> "GroupElement":
+        """(exp m, exp -m) for a nilpotent matrix m."""
+        return cls(nilpotent_exp(m), nilpotent_exp(la.scale(-1, m)))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(la.mul(self.mat, other.mat), la.mul(other.inv, self.inv))
@@ -197,6 +205,8 @@ class MatrixLieAlgebra:
         return self.rs.borel_dim
 
     def in_algebra(self, x) -> bool:
+        if len(x) != self.size or any(len(row) != self.size for row in x):
+            return False
         if self.family == "A":
             return la.trace(x) == 0
         return la.is_zero(la.add(x, self._mirror(x)))
@@ -216,10 +226,7 @@ class MatrixLieAlgebra:
 
     def h_component(self, x):
         """Diagonal (Cartan) part of any algebra element."""
-        return tuple(
-            tuple(x[a][b] if a == b else 0 for b in range(self.size))
-            for a in range(self.size)
-        )
+        return _diagonal([x[a][a] for a in range(self.size)])
 
     def decompose(self, x):
         """x = x_0 + x_+ for x in the Borel subalgebra."""
@@ -333,7 +340,7 @@ class MatrixLieAlgebra:
             t = dmax + 1
             held = self.eval_all_p(la.add(x, la.scale(t, y)))
             for idx, coeffs in enumerate(out):
-                total = sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))
+                total = sum(c * t**k for k, c in enumerate(coeffs))
                 if total != held[idx]:
                     raise ArithmeticError("polarization interpolation failed self-check")
         return tuple(out)
@@ -367,8 +374,8 @@ class MatrixLieAlgebra:
         grads = self.gradient_matrices(x)
         if self.family == "A":
             ident = la.identity(self.size)
-            return tuple(la.sub(g, la.scale(Fraction(la.trace(g), len(g)), ident)) for g in grads)
-        return tuple(la.scale(Fraction(1, 2), la.sub(g, self._mirror(g))) for g in grads)
+            return tuple(la.sub(g, la.scale(la.ratio(la.trace(g), len(g)), ident)) for g in grads)
+        return tuple(la.divide(la.sub(g, self._mirror(g)), 2) for g in grads)
 
     def epsilon(self, i: int, x):
         return self.epsilon_all(x)[i - 1]
@@ -378,7 +385,7 @@ class MatrixLieAlgebra:
         d = self.degrees[i - 1]
         mats = [self.epsilon_all(la.add(x, la.scale(t, y)))[i - 1] for t in range(d)]
         n = self.size
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(d)]
+        out = [[[0] * n for _ in range(n)] for _ in range(d)]
         for a in range(n):
             for b in range(n):
                 coeffs = la.interpolate([m[a][b] for m in mats])
@@ -435,50 +442,40 @@ class MatrixLieAlgebra:
     # -- group elements ----------------------------------------------------------
 
     def simple_reflection_rep(self, i: int) -> GroupElement:
-        """Monomial representative of s_{beta_i} from its sl2 triple."""
+        """Monomial representative exp(e) exp(-f) exp(e) of s_{beta_i}, from its sl2 triple."""
         root = tuple(1 if j == i - 1 else 0 for j in range(self.rank))
         e = self.pos_vectors[root]
         f_raw = self.neg_vectors[root]
-        h = la.commutator(e, f_raw)
-        c = self.root_value(root, h)
-        f = la.scale(Fraction(2, 1) / c, f_raw)
-        ge = nilpotent_exp(e)
-        gf = nilpotent_exp(la.scale(-1, f))
-        m = la.mul(la.mul(ge, gf), ge)
-        return GroupElement(m)
+        c = self.root_value(root, la.commutator(e, f_raw))
+        ge = GroupElement.exp(e)
+        return ge * GroupElement.exp(la.divide(la.scale(-2, f_raw), c)) * ge
 
     def weyl_rep(self, word) -> GroupElement:
-        out = GroupElement(la.identity(self.size))
+        ident = la.identity(self.size)
+        out = GroupElement(ident, ident)
         for i in word:
             out = out * self.simple_reflection_rep(i)
         return out
 
     def unipotent(self, coeffs: dict) -> GroupElement:
         """Product of exp(c * e_root) over the given positive roots."""
-        out = GroupElement(la.identity(self.size))
+        ident = la.identity(self.size)
+        out = GroupElement(ident, ident)
         for root, c in coeffs.items():
-            m = nilpotent_exp(la.scale(c, self.pos_vectors[tuple(root)]))
-            out = out * GroupElement(m, nilpotent_exp(la.scale(-c, self.pos_vectors[tuple(root)])))
+            out = out * GroupElement.exp(la.scale(c, self.pos_vectors[tuple(root)]))
         return out
 
     def torus(self, params) -> GroupElement:
-        """Diagonal group element from rank nonzero rational parameters."""
+        """Diagonal group element (diag p, diag 1/p) from rank nonzero rational parameters."""
         n, N = self.rank, self.size
-        diag = [Fraction(0)] * N
-        for k in range(n):
-            p = Fraction(params[k])
-            if p == 0:
-                raise ValueError("torus parameters must be nonzero")
-            diag[k] = p
-            diag[N - 1 - k] = 1 / p
+        p = [la.ratio(params[k], 1) for k in range(n)]
+        if 0 in p:
+            raise ValueError("torus parameters must be nonzero")
         if self.family == "A":
-            diag = [Fraction(params[k]) for k in range(n)] + [Fraction(1)]
-        if self.family == "B":
-            diag[n] = Fraction(1)
-        m = tuple(
-            tuple(diag[a] if a == b else 0 for b in range(N)) for a in range(N)
-        )
-        return GroupElement(m)
+            diag = p + [1]
+        else:  # p_k at k and 1/p_k at N-1-k, with 1 in the middle on so(2n+1)
+            diag = p + [1] * (N - 2 * n) + [la.ratio(1, x) for x in reversed(p)]
+        return GroupElement(_diagonal(diag), _diagonal([la.ratio(1, d) for d in diag]))
 
     # -- seeded element constructors ----------------------------------------------
 

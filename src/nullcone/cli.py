@@ -27,12 +27,11 @@ def _positive_int(text: str) -> int:
 
 
 def _simple_type(text: str) -> str:
-    """A valid simple type name such as A2, kept as typed; else a usage error (exit 2)."""
+    """The canonical name of a valid simple type (a2 -> A2); else a usage error (exit 2)."""
     try:
-        SimpleType.from_name(text)
+        return SimpleType.from_name(text).name
     except (ValueError, IndexError) as exc:
         raise argparse.ArgumentTypeError(f"invalid simple type {text!r}: {exc}") from None
-    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +64,7 @@ def main(argv=None) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     config = RunConfig(
         suites=suites,
-        types=tuple(args.types) if args.types else DEFAULT_TYPES,
+        types=tuple(dict.fromkeys(args.types)) if args.types else DEFAULT_TYPES,
         seed=args.seed,
         samples=args.samples,
         max_weyl_order=args.max_weyl_order,

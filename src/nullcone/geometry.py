@@ -346,7 +346,7 @@ def sigma_pencil_consistency(alg: MatrixLieAlgebra, x, y, t_points) -> bool:
     for t in t_points:
         direct = alg.eval_all_p(la.add(x, la.scale(t, y)))
         for idx in range(alg.rank):
-            total = sum(c * Fraction(t) ** k for k, c in enumerate(pols[idx]))
+            total = sum(c * t**k for k, c in enumerate(pols[idx]))
             if total != direct[idx]:
                 return False
     return True

@@ -5,9 +5,11 @@ Everything in this package that looks like numerics is done here, with
 Matrices are sequences of equal-length rows; functions return tuples of
 tuples so results are hashable and safe to share between threads.
 
-Rank uses fraction-free (Bareiss) elimination on every integer input and
-reduced row echelon form on anything else; the determinant is Bareiss on
-integer input only.  Both are exact.
+Rank and the characteristic polynomial have one path each: rational input
+is scaled to integers once, by an exact identity, and goes through
+fraction-free (Bareiss) elimination.  ``faddeev`` builds its auxiliary
+matrices from those coefficients by Horner's rule; ``rref`` remains for
+kernels, solutions and inverses.
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ def sub(a: Mat, b: Mat) -> Mat:
 
 def scale(c, a: Mat) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
+
+
+def ratio(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return q if r == 0 else Fraction(a, b)
+
+
+def divide(a: Mat, d) -> Mat:
+    """a / d exactly, entry by entry; integral entries come back as ints."""
+    return tuple(tuple(ratio(x, d) for x in row) for row in a)
 
 
 def mul(a: Mat, b: Mat) -> Mat:
@@ -84,23 +97,22 @@ def mat_pow(a: Mat, k: int) -> Mat:
     return out
 
 
-def _all_int(rows) -> bool:
-    return all(isinstance(x, int) for row in rows for x in row)
+def _integral(row, d) -> list:
+    """d * row as ints, for a common multiple d of the entries' denominators."""
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def rank(rows) -> int:
     """Rank of a matrix, exact.
 
-    Integer matrices go through fraction-free Bareiss elimination (all
-    divisions exact, entries bounded by minors of the input); anything else
-    through Fraction Gaussian elimination.
+    Each row is scaled by the lcm of its entries' denominators, which keeps
+    the rank, and the integer result goes through fraction-free Bareiss
+    elimination (all divisions exact, entries bounded by minors).
     """
     if not rows or not rows[0]:
         return 0
     nrows, ncols = len(rows), len(rows[0])
-    if not _all_int(rows):
-        return len(rref(rows)[1])
-    m = [list(row) for row in rows]
+    m = [_integral(row, lcm(*(x.denominator for x in row))) for row in rows]
     r = 0
     prev = 1
     for c in range(ncols):
@@ -233,31 +245,19 @@ def det(rows) -> int:
 def faddeev(rows):
     """Faddeev-LeVerrier data of a square matrix m.
 
-    Returns (coeffs, aux) where det(tI - m) = t^N + sum coeffs[k-1] t^(N-k)
-    and aux[k] is the k-th auxiliary matrix M_k (M_0 = I).  These matrices
-    carry the differentials of the coefficients: d c_k(m)(v) equals
-    -trace(M_{k-1} v).  All divisions are exact.
+    Returns (coeffs, aux) where coeffs = char_poly(m), so det(tI - m) =
+    t^N + sum coeffs[k-1] t^(N-k), and aux[k] is the k-th auxiliary matrix
+    M_k = m M_{k-1} + c_k I (Horner's rule, M_0 = I).  These matrices carry
+    the differentials of the coefficients: d c_k(m)(v) equals
+    -trace(M_{k-1} v).
     """
-    n = len(rows)
     m = mat(rows)
-    coeffs = []
-    aux = [identity(n)]
-    work = m
-    ints = _all_int(rows)
-    for k in range(1, n + 1):
-        t = trace(work)
-        if ints:
-            q, rem = divmod(-t, k)
-            assert rem == 0
-            ck = q
-        else:
-            ck = Fraction(-t, 1) / k
-        coeffs.append(ck)
-        if k < n:
-            nxt = add(work, scale(ck, identity(n)))
-            aux.append(nxt)
-            work = mul(m, nxt)
-    return tuple(coeffs), aux
+    ident = identity(len(m))
+    coeffs = char_poly(m)
+    aux = [ident]
+    for ck in coeffs[:-1]:
+        aux.append(add(mul(m, aux[-1]), scale(ck, ident)))
+    return coeffs, aux
 
 
 @lru_cache(maxsize=None)
@@ -278,34 +278,32 @@ def interpolate(values) -> tuple:
     Integral coefficients come back as plain ints, the others as Fractions.
     """
     d, scaled = _vandermonde_inverse(len(values))
-    out = []
-    for row in scaled:
-        c = Fraction(sum(map(mul_op, row, values)), d)
-        out.append(c.numerator if c.denominator == 1 else c)
-    return tuple(out)
+    return tuple(ratio(sum(map(mul_op, row, values)), d) for row in scaled)
 
 
 def char_poly(rows) -> tuple:
     """Coefficients (c_1, ..., c_N) of det(tI - m) = t^N + c_1 t^(N-1) + ... + c_N.
 
-    Integer matrices go through determinant evaluation at t = 0..N plus
-    exact interpolation; anything else through Faddeev-LeVerrier.
+    With L the lcm of the entries' denominators, L m is an integer matrix
+    and c_k(m) = c_k(L m) / L^k, since c_k is homogeneous of degree k.  The
+    coefficients of L m come from Bareiss determinants of tI - L m at
+    t = 0..N and exact interpolation.
     """
     n = len(rows)
     if n == 0:
         return ()
-    if _all_int(rows):
-        values = [
-            det(
-                ((t if a == b else 0) - x for b, x in enumerate(row))
-                for a, row in enumerate(rows)
-            )
-            for t in range(n + 1)
-        ]
-        poly = interpolate(values)  # coefficients of t^0..t^n
-        assert all(isinstance(c, int) for c in poly)
-        return poly[-2::-1]
-    return faddeev(rows)[0]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    m = [_integral(row, d) for row in rows]
+    values = [
+        det(
+            ((t if a == b else 0) - x for b, x in enumerate(row))
+            for a, row in enumerate(m)
+        )
+        for t in range(n + 1)
+    ]
+    poly = interpolate(values)  # coefficients of t^0..t^n
+    assert all(isinstance(c, int) for c in poly)
+    return tuple(ratio(c, d**k) for k, c in enumerate(poly[-2::-1], start=1))
 
 
 def in_span(vectors, v) -> bool:

@@ -240,7 +240,7 @@ def _invariants_checks(config: RunConfig, tname: str):
         direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
         for idx, d in enumerate(alg.degrees):
             total = sum(
-                Fraction(a) ** (d - k) * Fraction(b) ** k * c
+                a ** (d - k) * b**k * c
                 for k, c in enumerate(pols[idx])
             )
             if total != direct[idx]:
@@ -316,7 +316,7 @@ def _invariants_checks(config: RunConfig, tname: str):
             total = la.zeros(alg.size, alg.size)
             for m, part in enumerate(alg.epsilon_polarize(i, x, y)):
                 total = la.add(
-                    total, la.scale(Fraction(a) ** (d - m - 1) * Fraction(b) ** m, part)
+                    total, la.scale(a ** (d - m - 1) * b**m, part)
                 )
             if total != target[i - 1]:
                 return False

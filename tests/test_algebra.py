@@ -135,6 +135,11 @@ def test_coordinates_reject_matrices_outside_the_algebra(fam, rk):
         assert _solve_coordinates(alg, m) is None
         with pytest.raises(ValueError):
             alg.coordinates(m)
+    # wrong sizes: a traceless 3x3 on A3, a 4x4 on B2, and non-square rows
+    for m in (la.zeros(alg.size - 1, alg.size - 1), la.zeros(alg.size, alg.size + 1)):
+        assert not alg.in_algebra(m)
+        with pytest.raises(ValueError):
+            alg.coordinates(m)
 
 
 @pytest.mark.parametrize("fam,rk", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)])
@@ -180,6 +185,30 @@ def test_epsilon_matches_gram_solve_oracle(fam, rk):
         eps = alg.epsilon_all(x)
         assert eps == _gram_solve_epsilon(alg, x)
         assert all(alg.in_algebra(e) for e in eps)
+
+
+def _is_int(m):
+    return all(isinstance(x, int) for row in m for x in row)
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_group_elements_carry_their_inverses(fam, rk):
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"group:{fam}{rk}")
+    ident = la.identity(alg.size)
+    u = alg.unipotent({r: rng.randint(-3, 3) for r in alg.rs.positive_roots})
+    reflections = [alg.simple_reflection_rep(i) for i in range(1, rk + 1)]
+    word = alg.weyl_rep(tuple(rng.randint(1, rk) for _ in range(4)))
+    torus = alg.torus([Q(k + 2, 2 * k + 1) for k in range(rk)])
+    integral = [u, word] + reflections
+    elements = integral + [torus, u * torus * word, word * u]
+    for g in elements:
+        assert la.mul(g.mat, g.inv) == ident
+        assert la.mul(g.inv, g.mat) == ident
+        assert all(alg.in_algebra(g.conjugate(b)) for b in alg.basis)
+    if fam in "AC":  # every root vector squares to 0, so exp(c e) = I + c e
+        for g in integral:
+            assert _is_int(g.mat) and _is_int(g.inv)
 
 
 def test_unsupported_types_rejected():

@@ -35,6 +35,33 @@ small_matrix = st.integers(2, 4).flatmap(
 )
 
 
+# integers mixed with fractions of several denominators, so rows and
+# matrices have different least common denominators
+rational_entry = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([2, 3, 4, 5, 6])),
+)
+rational_matrix = st.integers(2, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(rational_entry, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def faddeev_by_traces(m):
+    """Reference Faddeev-LeVerrier: c_k = -tr(m M_{k-1}) / k, M_k = m M_{k-1} + c_k I."""
+    n = len(m)
+    ident = la.identity(n)
+    coeffs, aux = [], [ident]
+    for k in range(1, n + 1):
+        work = la.mul(m, aux[-1])
+        ck = Fraction(-la.trace(work), k)
+        coeffs.append(ck)
+        if k < n:
+            aux.append(la.add(work, la.scale(ck, ident)))
+    return tuple(coeffs), aux
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_det_matches_permutation_expansion(m):
@@ -51,10 +78,11 @@ def test_det_rejects_non_integer_entries():
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrix)
+@given(st.one_of(small_matrix, rational_matrix))
 def test_char_poly_matches_det_of_pencil(m):
     n = len(m)
     coeffs = la.char_poly(m)
+    assert all(isinstance(c, int) or c.denominator != 1 for c in coeffs)
     for t in range(-2, n + 2):
         shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
         value = t**n + sum(c * t ** (n - k) for k, c in enumerate(coeffs, start=1))
@@ -62,10 +90,11 @@ def test_char_poly_matches_det_of_pencil(m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrix)
+@given(st.one_of(small_matrix, rational_matrix))
 def test_faddeev_aux_carries_coefficient_differentials(m):
     n = len(m)
     coeffs, aux = la.faddeev(m)
+    assert (coeffs, aux) == faddeev_by_traces(la.mat(m))
     # directional derivative of c_k along v, via first-order interpolation
     for a in range(n):
         for b in range(n):
@@ -126,6 +155,43 @@ def test_integer_rank_matches_rref_on_large_matrices():
         assert la.rank(m) == len(la.rref(m)[1])
     assert la.rank(full) == 28
     assert la.rank(deficient) == 20
+
+
+def test_rank_of_rational_matrices_matches_rref():
+    # rows are cleared of denominators one by one, so give each row its own
+    rng = random.Random("rank-rational")
+
+    def rand(rows, cols):
+        return [
+            [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 5, 7])) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+
+    cases = []
+    for rows, cols in [(3, 3), (4, 6), (7, 5), (9, 9)]:
+        cases.append(rand(rows, cols))
+        inner = max(1, min(rows, cols) - 2)
+        cases.append(la.mul(rand(rows, inner), rand(inner, cols)))  # rank <= inner
+    # a row repeated at another scale, and a zero row next to a unit fraction
+    base = rand(3, 5)
+    cases.append(base + [[Fraction(3, 7) * x for x in base[0]], [Fraction(0)] * 5])
+    cases.append([[Fraction(1, 6), 0, 0], [0, Fraction(0), 0], [Fraction(1, 3), 0, 0]])
+    ranks = set()
+    for m in cases:
+        ranks.add(la.rank(m))
+        assert la.rank(m) == len(la.rref(m)[1])
+    assert min(ranks) < max(ranks)
+    assert la.rank(cases[-1]) == 1
+
+
+def test_ratio_is_an_int_exactly_when_the_division_is_exact():
+    for a, b in [(6, 3), (-6, 4), (7, -2), (0, 5), (Fraction(3, 2), Fraction(1, 2)),
+                 (Fraction(5, 3), 2), (Fraction(4, 3), Fraction(2, 3)), (1, Fraction(1, 2))]:
+        q = la.ratio(a, b)
+        assert q == Fraction(a) / b
+        assert isinstance(q, int) == (q.denominator == 1)
+    with pytest.raises(ZeroDivisionError):
+        la.ratio(1, 0)
 
 
 def test_solve_and_inverse():

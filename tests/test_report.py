@@ -174,6 +174,23 @@ def test_cli_rejects_invalid_type(value, capsys):
     assert "--type" in capsys.readouterr().err
 
 
+def test_cli_reports_types_by_canonical_name_once(tmp_path):
+    outs = {}
+    for name in ("a2", "A2"):
+        outs[name] = tmp_path / f"{name}.jsonl"
+        argv = ["invariants", "--type", name, "--samples", "2", "--format", "structured"]
+        assert main(argv + ["--out", str(outs[name])]) == 0
+    assert outs["a2"].read_bytes() == outs["A2"].read_bytes()
+    repeated = tmp_path / "repeated.jsonl"
+    argv = ["roots", "--type", "A2", "--type", "a2", "--type", "G2", "--format", "structured"]
+    assert main(argv + ["--out", str(repeated)]) == 0
+    header, *records = [json.loads(line) for line in repeated.read_text().splitlines()]
+    assert header["config"]["types"] == ["A2", "G2"]
+    ids = [r["check_id"] for r in records]
+    assert len(ids) == len(set(ids))
+    assert {i.split("/")[1] for i in ids} == {"A2", "G2"}
+
+
 def test_cli_rejects_unwritable_out_before_running(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
