@@ -27,7 +27,7 @@ in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg as la
 from .roots import RootSystem, build_root_system
@@ -60,13 +60,13 @@ def nilpotent_exp(m):
 
 
 class GroupElement:
-    """An invertible matrix together with its exact inverse."""
+    """An invertible matrix together with its exact inverse; integral entries are ints."""
 
     __slots__ = ("mat", "inv")
 
     def __init__(self, mat, inv):
-        self.mat = la.mat(mat)
-        self.inv = la.mat(inv)
+        self.mat = la.whole(mat)
+        self.inv = la.whole(inv)
 
     @classmethod
     def exp(cls, m) -> "GroupElement":
@@ -148,11 +148,19 @@ class MatrixLieAlgebra:
         )
         for x in self.basis:
             assert self.in_algebra(x)
-        # the first nonzero cell of each basis vector, where it is 1
-        self._cells = [
-            next((a, b) for a, row in enumerate(x) for b, c in enumerate(row) if c)
+        # the nonzero cells (a, b, value) of each basis vector, in row-major order
+        self._nonzero = [
+            tuple((a, b, c) for a, row in enumerate(x) for b, c in enumerate(row) if c)
             for x in self.basis
         ]
+        # the first of them, where the vector is 1 and every later one vanishes
+        self._cells = [cells[0][:2] for cells in self._nonzero]
+        # which coordinate cells lie in each row and in each column
+        self._cells_in_row = [[] for _ in range(self.size)]
+        self._cells_in_col = [[] for _ in range(self.size)]
+        for j, (p, q) in enumerate(self._cells):
+            self._cells_in_row[p].append((j, q))
+            self._cells_in_col[q].append((j, p))
 
     def _mirror(self, m):
         """J^-1 m^T J for the so/sp form J, cell by cell."""
@@ -239,11 +247,36 @@ class MatrixLieAlgebra:
         """Coordinates of x in the root-graded basis, one matrix cell each."""
         if not self.in_algebra(x):
             raise ValueError("element is not in the algebra span")
-        out = [x[a][b] for a, b in self._cells]
-        if self.family == "A":  # h_k = E_kk - E_{k+1,k+1}
+        return self._cartan_sums([x[a][b] for a, b in self._cells])
+
+    def _cartan_sums(self, cells):
+        """Coordinates from the cell values: on sl, h_k = E_kk - E_{k+1,k+1} is a running sum."""
+        if self.family == "A":
             for k in range(1, self.rank):
-                out[k] += out[k - 1]
-        return tuple(out)
+                cells[k] += cells[k - 1]
+        return tuple(cells)
+
+    def ad_coordinates(self, x):
+        """Row k is coordinates([e_k, x]), read from the nonzero cells of e_k.
+
+        [E_ab, x] is x's row b moved to row a minus x's column a moved to
+        column b, i.e. delta_pa x[b][q] - delta_qb x[p][a] at (p, q); only
+        the coordinate cells in row a and in column b are touched.
+        """
+        if not self.in_algebra(x):
+            raise ValueError("element is not in the algebra span")
+        in_row, in_col = self._cells_in_row, self._cells_in_col
+        out = []
+        for cells in self._nonzero:
+            row = [0] * self.dim
+            for a, b, c in cells:
+                xb = x[b]
+                for j, q in in_row[a]:
+                    row[j] += c * xb[q]
+                for j, p in in_col[b]:
+                    row[j] -= c * x[p][a]
+            out.append(self._cartan_sums(row))
+        return out
 
     # -- element predicates ---------------------------------------------------
 
@@ -251,7 +284,7 @@ class MatrixLieAlgebra:
         return la.is_zero(la.mat_pow(x, self.size))
 
     def centralizer_dim(self, x) -> int:
-        return self.dim - la.rank([self.coordinates(la.commutator(x, b)) for b in self.basis])
+        return self.dim - la.rank(self.ad_coordinates(x))
 
     def is_regular_element(self, x) -> bool:
         """Regular = centralizer of minimal dimension (the rank)."""
@@ -291,7 +324,7 @@ class MatrixLieAlgebra:
                 out[s] += last * c
         return out
 
-    @property
+    @cached_property
     def height_element(self):
         """The Cartan element on which every simple root takes the value 1."""
         n = self.rank
@@ -358,7 +391,7 @@ class MatrixLieAlgebra:
     # -- gradients -------------------------------------------------------------
 
     def trace_form(self, x, y):
-        return la.trace(la.mul(x, y))
+        return la.trace_mul(x, y)
 
     def gradient_matrices(self, x):
         """Matrices G_i with d p_i(x)(v) = trace(G_i v), from one char-poly pass."""
@@ -367,7 +400,7 @@ class MatrixLieAlgebra:
 
     def directional_derivatives(self, x, v):
         """d/dt p_i(x + t v) at t = 0, for every invariant i."""
-        return tuple(la.trace(la.mul(g, v)) for g in self.gradient_matrices(x))
+        return tuple(la.trace_mul(g, v) for g in self.gradient_matrices(x))
 
     def epsilon_all(self, x):
         """Trace-form gradients in g: G - (tr G / N) I on sl, (G - mirror(G)) / 2 on so/sp."""
@@ -483,10 +516,12 @@ class MatrixLieAlgebra:
         """Integer-coefficient combination of basis vectors, seeded by rng."""
         if where not in self.subspace_indices:
             raise ValueError(f"unknown subspace {where!r}")
-        out = la.zeros(self.size, self.size)
+        out = [[0] * self.size for _ in range(self.size)]
         for k in self.subspace_indices[where]:
-            out = la.add(out, la.scale(rng.randint(-bound, bound), self.basis[k]))
-        return out
+            coeff = rng.randint(-bound, bound)
+            for a, b, c in self._nonzero[k]:
+                out[a][b] += coeff * c
+        return la.mat(out)
 
 
 class SpanReport:

@@ -39,14 +39,11 @@ def _pair_map_report(alg: MatrixLieAlgebra, x, y, map_kind, v_fiber, w_fiber):
     is |v| + |w| plus that of the bracket coordinates outside them
     (Marsaglia-Styan 1974).
     """
-    rows = []
-    for xi in alg.basis:
-        cx = alg.coordinates(la.commutator(xi, x))
-        cy = alg.coordinates(la.commutator(xi, y))
-        rows.append(
-            [c for k, c in enumerate(cx) if k not in v_fiber]
-            + [c for k, c in enumerate(cy) if k not in w_fiber]
-        )
+    rows = [
+        [c for k, c in enumerate(cx) if k not in v_fiber]
+        + [c for k, c in enumerate(cy) if k not in w_fiber]
+        for cx, cy in zip(alg.ad_coordinates(x), alg.ad_coordinates(y))
+    ]
     domain = alg.dim + len(v_fiber) + len(w_fiber)
     r = len(v_fiber) + len(w_fiber) + la.rank(rows)
     return TangentReport((x, y), map_kind, domain, r, domain - r)
@@ -120,7 +117,7 @@ def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents, t_list) -> b
         grads = alg.gradient_matrices(la.add(x, la.scale(t, y)))
         for v, w in tangents:
             direction = la.add(v, la.scale(t, w))
-            if any(la.trace(la.mul(g, direction)) != 0 for g in grads):
+            if any(la.trace_mul(g, direction) != 0 for g in grads):
                 return False
     return True
 
@@ -407,9 +404,15 @@ def height_grading_check(alg: MatrixLieAlgebra, x):
     """
     comps = height_components(alg, x)
     t = alg.height_element
+    n = alg.size
     ok = True
     for h, comp in comps.items():
-        if not la.is_zero(la.sub(la.commutator(t, comp), la.scale(h, comp))):
+        # [t, comp] for the diagonal t is (t_aa - t_bb) comp_ab, cell by cell
+        if any(
+            (t[a][a] - t[b][b]) * comp[a][b] != h * comp[a][b]
+            for a in range(n)
+            for b in range(n)
+        ):
             ok = False
     if not la.is_zero(
         la.sub(x, [ [sum(c[a][b] for c in comps.values()) for b in range(alg.size)] for a in range(alg.size)]

@@ -10,6 +10,11 @@ is scaled to integers once, by an exact identity, and goes through
 fraction-free (Bareiss) elimination.  ``faddeev`` builds its auxiliary
 matrices from those coefficients by Horner's rule; ``rref`` remains for
 kernels, solutions and inverses.
+
+``mul`` builds each row of a b as a combination of b's rows, one term per
+nonzero entry of a's row, so the sparse basis matrices and triangular group
+elements of :mod:`nullcone.algebra` cost only their nonzero cells;
+``trace_mul`` gives trace(a b) from the entries alone, in O(N^2).
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ Mat = tuple
 
 def mat(rows) -> Mat:
     return tuple(tuple(x for x in row) for row in rows)
+
+
+def whole(rows) -> Mat:
+    """The matrix with each integral entry as an int (Fraction(3, 1) becomes 3)."""
+    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in rows)
 
 
 def zeros(nrows: int, ncols: int) -> Mat:
@@ -60,10 +70,24 @@ def divide(a: Mat, d) -> Mat:
 
 
 def mul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a b, each output row a combination of b's rows over the nonzero entries of a's row."""
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
+
+
+def trace_mul(a: Mat, b: Mat):
+    """trace(a b) without forming the product: the sum of a[i][j] b[j][i]."""
+    return sum(map(mul_op, flatten(a), flatten(transpose(b))))
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:

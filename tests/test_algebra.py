@@ -133,13 +133,48 @@ def test_coordinates_reject_matrices_outside_the_algebra(fam, rk):
         outside.append(la.mat(e01))
     for m in outside:
         assert _solve_coordinates(alg, m) is None
-        with pytest.raises(ValueError):
-            alg.coordinates(m)
     # wrong sizes: a traceless 3x3 on A3, a 4x4 on B2, and non-square rows
     for m in (la.zeros(alg.size - 1, alg.size - 1), la.zeros(alg.size, alg.size + 1)):
         assert not alg.in_algebra(m)
-        with pytest.raises(ValueError):
-            alg.coordinates(m)
+        outside.append(m)
+    # the identity commutes with everything, so brackets alone would give
+    # it a centralizer of dimension dim; it is rejected instead
+    for m in outside:
+        for reader in (alg.coordinates, alg.ad_coordinates, alg.centralizer_dim):
+            with pytest.raises(ValueError):
+                reader(m)
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_ad_coordinates_match_commutator_oracle(fam, rk):
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"ad:{fam}{rk}")
+    torus = alg.torus([Q(k + 2, 2 * k + 1) for k in range(rk)])
+    fractional = la.scale(Q(1, 5), torus.conjugate(alg.random_element(rng, 2)))
+    assert any(isinstance(c, Q) and c.denominator != 1 for row in fractional for c in row)
+    points = [alg.random_element(rng, 2, where=w) for w in ("g", "b", "u")]
+    for x in points + [la.zeros(alg.size, alg.size), fractional]:
+        expected = [alg.coordinates(la.commutator(b, x)) for b in alg.basis]
+        assert alg.ad_coordinates(x) == expected
+
+
+def _random_element_by_sums(alg, rng, bound, where):
+    """Reference sample: the basis vectors scaled and summed as whole matrices."""
+    out = la.zeros(alg.size, alg.size)
+    for k in alg.subspace_indices[where]:
+        out = la.add(out, la.scale(rng.randint(-bound, bound), alg.basis[k]))
+    return out
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_random_element_matches_sum_of_scaled_basis(fam, rk):
+    alg = build_algebra(fam, rk)
+    for where in alg.subspace_indices:
+        for bound in (1, 3):
+            seed = f"sample:{fam}{rk}:{where}:{bound}"
+            got = alg.random_element(random.Random(seed), bound, where=where)
+            assert got == _random_element_by_sums(alg, random.Random(seed), bound, where)
+            assert _is_int(got) and alg.in_algebra(got)
 
 
 @pytest.mark.parametrize("fam,rk", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)])
@@ -209,6 +244,23 @@ def test_group_elements_carry_their_inverses(fam, rk):
     if fam in "AC":  # every root vector squares to 0, so exp(c e) = I + c e
         for g in integral:
             assert _is_int(g.mat) and _is_int(g.inv)
+
+
+@pytest.mark.parametrize("rk", SUPPORTED_RANKS["B"])
+def test_type_b_group_elements_store_whole_entries_as_ints(rk):
+    alg = build_algebra("B", rk)
+    rng = random.Random(f"whole:B{rk}")
+    elements = [
+        alg.unipotent({r: rng.randint(-3, 3) for r in alg.rs.positive_roots}),
+        alg.weyl_rep(tuple(range(1, rk + 1))),
+        alg.weyl_rep(tuple(rng.randint(1, rk) for _ in range(5))),
+    ]
+    halves = 0
+    for g in elements:
+        for x in la.flatten(g.mat) + la.flatten(g.inv):
+            assert isinstance(x, int) or x.denominator != 1
+            halves += not isinstance(x, int)
+    assert halves  # the short root vectors still contribute halves
 
 
 def test_unsupported_types_rejected():
@@ -411,6 +463,8 @@ def test_height_element_evaluates_one_on_simple_roots():
     for fam, rk in [("A", 3), ("B", 3), ("C", 4)]:
         alg = build_algebra(fam, rk)
         t = alg.height_element
+        assert alg.in_cartan(t)  # height_grading_check relies on t being diagonal
+        assert alg.height_element is t
         for root in alg.rs.positive_roots:
             assert alg.root_value(root, t) == alg.rs.root_height(root)
 

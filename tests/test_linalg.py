@@ -48,6 +48,46 @@ rational_matrix = st.integers(2, 4).flatmap(
 )
 
 
+def mul_by_dot_products(a, b):
+    """Reference product: every entry a sum of products of a row and a column."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def _matrix(nrows, ncols):
+    row = st.lists(rational_entry, min_size=ncols, max_size=ncols)
+    zero_row = st.just([0] * ncols)
+    return st.lists(st.one_of(row, zero_row), min_size=nrows, max_size=nrows)
+
+
+# a (m x n) and b (n x p), with all-zero rows mixed in
+product_operands = st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)
+).flatmap(lambda s: st.tuples(_matrix(s[0], s[1]), _matrix(s[1], s[2])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(product_operands)
+def test_mul_matches_dot_product_kernel(operands):
+    a, b = operands
+    product = la.mul(a, b)
+    assert product == mul_by_dot_products(a, b)
+    assert len(product) == len(a) and all(len(row) == len(b[0]) for row in product)
+
+
+# a (m x n) and b (n x m), so that a b is square
+trace_operands = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_matrix(s[0], s[1]), _matrix(s[1], s[0]))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace_operands)
+def test_trace_mul_matches_trace_of_product(operands):
+    a, b = operands
+    assert la.trace_mul(a, b) == la.trace(la.mul(a, b))
+
+
 def faddeev_by_traces(m):
     """Reference Faddeev-LeVerrier: c_k = -tr(m M_{k-1}) / k, M_k = m M_{k-1} + c_k I."""
     n = len(m)

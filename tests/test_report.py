@@ -37,6 +37,16 @@ def test_structured_report_matches_golden_file(tmp_path):
     assert out.read_text().splitlines() == golden.read_text().splitlines()
 
 
+def test_default_structured_report_matches_golden_file(tmp_path):
+    # tests/data/golden_default.jsonl was written by
+    #   nullcone-verify all --format structured
+    # and pins every type and suite of the default run byte for byte
+    out = tmp_path / "report.jsonl"
+    assert main(["all", "--format", "structured", "--out", str(out)]) == 1
+    golden = Path(__file__).parent / "data" / "golden_default.jsonl"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_structured_schema_and_ordering():
     config = RunConfig(suites=("roots",), types=("A2",))
     code, results = run(config)
