@@ -12,9 +12,9 @@ where all later ones vanish, so coordinates are read off matrix cells.
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; their two-variable polarizations are computed by exact
 interpolation at integer parameters and re-checked at a held-out point.
-Group elements carry their inverses in closed form (exp m with exp -m,
-diag p with diag 1/p), so nothing is inverted by elimination and integral
-elements keep int entries.
+Group elements carry their inverses in closed form (exp m = I + m + m^2/2
+with exp -m, as a root vector has m^3 = 0; diag p with diag 1/p), so
+nothing is inverted by elimination and integral elements keep int entries.
 The bilinear form is the trace form of the defining representation, which
 is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
 2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization; a
@@ -47,18 +47,6 @@ def _diagonal(entries):
     return tuple(tuple(d if a == b else 0 for b in range(n)) for a, d in enumerate(entries))
 
 
-def nilpotent_exp(m):
-    """exp of a nilpotent matrix, exact; integral entries stay ints."""
-    n = len(m)
-    out = term = la.identity(n)
-    for k in range(1, n + 2):
-        term = la.divide(la.mul(term, m), k)
-        if la.is_zero(term):
-            return out
-        out = la.add(out, term)
-    raise ValueError("matrix is not nilpotent")
-
-
 class GroupElement:
     """An invertible matrix together with its exact inverse; integral entries are ints."""
 
@@ -70,8 +58,12 @@ class GroupElement:
 
     @classmethod
     def exp(cls, m) -> "GroupElement":
-        """(exp m, exp -m) for a nilpotent matrix m."""
-        return cls(nilpotent_exp(m), nilpotent_exp(la.scale(-1, m)))
+        """(exp m, exp -m) = (I + m + m^2/2, I - m + m^2/2) for a matrix with m^3 = 0."""
+        square = la.mul(m, m)
+        if not la.is_zero(la.mul(square, m)):
+            raise ValueError("closed-form exp needs a matrix with m^3 = 0")
+        even = la.add(la.identity(len(m)), la.divide(square, 2))
+        return cls(la.add(even, m), la.sub(even, m))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(la.mul(self.mat, other.mat), la.mul(other.inv, self.inv))
@@ -281,7 +273,8 @@ class MatrixLieAlgebra:
     # -- element predicates ---------------------------------------------------
 
     def is_nilpotent(self, x) -> bool:
-        return la.is_zero(la.mat_pow(x, self.size))
+        """x^N = 0 exactly when det(tI - x) = t^N."""
+        return not any(la.char_poly(x))
 
     def centralizer_dim(self, x) -> int:
         return self.dim - la.rank(self.ad_coordinates(x))
@@ -474,14 +467,24 @@ class MatrixLieAlgebra:
 
     # -- group elements ----------------------------------------------------------
 
+    @cached_property
+    def _simple_reflection_reps(self) -> tuple:
+        """exp(e) exp(-f) exp(e) for each simple root, f scaled so that (e, h, f) is an sl2 triple."""
+        reps = []
+        for i in range(self.rank):
+            root = tuple(1 if j == i else 0 for j in range(self.rank))
+            e = self.pos_vectors[root]
+            f_raw = self.neg_vectors[root]
+            c = self.root_value(root, la.commutator(e, f_raw))
+            ge = GroupElement.exp(e)
+            reps.append(ge * GroupElement.exp(la.divide(la.scale(-2, f_raw), c)) * ge)
+        return tuple(reps)
+
     def simple_reflection_rep(self, i: int) -> GroupElement:
-        """Monomial representative exp(e) exp(-f) exp(e) of s_{beta_i}, from its sl2 triple."""
-        root = tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-        e = self.pos_vectors[root]
-        f_raw = self.neg_vectors[root]
-        c = self.root_value(root, la.commutator(e, f_raw))
-        ge = GroupElement.exp(e)
-        return ge * GroupElement.exp(la.divide(la.scale(-2, f_raw), c)) * ge
+        """Monomial representative of s_{beta_i}, built once per algebra."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple reflection index {i} out of range")
+        return self._simple_reflection_reps[i - 1]
 
     def weyl_rep(self, word) -> GroupElement:
         ident = la.identity(self.size)

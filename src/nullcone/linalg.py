@@ -5,11 +5,12 @@ Everything in this package that looks like numerics is done here, with
 Matrices are sequences of equal-length rows; functions return tuples of
 tuples so results are hashable and safe to share between threads.
 
-Rank and the characteristic polynomial have one path each: rational input
-is scaled to integers once, by an exact identity, and goes through
-fraction-free (Bareiss) elimination.  ``faddeev`` builds its auxiliary
-matrices from those coefficients by Horner's rule; ``rref`` remains for
-kernels, solutions and inverses.
+Rank and the characteristic polynomial have one path each, and rational
+input is scaled to integers once, by an exact identity.  Rank goes
+through fraction-free (Bareiss) elimination; the characteristic
+polynomial is one division-free Berkowitz pass.  ``faddeev`` builds its
+auxiliary matrices from those coefficients by Horner's rule; ``rref``
+remains for kernels, solutions and inverses.
 
 ``mul`` builds each row of a b as a combination of b's rows, one term per
 nonzero entry of a's row, so the sparse basis matrices and triangular group
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import index, mul as mul_op
+from operator import mul as mul_op
 from typing import Sequence
 
 Vec = tuple
@@ -112,13 +113,6 @@ def is_zero(a: Mat) -> bool:
 
 def flatten(a: Mat) -> Vec:
     return tuple(x for row in a for x in row)
-
-
-def mat_pow(a: Mat, k: int) -> Mat:
-    out = identity(len(a))
-    for _ in range(k):
-        out = mul(out, a)
-    return out
 
 
 def _integral(row, d) -> list:
@@ -236,36 +230,6 @@ def inverse(rows) -> Mat:
     return tuple(tuple(row[n:]) for row in m[:n])
 
 
-def det(rows) -> int:
-    """Determinant of an integer square matrix (Bareiss, all divisions exact).
-
-    Raises TypeError on non-integer entries, where the exact floor divisions
-    would silently truncate.
-    """
-    m = [list(map(index, row)) for row in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        row_c = m[c]
-        for i in range(c + 1, n):
-            row_i = m[i]
-            mic = row_i[c]
-            for j in range(c + 1, n):
-                row_i[j] = (row_i[j] * pivot - mic * row_c[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
 def faddeev(rows):
     """Faddeev-LeVerrier data of a square matrix m.
 
@@ -310,24 +274,38 @@ def char_poly(rows) -> tuple:
 
     With L the lcm of the entries' denominators, L m is an integer matrix
     and c_k(m) = c_k(L m) / L^k, since c_k is homogeneous of degree k.  The
-    coefficients of L m come from Bareiss determinants of tI - L m at
-    t = 0..N and exact interpolation.
+    coefficients of L m come from one division-free Berkowitz pass: with
+    A_r the leading r x r block, R = m[r][:r], S = column r above the
+    diagonal and a = m[r][r], the coefficients of det(tI - A_{r+1}) are
+    those of det(tI - A_r) times the lower-triangular Toeplitz matrix with
+    first column (1, -a, -R S, -R A_r S, ..., -R A_r^(r-1) S).  When R or
+    S is zero that column is (1, -a, 0, ..., 0) and the step costs O(r),
+    so triangular input costs O(N^2) in all; dense input about N^4/4
+    multiplications.
     """
     n = len(rows)
     if n == 0:
         return ()
     d = lcm(*(x.denominator for row in rows for x in row))
     m = [_integral(row, d) for row in rows]
-    values = [
-        det(
-            ((t if a == b else 0) - x for b, x in enumerate(row))
-            for a, row in enumerate(m)
-        )
-        for t in range(n + 1)
-    ]
-    poly = interpolate(values)  # coefficients of t^0..t^n
-    assert all(isinstance(c, int) for c in poly)
-    return tuple(ratio(c, d**k) for k, c in enumerate(poly[-2::-1], start=1))
+    poly = [1, -m[0][0]]  # coefficients of det(tI - A_r), leading first
+    for r in range(1, n):
+        left = m[r][:r]
+        v = [m[i][r] for i in range(r)]
+        column = [1, -m[r][r]]
+        if any(left) and any(v):
+            block = m[:r]  # A_r: its rows are longer than v, and map stops at len(v)
+            column.append(-sum(map(mul_op, left, v)))
+            for _ in range(r - 1):
+                v = [sum(map(mul_op, row, v)) for row in block]
+                column.append(-sum(map(mul_op, left, v)))
+        # the Toeplitz product, one shifted copy of poly per nonzero term
+        out = poly + [0]
+        for k, c in enumerate(column[1:], start=1):
+            if c:
+                out[k:] = [x + c * y for x, y in zip(out[k:], poly)]
+        poly = out
+    return tuple(ratio(c, d**k) for k, c in enumerate(poly[1:], start=1))
 
 
 def in_span(vectors, v) -> bool:

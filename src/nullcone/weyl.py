@@ -8,8 +8,9 @@ their action (words are not canonical); generation is a breadth-first
 closure over right multiplication by simple reflections that skips the
 descents of each element (w s_i is shorter than w iff w(alpha_i) < 0, so
 it was found at an earlier level), and the stored word of each element is
-its lexicographically smallest reduced word.  Each group is enumerated
-once per process and root system and is immutable once generated.
+its lexicographically smallest reduced word.  Each group is enumerated,
+and its torus-fixed Borels counted, once per process and root system; the
+group is immutable once generated.
 """
 
 from __future__ import annotations
@@ -94,10 +95,12 @@ def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> tuple:
         raise WeylOrderError(
             f"Weyl group of {rs.stype} has order {order}, above the cap {max_order}"
         )
-    return _enumerate_weyl(rs)
+    return _GROUPS.get(rs) or _GROUPS.setdefault(rs, _enumerate_weyl(rs))
 
 
-@lru_cache(maxsize=None)
+_GROUPS: dict = {}  # root system -> its group, enumerated on first request
+
+
 def _enumerate_weyl(rs: RootSystem) -> tuple:
     multipliers = _right_multipliers(rs)
     m = rs.num_positive
@@ -171,9 +174,22 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
     that this equals the group order is not circular.  Each set w(R+) is
     keyed by its sorted tuple of root indices, the same set as
     ``TorusBorel(w).positive_set`` at a fraction of a frozenset's memory.
+    The group that ``generate_weyl`` returns is counted once per root
+    system; any other sequence is counted on every call.
     """
+    if group is _GROUPS.get(rs):
+        return _enumerated_borel_count(rs)
+    return _count_borels(rs, group)
+
+
+def _count_borels(rs: RootSystem, group) -> int:
     m = rs.num_positive
     return len({tuple(sorted(w.perm[:m])) for w in group})
+
+
+@lru_cache(maxsize=None)
+def _enumerated_borel_count(rs: RootSystem) -> int:
+    return _count_borels(rs, _GROUPS[rs])
 
 
 def _inverse_image(rs: RootSystem, w: WeylElement, r):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcone import linalg as la
-from nullcone.algebra import SUPPORTED_RANKS, build_algebra
+from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
 
 E = ((0, 1), (0, 0))
 F = ((0, 0), (1, 0))
@@ -246,6 +246,59 @@ def test_group_elements_carry_their_inverses(fam, rk):
             assert _is_int(g.mat) and _is_int(g.inv)
 
 
+def exp_by_series(m):
+    """Reference exp of a nilpotent matrix: the exponential series until a term vanishes."""
+    n = len(m)
+    out = term = la.identity(n)
+    for k in range(1, n + 2):
+        term = la.divide(la.mul(term, m), k)
+        if la.is_zero(term):
+            return la.whole(out)
+        out = la.add(out, term)
+    raise ValueError("matrix is not nilpotent")
+
+
+def _exp_pair(m):
+    return GroupElement(exp_by_series(m), exp_by_series(la.scale(-1, m)))
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_closed_form_group_elements_match_exponential_series(fam, rk):
+    alg = build_algebra(fam, rk)
+    ident = la.identity(alg.size)
+    for i in range(1, rk + 1):
+        root = tuple(1 if j == i - 1 else 0 for j in range(rk))
+        e, f_raw = alg.pos_vectors[root], alg.neg_vectors[root]
+        c = alg.root_value(root, la.commutator(e, f_raw))
+        ge = _exp_pair(e)
+        fresh = ge * _exp_pair(la.divide(la.scale(-2, f_raw), c)) * ge
+        rep = alg.simple_reflection_rep(i)
+        assert rep is alg.simple_reflection_rep(i)
+        assert (rep.mat, rep.inv) == (fresh.mat, fresh.inv)
+    rng = random.Random(f"exp:{fam}{rk}")
+    coeffs = {r: rng.randint(-3, 3) for r in alg.rs.positive_roots}
+    u = alg.unipotent(coeffs)
+    series = GroupElement(ident, ident)
+    for root, c in coeffs.items():
+        series = series * _exp_pair(la.scale(c, alg.pos_vectors[root]))
+    assert (u.mat, u.inv) == (series.mat, series.inv)
+    word = tuple(rng.randint(1, rk) for _ in range(6))
+    for g in (u, alg.weyl_rep(word), u * alg.weyl_rep(word)):
+        assert la.mul(g.mat, g.inv) == ident
+
+
+def test_closed_form_exp_rejects_a_nonzero_cube():
+    jordan = la.mat([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
+    assert not la.is_zero(la.mul(la.mul(jordan, jordan), jordan))
+    with pytest.raises(ValueError):
+        GroupElement.exp(jordan)
+    with pytest.raises(ValueError):
+        GroupElement.exp(la.identity(2))
+    three = la.mat([[1 if j == i + 1 else 0 for j in range(3)] for i in range(3)])
+    g = GroupElement.exp(three)  # m^3 = 0, m^2 != 0: the m^2/2 term matters
+    assert g.mat == exp_by_series(three) and g.inv == exp_by_series(la.scale(-1, three))
+
+
 @pytest.mark.parametrize("rk", SUPPORTED_RANKS["B"])
 def test_type_b_group_elements_store_whole_entries_as_ints(rk):
     alg = build_algebra("B", rk)
@@ -457,6 +510,25 @@ def test_regular_nilpotent_and_centralizers():
         assert alg.is_regular_element(e)
         assert alg.centralizer_dim(e) == alg.rank
         assert alg.centralizer_dim(la.zeros(alg.size, alg.size)) == alg.dim
+
+
+@pytest.mark.parametrize("fam,rk", [("A", 3), ("B", 3), ("C", 3)])
+def test_is_nilpotent_matches_matrix_power(fam, rk):
+    # nilradical points and their conjugates are nilpotent, Borel and general points are not
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"nilpotent:{fam}{rk}")
+    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots}) * alg.weyl_rep((1, 2))
+    seen = set()
+    for where in ("u", "b", "g"):
+        for _ in range(3):
+            x = alg.random_element(rng, 2, where=where)
+            for point in (x, g.conjugate(x), la.add(x, la.scale(Q(1, 3), alg.height_element))):
+                power = la.identity(alg.size)
+                for _ in range(alg.size):
+                    power = la.mul(power, point)
+                assert alg.is_nilpotent(point) == la.is_zero(power)
+                seen.add(alg.is_nilpotent(point))
+    assert seen == {True, False}
 
 
 def test_height_element_evaluates_one_on_simple_roots():

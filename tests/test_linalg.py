@@ -3,12 +3,15 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
+from operator import index
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcone import linalg as la
+from nullcone.algebra import SUPPORTED_RANKS, build_algebra
 
 
 def det_by_permutations(m):
@@ -26,6 +29,55 @@ def det_by_permutations(m):
             prod *= m[i][perm[i]]
         total += prod
     return total
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of an integer square matrix (Bareiss, all divisions exact).
+
+    Raises TypeError on non-integer entries, where the exact floor divisions
+    would silently truncate.
+    """
+    m = [list(map(index, row)) for row in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        pivot = m[c][c]
+        row_c = m[c]
+        for i in range(c + 1, n):
+            row_i = m[i]
+            mic = row_i[c]
+            for j in range(c + 1, n):
+                row_i[j] = (row_i[j] * pivot - mic * row_c[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def char_poly_by_interpolation(rows) -> tuple:
+    """Reference char_poly: Bareiss determinants of tI - L m at t = 0..N, interpolated.
+
+    L is the lcm of the entries' denominators and c_k(m) = c_k(L m) / L^k.
+    """
+    n = len(rows)
+    if n == 0:
+        return ()
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    m = [[int(x * d) for x in row] for row in rows]
+    values = [
+        bareiss_det([[(t if a == b else 0) - x for b, x in enumerate(row)] for a, row in enumerate(m)])
+        for t in range(n + 1)
+    ]
+    poly = la.interpolate(values)  # coefficients of t^0..t^n
+    assert all(isinstance(c, int) for c in poly)
+    return tuple(la.ratio(c, d**k) for k, c in enumerate(poly[-2::-1], start=1))
 
 
 small_matrix = st.integers(2, 4).flatmap(
@@ -105,20 +157,89 @@ def faddeev_by_traces(m):
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_det_matches_permutation_expansion(m):
-    assert la.det(m) == det_by_permutations(m)
+    assert bareiss_det(m) == det_by_permutations(m)
 
 
 def test_det_rejects_non_integer_entries():
     # Bareiss floor divisions would truncate rational entries silently
     with pytest.raises(TypeError):
-        la.det([[Fraction(1, 2), 1], [1, 1]])
+        bareiss_det([[Fraction(1, 2), 1], [1, 1]])
     with pytest.raises(TypeError):
-        la.det([[1, 0], [0, Fraction(3)]])
-    assert la.det([]) == 1
+        bareiss_det([[1, 0], [0, Fraction(3)]])
+    assert bareiss_det([]) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(small_matrix, rational_matrix))
+def _square(n, entry, shape):
+    """An n x n matrix of the given shape: dense, upper, lower or nilpotent (strictly upper)."""
+    keep = {
+        "dense": lambda i, j: True,
+        "upper": lambda i, j: i <= j,
+        "lower": lambda i, j: i >= j,
+        "nilpotent": lambda i, j: i < j,
+    }[shape]
+    return st.lists(entry, min_size=n * n, max_size=n * n).map(
+        lambda xs: [[xs[i * n + j] if keep(i, j) else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+@st.composite
+def shaped_matrix(draw, max_size=7):
+    """A matrix of random shape and size, and sometimes a zero bordering row or column.
+
+    Zeroing m[r][:r] or column r above the diagonal makes Berkowitz step r
+    the bare product with (t - m[r][r]).
+    """
+    n = draw(st.integers(1, max_size))
+    entry = draw(st.sampled_from([st.integers(-5, 5), rational_entry]))
+    shape = draw(st.sampled_from(["dense", "upper", "lower", "nilpotent"]))
+    m = draw(_square(n, entry, shape))
+    if n > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, n - 1))
+        if draw(st.booleans()):
+            m[r][:r] = [0] * r
+        else:
+            for i in range(r):
+                m[i][r] = 0
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix())
+def test_char_poly_matches_bareiss_interpolation_oracle(m):
+    coeffs = la.char_poly(m)
+    expected = char_poly_by_interpolation(m)
+    assert coeffs == expected
+    assert [type(c) for c in coeffs] == [type(c) for c in expected]
+    if all(m[i][j] == 0 for i in range(len(m)) for j in range(i + 1)):  # strictly upper
+        assert coeffs == (0,) * len(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shaped_matrix(max_size=9))
+def test_char_poly_matches_faddeev_traces(m):
+    assert la.char_poly(m) == faddeev_by_traces(la.mat(m))[0]
+
+
+@pytest.mark.parametrize(
+    "fam,rk", [(fam, rk) for fam, ranks in SUPPORTED_RANKS.items() for rk in ranks]
+)
+def test_char_poly_of_algebra_points_and_conjugates(fam, rk):
+    # seeded points of g, b, u and h and their conjugates by unipotent x torus
+    # elements, which are dense and have Fraction entries
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"char-poly:{fam}{rk}")
+    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots}) * alg.torus(
+        [Fraction(k + 2, k + 1) for k in range(rk)]
+    )
+    for where in ("g", "b", "u", "h"):
+        x = alg.random_element(rng, 3, where=where)
+        for point in (x, g.conjugate(x)):
+            assert la.char_poly(point) == char_poly_by_interpolation(point)
+        assert la.char_poly(g.conjugate(x)) == la.char_poly(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_matrix, rational_matrix, shaped_matrix(max_size=5)))
 def test_char_poly_matches_det_of_pencil(m):
     n = len(m)
     coeffs = la.char_poly(m)

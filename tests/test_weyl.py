@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from nullcone import weyl
 from nullcone.roots import build_root_system
 from nullcone.weyl import (
     TorusBorel,
@@ -214,6 +215,24 @@ def test_e6_order_words_and_sampled_lengths():
 def test_group_is_enumerated_once_per_root_system():
     rs = build_root_system("B", 3)
     assert generate_weyl(rs) is generate_weyl(rs, 48)
+
+
+def test_the_enumerated_group_is_counted_once(monkeypatch):
+    rs = build_root_system("C", 3)
+    group = generate_weyl(rs)
+    count = borels_containing_torus(rs, group)
+    hits = weyl._enumerated_borel_count.cache_info().hits
+    assert borels_containing_torus(rs, generate_weyl(rs, 48)) == count == len(group)
+    assert weyl._enumerated_borel_count.cache_info().hits == hits + 1
+
+    # any other sequence is counted directly, and counting never enumerates
+    def refuse(rs):
+        raise AssertionError("borels_containing_torus enumerated a group")
+
+    monkeypatch.setattr(weyl, "_enumerate_weyl", refuse)
+    assert borels_containing_torus(rs, list(group)[:-1]) == count - 1
+    rs_a = build_root_system("A", 3)
+    assert borels_containing_torus(rs_a, [element_from_word(rs_a, (1,))]) == 1
 
 
 def test_cap_is_checked_after_the_group_is_cached():
