@@ -1,8 +1,9 @@
 """Fundamental invariants, exact polarizations and the sigma vector on sl3.
 
 The invariants are characteristic-polynomial coefficients, so evaluation
-is exact integer/rational arithmetic; polarizations are produced by exact
-interpolation and satisfy their defining identity on the nose.
+is exact integer/rational arithmetic; polarizations are read as signed
+digits off the characteristic polynomial of one integer matrix (Kronecker
+substitution) and satisfy their defining identity on the nose.
 """
 
 import random

@@ -10,8 +10,8 @@ system's order, negative root vectors); each basis vector is 1 on a cell
 where all later ones vanish, so coordinates are read off matrix cells.
 
 Fundamental invariants are characteristic-polynomial coefficients, so every
-evaluation is exact; their two-variable polarizations are computed by exact
-interpolation at integer parameters and re-checked at a held-out point.
+evaluation is exact; by Kronecker substitution, their polarizations are the
+signed base-2^K digits of the char-poly coefficients of X + 2^K Y (_pencil).
 Group elements carry their inverses in closed form (exp m = I + m + m^2/2
 with exp -m, as a root vector has m^3 = 0; diag p with diag 1/p), so
 nothing is inverted by elimination and integral elements keep int entries.
@@ -28,6 +28,7 @@ in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import lcm, perm
 
 from . import linalg as la
 from .roots import RootSystem, build_root_system
@@ -342,44 +343,50 @@ class MatrixLieAlgebra:
         coeffs = la.char_poly(x)
         return tuple(coeffs[d - 1] for d in self.degrees)
 
-    def eval_p(self, i: int, x):
+    def _index(self, i: int) -> int:
+        """Position of invariant i (1..rank) in the degree-ordered tuples."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"invariant index {i} out of range")
-        return self.eval_all_p(x)[i - 1]
+        return i - 1
 
-    def polarize_all(self, x, y, verify: bool = True):
+    def eval_p(self, i: int, x):
+        return self.eval_all_p(x)[self._index(i)]
+
+    def _pencil(self, x, y):
+        """(L, K, z): z = X + 2^K Y for X = L x, Y = L y, L the lcm of their denominators.
+
+        c_k(X + t Y) is +- a sum of perm(N, k) products of k entries X_e + t Y_e,
+        so with M = max(1, max |entry| of X, Y) its t^j coefficient is at most
+        perm(N, k) (2M)^k in absolute value, as is that of each entry of Faddeev's
+        M_{k-1}, a derivative of c_k.  For k <= d_max that is below 2^(K-1), so the
+        signed base-2^K digits of c_k(z) and of M_{k-1}(z) are their t-coefficients.
+        """
+        entries = la.flatten(x) + la.flatten(y)
+        lcd = lcm(*(e.denominator for e in entries))
+        bound = max(1, int(lcd * max(map(abs, entries))))
+        dmax = self.degrees[-1]
+        bits = (perm(self.size, dmax) * (2 * bound) ** dmax).bit_length() + 1
+        high = lcd << bits
+        z = tuple(tuple(int(lcd * a + high * b) for a, b in zip(*rows)) for rows in zip(x, y))
+        return lcd, bits, z
+
+    def polarize_all(self, x, y):
         """Polarization coefficient lists of every invariant at (x, y).
 
-        Entry i-1 lists (p_i^(0)(x,y), ..., p_i^(d_i)(x,y)), computed by
-        interpolating t -> p_i(x + t y) at t = 0..d_i and, when ``verify``,
-        re-checked at the held-out point t = d_max + 1.
+        Entry i-1 lists (p_i^(0)(x,y), ..., p_i^(d_i)(x,y)), the coefficients of
+        p_i(x + t y): the signed digits of c_{d_i}(z), z from _pencil, over L^{d_i}.
         """
-        dmax = self.degrees[-1]
-        values = []
-        for t in range(dmax + 1):
-            values.append(self.eval_all_p(la.add(x, la.scale(t, y))))
-        out = []
-        for idx, d in enumerate(self.degrees):
-            coeffs = la.interpolate([values[t][idx] for t in range(d + 1)])
-            out.append(tuple(coeffs))
-        if verify:
-            t = dmax + 1
-            held = self.eval_all_p(la.add(x, la.scale(t, y)))
-            for idx, coeffs in enumerate(out):
-                total = sum(c * t**k for k, c in enumerate(coeffs))
-                if total != held[idx]:
-                    raise ArithmeticError("polarization interpolation failed self-check")
-        return tuple(out)
+        lcd, bits, z = self._pencil(x, y)
+        coeffs = la.char_poly(z)
+        digits = [la.signed_digits(coeffs[d - 1], bits, d + 1) for d in self.degrees]
+        return tuple(tuple(la.ratio(c, lcd**d) for c in ds) for d, ds in zip(self.degrees, digits))
 
-    def polarize(self, i: int, x, y, verify: bool = True):
-        return self.polarize_all(x, y, verify=verify)[i - 1]
+    def polarize(self, i: int, x, y):
+        return self.polarize_all(x, y)[self._index(i)]
 
-    def sigma(self, x, y, verify: bool = False):
+    def sigma(self, x, y):
         """The full polarization vector, length borel_dim + rank."""
-        out = []
-        for coeffs in self.polarize_all(x, y, verify=verify):
-            out.extend(coeffs)
-        return tuple(out)
+        return tuple(c for coeffs in self.polarize_all(x, y) for c in coeffs)
 
     # -- gradients -------------------------------------------------------------
 
@@ -395,29 +402,31 @@ class MatrixLieAlgebra:
         """d/dt p_i(x + t v) at t = 0, for every invariant i."""
         return tuple(la.trace_mul(g, v) for g in self.gradient_matrices(x))
 
-    def epsilon_all(self, x):
-        """Trace-form gradients in g: G - (tr G / N) I on sl, (G - mirror(G)) / 2 on so/sp."""
-        grads = self.gradient_matrices(x)
+    def _project(self, g):
+        """Trace-form projection onto g: G - (tr G / N) I on sl, (G - mirror(G)) / 2 on so/sp."""
         if self.family == "A":
-            ident = la.identity(self.size)
-            return tuple(la.sub(g, la.scale(la.ratio(la.trace(g), len(g)), ident)) for g in grads)
-        return tuple(la.divide(la.sub(g, self._mirror(g)), 2) for g in grads)
+            return la.sub(g, la.scale(la.ratio(la.trace(g), len(g)), la.identity(len(g))))
+        return la.divide(la.sub(g, self._mirror(g)), 2)
+
+    def epsilon_all(self, x):
+        """Trace-form gradients in g, the projections of the gradient matrices."""
+        return tuple(self._project(g) for g in self.gradient_matrices(x))
 
     def epsilon(self, i: int, x):
-        return self.epsilon_all(x)[i - 1]
+        return self.epsilon_all(x)[self._index(i)]
 
     def epsilon_polarize(self, i: int, x, y):
-        """The d_i polarizations of the gradient of p_i at (x, y)."""
-        d = self.degrees[i - 1]
-        mats = [self.epsilon_all(la.add(x, la.scale(t, y)))[i - 1] for t in range(d)]
-        n = self.size
-        out = [[[0] * n for _ in range(n)] for _ in range(d)]
-        for a in range(n):
-            for b in range(n):
-                coeffs = la.interpolate([m[a][b] for m in mats])
-                for k in range(d):
-                    out[k][a][b] = coeffs[k]
-        return [la.mat(m) for m in out]
+        """The d_i polarizations of the gradient of p_i at (x, y).
+
+        The entries of G_i(z) = -M_{d_i-1}(z), z from _pencil, hold those of G_i(x + t y)
+        as signed digits times L^{d_i-1}; each digit matrix is projected onto g.
+        """
+        d = self.degrees[self._index(i)]
+        lcd, bits, z = self._pencil(x, y)
+        _, aux = la.faddeev(z)
+        # row a of digit matrix k holds digit k of each entry in row a of -M_{d-1}(z)
+        rows = [zip(*(la.signed_digits(-e, bits, d) for e in row)) for row in aux[d - 1]]
+        return [la.divide(self._project(part), lcd ** (d - 1)) for part in zip(*rows)]
 
     def pencil_regularity_witness(self, x, y):
         """Sampled check that the pencil of (x, y) avoids non-regular elements.

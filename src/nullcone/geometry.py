@@ -339,7 +339,7 @@ def sigma_pencil_consistency(alg: MatrixLieAlgebra, x, y, t_points) -> bool:
     t_points = list(t_points)
     if len(t_points) != alg.degrees[-1] + 1 or len(set(t_points)) != len(t_points):
         raise ValueError("need max-degree + 1 pairwise distinct parameters")
-    pols = alg.polarize_all(x, y, verify=False)
+    pols = alg.polarize_all(x, y)
     for t in t_points:
         direct = alg.eval_all_p(la.add(x, la.scale(t, y)))
         for idx in range(alg.rank):

@@ -10,7 +10,9 @@ input is scaled to integers once, by an exact identity.  Rank goes
 through fraction-free (Bareiss) elimination; the characteristic
 polynomial is one division-free Berkowitz pass.  ``faddeev`` builds its
 auxiliary matrices from those coefficients by Horner's rule; ``rref``
-remains for kernels, solutions and inverses.
+remains for kernels, solutions and inverses (``inverse`` serves the tests and
+the benchmark's trace).  ``signed_digits`` reads an integer polynomial's
+coefficients off its value at 2^K (Kronecker substitution).
 
 ``mul`` builds each row of a b as a combination of b's rows, one term per
 nonzero entry of a's row, so the sparse basis matrices and triangular group
@@ -21,7 +23,6 @@ elements of :mod:`nullcone.algebra` cost only their nonzero cells;
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul as mul_op
 from typing import Sequence
@@ -248,25 +249,20 @@ def faddeev(rows):
     return coeffs, aux
 
 
-@lru_cache(maxsize=None)
-def _vandermonde_inverse(npoints: int):
-    """(D, D * V^-1) for the Vandermonde matrix V of the nodes 0..npoints-1.
+def signed_digits(value: int, bits: int, count: int) -> tuple:
+    """Signed base-2^bits digits of value, lowest first, each in [-2^(bits-1), 2^(bits-1)).
 
-    D is the least common denominator, so D * V^-1 has integer entries and
-    interpolation divides once per coefficient.
+    Being unique, they are the coefficients of the integer polynomial in that range
+    with this value at 2^bits.  Raises ArithmeticError if a carry outlasts count digits.
     """
-    inv = inverse([[t**k for k in range(npoints)] for t in range(npoints)])
-    d = lcm(*(x.denominator for row in inv for x in row))
-    return d, tuple(tuple(int(x * d) for x in row) for row in inv)
-
-
-def interpolate(values) -> tuple:
-    """Coefficients of the polynomial with the given values at 0, 1, 2, ....
-
-    Integral coefficients come back as plain ints, the others as Fractions.
-    """
-    d, scaled = _vandermonde_inverse(len(values))
-    return tuple(ratio(sum(map(mul_op, row, values)), d) for row in scaled)
+    half = 1 << (bits - 1)
+    out = []
+    for _ in range(count):
+        out.append((value + half) % (half << 1) - half)
+        value = (value - out[-1]) >> bits
+    if value:
+        raise ArithmeticError(f"{count} signed base-2^{bits} digits leave a carry")
+    return tuple(out)
 
 
 def char_poly(rows) -> tuple:

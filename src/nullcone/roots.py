@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # pairings with the simple coroots
@@ -33,21 +34,14 @@ POSITIVE_ROOT_COUNTS = {
 }
 
 WEYL_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @dataclass(frozen=True)

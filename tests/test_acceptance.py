@@ -189,7 +189,7 @@ def test_c05_polarization_identity_200_samples_each():
             x = alg.random_element(rng, 2)
             y = alg.random_element(rng, 2)
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            pols = alg.polarize_all(x, y, verify=False)
+            pols = alg.polarize_all(x, y)
             direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
             for idx, d in enumerate(alg.degrees):
                 lhs = sum(

@@ -7,9 +7,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interpolation import interpolate
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
+from nullcone.report import ALGEBRA_TYPES
 
 E = ((0, 1), (0, 0))
 F = ((0, 0), (1, 0))
@@ -380,12 +382,114 @@ def test_polarization_identity_property(data):
     y = la.mat([[data.draw(ent) for _ in range(3)] for _ in range(3)])
     y = la.sub(y, la.scale(Q(la.trace(y), 3), la.identity(3)))
     a, b = data.draw(ent), data.draw(ent)
-    pols = alg.polarize_all(x, y, verify=False)
+    pols = alg.polarize_all(x, y)
     direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
     for idx, d in enumerate(alg.degrees):
         assert direct[idx] == sum(
             Q(a) ** (d - n) * Q(b) ** n * c for n, c in enumerate(pols[idx])
         )
+
+
+def polarize_by_interpolation(alg, x, y):
+    """Reference polarizations: p(x + t y) at t = 0..d_max, interpolated per invariant."""
+    values = [alg.eval_all_p(la.add(x, la.scale(t, y))) for t in range(alg.degrees[-1] + 1)]
+    return tuple(
+        interpolate([values[t][idx] for t in range(d + 1)]) for idx, d in enumerate(alg.degrees)
+    )
+
+
+def epsilon_polarize_by_interpolation(alg, i, x, y):
+    """Reference gradient polarizations: eps_i(x + t y) at t = 0..d_i - 1, interpolated by entry."""
+    d = alg.degrees[i - 1]
+    mats = [alg.epsilon(i, la.add(x, la.scale(t, y))) for t in range(d)]
+    n = alg.size
+    coeffs = [[interpolate([m[a][b] for m in mats]) for b in range(n)] for a in range(n)]
+    return [la.mat([[c[k] for c in row] for row in coeffs]) for k in range(d)]
+
+
+# basis coefficients: small and large integers, and fractions of mixed denominators
+_coefficients = st.sampled_from([
+    st.integers(-2, 2),
+    st.integers(-1024, 1024),
+    st.builds(Q, st.integers(-1024, 1024), st.integers(1, 12)),
+])
+
+
+@st.composite
+def pencil_pairs(draw, alg):
+    """(x, y) on alg: independent, y = 0, y = x, or y a multiple of x, in either order."""
+    coefficient = draw(_coefficients)
+
+    def element():
+        where = draw(st.sampled_from(sorted(alg.subspace_indices)))
+        out = la.zeros(alg.size, alg.size)
+        for k in alg.subspace_indices[where]:
+            out = la.add(out, la.scale(draw(coefficient), alg.basis[k]))
+        return la.whole(out)
+
+    x = element()
+    kind = draw(st.sampled_from(["independent", "zero", "equal", "multiple"]))
+    if kind == "independent":
+        y = element()
+    elif kind == "zero":
+        y = la.zeros(alg.size, alg.size)
+    elif kind == "equal":
+        y = x
+    else:  # the pair spans a line
+        y = la.whole(la.scale(draw(st.builds(Q, st.integers(-9, 9), st.integers(1, 5))), x))
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_polarizations_match_interpolation_oracles(name, data):
+    alg = build_algebra(name[0], int(name[1:]))
+    x, y = data.draw(pencil_pairs(alg))
+    pols = alg.polarize_all(x, y)
+    expected = polarize_by_interpolation(alg, x, y)
+    assert pols == expected
+    assert [type(c) for p in pols for c in p] == [type(c) for p in expected for c in p]
+    i = data.draw(st.integers(1, alg.rank))  # the oracle costs d_i gradient evaluations
+    assert alg.epsilon_polarize(i, x, y) == epsilon_polarize_by_interpolation(alg, i, x, y)
+
+
+@pytest.mark.parametrize("fam,rk", [("A", 3), ("B", 2), ("C", 3)])
+def test_one_kernel_call_per_pencil(fam, rk, monkeypatch):
+    # every polarization comes from one char_poly, every gradient polarization from one faddeev
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"one-call:{fam}{rk}")
+    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
+    calls = []
+
+    def counted(name, kernel):
+        return lambda m: calls.append(name) or kernel(m)
+
+    for name in ("char_poly", "faddeev"):
+        monkeypatch.setattr(la, name, counted(name, getattr(la, name)))
+    alg.polarize_all(x, y)
+    assert calls == ["char_poly"]
+    calls.clear()
+    alg.epsilon_polarize(rk, x, y)
+    assert calls == ["faddeev", "char_poly"]  # faddeev's own coefficients
+
+
+@pytest.mark.parametrize("fam,rk", [("A", 2), ("B", 2), ("C", 3)])
+def test_invariant_index_out_of_range_is_rejected(fam, rk):
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"index:{fam}{rk}")
+    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
+    for i in (0, -1, rk + 1):
+        for method, args in [
+            (alg.eval_p, (x,)),
+            (alg.polarize, (x, y)),
+            (alg.epsilon, (x,)),
+            (alg.epsilon_polarize, (x, y)),
+        ]:
+            with pytest.raises(ValueError, match="out of range"):
+                method(i, *args)
 
 
 def test_sigma_on_nilradical_pairs_vanishes():
@@ -414,7 +518,7 @@ def test_epsilon_gradient_pairing_dual_routes():
         alg = build_algebra(fam, rk)
         x = alg.random_element(rng, 2)
         v = alg.random_element(rng, 2)
-        # the t^1 coefficients of p_i(x + t v), by interpolation of char_poly
+        # the t^1 coefficients of p_i(x + t v), read off one char_poly
         assert alg.directional_derivatives(x, v) == tuple(
             coeffs[1] for coeffs in alg.polarize_all(x, v)
         )

@@ -9,6 +9,7 @@ from operator import index
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interpolation import interpolate
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, build_algebra
@@ -75,7 +76,7 @@ def char_poly_by_interpolation(rows) -> tuple:
         bareiss_det([[(t if a == b else 0) - x for b, x in enumerate(row)] for a, row in enumerate(m)])
         for t in range(n + 1)
     ]
-    poly = la.interpolate(values)  # coefficients of t^0..t^n
+    poly = interpolate(values)  # coefficients of t^0..t^n
     assert all(isinstance(c, int) for c in poly)
     return tuple(la.ratio(c, d**k) for k, c in enumerate(poly[-2::-1], start=1))
 
@@ -363,6 +364,51 @@ def test_solve_and_inverse():
     with pytest.raises(ValueError):
         la.inverse([[1, 1], [1, 1]])
     assert la.solve([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def _digit_vectors():
+    """(bits, digits): digits in [-2^(bits-1), 2^(bits-1)), extremes drawn often."""
+
+    def vectors(bits):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        digit = st.one_of(st.sampled_from([lo, hi, 0]), st.integers(lo, hi))
+        return st.tuples(st.just(bits), st.lists(digit, min_size=1, max_size=8))
+
+    return st.integers(2, 70).flatmap(vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_digit_vectors())
+def test_signed_digits_round_trip(case):
+    bits, digits = case
+    value = sum(d << (bits * j) for j, d in enumerate(digits))
+    assert la.signed_digits(value, bits, len(digits)) == tuple(digits)
+    # extra digits above the value read as zeros
+    assert la.signed_digits(value, bits, len(digits) + 2) == tuple(digits) + (0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_digit_vectors(), st.sampled_from([-1, 1]))
+def test_signed_digits_raise_on_a_leftover_carry(case, sign):
+    bits, digits = case
+    top = len(digits)
+    value = sum(d << (bits * j) for j, d in enumerate(digits)) + (sign << (bits * top))
+    with pytest.raises(ArithmeticError):
+        la.signed_digits(value, bits, top)
+    assert la.signed_digits(value, bits, top + 1) == tuple(digits) + (sign,)
+
+
+def test_signed_digits_at_the_ends_of_the_range():
+    for bits in (2, 3, 8, 61):
+        half = 1 << (bits - 1)
+        assert la.signed_digits(-half, bits, 1) == (-half,)
+        assert la.signed_digits(half - 1, bits, 1) == (half - 1,)
+        with pytest.raises(ArithmeticError):
+            la.signed_digits(half, bits, 1)  # 2^(bits-1) needs a second digit
+        assert la.signed_digits(half, bits, 2) == (-half, 1)
+        with pytest.raises(ArithmeticError):
+            la.signed_digits(-half - 1, bits, 1)
+    assert la.signed_digits(0, 5, 3) == (0, 0, 0)
 
 
 def test_nilpotent_exp_and_span_helpers():
