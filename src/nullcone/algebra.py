@@ -415,18 +415,24 @@ class MatrixLieAlgebra:
     def epsilon(self, i: int, x):
         return self.epsilon_all(x)[self._index(i)]
 
-    def epsilon_polarize(self, i: int, x, y):
-        """The d_i polarizations of the gradient of p_i at (x, y).
+    def epsilon_polarize_all(self, x, y):
+        """The d_i polarizations of the gradient of every p_i at (x, y).
 
         The entries of G_i(z) = -M_{d_i-1}(z), z from _pencil, hold those of G_i(x + t y)
         as signed digits times L^{d_i-1}; each digit matrix is projected onto g.
+        One faddeev(z) holds every M_{d_i-1}.
         """
-        d = self.degrees[self._index(i)]
         lcd, bits, z = self._pencil(x, y)
         _, aux = la.faddeev(z)
-        # row a of digit matrix k holds digit k of each entry in row a of -M_{d-1}(z)
-        rows = [zip(*(la.signed_digits(-e, bits, d) for e in row)) for row in aux[d - 1]]
-        return [la.divide(self._project(part), lcd ** (d - 1)) for part in zip(*rows)]
+        out = []
+        for d in self.degrees:
+            # row a of digit matrix k holds digit k of each entry in row a of -M_{d-1}(z)
+            rows = [zip(*(la.signed_digits(-e, bits, d) for e in row)) for row in aux[d - 1]]
+            out.append([la.divide(self._project(part), lcd ** (d - 1)) for part in zip(*rows)])
+        return tuple(out)
+
+    def epsilon_polarize(self, i: int, x, y):
+        return self.epsilon_polarize_all(x, y)[self._index(i)]
 
     def pencil_regularity_witness(self, x, y):
         """Sampled check that the pencil of (x, y) avoids non-regular elements.
@@ -464,9 +470,7 @@ class MatrixLieAlgebra:
         witness = self.pencil_regularity_witness(x, y)
         if witness is not None:
             raise ValueError(f"pencil regularity failed at {witness!r}")
-        mats = []
-        for i in range(1, self.rank + 1):
-            mats.extend(self.epsilon_polarize(i, x, y))
+        mats = [m for parts in self.epsilon_polarize_all(x, y) for m in parts]
         vectors = [la.flatten(m) for m in mats]
         return SpanReport(
             vectors=tuple(mats),

@@ -293,12 +293,12 @@ def _invariants_checks(config: RunConfig, tname: str):
 
     def gradient_pairing(rng):
         x = alg.random_element(rng, 2)
-        eps = alg.epsilon_all(x)
-        for v in alg.basis:
-            derivs = alg.directional_derivatives(x, v)
-            if any(alg.trace_form(eps[i], v) != derivs[i] for i in range(alg.rank)):
-                return False
-        return True
+        pairs = tuple(zip(alg.epsilon_all(x), alg.gradient_matrices(x)))
+        return all(
+            alg.trace_form(eps, v) == la.trace_mul(grad, v)
+            for v in alg.basis
+            for eps, grad in pairs
+        )
 
     yield _result(
         f"invariants/{tname}/gradient-pairing",
@@ -312,13 +312,13 @@ def _invariants_checks(config: RunConfig, tname: str):
         y = alg.random_element(rng, 2)
         a, b = 2, 3
         target = alg.epsilon_all(la.add(la.scale(a, x), la.scale(b, y)))
-        for i, d in enumerate(alg.degrees, start=1):
+        for d, parts, want in zip(alg.degrees, alg.epsilon_polarize_all(x, y), target):
             total = la.zeros(alg.size, alg.size)
-            for m, part in enumerate(alg.epsilon_polarize(i, x, y)):
+            for m, part in enumerate(parts):
                 total = la.add(
                     total, la.scale(a ** (d - m - 1) * b**m, part)
                 )
-            if total != target[i - 1]:
+            if total != want:
                 return False
         return True
 

@@ -1,23 +1,22 @@
 """Finite Weyl groups: generation, reduced words, torus-fixed Borel data.
 
-Elements act on the roots; the action is stored as a permutation of the
-full root list (positive roots first, then their negatives), which both
-composes cheaply (one ``operator.itemgetter`` call per simple reflection)
-and makes inversion counting a table scan.  Elements are deduplicated by
-their action (words are not canonical); generation is a breadth-first
-closure over right multiplication by simple reflections that skips the
-descents of each element (w s_i is shorter than w iff w(alpha_i) < 0, so
-it was found at an earlier level), and the stored word of each element is
-its lexicographically smallest reduced word.  Each group is enumerated,
-and its torus-fixed Borels counted, once per process and root system; the
-group is immutable once generated.
+Elements act on the roots; the action is stored as a ``bytes`` permutation
+of the full root list (positive roots first, then their negatives), so that
+2m <= 255 roots fit a byte each.  A simple reflection is a 256-byte table
+S_i with S_i[k] the index of s_i(root k), and left multiplication is one
+C-level call: perm(s_i w) = perm(w).translate(S_i).  Generation walks the
+group level by level by left multiplication, skipping the letters that
+shorten an element (s_i w is longer than w iff w^{-1}(alpha_i) > 0, iff
+alpha_i lies in w(R+)), and deduplicates elements by their action; the
+stored word of each element is its lexicographically smallest reduced
+word.  Each group is enumerated, and its torus-fixed Borels counted, once
+per process and root system; the group is immutable once generated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .roots import RootSystem, WEYL_ORDERS
 
@@ -36,21 +35,26 @@ def _root_index(rs: RootSystem):
 
 
 @lru_cache(maxsize=None)
-def _right_multipliers(rs: RootSystem):
-    """One getter per simple reflection s_i, sending the permutation of w
-    to that of w s_i: (w s_i)(r) = w(s_i(r)), read through s_i's image table.
+def _reflections(rs: RootSystem) -> tuple:
+    """(index of alpha_i, table S_i) per letter i, with S_i[k] the index of s_i(root k).
+
+    Indices are bytes, and 0xff stays free for the Borel keys: at most 255 roots.
     """
     all_roots, index = _root_index(rs)
+    if len(all_roots) > 255:
+        raise ValueError(f"{rs.stype} has {len(all_roots)} roots, above the 255 bytes can index")
+    rest = bytes(range(len(all_roots), 256))
+    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
     return tuple(
-        itemgetter(*(index[rs.reflect_root(r, i)] for r in all_roots))
-        for i in range(1, rs.rank + 1)
+        (index[alpha], bytes(index[rs.reflect_root(r, i)] for r in all_roots) + rest)
+        for i, alpha in enumerate(simple, 1)
     )
 
 
 @dataclass(frozen=True, slots=True)
 class WeylElement:
     word: tuple  # lexicographically smallest reduced word, 1-based indices
-    perm: tuple  # image indices of the full root list under the action
+    perm: bytes  # image indices of the full root list under the action
 
     def __len__(self) -> int:
         return len(self.word)
@@ -102,42 +106,42 @@ _GROUPS: dict = {}  # root system -> its group, enumerated on first request
 
 
 def _enumerate_weyl(rs: RootSystem) -> tuple:
-    multipliers = _right_multipliers(rs)
+    # Level L+1 holds the elements of length L+1; s_i w lies on it, for w on
+    # level L, iff alpha_i is in w(R+).  A reduced word of u starts with a left
+    # descent i of u and continues with a reduced word of s_i u, so u's
+    # lexicographically smallest reduced word is (i0,) + that of s_i0 u, with
+    # i0 its smallest left descent.  Letters run on the outside, so u is first
+    # reached at letter i0, from s_i0 u, whose stored word is lex-min by
+    # induction.  Within letter i's block the new words (i,) + word(w) follow
+    # the previous level's word order, and blocks follow i: every level comes
+    # out sorted by word, and the whole group by (length, word).
     m = rs.num_positive
-    _, index = _root_index(rs)
-    simple = [
-        index[tuple(1 if j == i else 0 for j in range(rs.rank))] for i in range(rs.rank)
-    ]
-    letters = tuple(zip(range(1, rs.rank + 1), simple, multipliers))
-    ident = tuple(range(2 * m))
-    seen = {ident: ()}
-    frontier = [(ident, ())]
-    while frontier:
+    letters = tuple(enumerate(_reflections(rs), start=1))
+    level = [(bytes(range(2 * m)), ())]
+    seen = dict(level)
+    while level:
         nxt = []
-        for perm, word in frontier:
-            for letter, alpha, times_s in letters:
-                if perm[alpha] >= m:
-                    continue  # w(alpha_i) < 0: w s_i is shorter, already seen
-                p2 = times_s(perm)
+        for letter, (alpha, table) in letters:
+            for perm, word in level:
+                if perm.find(alpha, 0, m) < 0:
+                    continue  # alpha_i not in w(R+): s_i w is shorter, already seen
+                p2 = perm.translate(table)
                 if p2 not in seen:
-                    w2 = word + (letter,)
-                    seen[p2] = w2
+                    seen[p2] = w2 = (letter,) + word
                     nxt.append((p2, w2))
-        frontier = nxt
+        level = nxt
     order = weyl_order(rs)
     if len(seen) != order:
         raise AssertionError(f"generated {len(seen)} elements, expected {order}")
-    elems = [WeylElement(word=w, perm=p) for p, w in seen.items()]
-    # the closure already finds elements in this order; sorting keeps the
-    # order from resting on that
-    return tuple(sorted(elems, key=lambda e: (len(e.word), e.word)))
+    return tuple(WeylElement(word=w, perm=p) for p, w in seen.items())
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
-    multipliers = _right_multipliers(rs)
-    perm = tuple(range(2 * rs.num_positive))
-    for i in word:
-        perm = multipliers[i - 1](perm)
+    """The element s_{a_1} ... s_{a_q}, its tables applied from the last letter to the first."""
+    tables = _reflections(rs)
+    perm = bytes(range(2 * rs.num_positive))
+    for i in reversed(word):
+        perm = perm.translate(tables[i - 1][1])
     return WeylElement(word=tuple(word), perm=perm)
 
 
@@ -153,8 +157,7 @@ class TorusBorel:
     w: WeylElement
 
     def positive_set(self, rs: RootSystem) -> frozenset:
-        m = rs.num_positive
-        return frozenset(self.w.perm[j] for j in range(m))
+        return frozenset(self.w.perm[: rs.num_positive])
 
     def contains_support(self, rs: RootSystem, support) -> bool:
         """Whether w(b) contains nilpotents supported on the given roots.
@@ -172,8 +175,9 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
 
     Computed from the root-image sets rather than from |W|, so the test
     that this equals the group order is not circular.  Each set w(R+) is
-    keyed by its sorted tuple of root indices, the same set as
-    ``TorusBorel(w).positive_set`` at a fraction of a frozenset's memory.
+    keyed by its indicator: the identity on the 2m root indices with those
+    in w(R+) overwritten by 0xff, which no index reaches, so equal keys mean
+    equal sets, the same sets as ``TorusBorel(w).positive_set``.
     The group that ``generate_weyl`` returns is counted once per root
     system; any other sequence is counted on every call.
     """
@@ -184,7 +188,8 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
 
 def _count_borels(rs: RootSystem, group) -> int:
     m = rs.num_positive
-    return len({tuple(sorted(w.perm[:m])) for w in group})
+    mark = b"\xff" * m
+    return len({bytes.maketrans(w.perm[:m], mark)[: 2 * m] for w in group})
 
 
 @lru_cache(maxsize=None)
@@ -214,29 +219,24 @@ def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
         if not rs.is_positive_root(s):
             raise ValueError(f"support root {s} is not positive")
         if not all(x >= 0 for x in _inverse_image(rs, w, s)):
-            raise ValueError(
-                f"precondition failed: w^(-1){s} is not a positive root"
-            )
-    multipliers = _right_multipliers(rs)
-    perm = tuple(range(2 * rs.num_positive))
-    chain = [WeylElement(word=(), perm=perm)]
+            raise ValueError(f"precondition failed: w^(-1){s} is not a positive root")
+    m = rs.num_positive
+    reflections = _reflections(rs)
+    _, index = _root_index(rs)
+    targets = [(s, index[s]) for s in support]
+    ident = bytes(range(2 * m))
+    inv = ident  # perm of w_q^{-1} = s_{a_q} w_{q-1}^{-1}
+    chain = [WeylElement(word=(), perm=ident)]
     for q, letter in enumerate(w.word, 1):
-        perm = multipliers[letter - 1](perm)
-        chain.append(WeylElement(word=w.word[:q], perm=perm))
-    # defensive verification of the step conditions
-    for step in range(1, len(chain)):
-        prev, letter = chain[step - 1], w.word[step - 1]
-        alpha = tuple(1 if j == letter - 1 else 0 for j in range(rs.rank))
-        for s in support:
-            pre = _inverse_image(rs, prev, s)
-            if not all(x >= 0 for x in pre) or pre == alpha:
-                raise AssertionError(
-                    f"chain step {step}: support {s} left the parabolic nilradical"
-                )
-    for elem in chain:
-        for s in support:
-            if not all(x >= 0 for x in _inverse_image(rs, elem, s)):
-                raise AssertionError("intermediate Borel lost the support")
+        alpha, table = reflections[letter - 1]
+        # defensive verification of the step condition on w_{q-1}^{-1}(S)
+        for s, k in targets:
+            if inv[k] >= m or inv[k] == alpha:
+                raise AssertionError(f"chain step {q}: support {s} left the parabolic nilradical")
+        inv = inv.translate(table)
+        chain.append(WeylElement(word=w.word[:q], perm=bytes.maketrans(inv, ident)[: 2 * m]))
+    if any(inv[k] >= m for _, k in targets):
+        raise AssertionError("the last Borel lost the support")
     return chain
 
 

@@ -11,7 +11,7 @@ from interpolation import interpolate
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
-from nullcone.report import ALGEBRA_TYPES
+from nullcone.report import ALGEBRA_TYPES, _regular_pencil_pair
 
 E = ((0, 1), (0, 0))
 F = ((0, 0), (1, 0))
@@ -474,6 +474,9 @@ def test_one_kernel_call_per_pencil(fam, rk, monkeypatch):
     calls.clear()
     alg.epsilon_polarize(rk, x, y)
     assert calls == ["faddeev", "char_poly"]  # faddeev's own coefficients
+    calls.clear()
+    alg.borel_span(*_regular_pencil_pair(alg, rng))  # every invariant's polarizations
+    assert calls == ["faddeev", "char_poly"]
 
 
 @pytest.mark.parametrize("fam,rk", [("A", 2), ("B", 2), ("C", 3)])

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullcone import weyl
 from nullcone.roots import build_root_system
@@ -135,7 +137,7 @@ def test_connectivity_transport_between_two_torus_borels():
         inv_v = [0] * len(v.perm)
         for j, img in enumerate(v.perm):
             inv_v[img] = j
-        u = by_perm[tuple(inv_v[w.perm[j]] for j in range(len(w.perm)))]
+        u = by_perm[bytes(inv_v[w.perm[j]] for j in range(len(w.perm)))]
         translated = [_inverse_image(rs, v, s) for s in support]
         chain = chain_of_lines(rs, translated, u)
         assert chain[-1].perm == u.perm
@@ -174,7 +176,7 @@ def _oracle_weyl(rs):
                     seen[p2] = word + (i + 1,)
                     nxt.append((p2, seen[p2]))
         frontier = nxt
-    return sorted(((w, p) for p, w in seen.items()), key=lambda wp: (len(wp[0]), wp[0]))
+    return sorted(((w, bytes(p)) for p, w in seen.items()), key=lambda wp: (len(wp[0]), wp[0]))
 
 
 ORACLE_TYPES = [
@@ -210,6 +212,72 @@ def test_e6_order_words_and_sampled_lengths():
     assert borels_containing_torus(rs, group) == len(
         {TorusBorel(w).positive_set(rs) for w in group}
     )
+
+
+def test_e6_walk_gives_every_element_its_lex_min_reduced_word():
+    rs = build_root_system("E", 6)
+    group = generate_weyl(rs)
+    m = rs.num_positive
+    rest = bytes(range(2 * m, 256))
+    left = {i: element_from_word(rs, (i,)).perm + rest for i in range(1, rs.rank + 1)}
+    by_perm = {w.perm: w for w in group}
+    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
+    for w in group[1:]:
+        assert len(w.word) == inversions(rs, w)
+        first = w.word[0]
+        # s_first w is one letter shorter and stores the rest of the word
+        assert by_perm[w.perm.translate(left[first])].word == w.word[1:]
+        # the first letter is the smallest left descent: alpha_i outside w(R+)
+        borel = TorusBorel(w)
+        descents = [i for i, a in enumerate(simple, 1) if not borel.contains_support(rs, [a])]
+        assert descents and descents[0] == first
+
+
+COUNT_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_torus_borel_count_equals_the_frozenset_oracle(data):
+    rs = build_root_system(*data.draw(st.sampled_from(COUNT_TYPES)))
+    group = generate_weyl(rs)
+    m = rs.num_positive
+
+    def oracle(elems):
+        return len({TorusBorel(w).positive_set(rs) for w in elems})
+
+    real = {TorusBorel(w).positive_set(rs) for w in group}
+    # one non-identity reordering of the m positions lists every w(R+) differently
+    order = data.draw(st.permutations(range(m)).filter(lambda o: o != list(range(m))))
+    relisted = [WeylElement(w.word, bytes(w.perm[k] for k in order) + w.perm[m:]) for w in group]
+    missing = list(group)
+    del missing[data.draw(st.integers(0, len(group) - 1))]
+    fakes = [
+        WeylElement((), bytes(img) + bytes(range(m, 2 * m)))
+        for img in data.draw(
+            st.lists(
+                st.lists(st.integers(0, 2 * m - 1), min_size=m, max_size=m).filter(
+                    lambda img: frozenset(img) not in real
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    ]
+    planted = list(group) + fakes
+    data.draw(st.randoms(use_true_random=False)).shuffle(planted)
+    for elems in (group, list(group), list(group) + relisted, missing, planted, fakes):
+        assert borels_containing_torus(rs, elems) == oracle(elems)
+    assert oracle(list(group) + relisted) == len(group)
+    assert oracle(missing) == len(group) - 1
+
+
+def test_root_systems_beyond_byte_indices_are_refused():
+    rs = build_root_system("A", 16)  # 272 roots
+    with pytest.raises(ValueError, match="272 roots"):
+        element_from_word(rs, (1,))
+    with pytest.raises(WeylOrderError):
+        generate_weyl(rs)
 
 
 def test_group_is_enumerated_once_per_root_system():
