@@ -149,8 +149,13 @@ class RootSystem:
                     raise AssertionError("Cartan data is not symmetrizable as configured")
         self.positive_roots = self._enumerate_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
-        self._root_set = self._positive_set | frozenset(
-            tuple(-x for x in r) for r in self.positive_roots
+        # <r, beta_i^vee> = sum_j C[i][j] r_j for each of the 2m roots, negatives by negation
+        self._weights = {
+            r: tuple(sum(c * x for c, x in zip(row, r)) for row in self.cartan)
+            for r in self.positive_roots
+        }
+        self._weights.update(
+            {tuple(-x for x in r): tuple(-x for x in w) for r, w in self._weights.items()}
         )
         expected = POSITIVE_ROOT_COUNTS[stype.family](stype.rank)
         if len(self.positive_roots) != expected:
@@ -209,7 +214,7 @@ class RootSystem:
         return self.num_positive + self.rank
 
     def is_root(self, r) -> bool:
-        return tuple(r) in self._root_set
+        return tuple(r) in self._weights
 
     def is_positive_root(self, r) -> bool:
         return tuple(r) in self._positive_set
@@ -253,13 +258,10 @@ class RootSystem:
 
     def weight_of_root(self, r) -> Weight:
         """Coroot pairings <r, beta_i^vee> of a root (integer entries)."""
-        r = tuple(r)
-        if not self.is_root(r):
-            raise ValueError(f"{r} is not a root of {self.stype}")
-        return tuple(
-            sum(self.cartan[i][j] * r[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        w = self._weights.get(tuple(r))
+        if w is None:
+            raise ValueError(f"{tuple(r)} is not a root of {self.stype}")
+        return w
 
     def pairing(self, lam: Weight, r: Root):
         """<lam, r^vee> for a positive root r."""

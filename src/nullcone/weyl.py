@@ -2,15 +2,17 @@
 
 Elements act on the roots; the action is stored as a ``bytes`` permutation
 of the full root list (positive roots first, then their negatives), so that
-2m <= 255 roots fit a byte each.  A simple reflection is a 256-byte table
-S_i with S_i[k] the index of s_i(root k), and left multiplication is one
-C-level call: perm(s_i w) = perm(w).translate(S_i).  Generation walks the
-group level by level by left multiplication, skipping the letters that
-shorten an element (s_i w is longer than w iff w^{-1}(alpha_i) > 0, iff
-alpha_i lies in w(R+)), and deduplicates elements by their action; the
-stored word of each element is its lexicographically smallest reduced
-word.  Each group is enumerated, and its torus-fixed Borels counted, once
-per process and root system; the group is immutable once generated.
+2m <= 255 roots fit a byte each.  Composition is one C-level call,
+perm(v u) = perm(u).translate(perm(v) + the identity tail), and a simple
+reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k).
+Generation runs up the parabolic chain W_1 < W_2 < ... < W_n, where
+W_k = <s_1, ..., s_k>: W_k is every product of an element of W_{k-1} with
+one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
+3, 10, 16 and 27 on E6), so there is no deduplicating walk; the products
+must be pairwise distinct and exactly |W| many.  The stored word of each
+element is its lexicographically smallest reduced word.  Each group is
+enumerated, and its torus-fixed Borels counted, once per process and root
+system; the group is immutable once generated.
 """
 
 from __future__ import annotations
@@ -106,43 +108,113 @@ _GROUPS: dict = {}  # root system -> its group, enumerated on first request
 
 
 def _enumerate_weyl(rs: RootSystem) -> tuple:
-    # Level L+1 holds the elements of length L+1; s_i w lies on it, for w on
-    # level L, iff alpha_i is in w(R+).  A reduced word of u starts with a left
-    # descent i of u and continues with a reduced word of s_i u, so u's
-    # lexicographically smallest reduced word is (i0,) + that of s_i0 u, with
-    # i0 its smallest left descent.  Letters run on the outside, so u is first
-    # reached at letter i0, from s_i0 u, whose stored word is lex-min by
-    # induction.  Within letter i's block the new words (i,) + word(w) follow
-    # the previous level's word order, and blocks follow i: every level comes
-    # out sorted by word, and the whole group by (length, word).
+    # W_k = <s_1, ..., s_k> factors uniquely as W_k = W_{k-1} U_k, where
+    # U_k holds the minimal representatives u of the cosets W_{k-1} u: the
+    # u with no left descent below k.  Lengths add, l(v u) = l(v) + l(u).
+    #
+    # Words.  For i < k, s_i v u factors as (s_i v) u, so i is a left descent
+    # of v u iff it is one of v.  A v != e has a left descent, all below k,
+    # so the smallest left descent of v u is v's; stripping smallest left
+    # descents, which spells the lex-min reduced word, strips v first:
+    # lexmin(v u) = lexmin(v) + lexmin(u).  A u != e starts with k, its only
+    # left descent.
+    #
+    # Order.  List words with a proper prefix after its extensions, as if
+    # each ended in a letter above every other.  W_{k-1} and U_k are listed
+    # so, and the products, v on the outside, come out so too: for v1 != v2
+    # the first difference of v1 u1 and v2 u2 is that of v1 and v2, unless
+    # v1 is a proper prefix of v2; then v1 u1 has k or its end where v2 u2
+    # has a letter below k, and sorts after it, as v1 does after v2.  Words
+    # of one length are never proper prefixes of each other, so the stable
+    # sort by length below gives the (length, word) order.
+    n = 2 * rs.num_positive
+    rest = bytes(range(n, 256))
+    words, perms = [()], bytes(range(n))  # perms: every element's perm, joined
+    for k in range(1, rs.rank + 1):
+        reps = _coset_representatives(rs, k)
+        joined = b"".join(perm for _, perm in reps)
+        words = [v + u for v in words for u, _ in reps]
+        perms = b"".join(
+            joined.translate(perms[j : j + n] + rest) for j in range(0, len(perms), n)
+        )
+    # perms and elements are made in their final order, the order in which
+    # the Borel count walks them
+    lengths = list(map(len, words))
+    ranked = sorted(range(len(words)), key=lengths.__getitem__)
+    words = [words[j] for j in ranked]
+    perms = [perms[j * n : j * n + n] for j in ranked]
+    order = weyl_order(rs)
+    if len(perms) != order or len(set(perms)) != order:
+        raise AssertionError(
+            f"generated {len(set(perms))} distinct of {len(perms)} products, expected {order}"
+        )
+    return tuple(map(WeylElement, words, perms))
+
+
+def _coset_representatives(rs: RootSystem, k: int) -> list:
+    """(lex-min word, perm) of each minimal representative of W_{k-1} \\ W_k.
+
+    These are the u in W_k with no left descent below k; u s_j is again one
+    for every right descent s_j of u, so they are reached from e by right
+    multiplications that lengthen.  Listed by word, a proper prefix after
+    its extensions.
+    """
+    m = rs.num_positive
+    rest = bytes(range(2 * m, 256))
+    tables = _reflections(rs)[:k]
+    lower = [alpha for alpha, _ in tables[: k - 1]]
+    level = reps = [bytes(range(2 * m))]
+    while level:
+        longer = set()
+        for u in level:
+            table = u + rest
+            for alpha, s in tables:
+                if u[alpha] < m:  # u(alpha_j) > 0: u s_j is longer
+                    us = s[: 2 * m].translate(table)
+                    if all(us.find(a, 0, m) >= 0 for a in lower):
+                        longer.add(us)
+        level = list(longer)
+        reps = reps + level
+    # letters run up to k, so k + 1 ends each word above every letter
+    return sorted(((_lex_min_word(rs, u), u) for u in reps), key=lambda r: r[0] + (k + 1,))
+
+
+def _lex_min_word(rs: RootSystem, perm: bytes) -> tuple:
+    """Lexicographically smallest reduced word of the element with this perm.
+
+    Its first letter is the smallest left descent i, the i with alpha_i
+    outside w(R+); the rest is the word of s_i w.
+    """
     m = rs.num_positive
     letters = tuple(enumerate(_reflections(rs), start=1))
-    level = [(bytes(range(2 * m)), ())]
-    seen = dict(level)
-    while level:
-        nxt = []
-        for letter, (alpha, table) in letters:
-            for perm, word in level:
-                if perm.find(alpha, 0, m) < 0:
-                    continue  # alpha_i not in w(R+): s_i w is shorter, already seen
-                p2 = perm.translate(table)
-                if p2 not in seen:
-                    seen[p2] = w2 = (letter,) + word
-                    nxt.append((p2, w2))
-        level = nxt
-    order = weyl_order(rs)
-    if len(seen) != order:
-        raise AssertionError(f"generated {len(seen)} elements, expected {order}")
-    return tuple(WeylElement(word=w, perm=p) for p, w in seen.items())
+    word = []
+    while True:
+        for i, (alpha, table) in letters:
+            if perm.find(alpha, 0, m) < 0:
+                word.append(i)
+                perm = perm.translate(table)
+                break
+        else:
+            return tuple(word)
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
-    """The element s_{a_1} ... s_{a_q}, its tables applied from the last letter to the first."""
+    """The element s_{a_1} ... s_{a_q}, its tables applied from the last letter to the first.
+
+    The word must be reduced, with letters in 1..rank; the element stores
+    its lex-min reduced word, which may differ from the one given.
+    """
     tables = _reflections(rs)
+    word = tuple(word)
+    if not all(1 <= i <= rs.rank for i in word):
+        raise ValueError(f"word {word} has a letter outside 1..{rs.rank}")
     perm = bytes(range(2 * rs.num_positive))
     for i in reversed(word):
         perm = perm.translate(tables[i - 1][1])
-    return WeylElement(word=tuple(word), perm=perm)
+    lex_min = _lex_min_word(rs, perm)  # as long as l(w), the inversion count
+    if len(lex_min) != len(word):
+        raise ValueError(f"word {word} is not reduced")
+    return WeylElement(word=lex_min, perm=perm)
 
 
 def inversions(rs: RootSystem, w: WeylElement) -> int:

@@ -136,6 +136,18 @@ def test_weight_of_root_examples():
         a2.weight_of_root((2, 0))
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_weight_table_holds_the_cartan_product_of_every_root(family, rank):
+    rs = build_root_system(family, rank)
+    for r in rs.positive_roots:
+        for root in (r, tuple(-x for x in r)):
+            pairings = tuple(
+                sum(rs.cartan[i][j] * root[j] for j in range(rank)) for i in range(rank)
+            )
+            assert rs.weight_of_root(root) == pairings
+            assert rs.weight_of_root(list(root)) == pairings
+
+
 def test_reflection_examples():
     a2 = build_root_system("A", 2)
     rho = a2.rho

@@ -185,6 +185,75 @@ ORACLE_TYPES = [
 ]
 
 
+def enumerate_by_level_walk(rs):
+    """The group level by level, by left multiplication, deduplicated by action.
+
+    Letters run on the outside and the previous level, in word order, on the
+    inside, so each element is first reached from s_i0 w with i0 its smallest
+    left descent: it gets its lex-min reduced word, and the whole group comes
+    out sorted by (length, word).
+    """
+    m = rs.num_positive
+    letters = tuple(enumerate(weyl._reflections(rs), start=1))
+    level = [(bytes(range(2 * m)), ())]
+    seen = dict(level)
+    while level:
+        nxt = []
+        for letter, (alpha, table) in letters:
+            for perm, word in level:
+                if perm.find(alpha, 0, m) < 0:
+                    continue  # alpha_i not in w(R+): s_i w is shorter, already seen
+                p2 = perm.translate(table)
+                if p2 not in seen:
+                    seen[p2] = w2 = (letter,) + word
+                    nxt.append((p2, w2))
+        level = nxt
+    return tuple(WeylElement(word=w, perm=p) for p, w in seen.items())
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES + [("A", 6), ("D", 5), ("E", 6)])
+def test_coset_products_match_the_level_walk(family, rank):
+    rs = build_root_system(family, rank)
+    assert generate_weyl(rs) == enumerate_by_level_walk(rs)
+
+
+def test_e6_coset_representatives_have_no_left_descent_below_their_level():
+    rs = build_root_system("E", 6)
+    m = rs.num_positive
+    counts = []
+    for k in range(1, rs.rank + 1):
+        reps = weyl._coset_representatives(rs, k)
+        counts.append(len(reps))
+        for word, perm in reps:
+            assert word == () or word[0] == k
+            assert element_from_word(rs, word) == WeylElement(word, perm)
+            for alpha, _ in weyl._reflections(rs)[: k - 1]:
+                assert perm.find(alpha, 0, m) >= 0
+    assert counts == [2, 2, 3, 10, 16, 27]
+
+
+@pytest.mark.parametrize("fault", ["repeat", "drop", "substitute"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level):
+    rs = build_root_system("B", 3)
+    honest = weyl._coset_representatives
+
+    def planted(rs, k):
+        reps = honest(rs, k)
+        if k == level:
+            if fault == "repeat":
+                reps = reps + reps[:1]
+            elif fault == "drop":
+                reps = reps[1:]
+            else:  # as many products as |W|, two of them equal
+                reps = reps[:-1] + reps[:1]
+        return reps
+
+    monkeypatch.setattr(weyl, "_coset_representatives", planted)
+    with pytest.raises(AssertionError, match="expected 48"):
+        weyl._enumerate_weyl(rs)
+
+
 @pytest.mark.parametrize("family,rank", ORACLE_TYPES)
 def test_generation_matches_the_plain_closure(family, rank):
     rs = build_root_system(family, rank)
@@ -270,6 +339,21 @@ def test_torus_borel_count_equals_the_frozenset_oracle(data):
         assert borels_containing_torus(rs, elems) == oracle(elems)
     assert oracle(list(group) + relisted) == len(group)
     assert oracle(missing) == len(group) - 1
+
+
+def test_element_from_word_refuses_bad_letters_and_non_reduced_words():
+    rs = build_root_system("A", 2)
+    for word in [(0,), (3,), (1, 0)]:
+        with pytest.raises(ValueError, match="outside 1..2"):
+            element_from_word(rs, word)
+    for word in [(1, 1), (1, 2, 1, 2), (2, 1, 2, 1, 2, 1)]:
+        with pytest.raises(ValueError, match="not reduced"):
+            element_from_word(rs, word)
+    # another reduced word of the longest element keeps the lex-min one
+    assert element_from_word(rs, (2, 1, 2)) == element_from_word(rs, (1, 2, 1))
+    assert element_from_word(rs, (2, 1, 2)).word == (1, 2, 1)
+    rs = build_root_system("A", 3)
+    assert element_from_word(rs, (3, 1)).word == (1, 3)
 
 
 def test_root_systems_beyond_byte_indices_are_refused():
