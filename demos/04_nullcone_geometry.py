@@ -3,9 +3,11 @@
 The variety of pairs in a common Borel has dimension 3*b_g - rk; the
 variety of nilpotent pairs in a common Borel has dimension 3*(b_g - rk).
 Both show up here as exact ranks of integer matrices.  The same module
-decides nullcone membership for small type A by searching for a common
-complete flag, and walks chains of projective lines between torus-fixed
-Borel subalgebras.
+decides nullcone membership in type A: a pair of nilpotents shares a Borel
+exactly when every word of length N in them vanishes.  Every verdict carries
+a certificate, a common complete flag for a member and a nonzero word (or a
+failed nilpotency or sigma test) for a rejection.  The demo also walks
+chains of projective lines between torus-fixed Borel subalgebras.
 """
 
 import random
@@ -41,7 +43,7 @@ print("invariant differentials vanish along the pencil:",
 
 # membership: a conjugated pair of upper-triangular nilpotents is recognized
 g = alg.unipotent({r: 1 for r in alg.rs.positive_roots}) * alg.weyl_rep((1, 2))
-m = geo.nullcone_membership(alg, g.conjugate(e), g.conjugate(u), rng)
+m = geo.nullcone_membership(alg, g.conjugate(e), g.conjugate(u))
 print(f"membership of a conjugated nilradical pair: {m.status}")
 if m.status == "member":
     print("  common flag, one new vector per level:")
@@ -53,6 +55,11 @@ E2 = ((0, 1), (0, 0))
 F2 = ((0, 0), (1, 0))
 sl2 = build_algebra("A", 1)
 print("sl2 (e, f):", geo.nullcone_membership(sl2, E2, F2).reason)
+
+# sigma = 0 does not suffice: these sl3 nilpotents share no Borel
+x = ((0, -1, 0), (0, 0, -1), (0, 0, 0))
+y = ((0, 0, 0), (-1, 0, 0), (0, 1, 0))
+print("sl3 sigma(x, y):", alg.sigma(x, y), "but", geo.nullcone_membership(alg, x, y).reason)
 
 # torus-fixed Borels and chains of projective lines
 rs = build_root_system("A", 3)

@@ -8,16 +8,17 @@ generic rank 3*b_g - rk for the Borel pair map, 3*(b_g - rk) for the
 nilpotent pair map, and kernel dimension b_g for the nilradical map at a
 regular nilpotent first coordinate.
 
-Also here: a sound (never falsely positive or negative) common-flag search
-deciding nullcone membership for small type A, sigma-fiber/Weyl-orbit
-comparisons on Cartan pairs, and the pointwise conjugation and grading
-identities used by the verification suites.
+Also here: nullcone membership in type A, decided by whether every word of
+length N in x and y vanishes, with a certificate for every verdict (a
+verified common flag for a member, a failed nilpotency or sigma test or a
+nonzero word for a rejection); sigma-fiber/Weyl-orbit comparisons on
+Cartan pairs; and the pointwise conjugation and grading identities used by
+the verification suites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg as la
 from .algebra import GroupElement, MatrixLieAlgebra
@@ -122,127 +123,14 @@ def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents, t_list) -> b
     return True
 
 
-# -- nullcone membership by common-flag search --------------------------------
+# -- nullcone membership by the word criterion ---------------------------------
 
 
 @dataclass(frozen=True)
 class Membership:
-    status: str  # 'member' | 'rejected' | 'undecided'
+    status: str  # 'member' (with a verified flag) | 'rejected' (with its reason)
     reason: str = ""
-    flag: tuple = ()  # nested-subspace witness, one new vector per level
-
-
-def _normalize_line(v):
-    lead = next(x for x in v if x != 0)
-    return tuple(Fraction(x) / lead for x in v)
-
-
-def _common_kernel(x, y):
-    rows = [list(r) for r in x] + [list(r) for r in y]
-    return la.nullspace(rows)
-
-
-def _subspace_intersection(basis1, basis2):
-    if not basis1 or not basis2:
-        return []
-    cols = [list(v) for v in basis1] + [list(-Fraction(c) for c in v) for v in basis2]
-    combos = la.nullspace(la.transpose(cols))
-    out = []
-    for combo in combos:
-        vec = [Fraction(0)] * len(basis1[0])
-        for c, v in zip(combo[: len(basis1)], basis1):
-            vec = [a + c * b for a, b in zip(vec, v)]
-        if any(a != 0 for a in vec):
-            out.append(tuple(vec))
-    return out
-
-
-def _column_space(m):
-    cols = la.transpose(m)
-    _, pivots = la.rref(cols)
-    return [tuple(Fraction(x) for x in cols[p]) for p in pivots]
-
-
-def _candidate_lines(x, y, rng):
-    """Lines inside ker x /\\ ker y: word kernels/images, basis, random combos."""
-    kernel = _common_kernel(x, y)
-    if not kernel:
-        return [], 0
-    if len(kernel) == 1:
-        return [_normalize_line(kernel[0])], 1
-    words = [x, y, la.mul(x, x), la.mul(x, y), la.mul(y, x), la.mul(y, y)]
-    spaces = [la.nullspace(w) for w in words] + [_column_space(w) for w in words]
-    lines = set()
-    for s in spaces:
-        inter = _subspace_intersection(s, kernel)
-        if len(inter) == 1:
-            lines.add(_normalize_line(inter[0]))
-    for v in kernel:
-        lines.add(_normalize_line(v))
-    if rng is not None:
-        for _ in range(8):
-            combo = [rng.randint(-2, 2) for _ in kernel]
-            vec = [Fraction(0)] * len(kernel[0])
-            for c, v in zip(combo, kernel):
-                vec = [a + c * b for a, b in zip(vec, v)]
-            if any(a != 0 for a in vec):
-                lines.add(_normalize_line(vec))
-    return sorted(lines), len(kernel)
-
-
-def _quotient(m, line):
-    """Matrix induced on the quotient by a kernel line, plus the lift map."""
-    p = next(i for i, c in enumerate(line) if c != 0)
-    n = len(line)
-    keep = [i for i in range(n) if i != p]
-
-    def project(vec):
-        f = Fraction(vec[p]) / line[p]
-        reduced = [vec[i] - f * line[i] for i in range(n)]
-        return [reduced[i] for i in keep]
-
-    cols = []
-    for q in keep:
-        e = [Fraction(1) if i == q else Fraction(0) for i in range(n)]
-        img = la.mat_vec(m, e)
-        cols.append(project(img))
-    qmat = la.transpose(cols)
-
-    def lift(vec):
-        out = [Fraction(0)] * n
-        for val, i in zip(vec, keep):
-            out[i] = Fraction(val)
-        return tuple(out)
-
-    return qmat, lift
-
-
-def _flag_search(x, y, rng, budget):
-    """Returns ('member', flag) / ('no', None) / ('undecided', None).
-
-    'no' is only reported when every explored level had at most one line to
-    try, which makes the search exhaustive; with a wider kernel exhaustion
-    means 'undecided'.
-    """
-    n = len(x)
-    if n == 0:
-        return "member", []
-    lines, kdim = _candidate_lines(x, y, rng)
-    if not lines:
-        return "no", None
-    definitive = kdim <= 1
-    for line in lines:
-        if budget[0] <= 0:
-            return "undecided", None
-        budget[0] -= 1
-        qx, lift = _quotient(x, line)
-        qy, _ = _quotient(y, line)
-        status, flag = _flag_search(qx, qy, rng, budget)
-        if status == "member":
-            return "member", [tuple(line)] + [lift(v) for v in flag]
-        if status != "no":
-            definitive = False
-    return ("no", None) if definitive else ("undecided", None)
+    flag: tuple = ()  # common complete flag, one new vector per level
 
 
 def _verify_flag(x, y, flag) -> bool:
@@ -261,47 +149,50 @@ def _verify_flag(x, y, flag) -> bool:
     return la.rank(prefix) == n
 
 
-def sl2_common_borel_criterion(alg: MatrixLieAlgebra, x, y) -> bool:
-    """Exact rank-one criterion: x^2 = y^2 = xy = 0."""
-    if alg.size != 2:
-        raise ValueError("criterion applies to the rank-one algebra only")
-    return (
-        la.is_zero(la.mul(x, x))
-        and la.is_zero(la.mul(y, y))
-        and la.is_zero(la.mul(x, y))
-    )
-
-
-def nullcone_membership(alg: MatrixLieAlgebra, x, y, rng=None) -> Membership:
+def nullcone_membership(alg: MatrixLieAlgebra, x, y) -> Membership:
     """Decide whether (x, y) is a pair of nilpotents in a common Borel.
 
-    Type A with matrix size <= 4 only.  Rejections are sound (a failed
-    necessary condition or an exhaustive search); membership comes with a
-    verified common complete flag; ``undecided`` can occur only for size
-    >= 3 when the bounded branch search exhausts.
+    Type A only.  Nilpotent x, y in gl(N) share a complete flag with
+    x V_i, y V_i inside V_(i-1) exactly when every product of N factors
+    from {x, y} is 0 (Levitzki's theorem for the nilpotent algebra A the
+    words span; Radjavi-Rosenthal, *Simultaneous Triangularization*, sec. 2.1).
+    Words grow letter by letter from the identity; a word whose product is
+    0 is not extended, and words with equal products are kept once.  A
+    nonzero word of length N is the rejection's witness.  Otherwise
+    V > AV > ... > A^N V = 0, where A^k V is spanned by the columns of the
+    words of length k, and any subspace between A^(k+1) V and A^k V is mapped
+    into A^(k+1) V; so the columns of the words of length N-1, ..., 0 that
+    raise the rank, in that order, form a common flag, verified before
+    ``member`` is returned.  The nilpotency and sigma tests run first.
     """
-    if alg.family != "A" or alg.size > 4:
-        raise ValueError("membership search supports type A with size <= 4")
+    if alg.family != "A":
+        raise ValueError("membership is decided for type A only")
     if not (alg.is_nilpotent(x) and alg.is_nilpotent(y)):
         return Membership("rejected", "not a pair of nilpotent elements")
     if any(c != 0 for c in alg.sigma(x, y)):
         return Membership("rejected", "sigma value is nonzero")
-    if alg.size == 2:
-        if sl2_common_borel_criterion(alg, x, y):
-            lines, _ = _candidate_lines(x, y, rng)
-            line = lines[0]
-            rest = _quotient(la.mat(x), line)[1]((1,))
-            return Membership("member", flag=(tuple(line), tuple(rest)))
-        return Membership("rejected", "no common invariant line (rank-one criterion)")
-    budget = [200]
-    status, flag = _flag_search(la.mat(x), la.mat(y), rng, budget)
-    if status == "member":
-        if not _verify_flag(x, y, flag):
-            raise AssertionError("flag search returned an invalid witness")
-        return Membership("member", flag=tuple(tuple(v) for v in flag))
-    if status == "no":
-        return Membership("rejected", "exhaustive flag search found no common flag")
-    return Membership("undecided", "bounded flag search exhausted")
+    n = alg.size
+    letters = (("x", la.mat(x)), ("y", la.mat(y)))
+    levels = [{la.identity(n): ""}]  # the nonzero products of each length, with a word
+    for _ in range(n):
+        level = {}
+        for prod, word in levels[-1].items():
+            for letter, m in letters:
+                nxt = la.mul(prod, m)
+                if not la.is_zero(nxt):
+                    level.setdefault(nxt, word + letter)
+        levels.append(level)
+    if levels[n]:
+        return Membership("rejected", f"the word {next(iter(levels[n].values()))} is nonzero")
+    flag = []
+    for level in reversed(levels):
+        for prod in level:
+            for col in la.transpose(prod):
+                if len(flag) < n and any(col) and la.rank(flag + [col]) > len(flag):
+                    flag.append(col)
+    if not _verify_flag(x, y, flag):
+        raise AssertionError("word criterion built an invalid flag")
+    return Membership("member", flag=tuple(flag))
 
 
 # -- sigma fibers over Cartan pairs -------------------------------------------

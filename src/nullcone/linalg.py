@@ -10,7 +10,7 @@ input is scaled to integers once, by an exact identity.  Rank goes
 through fraction-free (Bareiss) elimination; the characteristic
 polynomial is one division-free Berkowitz pass.  ``faddeev`` builds its
 auxiliary matrices from those coefficients by Horner's rule; ``rref``
-remains for kernels, solutions and inverses (``inverse`` serves the tests and
+remains for solutions and inverses (``inverse`` serves the tests and
 the benchmark's trace).  ``signed_digits`` reads an integer polynomial's
 coefficients off its value at 2^K (Kronecker substitution).
 
@@ -179,23 +179,6 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
-
-
-def nullspace(rows) -> list:
-    """Basis of the right kernel, as a list of Fraction tuples."""
-    m, pivots = rref(rows)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(a, b):

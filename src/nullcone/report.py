@@ -636,17 +636,15 @@ def _geometry_checks(config: RunConfig, tname: str):
 
     if alg.family == "A" and alg.size <= 4:
         rng = _rng(config, f"geometry/{tname}/membership")
-        members, undecided, rejected = 0, 0, []
+        members, rejected = 0, []
         for _ in range(max(5, config.samples // 2)):
             u1 = alg.random_element(rng, 2, where="u")
             u2 = alg.random_element(rng, 2, where="u")
             g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
             g = g * alg.weyl_rep(tuple(rng.randint(1, alg.rank) for _ in range(2)))
-            m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2), rng)
+            m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2))
             if m.status == "member":
                 members += 1
-            elif m.status == "undecided":
-                undecided += 1
             else:
                 rejected.append(m.reason)
         yield _result(
@@ -654,7 +652,8 @@ def _geometry_checks(config: RunConfig, tname: str):
             "conjugated nilradical pairs are never rejected by the "
             "common-flag search",
             not rejected,
-            {"members": members, "undecided": undecided, "rejected": rejected},
+            # membership is always decided; "undecided" stays for the report schema
+            {"members": members, "undecided": 0, "rejected": rejected},
         )
 
 

@@ -80,10 +80,6 @@ class WeylElement:
             )
         return out
 
-    def inversion_count(self, rs: RootSystem) -> int:
-        m = rs.num_positive
-        return sum(1 for j in range(m) if self.perm[j] >= m)
-
 
 def weyl_order(rs: RootSystem) -> int:
     return WEYL_ORDERS[rs.stype.family](rs.stype.rank)
@@ -219,7 +215,8 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
 
 def inversions(rs: RootSystem, w: WeylElement) -> int:
     """Number of positive roots sent to negative roots by w."""
-    return w.inversion_count(rs)
+    m = rs.num_positive
+    return sum(1 for j in range(m) if w.perm[j] >= m)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interpolation import interpolate
+from oracles import nullspace
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
@@ -67,7 +68,7 @@ def _nullspace_cells(alg):
             images = [
                 la.flatten(la.add(la.mul(la.transpose(e), j), la.mul(j, e))) for e in units
             ]
-            kern = la.nullspace(la.transpose(images))
+            kern = nullspace(la.transpose(images))
             if not kern:
                 continue
             assert len(kern) == 1

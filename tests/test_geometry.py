@@ -4,6 +4,9 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import membership_certificate_holds, named_word, sl2_common_borel_criterion, word_product
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
@@ -176,7 +179,6 @@ def test_sl2_membership_examples():
 
 def test_sl2_grid_criterion_flag_and_sigma_coincide():
     alg = build_algebra("A", 1)
-    rng = random.Random("grid")
     vals = (-1, 0, 1, 2)
     mats = [((a, b), (c, -a)) for a in vals for b in vals for c in vals]
     for x in mats[:20]:
@@ -184,34 +186,87 @@ def test_sl2_grid_criterion_flag_and_sigma_coincide():
             closed = (
                 alg.is_nilpotent(x)
                 and alg.is_nilpotent(y)
-                and geo.sl2_common_borel_criterion(alg, x, y)
+                and sl2_common_borel_criterion(alg, x, y)
             )
-            m = geo.nullcone_membership(alg, x, y, rng)
+            m = geo.nullcone_membership(alg, x, y)
             necessary = (
                 alg.is_nilpotent(x)
                 and alg.is_nilpotent(y)
                 and all(c == 0 for c in alg.sigma(x, y))
             )
-            assert m.status in ("member", "rejected")
+            assert membership_certificate_holds(alg, x, y, m)
             assert (m.status == "member") == closed == necessary
 
 
 def test_sl3_constructed_members_never_rejected():
     alg = build_algebra("A", 2)
     rng = random.Random("members")
-    undecided = 0
     for _ in range(25):
         u1 = alg.random_element(rng, 2, where="u")
         u2 = alg.random_element(rng, 2, where="u")
         g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
         g = g * alg.weyl_rep((rng.randint(1, 2), rng.randint(1, 2)))
-        m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2), rng)
-        assert m.status != "rejected"
-        if m.status == "undecided":
-            undecided += 1
-        else:
-            assert len(m.flag) == alg.size
-    assert undecided <= 5
+        x, y = g.conjugate(u1), g.conjugate(u2)
+        m = geo.nullcone_membership(alg, x, y)
+        assert m.status == "member"
+        assert membership_certificate_holds(alg, x, y, m)
+
+
+def test_sigma_zero_nilpotent_pair_outside_the_nullcone():
+    # x = -E12 - E23, y = -E21 + E32: nilpotent with sigma 0, but xxy = E12
+    alg = build_algebra("A", 2)
+    x = ((0, -1, 0), (0, 0, -1), (0, 0, 0))
+    y = ((0, 0, 0), (-1, 0, 0), (0, 1, 0))
+    assert alg.is_nilpotent(x) and alg.is_nilpotent(y)
+    assert all(c == 0 for c in alg.sigma(x, y))
+    m = geo.nullcone_membership(alg, x, y)
+    assert m.status == "rejected"
+    assert m.reason == "the word xxy is nonzero"
+    assert word_product(x, y, named_word(m.reason)) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+    assert membership_certificate_holds(alg, x, y, m)
+
+
+def test_sl5_constructed_pair_is_a_member():
+    alg = build_algebra("A", 4)
+    assert alg.size == 5
+    pos = alg.rs.positive_roots
+    u1 = alg.regular_nilpotent()
+    u2 = la.add(alg.pos_vectors[pos[1]], la.scale(3, alg.pos_vectors[pos[-1]]))
+    g = alg.unipotent({r: (-1) ** k * (k % 3) for k, r in enumerate(pos)})
+    g = g * alg.weyl_rep((1, 3, 2, 4))
+    x, y = g.conjugate(u1), g.conjugate(u2)
+    assert la.mul(x, y) != la.mul(y, x)
+    m = geo.nullcone_membership(alg, x, y)
+    assert m.status == "member" and len(m.flag) == 5
+    assert membership_certificate_holds(alg, x, y, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_membership_certificates_on_conjugated_nilradical_pairs(data):
+    """A conjugated nilradical pair is a member, and adding one lowering root
+    vector gives a verdict either way; every verdict's certificate checks."""
+    alg = build_algebra("A", data.draw(st.integers(1, 3)))
+    pos = alg.rs.positive_roots
+    coeff = st.integers(-2, 2)
+
+    def nilradical():
+        out = la.zeros(alg.size, alg.size)
+        for r in pos:
+            out = la.add(out, la.scale(data.draw(coeff), alg.pos_vectors[r]))
+        return out
+
+    u1, u2 = nilradical(), nilradical()
+    g = alg.unipotent({r: data.draw(coeff) for r in pos})
+    g = g * alg.weyl_rep(tuple(data.draw(st.lists(st.integers(1, alg.rank), max_size=3))))
+    x, y = g.conjugate(u1), g.conjugate(u2)
+    m = geo.nullcone_membership(alg, x, y)
+    assert m.status == "member"
+    assert membership_certificate_holds(alg, x, y, m)
+    lowering = la.scale(data.draw(st.integers(1, 2)), alg.neg_vectors[data.draw(st.sampled_from(pos))])
+    y = g.conjugate(la.add(u2, lowering))
+    m = geo.nullcone_membership(alg, x, y)
+    assert membership_certificate_holds(alg, x, y, m)
 
 
 def test_membership_unsupported():
