@@ -20,6 +20,11 @@ is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
 2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization; a
 gradient is the orthogonal projection onto g for this form.
 
+Regularity is decided in the defining representation too: x is regular
+exactly when its minimal polynomial has degree N (is_regular_element), an
+N x N^2 test in place of the dim x dim rank of ad x that centralizer_dim
+keeps as the definition.
+
 Type D is not realized (its last fundamental invariant is a Pfaffian, not a
 characteristic-polynomial coefficient); root-level coverage of type D lives
 in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
@@ -278,11 +283,29 @@ class MatrixLieAlgebra:
         return not any(la.char_poly(x))
 
     def centralizer_dim(self, x) -> int:
+        """dim g - rank(ad x): the definition that is_regular_element decides faster."""
         return self.dim - la.rank(self.ad_coordinates(x))
 
     def is_regular_element(self, x) -> bool:
-        """Regular = centralizer of minimal dimension (the rank)."""
-        return self.centralizer_dim(x) == self.rank
+        """Regular = centralizer of minimal dimension (the rank), decided in gl(N).
+
+        x is regular exactly when its minimal polynomial has degree N, i.e.
+        each eigenvalue of x has a single Jordan block.  On sl(n+1): the
+        centralizer is that of gl(N) less the scalars, and a centralizer in
+        gl(N) has dimension N exactly for such x.  On so(2n+1) and sp(2n):
+        with x = s + e its Jordan decomposition, the centralizer of x is that
+        of e in the Levi subalgebra c(s), which is a gl(m) for each pair +-a
+        of nonzero eigenvalues of s and an so(2k+1) or sp(2k) on its kernel.
+        e is regular there exactly when it has one Jordan block on each
+        eigenspace of s, as the regular nilpotents of so(2k+1) and sp(2k)
+        have Jordan types [2k+1] and [2k] (Collingwood-McGovern, section 6.1).
+        The degree does not change under field extension.  The criterion
+        fails on so(2n), whose regular nilpotent has Jordan type [2n-1, 1]:
+        a type D realization must use centralizer_dim instead.
+        """
+        if not self.in_algebra(x):
+            raise ValueError("element is not in the algebra span")
+        return la.minimal_polynomial_degree(x) == self.size
 
     def regular_nilpotent(self):
         """Sum of the simple positive root vectors."""

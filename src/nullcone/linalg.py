@@ -13,6 +13,8 @@ auxiliary matrices from those coefficients by Horner's rule; ``rref``
 remains for solutions and inverses (``inverse`` serves the tests and
 the benchmark's trace).  ``signed_digits`` reads an integer polynomial's
 coefficients off its value at 2^K (Kronecker substitution).
+``minimal_polynomial_degree`` reduces the flattened powers I, m, m^2, ...
+fraction-free, one row at a time, and stops at the first dependent one.
 
 ``mul`` builds each row of a b as a combination of b's rows, one term per
 nonzero entry of a's row, so the sparse basis matrices and triangular group
@@ -23,7 +25,7 @@ elements of :mod:`nullcone.algebra` cost only their nonzero cells;
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul as mul_op
 from typing import Sequence
 
@@ -153,6 +155,41 @@ def rank(rows) -> int:
         if r == nrows:
             break
     return r
+
+
+def minimal_polynomial_degree(rows) -> int:
+    """Degree of the minimal polynomial of a square matrix m, exact.
+
+    The degree is the first k at which m^k lies in the span of I, m, ...,
+    m^(k-1), and at most N (Cayley-Hamilton).  With L the lcm of the
+    entries' denominators, the powers of L m are L^k times those of m, so
+    L m has the same degree and integer powers.  Each flattened power is
+    reduced against the echelon rows before it, fraction-free (v <- a v - b e
+    at each earlier pivot, then v over the gcd of its entries); the first
+    power that vanishes gives k, and m^N is never formed.
+    """
+    n = len(rows)
+    if n == 0:
+        return 0
+    d = lcm(*(x.denominator for row in rows for x in row))
+    m = [_integral(row, d) for row in rows]
+    echelon = []  # (pivot column, row); each row is zero on every earlier pivot
+    power = identity(n)
+    for k in range(n):
+        if k:
+            power = mul(power, m)
+        v = [x for row in power for x in row]
+        for p, e in echelon:
+            if v[p]:
+                g = gcd(e[p], v[p])
+                a, b = e[p] // g, v[p] // g
+                v = [a * x - b * y for x, y in zip(v, e)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return k
+        g = gcd(*v)
+        echelon.append((pivot, [x // g for x in v]))
+    return n
 
 
 def rref(rows):

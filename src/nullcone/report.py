@@ -366,7 +366,7 @@ def _invariants_checks(config: RunConfig, tname: str):
 def _regular_cartan(alg, rng):
     """A regular semisimple element of the Cartan subalgebra, drawn from ``rng``."""
     for _ in range(1000):
-        # regularity needs rank many distinct absolute diagonal values
+        # regularity needs distinct eigenvalues (on so/sp: distinct nonzero +- pairs)
         h = alg.random_element(rng, alg.rank + 2, where="h")
         if alg.is_regular_element(h):
             return h

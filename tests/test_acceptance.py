@@ -22,7 +22,7 @@ from nullcone import geometry as geo
 from nullcone import linalg as la
 from nullcone.algebra import build_algebra
 from nullcone.cli import main
-from nullcone.report import RunConfig, run, structured_lines
+from nullcone.report import RunConfig, _regular_cartan, run, structured_lines
 from nullcone.roots import build_root_system
 from nullcone.shifts import (
     CLAIMED_PLUS_COUNTS,
@@ -258,11 +258,7 @@ def test_c07_dimension_ranks():
     for family, rank in (("A", 1), ("A", 2), ("A", 3), ("C", 3)):
         alg = build_algebra(family, rank)
         rng = random.Random(f"acceptance-ranks:{family}{rank}")
-        h = None
-        while h is None:
-            cand = alg.random_element(rng, alg.rank + 2, where="h")
-            if alg.is_regular_element(cand):
-                h = cand
+        h = _regular_cartan(alg, rng)
         y = la.add(alg.regular_nilpotent(), alg.random_element(rng, 2, where="b"))
         rep = geo.rank_borel_pair(alg, h, y)
         if rep.rank != 3 * alg.borel_dim - alg.rank:
@@ -328,11 +324,7 @@ def test_c10_gradient_span_is_the_borel():
     rng = random.Random("acceptance-span")
     bad = []
     for k in range(20):
-        while True:
-            h = alg.random_element(rng, alg.rank + 2, where="h")
-            if alg.is_regular_element(h):
-                break
-        x = la.add(h, alg.random_element(rng, 2, where="u"))
+        x = la.add(_regular_cartan(alg, rng), alg.random_element(rng, 2, where="u"))
         y = alg.random_element(rng, 2, where="u")
         for root in alg.rs.positive_roots:
             if alg.rs.is_simple(root):

@@ -141,9 +141,11 @@ def test_coordinates_reject_matrices_outside_the_algebra(fam, rk):
         assert not alg.in_algebra(m)
         outside.append(m)
     # the identity commutes with everything, so brackets alone would give
-    # it a centralizer of dimension dim; it is rejected instead
+    # it a centralizer of dimension dim, and its minimal polynomial has
+    # degree 1; it is rejected instead
+    readers = (alg.coordinates, alg.ad_coordinates, alg.centralizer_dim, alg.is_regular_element)
     for m in outside:
-        for reader in (alg.coordinates, alg.ad_coordinates, alg.centralizer_dim):
+        for reader in readers:
             with pytest.raises(ValueError):
                 reader(m)
 
@@ -618,6 +620,96 @@ def test_regular_nilpotent_and_centralizers():
         assert alg.is_regular_element(e)
         assert alg.centralizer_dim(e) == alg.rank
         assert alg.centralizer_dim(la.zeros(alg.size, alg.size)) == alg.dim
+
+
+def _combination(alg, coefficients):
+    """The sum of coefficient * basis vector over a {basis index: coefficient} map."""
+    out = la.zeros(alg.size, alg.size)
+    for k, c in coefficients.items():
+        out = la.add(out, la.scale(c, alg.basis[k]))
+    return la.whole(out)
+
+
+@st.composite
+def _cartan_with_coincidences(draw, alg):
+    """A Cartan element whose eigenvalues may repeat, vanish or come in opposite pairs."""
+    n = alg.rank + 1 if alg.family == "A" else alg.rank
+    values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    how = draw(st.sampled_from(["as drawn", "repeat", "zero", "opposite"]))
+    values[i] = {"as drawn": values[i], "repeat": values[j], "zero": 0, "opposite": -values[j]}[how]
+    if alg.family == "A":  # N v_i - sum v keeps the coincidences and is traceless
+        diag = [n * v - sum(values) for v in values]
+    else:
+        diag = values + [0] * (alg.size - 2 * n) + [-v for v in reversed(values)]
+    return tuple(tuple(d if a == b else 0 for b in range(alg.size)) for a, d in enumerate(diag))
+
+
+@st.composite
+def _dropped_simple_nilpotent(draw, alg):
+    """A nilradical element with one simple-root coefficient zero.
+
+    Generic ones are subregular: they lie in the Richardson orbit of a
+    minimal parabolic, of dimension 2(|R+| - 1).
+    """
+    roots = alg.rs.positive_roots
+    dropped = draw(st.sampled_from([r for r in roots if alg.rs.is_simple(r)]))
+    coefficients = {}
+    for k, root in zip(alg.subspace_indices["u"], roots):
+        if alg.rs.is_simple(root):
+            coefficients[k] = 0 if root == dropped else draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            coefficients[k] = draw(st.integers(-2, 2))
+    return _combination(alg, coefficients)
+
+
+@st.composite
+def regularity_points(draw, alg):
+    """g/b/u/h points, coincident Cartan elements, dropped-simple nilpotents,
+    their Fraction torus conjugates, and pencil members x + t y."""
+
+    def base():
+        kind = draw(st.sampled_from(["g", "b", "u", "h", "cartan", "dropped"]))
+        if kind == "cartan":
+            return draw(_cartan_with_coincidences(alg))
+        if kind == "dropped":
+            return draw(_dropped_simple_nilpotent(alg))
+        return _combination(alg, {k: draw(st.integers(-2, 2)) for k in alg.subspace_indices[kind]})
+
+    x = base()
+    kind = draw(st.sampled_from(["point", "conjugate", "pencil"]))
+    if kind == "conjugate":
+        params = [draw(st.builds(Q, st.integers(1, 5), st.integers(1, 5))) for _ in range(alg.rank)]
+        g = alg.unipotent({r: draw(st.integers(-1, 1)) for r in alg.rs.positive_roots})
+        x = (g * alg.torus(params)).conjugate(x)
+    elif kind == "pencil":
+        t = draw(st.one_of(st.integers(-3, 3), st.builds(Q, st.integers(-3, 3), st.integers(1, 4))))
+        x = la.whole(la.add(x, la.scale(t, base())))
+    return x
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_is_regular_element_matches_centralizer_dimension(name, data):
+    alg = build_algebra(name[0], int(name[1:]))
+    x = data.draw(regularity_points(alg))
+    assert alg.is_regular_element(x) == (alg.centralizer_dim(x) == alg.rank)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_nilradical_element_is_regular_exactly_with_every_simple_coefficient(name, data):
+    # Kostant: x in the nilradical is regular iff no simple-root coefficient vanishes
+    alg = build_algebra(name[0], int(name[1:]))
+    coefficient = st.one_of(st.integers(-2, 2), st.builds(Q, st.integers(-4, 4), st.integers(1, 3)))
+    coefficients = {k: data.draw(coefficient) for k in alg.subspace_indices["u"]}
+    x = _combination(alg, coefficients)
+    simple = [k for k, r in zip(alg.subspace_indices["u"], alg.rs.positive_roots) if alg.rs.is_simple(r)]
+    kostant = all(coefficients[k] for k in simple)
+    assert alg.is_regular_element(x) == kostant
+    assert (alg.centralizer_dim(x) == alg.rank) == kostant
 
 
 @pytest.mark.parametrize("fam,rk", [("A", 3), ("B", 3), ("C", 3)])

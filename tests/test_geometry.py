@@ -11,6 +11,7 @@ from oracles import membership_certificate_holds, named_word, sl2_common_borel_c
 from nullcone import geometry as geo
 from nullcone import linalg as la
 from nullcone.algebra import build_algebra
+from nullcone.report import _regular_cartan
 from nullcone.weyl import generate_weyl
 
 E = ((0, 1), (0, 0))
@@ -123,11 +124,7 @@ def test_sl2_mu_kernel():
 def test_dimension_ranks_at_witness_points(family, rank, borel, null):
     alg = build_algebra(family, rank)
     rng = random.Random(f"wit:{family}{rank}")
-    h = None
-    while h is None:
-        cand = alg.random_element(rng, alg.rank + 2, where="h")
-        if alg.is_regular_element(cand):
-            h = cand
+    h = _regular_cartan(alg, rng)
     rep = geo.rank_borel_pair(alg, h, la.add(alg.regular_nilpotent(), alg.random_element(rng, 2, where="b")))
     assert rep.rank == 3 * alg.borel_dim - alg.rank == borel
     if null is not None:

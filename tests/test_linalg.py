@@ -347,6 +347,58 @@ def test_rank_of_rational_matrices_matches_rref():
     assert la.rank(cases[-1]) == 1
 
 
+def minimal_polynomial_degree_by_rank(m) -> int:
+    """Reference degree: the rank of the flattened powers I, m, ..., m^(N-1)."""
+    powers = [la.identity(len(m))]
+    for _ in range(len(m) - 1):
+        powers.append(mul_by_dot_products(powers[-1], m))
+    return la.rank([la.flatten(p) for p in powers])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrix())
+def test_minimal_polynomial_degree_matches_rank_of_powers(m):
+    assert la.minimal_polynomial_degree(m) == minimal_polynomial_degree_by_rank(m)
+
+
+def _jordan_sum(blocks):
+    """The block-diagonal sum of Jordan blocks J_k(value), given as (k, value) pairs."""
+    n = sum(k for k, _ in blocks)
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for k, value in blocks:
+        for i in range(start, start + k):
+            m[i][i] = value
+            if i + 1 < start + k:
+                m[i][i + 1] = 1
+        start += k
+    return m
+
+
+def test_minimal_polynomial_degree_of_pinned_matrices():
+    for n in range(1, 5):
+        assert la.minimal_polynomial_degree(la.zeros(n, n)) == 1
+        assert la.minimal_polynomial_degree(la.scale(3, la.identity(n))) == 1
+        assert la.minimal_polynomial_degree(la.scale(Fraction(-2, 3), la.identity(n))) == 1
+    assert la.minimal_polynomial_degree([]) == 0
+    # a diagonal matrix: one linear factor per distinct value
+    assert la.minimal_polynomial_degree(_jordan_sum([(1, v) for v in (1, 1, 2, 3, 3, 3)])) == 3
+    assert la.minimal_polynomial_degree(_jordan_sum([(1, v) for v in (0, 0, Fraction(1, 2))])) == 2
+    assert la.minimal_polynomial_degree(_jordan_sum([(1, v) for v in (2, -2, 0, 5)])) == 4
+    # J_3 + J_2: the larger block alone at one eigenvalue, both blocks at two
+    # eigenvalues; a unimodular conjugation hides the blocks
+    p = [[1 if i <= j else 0 for j in range(5)] for i in range(5)]
+    for blocks, degree in [
+        ([(3, 2), (2, 2)], 3),
+        ([(3, 0), (2, 0)], 3),
+        ([(3, 2), (2, -1)], 5),
+        ([(3, Fraction(1, 3)), (2, 0)], 5),
+    ]:
+        m = _jordan_sum(blocks)
+        assert la.minimal_polynomial_degree(m) == degree
+        assert la.minimal_polynomial_degree(la.mul(la.mul(p, m), la.inverse(p))) == degree
+
+
 def test_ratio_is_an_int_exactly_when_the_division_is_exact():
     for a, b in [(6, 3), (-6, 4), (7, -2), (0, 5), (Fraction(3, 2), Fraction(1, 2)),
                  (Fraction(5, 3), 2), (Fraction(4, 3), Fraction(2, 3)), (1, Fraction(1, 2))]:
