@@ -12,13 +12,19 @@ where all later ones vanish, so coordinates are read off matrix cells.
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; by Kronecker substitution, their polarizations are the
 signed base-2^K digits of the char-poly coefficients of X + 2^K Y (_pencil).
-Group elements carry their inverses in closed form (exp m = I + m + m^2/2
-with exp -m, as a root vector has m^3 = 0; diag p with diag 1/p), so
-nothing is inverted by elimination and integral elements keep int entries.
 The bilinear form is the trace form of the defining representation, which
 is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
 2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization; a
 gradient is the orthogonal projection onto g for this form.
+
+Group elements carry their inverses in closed form (exp m = I + m + m^2/2
+with exp -m, as a root vector has m^3 = 0; diag p with diag 1/p), so
+nothing is inverted by elimination and integral elements keep int entries.
+A unipotent element is formed without dense products: a root vector e and
+its square have one or two nonzero cells each, so each factor exp(c e) is
+a few column operations on the matrix and row operations on its inverse.  Conjugation clears the denominators of g, x and g^-1, takes
+both products over the integers and divides once by the product of the
+three multipliers.
 
 Regularity is decided in the defining representation too: x is regular
 exactly when its minimal polynomial has degree N (is_regular_element), an
@@ -54,7 +60,14 @@ def _diagonal(entries):
 
 
 class GroupElement:
-    """An invertible matrix together with its exact inverse; integral entries are ints."""
+    """An invertible matrix together with its exact inverse; integral entries are ints.
+
+    Built by MatrixLieAlgebra.unipotent (sparse column and row operations, one
+    factor exp(c e) at a time), torus, weyl_rep or exp.  conjugate scales g,
+    x and g^-1 to integer matrices, multiplies over int and makes one exact
+    division; products of group elements stay plain la.mul products, as the
+    Weyl representatives they mostly join are monomial int matrices.
+    """
 
     __slots__ = ("mat", "inv")
 
@@ -75,7 +88,11 @@ class GroupElement:
         return GroupElement(la.mul(self.mat, other.mat), la.mul(other.inv, self.inv))
 
     def conjugate(self, x):
-        return la.mul(la.mul(self.mat, x), self.inv)
+        """g x g^-1, from one product over int: (L g)(M x)(K g^-1) / (L M K)."""
+        (dm, m), (dx, ix), (di, inv) = map(la.clear_denominators, (self.mat, x, self.inv))
+        out = la.mul(la.mul(m, ix), inv)
+        d = dm * dx * di
+        return out if d == 1 else la.divide(out, d)
 
 
 class MatrixLieAlgebra:
@@ -343,21 +360,18 @@ class MatrixLieAlgebra:
 
     @cached_property
     def height_element(self):
-        """The Cartan element on which every simple root takes the value 1."""
+        """rho^vee, the Cartan element on which every simple root takes the value 1.
+
+        sl(n+1): n/2, n/2 - 1, ..., -n/2.  so(2n+1): n, n - 1, ..., 1, 0 and
+        the negatives mirrored.  sp(2n): n - 1/2, ..., 1/2 and the negatives
+        mirrored, as the last simple root is 2 e_n.
+        """
         n = self.rank
-        rows = []
-        rhs = []
-        simple = [
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-        ]
-        for root in simple:
-            rows.append([self.root_value(root, h) for h in self.h_basis])
-            rhs.append(1)
-        sol = la.solve(rows, rhs)
-        out = la.zeros(self.size, self.size)
-        for c, h in zip(sol, self.h_basis):
-            out = la.add(out, la.scale(c, h))
-        return out
+        if self.family == "A":
+            return _diagonal([la.ratio(n - 2 * k, 2) for k in range(n + 1)])
+        top = [la.ratio(2 * (n - k) - (self.family == "C"), 2) for k in range(n)]
+        middle = [0] * (self.size - 2 * n)
+        return _diagonal(top + middle + [-h for h in reversed(top)])
 
     # -- invariants -----------------------------------------------------------
 
@@ -529,13 +543,50 @@ class MatrixLieAlgebra:
             out = out * self.simple_reflection_rep(i)
         return out
 
-    def unipotent(self, coeffs: dict) -> GroupElement:
-        """Product of exp(c * e_root) over the given positive roots."""
-        ident = la.identity(self.size)
-        out = GroupElement(ident, ident)
-        for root, c in coeffs.items():
-            out = out * GroupElement.exp(la.scale(c, self.pos_vectors[tuple(root)]))
+    @cached_property
+    def _root_cells(self) -> dict:
+        """The nonzero cells (a, b, value) of e and of e^2, per positive root vector e."""
+        out = {}
+        for root, e in self.pos_vectors.items():
+            cells = [(a, b, v) for a, row in enumerate(e) for b, v in enumerate(row) if v]
+            square = {}
+            for a, b, v in cells:
+                for b2, d, w in cells:
+                    if b == b2:
+                        square[a, d] = square.get((a, d), 0) + v * w
+            out[root] = (cells, [(a, d, v) for (a, d), v in square.items() if v])
         return out
+
+    def unipotent(self, coeffs: dict) -> GroupElement:
+        """Product of exp(c * e_root) over the given positive roots, in the dict's order.
+
+        exp(+-c e) = I +- c e + c^2 e^2 / 2, with one or two cells in each of
+        e and e^2, so each factor updates the matrix by column operations
+        (mat <- mat (I + S)) and the inverse by row operations (inv <- (I + S') inv)
+        in O(N) per cell.  Every operation reads the columns and rows as they
+        were before the factor: on so(2n+1) the short root vector
+        E_{i,n} - E_{n,N-1-i} makes column n both a source and a target.
+        """
+        ident = la.identity(self.size)
+        mat = [list(row) for row in ident]
+        inv = [list(row) for row in ident]
+        for root, c in coeffs.items():
+            if not c:
+                continue
+            cells, square = self._root_cells[tuple(root)]
+            even = [(a, b, la.ratio(c * c * v, 2)) for a, b, v in square]
+            forward = [(a, b, c * v) for a, b, v in cells] + even
+            backward = [(a, b, -c * v) for a, b, v in cells] + even
+            # column b of mat gains v times column a; rows of inv are replaced, not mutated
+            columns = {a: [row[a] for row in mat] for a, _, _ in forward}
+            for a, b, v in forward:
+                for row, y in zip(mat, columns[a]):
+                    if y:
+                        row[b] += v * y
+            rows = {b: inv[b] for _, b, _ in backward}
+            for a, b, v in backward:
+                inv[a] = [x + v * y for x, y in zip(inv[a], rows[b])]
+        return GroupElement(mat, inv)
 
     def torus(self, params) -> GroupElement:
         """Diagonal group element (diag p, diag 1/p) from rank nonzero rational parameters."""

@@ -9,10 +9,12 @@ Rank and the characteristic polynomial have one path each, and rational
 input is scaled to integers once, by an exact identity.  Rank goes
 through fraction-free (Bareiss) elimination; the characteristic
 polynomial is one division-free Berkowitz pass.  ``faddeev`` builds its
-auxiliary matrices from those coefficients by Horner's rule; ``rref``
-remains for solutions and inverses (``inverse`` serves the tests and
-the benchmark's trace).  ``signed_digits`` reads an integer polynomial's
-coefficients off its value at 2^K (Kronecker substitution).
+auxiliary matrices from those coefficients by Horner's rule.  ``rref``,
+``solve`` and ``inverse`` serve only the tests, as oracles, and the
+benchmark's trace, which wraps them by name.  ``signed_digits`` reads an
+integer polynomial's coefficients off its value at 2^K (Kronecker
+substitution).  ``clear_denominators`` scales a rational matrix to an
+integer one by the lcm of its denominators.
 ``minimal_polynomial_degree`` reduces the flattened powers I, m, m^2, ...
 fraction-free, one row at a time, and stops at the first dependent one.
 
@@ -123,6 +125,12 @@ def _integral(row, d) -> list:
     return [x.numerator * (d // x.denominator) for x in row]
 
 
+def clear_denominators(rows):
+    """(d, d * rows as int rows) for d the lcm of the entries' denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [_integral(row, d) for row in rows]
+
+
 def rank(rows) -> int:
     """Rank of a matrix, exact.
 
@@ -171,8 +179,7 @@ def minimal_polynomial_degree(rows) -> int:
     n = len(rows)
     if n == 0:
         return 0
-    d = lcm(*(x.denominator for row in rows for x in row))
-    m = [_integral(row, d) for row in rows]
+    d, m = clear_denominators(rows)
     echelon = []  # (pivot column, row); each row is zero on every earlier pivot
     power = identity(n)
     for k in range(n):
@@ -302,8 +309,7 @@ def char_poly(rows) -> tuple:
     n = len(rows)
     if n == 0:
         return ()
-    d = lcm(*(x.denominator for row in rows for x in row))
-    m = [_integral(row, d) for row in rows]
+    d, m = clear_denominators(rows)
     poly = [1, -m[0][0]]  # coefficients of det(tI - A_r), leading first
     for r in range(1, n):
         left = m[r][:r]

@@ -1,8 +1,10 @@
 """Reference computations the package no longer needs, kept as test oracles.
 
 ``nullspace`` is the ``rref`` kernel basis; ``sl2_common_borel_criterion``
-is the closed-form rank-one membership test.  ``membership_certificate_holds``
-recomputes the certificate behind a ``nullcone_membership`` verdict.
+is the closed-form rank-one membership test; ``height_element_by_solve``
+solves for the Cartan element on which every simple root is 1.
+``membership_certificate_holds`` recomputes the certificate behind a
+``nullcone_membership`` verdict.
 """
 
 import re
@@ -27,6 +29,18 @@ def nullspace(rows) -> list:
             v[pc] = -m[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def height_element_by_solve(alg):
+    """The combination of ``alg.h_basis`` on which each simple root takes the value 1."""
+    n = alg.rank
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    rows = [[alg.root_value(root, h) for h in alg.h_basis] for root in simple]
+    sol = la.solve(rows, [1] * n)
+    out = la.zeros(alg.size, alg.size)
+    for c, h in zip(sol, alg.h_basis):
+        out = la.add(out, la.scale(c, h))
+    return out
 
 
 def sl2_common_borel_criterion(alg, x, y) -> bool:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interpolation import interpolate
-from oracles import nullspace
+from oracles import height_element_by_solve, nullspace
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
@@ -319,6 +319,77 @@ def test_type_b_group_elements_store_whole_entries_as_ints(rk):
             assert isinstance(x, int) or x.denominator != 1
             halves += not isinstance(x, int)
     assert halves  # the short root vectors still contribute halves
+
+
+def _dense_unipotent(alg, coeffs):
+    """Reference unipotent element: the product of closed-form exp factors in the dict's order."""
+    ident = la.identity(alg.size)
+    out = GroupElement(ident, ident)
+    for root, c in coeffs.items():
+        out = out * GroupElement.exp(la.scale(c, alg.pos_vectors[root]))
+    return out
+
+
+def _types(m):
+    return [type(x) for x in la.flatten(m)]
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_unipotent_matches_product_of_dense_exp_factors(name):
+    # the factors do not commute, so every order is a different element
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"unipotent:{name}")
+    ident = la.identity(alg.size)
+    roots = list(alg.rs.positive_roots)
+    shuffled = rng.sample(roots, len(roots))
+    values = (0, 1, -1, 3, Q(1, 3), Q(-2, 5), Q(3, 2))
+    orders = [roots, roots[::-1], shuffled, shuffled[: len(roots) // 2], roots[-1:], []]
+    for order in orders:
+        for draw in (lambda: rng.randint(-3, 3), lambda: rng.choice(values)):
+            coeffs = {r: draw() for r in order}
+            u, dense = alg.unipotent(coeffs), _dense_unipotent(alg, coeffs)
+            assert (u.mat, u.inv) == (dense.mat, dense.inv)
+            assert la.mul(u.mat, u.inv) == ident
+            for m in (u.mat, u.inv):
+                assert _types(m) == _types(la.whole(m))
+    assert alg.unipotent({r: 0 for r in roots}).mat == ident
+    # B's short root vectors have e^2 = -E_{i,N-1-i}: c = 1/3 gives an e^2 term of -1/18
+    if name[0] == "B":
+        short = next(r for r, e in alg.pos_vectors.items() if not la.is_zero(la.mul(e, e)))
+        u = alg.unipotent({short: Q(1, 3)})
+        assert Q(-1, 18) in la.flatten(u.mat) and Q(-1, 18) in la.flatten(u.inv)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_conjugate_matches_dense_products(name):
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"conjugate:{name}")
+    rk = alg.rank
+    unipotent = alg.unipotent({r: rng.randint(-3, 3) for r in alg.rs.positive_roots})
+    fractional = alg.unipotent({r: rng.choice((Q(1, 3), Q(-1, 2), 2)) for r in alg.rs.positive_roots})
+    torus = alg.torus([Q(2, 3)] + [Q(k + 2, 2 * k + 1) for k in range(1, rk)])
+    word = alg.weyl_rep(tuple(rng.randint(1, rk) for _ in range(4)))
+    elements = [unipotent, fractional, torus, word, unipotent * torus * word, word * fractional]
+    x = alg.random_element(rng, 3)
+    points = [
+        x,
+        la.scale(Q(1, 7), alg.random_element(rng, 2)),
+        la.mat([[Q(v) for v in row] for row in x]),  # integral, but every entry a Fraction
+        torus.conjugate(alg.random_element(rng, 2)),
+        la.zeros(alg.size, alg.size),
+    ]
+    seen = set()
+    for g in elements:
+        for z in points:
+            out = g.conjugate(z)
+            assert out == la.mul(la.mul(g.mat, z), g.inv)
+            assert all(isinstance(v, int) or v.denominator != 1 for v in la.flatten(out))
+            seen.update(map(type, la.flatten(out)))
+    assert seen == {int, Q}
+    # an integral element conjugating integral Fraction entries gives ints
+    even = alg.unipotent({r: 2 for r in alg.rs.positive_roots})
+    assert _types(even.mat) == _types(even.inv) == [int] * alg.size**2
+    assert _types(even.conjugate(points[2])) == [int] * alg.size**2
 
 
 def test_unsupported_types_rejected():
@@ -739,6 +810,14 @@ def test_height_element_evaluates_one_on_simple_roots():
         assert alg.height_element is t
         for root in alg.rs.positive_roots:
             assert alg.root_value(root, t) == alg.rs.root_height(root)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_height_element_matches_solve_oracle(name):
+    alg = build_algebra(name[0], int(name[1:]))
+    t = alg.height_element
+    assert t == height_element_by_solve(alg)
+    assert _types(t) == _types(la.whole(t))
 
 
 def test_weyl_representatives_normalize_cartan():
