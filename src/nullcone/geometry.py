@@ -19,6 +19,7 @@ the verification suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg as la
 from .algebra import GroupElement, MatrixLieAlgebra
@@ -115,10 +116,12 @@ def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:
 def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents, t_list) -> bool:
     """Whether p_i'(x + t y)(v + t w) = 0 for all i, all t, all (v, w)."""
     for t in t_list:
-        grads = alg.gradient_matrices(la.add(x, la.scale(t, y)))
+        # trace(g d) is the sum of g[i][j] d[j][i]: each gradient is flattened
+        # once per t, and each direction once, transposed
+        grads = [la.flatten(g) for g in alg.gradient_matrices(la.add(x, la.scale(t, y)))]
         for v, w in tangents:
-            direction = la.add(v, la.scale(t, w))
-            if any(la.trace_mul(g, direction) != 0 for g in grads):
+            direction = la.flatten(la.transpose(la.add(v, la.scale(t, w))))
+            if any(sum(map(mul, g, direction)) != 0 for g in grads):
                 return False
     return True
 

@@ -408,9 +408,7 @@ def _geometry_checks(config: RunConfig, tname: str):
         )
         rng = _rng(config, f"geometry/{tname}/chains")
         bad = []
-        sample = list(group)
-        if len(sample) > 60:
-            sample = rng.sample(sample, 60)
+        sample = rng.sample(group, 60) if len(group) > 60 else group
         for w in sample:
             pos_image = {w.apply_root(rs, r) for r in rs.positive_roots}
             common = [r for r in rs.positive_roots if r in pos_image]

@@ -12,11 +12,15 @@ one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
 must be pairwise distinct and exactly |W| many.  The stored word of each
 element is its lexicographically smallest reduced word.  Each group is
 enumerated, and its torus-fixed Borels counted, once per process and root
-system; the group is immutable once generated.
+system.  The enumeration builds no ``WeylElement``: it carries lengths in
+place of words and returns a read-only ``WeylGroup`` sequence over the
+ordered perms, which builds an element, its word read off its coset
+representatives, on the element's first read and keeps it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,12 +89,13 @@ def weyl_order(rs: RootSystem) -> int:
     return WEYL_ORDERS[rs.stype.family](rs.stype.rank)
 
 
-def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> tuple:
+def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> WeylGroup:
     """Enumerate the full Weyl group, refusing if it exceeds max_order.
 
-    Returns the elements sorted by (length, word); the identity is first.
-    The cap is checked on every call; the group itself is enumerated once
-    per root system and the same tuple is returned afterwards.
+    Returns a ``WeylGroup`` sequence sorted by (length, word), the identity
+    first, whose elements are built on their first read.  The cap is
+    checked on every call; the group itself is enumerated once per root
+    system and the same sequence is returned afterwards.
     """
     order = weyl_order(rs)
     if order > max_order:
@@ -103,7 +108,48 @@ def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> tuple:
 _GROUPS: dict = {}  # root system -> its group, enumerated on first request
 
 
-def _enumerate_weyl(rs: RootSystem) -> tuple:
+class WeylGroup(Sequence):
+    """An enumerated group in (length, word) order, held as its elements' perms.
+
+    ``perms[j]`` is element j's perm.  ``group[j]`` builds its ``WeylElement``
+    on the first read and returns the same object afterwards; slices are
+    tuples.  Element j was product number ``origin[j]`` of the coset chain,
+    v on the outside: a mixed-radix number whose digits, the last level
+    least significant, pick one representative per level, so the element's
+    word is their words joined (lexmin(v u) = lexmin(v) + lexmin(u), see
+    ``_enumerate_weyl``).
+    """
+
+    __slots__ = ("_perms", "_origin", "_words", "_elements")
+
+    def __init__(self, perms: tuple, origin: list, words: tuple):
+        self._perms = perms
+        self._origin = origin
+        self._words = words  # per level, the representatives' lex-min words
+        self._elements: dict = {}
+
+    @property
+    def perms(self) -> tuple:
+        return self._perms
+
+    def __len__(self) -> int:
+        return len(self._perms)
+
+    def __getitem__(self, j):
+        j = range(len(self))[j]  # an index in range, or the indices of a slice
+        if isinstance(j, range):
+            return tuple(map(self.__getitem__, j))
+        w = self._elements.get(j)
+        if w is None:
+            index, word = self._origin[j], ()
+            for level in reversed(self._words):
+                index, digit = divmod(index, len(level))
+                word = level[digit] + word
+            w = self._elements[j] = WeylElement(word, self._perms[j])
+        return w
+
+
+def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # W_k = <s_1, ..., s_k> factors uniquely as W_k = W_{k-1} U_k, where
     # U_k holds the minimal representatives u of the cosets W_{k-1} u: the
     # u with no left descent below k.  Lengths add, l(v u) = l(v) + l(u).
@@ -125,26 +171,26 @@ def _enumerate_weyl(rs: RootSystem) -> tuple:
     # sort by length below gives the (length, word) order.
     n = 2 * rs.num_positive
     rest = bytes(range(n, 256))
-    words, perms = [()], bytes(range(n))  # perms: every element's perm, joined
+    words = []  # per level, the representatives' words
+    lengths, perms = [0], bytes(range(n))  # perms: every element's perm, joined
     for k in range(1, rs.rank + 1):
         reps = _coset_representatives(rs, k)
+        words.append(tuple(u for u, _ in reps))
         joined = b"".join(perm for _, perm in reps)
-        words = [v + u for v in words for u, _ in reps]
+        lengths = [lv + len(u) for lv in lengths for u, _ in reps]
         perms = b"".join(
             joined.translate(perms[j : j + n] + rest) for j in range(0, len(perms), n)
         )
-    # perms and elements are made in their final order, the order in which
-    # the Borel count walks them
-    lengths = list(map(len, words))
-    ranked = sorted(range(len(words)), key=lengths.__getitem__)
-    words = [words[j] for j in ranked]
-    perms = [perms[j * n : j * n + n] for j in ranked]
+    # perms are sliced in their final order, the order in which the Borel
+    # count walks them
+    origin = sorted(range(len(lengths)), key=lengths.__getitem__)
+    perms = tuple(perms[j * n : j * n + n] for j in origin)
     order = weyl_order(rs)
     if len(perms) != order or len(set(perms)) != order:
         raise AssertionError(
             f"generated {len(set(perms))} distinct of {len(perms)} products, expected {order}"
         )
-    return tuple(map(WeylElement, words, perms))
+    return WeylGroup(perms, origin, tuple(words))
 
 
 def _coset_representatives(rs: RootSystem, k: int) -> list:
@@ -258,7 +304,8 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
 def _count_borels(rs: RootSystem, group) -> int:
     m = rs.num_positive
     mark = b"\xff" * m
-    return len({bytes.maketrans(w.perm[:m], mark)[: 2 * m] for w in group})
+    perms = group.perms if isinstance(group, WeylGroup) else (w.perm for w in group)
+    return len({bytes.maketrans(perm[:m], mark)[: 2 * m] for perm in perms})
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from oracles import membership_certificate_holds, named_word, sl2_common_borel_c
 from nullcone import geometry as geo
 from nullcone import linalg as la
 from nullcone.algebra import build_algebra
-from nullcone.report import _regular_cartan
+from nullcone.report import ALGEBRA_TYPES, _regular_cartan
 from nullcone.weyl import generate_weyl
 
 E = ((0, 1), (0, 0))
@@ -162,6 +162,39 @@ def test_pencil_tangent_vanishing(family, rank):
     lowering = alg.neg_vectors[alg.rs.positive_roots[0]]
     zero = la.zeros(alg.size, alg.size)
     assert not geo.pencil_tangent_vanishing(alg, x, y, [(lowering, zero)], [0])
+
+
+def _pencil_by_trace_mul(alg, x, y, tangents, t_list):
+    """pencil_tangent_vanishing as one trace_mul per gradient and direction."""
+    for t in t_list:
+        grads = alg.gradient_matrices(la.add(x, la.scale(t, y)))
+        for v, w in tangents:
+            direction = la.add(v, la.scale(t, w))
+            if any(la.trace_mul(g, direction) != 0 for g in grads):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_pencil_vanishing_agrees_with_trace_mul(name):
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"pencil-trace-mul:{name}")
+    x = alg.regular_nilpotent()
+    y = alg.random_element(rng, 2, where="u")
+    tangents = geo.nullcone_tangent_spanners(alg, x, y)
+    assert geo.pencil_tangent_vanishing(alg, x, y, tangents, range(6))
+    assert _pencil_by_trace_mul(alg, x, y, tangents, range(6))
+    # (1 + t) f_alpha for a simple root alpha, planted after the real tangents,
+    # pairs with the quadratic invariant's gradient, a multiple of x at t = 0
+    alpha = alg.rs.positive_roots[0]
+    assert alg.rs.is_simple(alpha)
+    lowering = alg.neg_vectors[alpha]
+    planted = tangents + [(lowering, lowering)]
+    assert not geo.pencil_tangent_vanishing(alg, x, y, planted, range(6))
+    for t in range(6):
+        assert geo.pencil_tangent_vanishing(alg, x, y, planted, [t]) == _pencil_by_trace_mul(
+            alg, x, y, planted, [t]
+        )
 
 
 def test_sl2_membership_examples():

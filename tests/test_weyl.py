@@ -1,6 +1,7 @@
 """Weyl group generation, reduced words, torus Borels and line chains."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -42,17 +43,13 @@ def test_length_equals_inversions_exhaustively(family, rank):
 
 
 def test_words_are_lexicographically_smallest():
-    rs = build_root_system("A", 3)
-    group = generate_weyl(rs)
-    for w in group:
-        # any other reduced word for the same action compares >= lexicographically
-        for other in group:
-            if other.perm == w.perm and other is not w:
-                raise AssertionError("duplicate action in group")
-    # spot check: the longest element of A2 gets (1,2,1), not (2,1,2)
-    rs2 = build_root_system("A", 2)
-    longest = max(generate_weyl(rs2), key=lambda w: len(w.word))
-    assert longest.word == (1, 2, 1)
+    for family, rank in [("A", 3), ("B", 3), ("G", 2)]:
+        rs = build_root_system(family, rank)
+        group = generate_weyl(rs)
+        reduced = _all_reduced_words(rs)
+        assert len(reduced) == len(group) == len({w.perm for w in group})
+        for w in group:
+            assert w.word == min(reduced[w.perm])
 
 
 @pytest.mark.parametrize(
@@ -157,14 +154,41 @@ def test_orbit_pairs():
     assert len(generate_weyl(rs2)) % len(orbit) == 0
 
 
-def _oracle_weyl(rs):
-    """The plain breadth-first closure: every letter, one tuple per image."""
+def _generator_tuples(rs):
+    """Each simple reflection as a tuple: entry j is the index of s_i(root j)."""
     all_roots = list(rs.positive_roots) + [tuple(-x for x in r) for r in rs.positive_roots]
     index = {r: i for i, r in enumerate(all_roots)}
-    gens = [
+    return [
         tuple(index[rs.reflect_root(r, i)] for r in all_roots) for i in range(1, rs.rank + 1)
     ]
-    ident = tuple(range(len(all_roots)))
+
+
+def _all_reduced_words(rs):
+    """Every reduced word of every element, keyed by its perm, breadth first.
+
+    The reduced words of x at distance q + 1 from e are the words y + (i,)
+    of the y at distance q with y s_i = x.
+    """
+    gens = _generator_tuples(rs)
+    ident = tuple(range(len(gens[0])))
+    level = {ident: {()}}
+    found = dict(level)
+    while level:
+        nxt = {}
+        for perm, words in level.items():
+            for i, g in enumerate(gens, 1):
+                p2 = tuple(perm[g[j]] for j in range(len(perm)))
+                if p2 not in found:
+                    nxt.setdefault(p2, set()).update(word + (i,) for word in words)
+        found.update(nxt)
+        level = nxt
+    return {bytes(p): words for p, words in found.items()}
+
+
+def _oracle_weyl(rs):
+    """The plain breadth-first closure: every letter, one tuple per image."""
+    gens = _generator_tuples(rs)
+    ident = tuple(range(len(gens[0])))
     seen = {ident: ()}
     frontier = [(ident, ())]
     while frontier:
@@ -214,7 +238,66 @@ def enumerate_by_level_walk(rs):
 @pytest.mark.parametrize("family,rank", ORACLE_TYPES + [("A", 6), ("D", 5), ("E", 6)])
 def test_coset_products_match_the_level_walk(family, rank):
     rs = build_root_system(family, rank)
-    assert generate_weyl(rs) == enumerate_by_level_walk(rs)
+    assert tuple(generate_weyl(rs)) == enumerate_by_level_walk(rs)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("E", 6)])
+def test_the_group_reads_as_the_tuple_of_its_elements(family, rank):
+    rs = build_root_system(family, rank)
+    group = generate_weyl(rs)
+    elements = tuple(group)
+    n = len(elements)
+    assert group.perms == tuple(w.perm for w in elements)
+    for j in (0, 1, n // 2, n - 1, -1, -2, -n):
+        assert group[j] is group[j] is elements[j]
+    for j in (n, -n - 1):
+        with pytest.raises(IndexError):
+            group[j]
+    for part in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7)):
+        assert group[part] == elements[part] and type(group[part]) is tuple
+    assert group[10:2:-3] == elements[10:2:-3]
+    k = min(60, n // 2)
+    for seed in range(3):
+        drawn = random.Random(seed).sample(group, k)
+        assert drawn == random.Random(seed).sample(elements, k)
+        for w in drawn:
+            built = element_from_word(rs, w.word)
+            assert (built.word, built.perm) == (w.word, w.perm)
+
+
+def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
+    made = []
+
+    class Counting(WeylElement):
+        __slots__ = ()
+
+        def __init__(self, word, perm):
+            made.append(word)
+            super().__init__(word, perm)
+
+    monkeypatch.setattr(weyl, "WeylElement", Counting)
+    group = weyl._enumerate_weyl(build_root_system("E", 6))
+    assert len(group) == 51840 and made == []
+    w = group[-1]
+    assert type(w) is Counting and group[-1] is w and len(made) == 1
+    assert len(w.word) == 36
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES + [("E", 6)])
+def test_length_distribution_is_the_poincare_polynomial(family, rank):
+    # the numbers of positive roots of each height form the partition dual to
+    # that of the exponents m_i (Kostant 1959; Humphreys, Reflection Groups
+    # and Coxeter Groups, sec. 3.20), and W(q) = prod_i (1 + q + ... + q^m_i)
+    rs = build_root_system(family, rank)
+    by_height = Counter(sum(r) for r in rs.positive_roots)
+    counts = [by_height[h] for h in range(1, max(by_height) + 1)]
+    exponents = [sum(1 for c in counts if c >= i) for i in range(1, rank + 1)]
+    poincare = [1]
+    for m in exponents:
+        poincare = [sum(poincare[max(0, d - m) : d + 1]) for d in range(len(poincare) + m)]
+    lengths = Counter(len(w.word) for w in generate_weyl(rs))
+    assert [lengths[d] for d in range(len(poincare))] == poincare
+    assert sum(poincare) == len(generate_weyl(rs))
 
 
 def test_e6_coset_representatives_have_no_left_descent_below_their_level():
