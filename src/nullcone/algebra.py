@@ -4,7 +4,9 @@ sl(n+1) is realized as traceless matrices; so(2n+1) and sp(2n) preserve
 anti-diagonal forms J, s_i = J[i][N-1-i], chosen so that the standard Borel
 subalgebra consists of the upper-triangular members and the Cartan
 subalgebra of the diagonal ones.  x lies in so/sp iff x = -mirror(x), where
-mirror(x) = J^-1 x^T J is the cell rule s_a s_b x[N-1-b][N-1-a].  The basis
+mirror(x) = J^-1 x^T J is the cell rule s_a s_b x[N-1-b][N-1-a]; in_algebra
+tests that rule cell by cell, on and above the anti-diagonal, and stops at
+the first cell that breaks it.  The basis
 is root-graded and ordered (Cartan part, positive root vectors in the root
 system's order, negative root vectors); each basis vector is 1 on a cell
 where all later ones vanish, so coordinates are read off matrix cells.
@@ -29,7 +31,10 @@ three multipliers.
 Regularity is decided in the defining representation too: x is regular
 exactly when its minimal polynomial has degree N (is_regular_element), an
 N x N^2 test in place of the dim x dim rank of ad x that centralizer_dim
-keeps as the definition.
+keeps as the definition.  The Cartan elements, Borel pencils and nilradical
+elements that the report tests are upper triangular, and in the default run
+each is diagonal, has distinct diagonal entries, or is a scalar plus a
+nilpotent: shapes whose degree linalg reads off with no elimination.
 
 Type D is not realized (its last fundamental invariant is a Pfaffian, not a
 characteristic-polynomial coefficient); root-level coverage of type D lives
@@ -232,7 +237,15 @@ class MatrixLieAlgebra:
             return False
         if self.family == "A":
             return la.trace(x) == 0
-        return la.is_zero(la.add(x, self._mirror(x)))
+        # x = -mirror(x) cell by cell; the rule at (a, b) is the rule at its
+        # mirror cell (N-1-b, N-1-a), so the cells on and above the
+        # anti-diagonal cover every pair, the self-mirror cells included
+        s, last = self._signs, self.size - 1
+        return all(
+            x[a][b] == -sa * s[b] * x[last - b][last - a]
+            for a, sa in enumerate(s)
+            for b in range(last - a + 1)
+        )
 
     def in_borel(self, x) -> bool:
         return self.in_algebra(x) and all(

@@ -15,8 +15,12 @@ benchmark's trace, which wraps them by name.  ``signed_digits`` reads an
 integer polynomial's coefficients off its value at 2^K (Kronecker
 substitution).  ``clear_denominators`` scales a rational matrix to an
 integer one by the lcm of its denominators.
-``minimal_polynomial_degree`` reduces the flattened powers I, m, m^2, ...
-fraction-free, one row at a time, and stops at the first dependent one.
+``minimal_polynomial_degree`` reads the degree off an upper-triangular
+matrix whose diagonal entries are distinct, or that is diagonal, or a scalar
+plus a nilpotent; every other matrix has its flattened powers I, m, m^2, ...
+reduced fraction-free, one row at a time, up to the first dependent one.
+``char_poly`` and ``minimal_polynomial_degree`` refuse input that is not
+square.
 
 ``mul`` builds each row of a b as a combination of b's rows, one term per
 nonzero entry of a's row, so the sparse basis matrices and triangular group
@@ -165,20 +169,58 @@ def rank(rows) -> int:
     return r
 
 
+def _square_size(rows) -> int:
+    """N for an N x N matrix; ValueError for ragged or non-square rows."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        lengths = sorted({len(row) for row in rows})
+        raise ValueError(f"not a square matrix: {n} rows of lengths {lengths}")
+    return n
+
+
 def minimal_polynomial_degree(rows) -> int:
     """Degree of the minimal polynomial of a square matrix m, exact.
 
     The degree is the first k at which m^k lies in the span of I, m, ...,
-    m^(k-1), and at most N (Cayley-Hamilton).  With L the lcm of the
-    entries' denominators, the powers of L m are L^k times those of m, so
-    L m has the same degree and integer powers.  Each flattened power is
-    reduced against the echelon rows before it, fraction-free (v <- a v - b e
-    at each earlier pivot, then v over the gcd of its entries); the first
-    power that vanishes gives k, and m^N is never formed.
+    m^(k-1), and at most N (Cayley-Hamilton).  An upper-triangular m with d
+    distinct diagonal entries gives it without elimination in three cases:
+
+    - d = N: the characteristic polynomial is the product of the N distinct
+      factors (t - m[i][i]), so every eigenvalue is a simple root of it; the
+      minimal polynomial divides it and has every eigenvalue as a root, so
+      the two are equal and the degree is N.
+    - m diagonal: p(m) is diag(p(m[i][i])), which vanishes exactly when p
+      has every diagonal entry as a root, so the minimal polynomial is the
+      product of (t - a) over the d distinct entries a, of degree d.
+    - d = 1, the diagonal all c: u = m - cI is strictly upper, so u^N = 0.
+      A polynomial annihilates m exactly when its shift p(t + c) annihilates
+      u; the minimal polynomial of u is t^k for the first k with u^k = 0, so
+      that of m is (t - c)^k, found with at most N - 1 products.
+
+    Every other matrix is reduced.  With L the lcm of the entries'
+    denominators, the powers of L m are L^k times those of m, so L m has
+    the same degree and integer powers.  Each flattened power is reduced
+    against the echelon rows before it, fraction-free (v <- a v - b e at
+    each earlier pivot, then v over the gcd of its entries); the first power
+    that vanishes gives k, and m^N is never formed.
     """
-    n = len(rows)
+    n = _square_size(rows)
     if n == 0:
         return 0
+    if not any(any(row[:i]) for i, row in enumerate(rows)):  # upper triangular
+        diagonal = [row[i] for i, row in enumerate(rows)]
+        distinct = len(set(diagonal))
+        if distinct == n:
+            return n
+        if not any(any(row[i + 1:]) for i, row in enumerate(rows)):
+            return distinct
+        if distinct == 1:
+            c = diagonal[0]
+            u = rows if c == 0 else sub(rows, scale(c, identity(n)))
+            power, k = u, 1
+            while not is_zero(power):
+                power, k = mul(power, u), k + 1
+            return k
     d, m = clear_denominators(rows)
     echelon = []  # (pivot column, row); each row is zero on every earlier pivot
     power = identity(n)
@@ -306,7 +348,7 @@ def char_poly(rows) -> tuple:
     so triangular input costs O(N^2) in all; dense input about N^4/4
     multiplications.
     """
-    n = len(rows)
+    n = _square_size(rows)
     if n == 0:
         return ()
     d, m = clear_denominators(rows)

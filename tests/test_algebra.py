@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 from math import comb
 
 import pytest
@@ -189,17 +190,26 @@ def test_in_algebra_matches_form_equation(fam, rk):
     j_inv = la.inverse(j)
     rng = random.Random(f"member:{fam}{rk}")
     N = alg.size
+
+    def expected(x):
+        return la.is_zero(la.add(la.mul(la.transpose(x), j), la.mul(j, x)))
+
     seen = set()
     for _ in range(20):
         m = la.mat([[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)])
         member = la.sub(m, la.mul(la.mul(j_inv, la.transpose(m)), j))
-        a, b = rng.randrange(N), rng.randrange(N)
-        cell = la.mat([[int((r, c) == (a, b)) for c in range(N)] for r in range(N)])
-        nudged = la.add(member, cell)
-        for x in (m, member, nudged):
-            expected = la.is_zero(la.add(la.mul(la.transpose(x), j), la.mul(j, x)))
-            assert alg.in_algebra(x) == expected
-            seen.add(expected)
+        for x in (m, member):
+            assert alg.in_algebra(x) == expected(x)
+            seen.add(expected(x))
+    # a nudge of every cell of a member, the self-mirror anti-diagonal cells
+    # (and the centre cell of so(2n+1)) among them
+    assert alg.in_algebra(member)
+    for a in range(N):
+        for b in range(N):
+            cell = la.mat([[int((r, c) == (a, b)) for c in range(N)] for r in range(N)])
+            nudged = la.add(member, cell)
+            assert alg.in_algebra(nudged) == expected(nudged)
+            seen.add(expected(nudged))
     assert seen == {True, False}
 
 
@@ -781,6 +791,25 @@ def test_nilradical_element_is_regular_exactly_with_every_simple_coefficient(nam
     kostant = all(coefficients[k] for k in simple)
     assert alg.is_regular_element(x) == kostant
     assert (alg.centralizer_dim(x) == alg.rank) == kostant
+
+
+@pytest.mark.parametrize(
+    "fam,rk", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)]
+)
+def test_cartan_element_is_regular_exactly_off_the_root_hyperplanes(fam, rk):
+    # every Cartan element with coefficients in {-2, ..., 2}, and the height
+    # element, which is regular: the criterion that the
+    # nonregular-pair-hyperplanes record compares regularity with.  On B3-B4
+    # and C3-C4 no grid point is regular, as that needs rank distinct
+    # nonzero absolute values on the diagonal
+    alg = build_algebra(fam, rk)
+    grid = [_combination(alg, dict(enumerate(c))) for c in product(range(-2, 3), repeat=rk)]
+    seen = set()
+    for h in grid + [alg.height_element]:
+        off_hyperplanes = all(alg.root_value(r, h) != 0 for r in alg.rs.positive_roots)
+        assert alg.is_regular_element(h) == off_hyperplanes
+        seen.add(off_hyperplanes)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("fam,rk", [("A", 3), ("B", 3), ("C", 3)])

@@ -172,11 +172,12 @@ def test_det_rejects_non_integer_entries():
 
 
 def _square(n, entry, shape):
-    """An n x n matrix of the given shape: dense, upper, lower or nilpotent (strictly upper)."""
+    """An n x n matrix: dense, upper, lower, diagonal or nilpotent (strictly upper)."""
     keep = {
         "dense": lambda i, j: True,
         "upper": lambda i, j: i <= j,
         "lower": lambda i, j: i >= j,
+        "diagonal": lambda i, j: i == j,
         "nilpotent": lambda i, j: i < j,
     }[shape]
     return st.lists(entry, min_size=n * n, max_size=n * n).map(
@@ -189,12 +190,31 @@ def shaped_matrix(draw, max_size=7):
     """A matrix of random shape and size, and sometimes a zero bordering row or column.
 
     Zeroing m[r][:r] or column r above the diagonal makes Berkowitz step r
-    the bare product with (t - m[r][r]).
+    the bare product with (t - m[r][r]).  The triangular shapes reach each
+    case minimal_polynomial_degree reads off the structure: a diagonal, a
+    nonzero scalar c plus a strictly upper part, and an upper matrix whose
+    diagonal repeats (drawn from fewer than n values).
     """
     n = draw(st.integers(1, max_size))
     entry = draw(st.sampled_from([st.integers(-5, 5), rational_entry]))
-    shape = draw(st.sampled_from(["dense", "upper", "lower", "nilpotent"]))
-    m = draw(_square(n, entry, shape))
+    shape = draw(
+        st.sampled_from(
+            ["dense", "upper", "lower", "nilpotent", "diagonal", "scalar_plus_nilpotent",
+             "upper_repeated_diagonal"]
+        )
+    )
+    if shape == "scalar_plus_nilpotent":
+        m = draw(_square(n, entry, "nilpotent"))
+        c = draw(entry.filter(bool))
+        for i in range(n):
+            m[i][i] = c
+    elif shape == "upper_repeated_diagonal":
+        m = draw(_square(n, entry, "upper"))
+        values = draw(st.lists(entry, min_size=1, max_size=max(1, n - 1)))
+        for i in range(n):
+            m[i][i] = draw(st.sampled_from(values))
+    else:
+        m = draw(_square(n, entry, shape))
     if n > 1 and draw(st.booleans()):
         r = draw(st.integers(1, n - 1))
         if draw(st.booleans()):
@@ -386,17 +406,38 @@ def test_minimal_polynomial_degree_of_pinned_matrices():
     assert la.minimal_polynomial_degree(_jordan_sum([(1, v) for v in (0, 0, Fraction(1, 2))])) == 2
     assert la.minimal_polynomial_degree(_jordan_sum([(1, v) for v in (2, -2, 0, 5)])) == 4
     # J_3 + J_2: the larger block alone at one eigenvalue, both blocks at two
-    # eigenvalues; a unimodular conjugation hides the blocks
-    p = [[1 if i <= j else 0 for j in range(5)] for i in range(5)]
-    for blocks, degree in [
-        ([(3, 2), (2, 2)], 3),
-        ([(3, 0), (2, 0)], 3),
-        ([(3, 2), (2, -1)], 5),
-        ([(3, Fraction(1, 3)), (2, 0)], 5),
+    # eigenvalues; then an upper matrix with distinct diagonal and a nonzero
+    # superdiagonal, J_3(2) + J_1(2), and diag(1, 1, 2) with a cell above the
+    # repeated 1s.  Conjugation by the upper unimodular u keeps each one upper
+    # triangular with the same diagonal; by the dense unimodular u^T u it
+    # hides the blocks and sends the matrix through the reducer
+    upper_distinct = [[1, 2, 0, -1], [0, 3, 1, 0], [0, 0, Fraction(-1, 2), 5], [0, 0, 0, 0]]
+    for m, degree in [
+        (_jordan_sum([(3, 2), (2, 2)]), 3),
+        (_jordan_sum([(3, 0), (2, 0)]), 3),
+        (_jordan_sum([(3, 2), (2, -1)]), 5),
+        (_jordan_sum([(3, Fraction(1, 3)), (2, 0)]), 5),
+        (upper_distinct, 4),
+        (_jordan_sum([(3, 2), (1, 2)]), 3),
+        ([[1, 7, 0], [0, 1, 0], [0, 0, 2]], 3),
     ]:
-        m = _jordan_sum(blocks)
+        n = len(m)
+        u = [[1 if i <= j else 0 for j in range(n)] for i in range(n)]
+        dense = la.mul(la.transpose(u), u)
         assert la.minimal_polynomial_degree(m) == degree
-        assert la.minimal_polynomial_degree(la.mul(la.mul(p, m), la.inverse(p))) == degree
+        for p in (u, dense):
+            conjugate = la.mul(la.mul(p, m), la.inverse(p))
+            assert la.minimal_polynomial_degree(conjugate) == degree
+        assert any(conjugate[i][j] for i in range(n) for j in range(i))
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1], [2, 3]], [[]]]
+)
+def test_square_matrix_kernels_refuse_non_square_rows(rows):
+    for kernel in (la.minimal_polynomial_degree, la.char_poly, la.faddeev):
+        with pytest.raises(ValueError):
+            kernel(rows)
 
 
 def test_ratio_is_an_int_exactly_when_the_division_is_exact():
