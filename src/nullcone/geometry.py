@@ -137,19 +137,13 @@ class Membership:
 
 
 def _verify_flag(x, y, flag) -> bool:
-    n = len(x)
-    if len(flag) != n:
+    if len(flag) != len(x):
         return False
-    prefix = []
+    prefix = la.Echelon()
     for v in flag:
-        for m in (x, y):
-            img = la.mat_vec(m, v)
-            if prefix and not la.in_span(prefix, img):
-                return False
-            if not prefix and any(c != 0 for c in img):
-                return False
-        prefix.append(list(v))
-    return la.rank(prefix) == n
+        if not all(prefix.spans(la.mat_vec(m, v)) for m in (x, y)) or not prefix.add(v):
+            return False
+    return True
 
 
 def nullcone_membership(alg: MatrixLieAlgebra, x, y) -> Membership:
@@ -187,11 +181,11 @@ def nullcone_membership(alg: MatrixLieAlgebra, x, y) -> Membership:
         levels.append(level)
     if levels[n]:
         return Membership("rejected", f"the word {next(iter(levels[n].values()))} is nonzero")
-    flag = []
+    flag, span = [], la.Echelon()
     for level in reversed(levels):
         for prod in level:
             for col in la.transpose(prod):
-                if len(flag) < n and any(col) and la.rank(flag + [col]) > len(flag):
+                if len(flag) < n and span.add(col):
                     flag.append(col)
     if not _verify_flag(x, y, flag):
         raise AssertionError("word criterion built an invalid flag")

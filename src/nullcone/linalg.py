@@ -6,8 +6,10 @@ Matrices are sequences of equal-length rows; functions return tuples of
 tuples so results are hashable and safe to share between threads.
 
 Rank and the characteristic polynomial have one path each, and rational
-input is scaled to integers once, by an exact identity.  Rank goes
-through fraction-free (Bareiss) elimination; the characteristic
+input is scaled to integers once, by an exact identity.  ``Echelon`` is
+the one elimination: it grows integer rows in echelon form a vector at a
+time, reducing fraction-free, and ``rank``, span tests and the minimal
+polynomial's general path all run through it.  The characteristic
 polynomial is one division-free Berkowitz pass.  ``faddeev`` builds its
 auxiliary matrices from those coefficients by Horner's rule.  ``rref``,
 ``solve`` and ``inverse`` serve only the tests, as oracles, and the
@@ -18,9 +20,9 @@ integer one by the lcm of its denominators.
 ``minimal_polynomial_degree`` reads the degree off an upper-triangular
 matrix whose diagonal entries are distinct, or that is diagonal, or a scalar
 plus a nilpotent; every other matrix has its flattened powers I, m, m^2, ...
-reduced fraction-free, one row at a time, up to the first dependent one.
+added to an ``Echelon`` up to the first dependent one.
 ``char_poly`` and ``minimal_polynomial_degree`` refuse input that is not
-square.
+square, and ``Echelon``, so ``rank`` too, vectors of unequal length.
 
 ``mul`` builds each row of a b as a combination of b's rows, one term per
 nonzero entry of a's row, so the sparse basis matrices and triangular group
@@ -135,38 +137,55 @@ def clear_denominators(rows):
     return d, [_integral(row, d) for row in rows]
 
 
-def rank(rows) -> int:
-    """Rank of a matrix, exact.
+class Echelon:
+    """Integer rows in echelon form, grown one vector at a time; ``len`` is the rank.
 
-    Each row is scaled by the lcm of its entries' denominators, which keeps
-    the rank, and the integer result goes through fraction-free Bareiss
-    elimination (all divisions exact, entries bounded by minors).
+    A vector is scaled by the lcm of its denominators, which keeps its span,
+    and reduced fraction-free: at each kept row e with pivot p, v <- a v - b e
+    for a/b = e[p]/v[p] in lowest terms, which clears v[p] and keeps the zeros
+    at earlier pivots, where e is zero.  v is in the span exactly when nothing
+    is left.  Every vector must be as long as the first one added.
     """
-    if not rows or not rows[0]:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    m = [_integral(row, lcm(*(x.denominator for x in row))) for row in rows]
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic == 0 and pivot == prev:
-                continue
-            row_i, row_r = m[i], m[r]
-            for j in range(c + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+
+    def __init__(self):
+        self._rows = []  # (pivot column, row); each row is zero at every earlier pivot
+        self._width = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v) -> list:
+        if self._width is not None and len(v) != self._width:
+            raise ValueError(f"a vector of length {len(v)} next to rows of length {self._width}")
+        v = _integral(v, lcm(*(x.denominator for x in v)))
+        for p, e in self._rows:
+            if v[p]:
+                g = gcd(e[p], v[p])
+                a, b = e[p] // g, v[p] // g
+                v = [a * x - b * y for x, y in zip(v, e)]
+        return v
+
+    def spans(self, v) -> bool:
+        """Whether v is in the span of the kept rows (only 0 is, when there are none)."""
+        return not any(self._reduce(v))
+
+    def add(self, v) -> bool:
+        """Keep v over its gcd, pivoted at its first nonzero entry, unless it is in the span."""
+        if self._width is None:
+            self._width = len(v)
+        v = self._reduce(v)
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        g = gcd(*v)
+        self._rows.append((pivot, [x // g for x in v]))
+        return True
+
+
+def rank(rows) -> int:
+    """Rank of a matrix, exact: the number of its rows an ``Echelon`` keeps."""
+    echelon = Echelon()
+    return sum(echelon.add(row) for row in rows)
 
 
 def _square_size(rows) -> int:
@@ -199,10 +218,9 @@ def minimal_polynomial_degree(rows) -> int:
 
     Every other matrix is reduced.  With L the lcm of the entries'
     denominators, the powers of L m are L^k times those of m, so L m has
-    the same degree and integer powers.  Each flattened power is reduced
-    against the echelon rows before it, fraction-free (v <- a v - b e at
-    each earlier pivot, then v over the gcd of its entries); the first power
-    that vanishes gives k, and m^N is never formed.
+    the same degree and integer powers.  Its flattened powers go to an
+    ``Echelon`` one by one; the first that does not raise the rank gives k,
+    and m^N is never formed.
     """
     n = _square_size(rows)
     if n == 0:
@@ -221,23 +239,14 @@ def minimal_polynomial_degree(rows) -> int:
             while not is_zero(power):
                 power, k = mul(power, u), k + 1
             return k
-    d, m = clear_denominators(rows)
-    echelon = []  # (pivot column, row); each row is zero on every earlier pivot
+    _, m = clear_denominators(rows)
+    echelon = Echelon()
     power = identity(n)
     for k in range(n):
         if k:
             power = mul(power, m)
-        v = [x for row in power for x in row]
-        for p, e in echelon:
-            if v[p]:
-                g = gcd(e[p], v[p])
-                a, b = e[p] // g, v[p] // g
-                v = [a * x - b * y for x, y in zip(v, e)]
-        pivot = next((j for j, x in enumerate(v) if x), None)
-        if pivot is None:
+        if not echelon.add(flatten(power)):
             return k
-        g = gcd(*v)
-        echelon.append((pivot, [x // g for x in v]))
     return n
 
 
@@ -371,8 +380,3 @@ def char_poly(rows) -> tuple:
         poly = out
     return tuple(ratio(c, d**k) for k, c in enumerate(poly[1:], start=1))
 
-
-def in_span(vectors, v) -> bool:
-    """Whether v lies in the span of the given vectors."""
-    base = list(vectors)
-    return rank(base) == rank(base + [list(v)])

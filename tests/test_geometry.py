@@ -271,6 +271,18 @@ def test_sl5_constructed_pair_is_a_member():
     assert membership_certificate_holds(alg, x, y, m)
 
 
+def test_flag_verification_refuses_broken_flags():
+    # x = E12 + E23 lowers e3 -> e2 -> e1 -> 0, so e1, e2, e3 is a flag of x alone
+    x = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+    e1, e2, e3 = la.identity(3)
+    assert geo._verify_flag(x, la.zeros(3, 3), (e1, e2, e3))
+    assert not geo._verify_flag(x, x, (e1, e2))  # too short
+    assert not geo._verify_flag(x, x, (e1, e1, e2))  # e1 twice: not a basis
+    lower = la.transpose(x)  # sends e1 to e2, out of the first level
+    assert not geo._verify_flag(x, lower, (e1, e2, e3))
+    assert not geo._verify_flag(lower, x, (e1, e2, e3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_membership_certificates_on_conjugated_nilradical_pairs(data):

@@ -317,15 +317,30 @@ def test_rank_and_nullspace_consistency():
 
 
 def test_rank_large_matrix_avoids_entry_blowup():
-    # Bareiss entries are minors of the input, so 40 pivots on entries in
-    # -3..3 stay below Hadamard's bound (3 * sqrt(40))^40 < 10^52
+    # 40 rows of 45 entries in -3..3, larger than any matrix the verifier
+    # ranks, spanning only 6 dimensions: the 34 dependent rows must reduce
+    # to exactly zero, so the rank matches the Fraction rref
     n = 40
     m = [[(i * j + i + 2 * j) % 7 - 3 for j in range(n + 5)] for i in range(n)]
-    assert 0 < la.rank(m) <= n
+    assert la.rank(m) == len(la.rref(m)[1])
+
+
+def assert_echelon_matches_rref(m):
+    """Row by row, add raises the rank and spans fails exactly when rref says so.
+
+    The pivot columns of rref(m^T) are the rows of m outside the span of
+    the rows before them, which are the rows that raise the prefix rank.
+    """
+    raising = set(la.rref(la.transpose(m))[1])
+    echelon = la.Echelon()
+    for k, row in enumerate(m):
+        assert echelon.spans(row) is (k not in raising)
+        assert echelon.add(row) is (k in raising)
+    assert len(echelon) == len(raising)
 
 
 def test_integer_rank_matches_rref_on_large_matrices():
-    # integer input of any size goes through Bareiss; rref is the reference
+    # integer input of any size goes through the echelon; rref is the reference
     rng = random.Random("rank-large")
 
     def rand(rows, cols):
@@ -336,6 +351,7 @@ def test_integer_rank_matches_rref_on_large_matrices():
     for m in (full, deficient):
         assert min(len(m), len(m[0])) > 24
         assert la.rank(m) == len(la.rref(m)[1])
+        assert_echelon_matches_rref(m)
     assert la.rank(full) == 28
     assert la.rank(deficient) == 20
 
@@ -363,6 +379,7 @@ def test_rank_of_rational_matrices_matches_rref():
     for m in cases:
         ranks.add(la.rank(m))
         assert la.rank(m) == len(la.rref(m)[1])
+        assert_echelon_matches_rref(m)
     assert min(ranks) < max(ranks)
     assert la.rank(cases[-1]) == 1
 
@@ -506,5 +523,23 @@ def test_signed_digits_at_the_ends_of_the_range():
 
 
 def test_nilpotent_exp_and_span_helpers():
-    assert la.in_span([(1, 0, 1), (0, 1, 0)], (2, 3, 2))
-    assert not la.in_span([(1, 0, 1)], (1, 0, 0))
+    empty = la.Echelon()
+    assert empty.spans((0, 0, 0)) and not empty.spans((0, 0, 1))
+    assert len(empty) == 0
+    two = la.Echelon()
+    assert two.add((1, 0, 1)) and two.add((0, 1, 0))
+    assert two.spans((2, 3, 2))
+    one = la.Echelon()
+    assert one.add((1, 0, 1))
+    assert not one.spans((1, 0, 0))
+
+
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError):
+        la.rank([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        la.rank([[1, 2], [3]])
+    echelon = la.Echelon()
+    echelon.add([1, 0])
+    with pytest.raises(ValueError):
+        echelon.spans([1])
