@@ -1,12 +1,18 @@
 """Verification suites with deterministic, diff-friendly reports.
 
 A run is configured by :class:`RunConfig` and produces a list of
-:class:`CheckResult`.  Structured output is line-delimited JSON sorted by
-check id with a versioned schema identifier; it contains no timing and no
-environment data, so two runs with the same configuration are
-byte-identical.  Text output is for humans and includes each check's
-measured time: the time since the previous record of its suite x type unit,
-so set-up shared by several checks is charged to the first of them.
+:class:`CheckResult`.  The roots, invariants and geometry suites are tables
+of entries (:class:`_Check`), one per claim, run by one runner: it builds
+the check ids, gives each stream label of a suite x type unit one seeded
+stream that every entry naming it shares, and makes and counts the draws of
+sampled entries.  The shifts suite reports :mod:`nullcone.shifts` outcomes.
+
+Structured output is line-delimited JSON sorted by check id with a versioned
+schema identifier; it contains no timing, no draw counts and no environment
+data, so two runs with the same configuration are byte-identical.  Text
+output is for humans: each check's measured time, from the previous record
+of its unit (so set-up shared by several checks is charged to the first of
+them), and a sampled check's draw count.
 
 Exit status convention: 0 when nothing failed, 1 when any check failed
 (undecided and skipped do not fail a run), 2 for usage errors.
@@ -19,6 +25,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import geometry as geo
 from . import linalg as la
@@ -62,6 +69,7 @@ class CheckResult:
     status: str  # 'pass' | 'fail' | 'undecided' | 'skipped'
     witness: object = None
     elapsed: float = 0.0
+    draws: int | None = None  # counted draws of a sampled check; None for a direct one
 
 
 @dataclass(frozen=True)
@@ -74,29 +82,14 @@ class RunConfig:
     output_format: str = "text"  # 'text' | 'structured'
 
 
-def _rng(config: RunConfig, label: str) -> random.Random:
-    return random.Random(f"{config.seed}:{label}")
-
-
-def _sampled_check(config: RunConfig, label: str, sample, count=None) -> bool:
-    """A sampled check passes iff ``sample(rng)`` holds on every seeded draw.
-
-    ``rng`` is seeded by ``label``; ``count`` defaults to max(3, samples // 5).
-    """
-    rng = _rng(config, label)
-    if count is None:
-        count = max(3, config.samples // 5)
-    return all(sample(rng) for _ in range(count))
-
-
-def _result(check_id, claim, ok, witness=None) -> CheckResult:
+def _result(check_id, claim, ok, witness=None, draws=None) -> CheckResult:
     if ok in ("undecided", "skipped"):
         status = ok
     else:
         status = "pass" if ok else "fail"
     if status in ("fail", "undecided") and witness is None:
         witness = "no further detail"
-    return CheckResult(check_id, claim, status, witness)
+    return CheckResult(check_id, claim, status, witness, draws=draws)
 
 
 def _parse_type(name: str):
@@ -106,21 +99,109 @@ def _parse_type(name: str):
         return str(exc)
 
 
+# -- check entries and their runner -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One claim of a suite, checked on every type in ``types`` (None: all).
+
+    ``body(unit, rng)`` gets the unit's stream named ``stream`` (None without
+    one).  A direct entry (``draws`` None) returns ``(ok, witness)``, or None
+    for no record.  A sampled entry calls it up to ``draws`` times (an int,
+    or a function of the configured sample count); a draw returns True when
+    the claim holds on it, None when its precondition is not met (not
+    counted), or a failure witness (False for none), and the first failure
+    ends the check.  ``summary(unit, n)`` gives ``(ok, witness)`` once all
+    ``n`` counted draws held.
+    """
+
+    name: str
+    claim: str
+    body: object
+    types: tuple | None = None
+    stream: str | None = None
+    draws: object = None
+    summary: object = lambda unit, n: (True, None)
+
+
+def _fifth(samples: int) -> int:
+    """The draw count of most sampled identities."""
+    return max(3, samples // 5)
+
+
+class _Unit:
+    """What the entries of one suite x type unit share, each part built on first use."""
+
+    def __init__(self, config: RunConfig, suite: str, tname: str):
+        self.config, self.suite, self.tname = config, suite, tname
+        self.stype = SimpleType.from_name(tname)
+        self.streams = {}
+        self.notes = {}  # values an entry leaves for a later entry of the unit
+
+    def stream(self, label: str) -> random.Random:
+        """The stream seeded by ``<suite>/<type>/<label>``, one per label."""
+        if label not in self.streams:
+            seed = f"{self.config.seed}:{self.suite}/{self.tname}/{label}"
+            self.streams[label] = random.Random(seed)
+        return self.streams[label]
+
+    @cached_property
+    def rs(self):
+        return build_root_system(self.stype.family, self.stype.rank)
+
+    @cached_property
+    def alg(self):
+        return build_algebra(self.stype.family, self.stype.rank)
+
+    @cached_property
+    def order(self) -> int:
+        return weyl_order(self.rs)
+
+    @property
+    def capped(self) -> bool:
+        """Whether the Weyl group order is above the configured cap."""
+        return self.order > self.config.max_weyl_order
+
+    @cached_property
+    def group(self):
+        return generate_weyl(self.rs, self.config.max_weyl_order)
+
+    @cached_property
+    def xreg(self):
+        return self.alg.regular_nilpotent()
+
+
+def _run_check(check: _Check, unit: _Unit):
+    """The record of ``check`` on ``unit``, or None; see :class:`_Check`."""
+    check_id = f"{unit.suite}/{unit.tname}/{check.name}"
+    rng = unit.stream(check.stream) if check.stream else None
+    if check.draws is None:
+        got = check.body(unit, rng)
+        return None if got is None else _result(check_id, check.claim, *got)
+    count = check.draws if isinstance(check.draws, int) else check.draws(unit.config.samples)
+    n = 0
+    for _ in range(count):
+        got = check.body(unit, rng)
+        if got is None:
+            continue
+        n += 1
+        if got is not True:
+            return _result(check_id, check.claim, False, got or None, n)
+    return _result(check_id, check.claim, *check.summary(unit, n), draws=n)
+
+
 # -- roots suite ---------------------------------------------------------------
 
 
-def _roots_checks(config: RunConfig, tname: str):
-    stype = SimpleType.from_name(tname)
-    rs = build_root_system(stype.family, stype.rank)
-    expected = POSITIVE_ROOT_COUNTS[stype.family](stype.rank)
-    yield _result(
-        f"roots/{tname}/positive-count",
-        "number of positive roots matches the classical closed form",
-        len(rs.positive_roots) == expected,
-        {"found": len(rs.positive_roots), "expected": expected},
-    )
+def _positive_count(u, rng):
+    found = len(u.rs.positive_roots)
+    expected = POSITIVE_ROOT_COUNTS[u.stype.family](u.stype.rank)
+    return found == expected, {"found": found, "expected": expected}
 
-    bad = []
+
+def _simple_reflections(u, rng):
+    rs, bad = u.rs, []
     for i in range(1, rs.rank + 1):
         beta = tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
         images = set()
@@ -134,233 +215,134 @@ def _roots_checks(config: RunConfig, tname: str):
             images.add(img)
         if len(images) != len(rs.positive_roots):
             bad.append((i, "not injective"))
-    yield _result(
-        f"roots/{tname}/simple-reflection-permutation",
-        "each simple reflection permutes the other positive roots and "
-        "negates its own root",
-        not bad,
-        bad or None,
-    )
+    return not bad, bad or None
 
-    total = [0] * rs.rank
-    for r in rs.positive_roots:
-        for k in range(rs.rank):
-            total[k] += r[k]
-    half_sum = tuple(Fraction(t, 2) for t in total)
+
+def _rho_half_sum(u, rng):
+    rs = u.rs
+    half_sum = tuple(Fraction(sum(r[k] for r in rs.positive_roots), 2) for k in range(rs.rank))
     pairings = tuple(
-        sum(rs.cartan[i][j] * half_sum[j] for j in range(rs.rank))
-        for i in range(rs.rank)
+        sum(rs.cartan[i][j] * half_sum[j] for j in range(rs.rank)) for i in range(rs.rank)
     )
-    yield _result(
-        f"roots/{tname}/rho-half-sum",
-        "half the sum of the positive roots pairs to 1 with every simple coroot",
-        pairings == (1,) * rs.rank,
-        pairings if pairings != (1,) * rs.rank else None,
-    )
+    ok = pairings == (1,) * rs.rank
+    return ok, None if ok else pairings
 
-    bad = []
+
+def _weight_reflect(u, rng):
+    rs, bad = u.rs, []
     for r in rs.positive_roots:
         wr = rs.weight_of_root(r)
         for i in range(1, rs.rank + 1):
             img = rs.reflect_root(r, i)
             if rs.is_root(img) and rs.weight_of_root(img) != rs.reflect(wr, i):
                 bad.append((r, i))
-    yield _result(
-        f"roots/{tname}/weight-reflect-commutes",
-        "reflecting a root then taking coroot pairings equals reflecting "
-        "the pairings",
-        not bad,
-        bad or None,
-    )
+    return not bad, bad or None
 
-    order = weyl_order(rs)
-    order_id = f"roots/{tname}/weyl-order"
-    order_claim = "generated Weyl group order matches the classical formula"
-    if order > config.max_weyl_order:
-        yield _result(
-            order_id,
-            order_claim,
-            "skipped",
-            f"group order {order} above the cap {config.max_weyl_order}",
-        )
-        return
-    group = generate_weyl(rs, config.max_weyl_order)
-    yield _result(
-        order_id, order_claim, len(group) == order, {"generated": len(group), "expected": order}
-    )
-    yield _result(
-        f"roots/{tname}/torus-borel-count",
-        "distinct torus-fixed Borels (sets w(R+)) number exactly |W|",
-        borels_containing_torus(rs, group) == order,
-    )
-    if order <= _EXHAUSTIVE_WEYL_CAP:
-        bad = [w.word for w in group if len(w.word) != inversions(rs, w)]
-        yield _result(
-            f"roots/{tname}/length-inversions",
-            "reduced word length equals the inversion count for every element",
-            not bad,
-            bad[:5] or None,
-        )
+
+def _weyl_order(u, rng):
+    if u.capped:
+        return "skipped", f"group order {u.order} above the cap {u.config.max_weyl_order}"
+    return len(u.group) == u.order, {"generated": len(u.group), "expected": u.order}
+
+
+def _torus_borel_count(u, rng):
+    return None if u.capped else (borels_containing_torus(u.rs, u.group) == u.order, None)
+
+
+def _length_inversions(u, rng):
+    if u.order > min(u.config.max_weyl_order, _EXHAUSTIVE_WEYL_CAP):
+        return None
+    bad = [w.word for w in u.group if len(w.word) != inversions(u.rs, w)]
+    return not bad, bad[:5] or None
 
 
 # -- invariants suite -----------------------------------------------------------
 
 
-def _invariants_checks(config: RunConfig, tname: str):
-    if tname not in ALGEBRA_TYPES:
-        yield _result(
-            f"invariants/{tname}/matrix-realization",
-            "a matrix realization exists for this type",
-            "skipped",
-            "no realization shipped (type D uses a Pfaffian; E/F/G none)",
-        )
-        return
-    stype = SimpleType.from_name(tname)
-    alg = build_algebra(stype.family, stype.rank)
-    yield _result(
-        f"invariants/{tname}/degree-sum",
-        "invariant degrees sum to the Borel dimension",
-        sum(alg.degrees) == alg.borel_dim,
-        {"degrees": alg.degrees, "borel_dim": alg.borel_dim},
+def _degree_sum(u, rng):
+    alg = u.alg
+    return sum(alg.degrees) == alg.borel_dim, {"degrees": alg.degrees, "borel_dim": alg.borel_dim}
+
+
+def _sigma_length(u, rng):
+    zero = la.zeros(u.alg.size, u.alg.size)
+    return len(u.alg.sigma(zero, zero)) == u.alg.borel_dim + u.alg.rank, None
+
+
+def _polarization(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    pols = alg.polarize_all(x, y)
+    direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
+    for idx, d in enumerate(alg.degrees):
+        if sum(a ** (d - k) * b**k * c for k, c in enumerate(pols[idx])) != direct[idx]:
+            return {"invariant": idx + 1, "a": a, "b": b}
+    return True
+
+
+def _borel_reduction(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 2, where="b"), alg.random_element(rng, 2, where="b")
+    return alg.sigma(x, y) == alg.sigma(alg.h_component(x), alg.h_component(y)) or {"x": x, "y": y}
+
+
+def _conjugation(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
+    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    g = g * alg.torus([rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(alg.rank)])
+    return alg.sigma(g.conjugate(x), g.conjugate(y)) == alg.sigma(x, y) or {"x": x, "y": y}
+
+
+def _euler(u, rng):
+    alg = u.alg
+    x = alg.random_element(rng, 2)
+    eps, ps = alg.epsilon_all(x), alg.eval_all_p(x)
+    ok = all(alg.trace_form(eps[i], x) == d * ps[i] for i, d in enumerate(alg.degrees))
+    return ok or {"x": x}
+
+
+def _gradient_pairing(u, rng):
+    alg = u.alg
+    x = alg.random_element(rng, 2)
+    pairs = tuple(zip(alg.epsilon_all(x), alg.gradient_matrices(x)))
+    ok = all(
+        alg.trace_form(eps, v) == la.trace_mul(grad, v) for v in alg.basis for eps, grad in pairs
     )
-    yield _result(
-        f"invariants/{tname}/sigma-length",
-        "the polarization vector has borel_dim + rank entries",
-        len(alg.sigma(la.zeros(alg.size, alg.size), la.zeros(alg.size, alg.size)))
-        == alg.borel_dim + alg.rank,
-    )
+    return ok or {"x": x}
 
-    rng = _rng(config, f"invariants/{tname}/polarization")
-    bad = None
-    for _ in range(config.samples):
-        x = alg.random_element(rng, 2)
-        y = alg.random_element(rng, 2)
-        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        pols = alg.polarize_all(x, y)
-        direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
-        for idx, d in enumerate(alg.degrees):
-            total = sum(
-                a ** (d - k) * b**k * c
-                for k, c in enumerate(pols[idx])
-            )
-            if total != direct[idx]:
-                bad = {"invariant": idx + 1, "a": a, "b": b}
-        if bad:
-            break
-    yield _result(
-        f"invariants/{tname}/polarization-identity",
-        "p_i(a x + b y) equals its polarization expansion exactly on "
-        "seeded integer samples",
-        bad is None,
-        bad,
-    )
 
-    def borel_reduction(rng):
-        x = alg.random_element(rng, 2, where="b")
-        y = alg.random_element(rng, 2, where="b")
-        return alg.sigma(x, y) == alg.sigma(alg.h_component(x), alg.h_component(y))
+def _eps_polarization(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
+    a, b = 2, 3
+    target = alg.epsilon_all(la.add(la.scale(a, x), la.scale(b, y)))
+    parts_all = alg.epsilon_polarize_all(x, y)
+    for i, (d, parts, want) in enumerate(zip(alg.degrees, parts_all, target)):
+        total = la.zeros(alg.size, alg.size)
+        for m, part in enumerate(parts):
+            total = la.add(total, la.scale(a ** (d - m - 1) * b**m, part))
+        if total != want:
+            return {"invariant": i + 1, "x": x, "y": y}
+    return True
 
-    yield _result(
-        f"invariants/{tname}/sigma-borel-reduction",
-        "on Borel pairs sigma only sees the Cartan components",
-        _sampled_check(config, f"invariants/{tname}/borel-reduction", borel_reduction),
-    )
 
-    def conjugation(rng):
-        x = alg.random_element(rng, 2)
-        y = alg.random_element(rng, 2)
-        g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
-        g = g * alg.torus([rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(alg.rank)])
-        return alg.sigma(g.conjugate(x), g.conjugate(y)) == alg.sigma(x, y)
+def _weyl_invariance(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 3, where="h"), alg.random_element(rng, 2, where="h")
+    s0 = alg.sigma(x, y)
+    for w in u.group:
+        rep = alg.weyl_rep(w.word)
+        if alg.sigma(rep.conjugate(x), rep.conjugate(y)) != s0:
+            return {"word": w.word, "x": x, "y": y}
+    return True
 
-    yield _result(
-        f"invariants/{tname}/sigma-conjugation-invariance",
-        "sigma is constant under sampled unipotent and torus conjugations",
-        _sampled_check(config, f"invariants/{tname}/conjugation", conjugation),
-    )
 
-    def euler(rng):
-        x = alg.random_element(rng, 2)
-        eps = alg.epsilon_all(x)
-        ps = alg.eval_all_p(x)
-        return all(alg.trace_form(eps[i], x) == d * ps[i] for i, d in enumerate(alg.degrees))
-
-    yield _result(
-        f"invariants/{tname}/euler-identity",
-        "the trace-form gradient satisfies <eps_i(x), x> = d_i p_i(x)",
-        _sampled_check(config, f"invariants/{tname}/euler", euler, 3),
-    )
-
-    def gradient_pairing(rng):
-        x = alg.random_element(rng, 2)
-        pairs = tuple(zip(alg.epsilon_all(x), alg.gradient_matrices(x)))
-        return all(
-            alg.trace_form(eps, v) == la.trace_mul(grad, v)
-            for v in alg.basis
-            for eps, grad in pairs
-        )
-
-    yield _result(
-        f"invariants/{tname}/gradient-pairing",
-        "<eps_i(x), v> equals the exact directional derivative for every "
-        "basis direction",
-        _sampled_check(config, f"invariants/{tname}/gradient", gradient_pairing, 1),
-    )
-
-    def eps_polarization(rng):
-        x = alg.random_element(rng, 2)
-        y = alg.random_element(rng, 2)
-        a, b = 2, 3
-        target = alg.epsilon_all(la.add(la.scale(a, x), la.scale(b, y)))
-        for d, parts, want in zip(alg.degrees, alg.epsilon_polarize_all(x, y), target):
-            total = la.zeros(alg.size, alg.size)
-            for m, part in enumerate(parts):
-                total = la.add(
-                    total, la.scale(a ** (d - m - 1) * b**m, part)
-                )
-            if total != want:
-                return False
-        return True
-
-    yield _result(
-        f"invariants/{tname}/epsilon-polarization-identity",
-        "the gradient polarizations reassemble eps_i(a x + b y) exactly",
-        _sampled_check(config, f"invariants/{tname}/eps-polarization", eps_polarization, 1),
-    )
-
-    if tname not in ("A1", "A2", "B2"):
-        return
-    group = generate_weyl(alg.rs, config.max_weyl_order)
-
-    def weyl_invariance(rng):
-        x = alg.random_element(rng, 3, where="h")
-        y = alg.random_element(rng, 2, where="h")
-        s0 = alg.sigma(x, y)
-        for w in group:
-            rep = alg.weyl_rep(w.word)
-            if alg.sigma(rep.conjugate(x), rep.conjugate(y)) != s0:
-                return False
-        return True
-
-    yield _result(
-        f"invariants/{tname}/sigma-weyl-invariance",
-        "sigma is invariant under the whole realized Weyl group on "
-        "Cartan pairs",
-        _sampled_check(config, f"invariants/{tname}/weyl", weyl_invariance, 3),
-    )
-
-    def span_is_borel(rng):
-        span = alg.borel_span(*_regular_pencil_pair(alg, rng))
-        return span.dim == alg.borel_dim and span.in_borel
-
-    count = max(5, config.samples // 5)
-    yield _result(
-        f"invariants/{tname}/gradient-span-borel",
-        "on regular Borel pencils the gradient polarizations span "
-        "exactly the Borel subalgebra",
-        _sampled_check(config, f"invariants/{tname}/span", span_is_borel, count),
-        {"pairs_checked": count},
-    )
+def _span_is_borel(u, rng):
+    span = u.alg.borel_span(*_regular_pencil_pair(u.alg, rng))
+    ok = span.dim == u.alg.borel_dim and span.in_borel
+    return ok or {"dim": span.dim, "in_borel": span.in_borel}
 
 
 def _regular_cartan(alg, rng):
@@ -393,266 +375,273 @@ def _regular_pencil_pair(alg, rng):
 # -- geometry suite ---------------------------------------------------------------
 
 
-def _geometry_checks(config: RunConfig, tname: str):
-    stype = SimpleType.from_name(tname)
-    rs = build_root_system(stype.family, stype.rank)
-    order = weyl_order(rs)
-    fiber_id = f"geometry/{tname}/regular-semisimple-fiber-count"
-    fiber_claim = "torus Borels containing a regular semisimple element number |W|"
-    if order > config.max_weyl_order:
-        yield _result(fiber_id, fiber_claim, "skipped", f"group order {order} above the cap")
-    else:
-        group = generate_weyl(rs, config.max_weyl_order)
-        yield _result(
-            fiber_id, fiber_claim, borels_containing_torus(rs, group) == order, {"expected": order}
-        )
-        rng = _rng(config, f"geometry/{tname}/chains")
-        bad = []
-        sample = rng.sample(group, 60) if len(group) > 60 else group
-        for w in sample:
-            pos_image = {w.apply_root(rs, r) for r in rs.positive_roots}
-            common = [r for r in rs.positive_roots if r in pos_image]
-            support = [r for r in common if rng.random() < 0.5]
-            try:
-                chain = chain_of_lines(rs, support, w)
-            except (ValueError, AssertionError) as exc:
-                bad.append((w.word, str(exc)))
-                continue
-            if len(chain) != len(w.word) + 1 or chain[-1].perm != w.perm:
-                bad.append((w.word, "wrong endpoints"))
-        yield _result(
-            f"geometry/{tname}/line-chains",
-            "every torus Borel pair sharing a nilpotent support is joined "
-            "by a chain of projective lines of length l(w)",
-            not bad,
-            bad[:5] or None,
-        )
+def _fiber_count(u, rng):
+    if u.capped:
+        return "skipped", f"group order {u.order} above the cap"
+    return borels_containing_torus(u.rs, u.group) == u.order, {"expected": u.order}
 
-    if tname not in ALGEBRA_TYPES:
-        yield _result(
-            f"geometry/{tname}/matrix-checks",
-            "tangent-rank and fiber checks on the matrix realization",
-            "skipped",
-            "no matrix realization for this type",
-        )
-        return
 
-    alg = build_algebra(stype.family, stype.rank)
-    b_g, rk = alg.borel_dim, alg.rank
-    rng = _rng(config, f"geometry/{tname}/ranks")
-    xreg = alg.regular_nilpotent()
-    hreg = _regular_cartan(alg, rng)
-    rep = geo.rank_borel_pair(alg, hreg, la.add(xreg, alg.random_element(rng, 2, where="b")))
-    yield _result(
-        f"geometry/{tname}/borel-pair-rank",
-        "the Borel-pair tangent map attains rank 3*b_g - rk at a witness point",
-        rep.rank == 3 * b_g - rk,
-        {"rank": rep.rank, "expected": 3 * b_g - rk},
-    )
-    rep = geo.rank_nullcone_pair(alg, xreg, alg.random_element(rng, 2, where="u"))
-    yield _result(
-        f"geometry/{tname}/nullcone-pair-rank",
-        "the nilpotent-pair tangent map attains rank 3*(b_g - rk) at a "
-        "regular nilpotent witness",
-        rep.rank == 3 * (b_g - rk),
-        {"rank": rep.rank, "expected": 3 * (b_g - rk)},
-    )
-    rep = geo.mu_kernel(alg, xreg, alg.random_element(rng, 2, where="u"))
-    yield _result(
-        f"geometry/{tname}/mu-kernel",
-        "the pair map on g x u x u has kernel dimension b_g at a regular "
-        "nilpotent",
-        rep.kernel_dim == b_g,
-        {"kernel": rep.kernel_dim, "expected": b_g},
-    )
-    yield _result(
-        f"geometry/{tname}/rank-nullity",
-        "rank plus kernel dimension equals the domain dimension",
-        rep.rank + rep.kernel_dim == rep.domain_dim,
-    )
-
-    rng = _rng(config, f"geometry/{tname}/pencil")
-    y = alg.random_element(rng, 2, where="u")
-    tangents = geo.nullcone_tangent_spanners(alg, xreg, y)
-    yield _result(
-        f"geometry/{tname}/pencil-tangent-vanishing",
-        "tangent directions of the nilpotent pair variety annihilate the "
-        "invariant differentials along the whole pencil",
-        geo.pencil_tangent_vanishing(alg, xreg, y, tangents, range(6)),
-    )
-
-    def pencil_consistency(rng):
-        x = alg.random_element(rng, 2, where="h")
-        yh = alg.random_element(rng, 2, where="h")
-        return geo.sigma_pencil_consistency(alg, x, yh, range(alg.degrees[-1] + 1))
-
-    yield _result(
-        f"geometry/{tname}/sigma-pencil-consistency",
-        "sigma reassembled along a pencil of parameters reproduces the "
-        "plain invariants pointwise",
-        _sampled_check(config, f"geometry/{tname}/pencil-consistency", pencil_consistency),
-    )
-
-    def commuting(rng):
-        h1 = alg.random_element(rng, 2, where="h")
-        h2 = alg.random_element(rng, 2, where="h")
-        g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
-        if not geo.conjugated_cartan_sigma_check(alg, h1, h2, g):
-            return False
-        n_elem = alg.random_element(rng, 2, where="u")
-        return geo.nilpotent_polynomial_sigma_check(
-            alg, n_elem, [rng.randint(-2, 2) for _ in range(2)]
-        )
-
-    yield _result(
-        f"geometry/{tname}/commuting-pairs-sigma",
-        "sigma collapses commuting pairs to their Cartan data: conjugated "
-        "Cartan pairs keep their value, nilpotent polynomial pairs give 0",
-        _sampled_check(config, f"geometry/{tname}/commuting", commuting),
-    )
-
-    def h_component_conjugation(rng):
-        x = alg.random_element(rng, 2, where="b")
-        word = tuple(rng.randint(1, alg.rank) for _ in range(rng.randint(0, 4)))
-        b_elem = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
-        b_elem = b_elem * alg.torus(
-            [rng.choice([1, 2, Fraction(1, 2), 3]) for _ in range(alg.rank)]
-        )
-        return geo.h_component_conjugation_check(alg, x, word, b_elem)
-
-    yield _result(
-        f"geometry/{tname}/h-component-conjugation",
-        "conjugating a Borel element by n_w b moves its Cartan component "
-        "by exactly w",
-        _sampled_check(config, f"geometry/{tname}/tau", h_component_conjugation),
-    )
-
-    def height_grading(rng):
-        good, _heights = geo.height_grading_check(alg, alg.random_element(rng, 2, where="b"))
-        return good
-
-    yield _result(
-        f"geometry/{tname}/height-grading",
-        "Borel elements decompose into height-graded eigencomponents of "
-        "the grading element",
-        _sampled_check(config, f"geometry/{tname}/grading", height_grading),
-    )
-
-    if tname in ("A1", "A2", "B2"):
-        group = generate_weyl(alg.rs, config.max_weyl_order)
-        rng = _rng(config, f"geometry/{tname}/fibers")
-        pairs = [
-            (alg.random_element(rng, 3, where="h"), alg.random_element(rng, 3, where="h"))
-            for _ in range(max(5, config.samples // 2))
-        ]
-        ok = True
-        for i, pa in enumerate(pairs):
-            w = group[rng.randrange(len(group))]
-            rep_w = alg.weyl_rep(w.word)
-            moved = (rep_w.conjugate(pa[0]), rep_w.conjugate(pa[1]))
-            if not geo.sigma_fiber_is_weyl_orbit(alg, group, pa, moved):
-                ok = False
-            if i + 1 < len(pairs):
-                if not geo.sigma_fiber_is_weyl_orbit(alg, group, pa, pairs[i + 1]):
-                    ok = False
-        yield _result(
-            f"geometry/{tname}/sigma-fiber-weyl-orbit",
-            "two Cartan pairs share a sigma value exactly when they share "
-            "a diagonal Weyl orbit",
-            ok,
-        )
-
-    def rank_monotonicity(rng):
-        xb = alg.random_element(rng, 2, where="b")
-        yb = alg.random_element(rng, 2, where="b")
-        if geo.rank_borel_pair(alg, xb, yb).rank > 3 * b_g - rk:
-            return False
-        xu = alg.random_element(rng, 2, where="u")
-        yu = alg.random_element(rng, 2, where="u")
-        return geo.rank_nullcone_pair(alg, xu, yu).rank <= 3 * (b_g - rk)
-
-    yield _result(
-        f"geometry/{tname}/rank-monotonicity",
-        "tangent ranks never exceed their generic values at any sampled point",
-        _sampled_check(config, f"geometry/{tname}/monotonicity", rank_monotonicity),
-    )
-
-    rng = _rng(config, f"geometry/{tname}/hyperplanes")
-    ok = True
-    found = 0
-    for _ in range(50):
-        x = alg.random_element(rng, 2, where="h")
-        y = alg.random_element(rng, 2, where="h")
-        if alg.is_regular_element(x) or alg.is_regular_element(y):
+def _line_chains(u, rng):
+    # a direct body: the at most 60 elements are drawn once, not per draw
+    if u.capped:
+        return None
+    rs, group, bad = u.rs, u.group, []
+    for w in rng.sample(group, 60) if len(group) > 60 else group:
+        pos_image = {w.apply_root(rs, r) for r in rs.positive_roots}
+        common = [r for r in rs.positive_roots if r in pos_image]
+        support = [r for r in common if rng.random() < 0.5]
+        try:
+            chain = chain_of_lines(rs, support, w)
+        except (ValueError, AssertionError) as exc:
+            bad.append((w.word, str(exc)))
             continue
-        found += 1
-        for z in (x, y):
-            if not any(alg.root_value(r, z) == 0 for r in alg.rs.positive_roots):
-                ok = False
-    yield _result(
-        f"geometry/{tname}/nonregular-pair-hyperplanes",
-        "both members of a doubly non-regular Cartan pair lie on explicit "
-        "root hyperplanes (so such pairs have codimension at least two)",
-        ok,
-        {"pairs_witnessed": found},
+        if len(chain) != len(w.word) + 1 or chain[-1].perm != w.perm:
+            bad.append((w.word, "wrong endpoints"))
+    return not bad, bad[:5] or None
+
+
+def _borel_pair_rank(u, rng):
+    alg = u.alg
+    hreg = _regular_cartan(alg, rng)
+    rep = geo.rank_borel_pair(alg, hreg, la.add(u.xreg, alg.random_element(rng, 2, where="b")))
+    expected = 3 * alg.borel_dim - alg.rank
+    return rep.rank == expected, {"rank": rep.rank, "expected": expected}
+
+
+def _nullcone_pair_rank(u, rng):
+    alg = u.alg
+    rep = geo.rank_nullcone_pair(alg, u.xreg, alg.random_element(rng, 2, where="u"))
+    expected = 3 * (alg.borel_dim - alg.rank)
+    return rep.rank == expected, {"rank": rep.rank, "expected": expected}
+
+
+def _mu_kernel(u, rng):
+    alg = u.alg
+    rep = u.notes["mu"] = geo.mu_kernel(alg, u.xreg, alg.random_element(rng, 2, where="u"))
+    return rep.kernel_dim == alg.borel_dim, {"kernel": rep.kernel_dim, "expected": alg.borel_dim}
+
+
+def _rank_nullity(u, rng):
+    rep = u.notes["mu"]
+    return rep.rank + rep.kernel_dim == rep.domain_dim, None
+
+
+def _pencil_tangent_vanishing(u, rng):
+    alg = u.alg
+    y = alg.random_element(rng, 2, where="u")
+    tangents = geo.nullcone_tangent_spanners(alg, u.xreg, y)
+    return geo.pencil_tangent_vanishing(alg, u.xreg, y, tangents, range(6)), None
+
+
+def _pencil_consistency(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 2, where="h"), alg.random_element(rng, 2, where="h")
+    return geo.sigma_pencil_consistency(alg, x, y, range(alg.degrees[-1] + 1)) or {"x": x, "y": y}
+
+
+def _commuting(u, rng):
+    alg = u.alg
+    h1, h2 = alg.random_element(rng, 2, where="h"), alg.random_element(rng, 2, where="h")
+    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    if not geo.conjugated_cartan_sigma_check(alg, h1, h2, g):
+        return {"h1": h1, "h2": h2}
+    n = alg.random_element(rng, 2, where="u")
+    coeffs = [rng.randint(-2, 2) for _ in range(2)]
+    return geo.nilpotent_polynomial_sigma_check(alg, n, coeffs) or {"n": n, "coeffs": coeffs}
+
+
+def _h_component_conjugation(u, rng):
+    alg = u.alg
+    x = alg.random_element(rng, 2, where="b")
+    word = tuple(rng.randint(1, alg.rank) for _ in range(rng.randint(0, 4)))
+    b_elem = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    b_elem = b_elem * alg.torus([rng.choice([1, 2, Fraction(1, 2), 3]) for _ in range(alg.rank)])
+    return geo.h_component_conjugation_check(alg, x, word, b_elem) or {"x": x, "word": word}
+
+
+def _height_grading(u, rng):
+    x = u.alg.random_element(rng, 2, where="b")
+    good, heights = geo.height_grading_check(u.alg, x)
+    return good or {"x": x, "heights": heights}
+
+
+def _sigma_fibers(u, rng):
+    # a direct body: each pair is also compared with the next one drawn
+    alg, group = u.alg, u.group
+    pairs = [
+        (alg.random_element(rng, 3, where="h"), alg.random_element(rng, 3, where="h"))
+        for _ in range(max(5, u.config.samples // 2))
+    ]
+    ok = True
+    for i, pa in enumerate(pairs):
+        rep_w = alg.weyl_rep(group[rng.randrange(len(group))].word)
+        moved = (rep_w.conjugate(pa[0]), rep_w.conjugate(pa[1]))
+        ok = geo.sigma_fiber_is_weyl_orbit(alg, group, pa, moved) and ok
+        if i + 1 < len(pairs):
+            ok = geo.sigma_fiber_is_weyl_orbit(alg, group, pa, pairs[i + 1]) and ok
+    return ok, None
+
+
+def _rank_monotonicity(u, rng):
+    alg = u.alg
+    xb, yb = alg.random_element(rng, 2, where="b"), alg.random_element(rng, 2, where="b")
+    if geo.rank_borel_pair(alg, xb, yb).rank > 3 * alg.borel_dim - alg.rank:
+        return {"borel_pair": (xb, yb)}
+    xu, yu = alg.random_element(rng, 2, where="u"), alg.random_element(rng, 2, where="u")
+    ok = geo.rank_nullcone_pair(alg, xu, yu).rank <= 3 * (alg.borel_dim - alg.rank)
+    return ok or {"nilpotent_pair": (xu, yu)}
+
+
+def _nonregular_hyperplanes(u, rng):
+    alg = u.alg
+    x, y = alg.random_element(rng, 2, where="h"), alg.random_element(rng, 2, where="h")
+    if alg.is_regular_element(x) or alg.is_regular_element(y):
+        return None
+    for z in (x, y):
+        if not any(alg.root_value(r, z) == 0 for r in alg.rs.positive_roots):
+            return {"off_every_hyperplane": z}
+    return True
+
+
+def _singular_summary(u, n):
+    plain, stratum = u.notes.get("singular", (0, 0))
+    generic = 3 * (u.alg.borel_dim - u.alg.rank)
+    return n > 0, {
+        "samples": n,
+        "max_rank": plain,
+        "max_stratum_rank": stratum,
+        "generic": generic,
+        "generic_minus_four": generic - 4,
+        "stratum_rank_le_generic_minus_four": stratum <= generic - 4,
+    }
+
+
+def _singular_stratum(u, rng):
+    # measured, not asserted: tangent ranks over the doubly non-regular
+    # nilpotent stratum (fiber directions restricted to the stratum),
+    # reported next to the generic value minus four
+    alg = u.alg
+    xu, yu = alg.random_element(rng, 1, where="u"), alg.random_element(rng, 1, where="u")
+    if alg.is_regular_element(xu) or alg.is_regular_element(yu):
+        return None
+    plain, stratum = u.notes.get("singular", (0, 0))
+    u.notes["singular"] = (
+        max(plain, geo.rank_nullcone_pair(alg, xu, yu).rank),
+        max(stratum, geo.rank_nonregular_stratum_pair(alg, xu, yu).rank),
     )
+    return True
 
-    if tname in ("A1", "A2"):
-        # measured, not asserted: tangent ranks over the doubly non-regular
-        # nilpotent stratum (fiber directions restricted to the stratum),
-        # reported next to the generic value minus four
-        rng = _rng(config, f"geometry/{tname}/singular")
-        observed_plain, observed_stratum = 0, 0
-        samples = 0
-        for _ in range(200):
-            xu = alg.random_element(rng, 1, where="u")
-            yu = alg.random_element(rng, 1, where="u")
-            if alg.is_regular_element(xu) or alg.is_regular_element(yu):
-                continue
-            samples += 1
-            observed_plain = max(
-                observed_plain, geo.rank_nullcone_pair(alg, xu, yu).rank
-            )
-            observed_stratum = max(
-                observed_stratum, geo.rank_nonregular_stratum_pair(alg, xu, yu).rank
-            )
-        yield _result(
-            f"geometry/{tname}/singular-stratum-ranks",
-            "measured tangent ranks over doubly non-regular nilpotent "
-            "pairs, reported against the generic value minus four",
-            samples > 0,
-            {
-                "samples": samples,
-                "max_rank": observed_plain,
-                "max_stratum_rank": observed_stratum,
-                "generic": 3 * (b_g - rk),
-                "generic_minus_four": 3 * (b_g - rk) - 4,
-                "stratum_rank_le_generic_minus_four": observed_stratum
-                <= 3 * (b_g - rk) - 4,
-            },
-        )
 
-    if alg.family == "A" and alg.size <= 4:
-        rng = _rng(config, f"geometry/{tname}/membership")
-        members, rejected = 0, []
-        for _ in range(max(5, config.samples // 2)):
-            u1 = alg.random_element(rng, 2, where="u")
-            u2 = alg.random_element(rng, 2, where="u")
-            g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
-            g = g * alg.weyl_rep(tuple(rng.randint(1, alg.rank) for _ in range(2)))
-            m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2))
-            if m.status == "member":
-                members += 1
-            else:
-                rejected.append(m.reason)
-        yield _result(
-            f"geometry/{tname}/membership-constructed-pairs",
-            "conjugated nilradical pairs are never rejected by the "
-            "common-flag search",
-            not rejected,
-            # membership is always decided; "undecided" stays for the report schema
-            {"members": members, "undecided": 0, "rejected": rejected},
-        )
+def _membership(u, rng):
+    alg = u.alg
+    u1, u2 = alg.random_element(rng, 2, where="u"), alg.random_element(rng, 2, where="u")
+    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    g = g * alg.weyl_rep(tuple(rng.randint(1, alg.rank) for _ in range(2)))
+    m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2))
+    return m.status == "member" or {"rejected": [m.reason]}
+
+
+# -- the check table -------------------------------------------------------------
+
+
+def _unrealized(reason: str):
+    """A body that skips each type without a matrix realization and is silent on the rest."""
+    return lambda u, rng: None if u.tname in ALGEBRA_TYPES else ("skipped", reason)
+
+
+#: the entries of each suite, in run order
+_CHECKS = {
+    "roots": (
+        _Check("positive-count", "number of positive roots matches the classical closed form",
+               _positive_count),
+        _Check("simple-reflection-permutation", "each simple reflection permutes the other "
+               "positive roots and negates its own root", _simple_reflections),
+        _Check("rho-half-sum", "half the sum of the positive roots pairs to 1 with every simple "
+               "coroot", _rho_half_sum),
+        _Check("weight-reflect-commutes", "reflecting a root then taking coroot pairings equals "
+               "reflecting the pairings", _weight_reflect),
+        _Check("weyl-order", "generated Weyl group order matches the classical formula",
+               _weyl_order),
+        _Check("torus-borel-count", "distinct torus-fixed Borels (sets w(R+)) number exactly |W|",
+               _torus_borel_count),
+        _Check("length-inversions", "reduced word length equals the inversion count for every "
+               "element", _length_inversions),
+    ),
+    "invariants": (
+        _Check("matrix-realization", "a matrix realization exists for this type",
+               _unrealized("no realization shipped (type D uses a Pfaffian; E/F/G none)")),
+        _Check("degree-sum", "invariant degrees sum to the Borel dimension", _degree_sum,
+               ALGEBRA_TYPES),
+        _Check("sigma-length", "the polarization vector has borel_dim + rank entries",
+               _sigma_length, ALGEBRA_TYPES),
+        _Check("polarization-identity", "p_i(a x + b y) equals its polarization expansion exactly "
+               "on seeded integer samples", _polarization, ALGEBRA_TYPES, "polarization",
+               draws=lambda samples: samples),
+        _Check("sigma-borel-reduction", "on Borel pairs sigma only sees the Cartan components",
+               _borel_reduction, ALGEBRA_TYPES, "borel-reduction", draws=_fifth),
+        _Check("sigma-conjugation-invariance", "sigma is constant under sampled unipotent and "
+               "torus conjugations", _conjugation, ALGEBRA_TYPES, "conjugation", draws=_fifth),
+        _Check("euler-identity", "the trace-form gradient satisfies <eps_i(x), x> = d_i p_i(x)",
+               _euler, ALGEBRA_TYPES, "euler", draws=3),
+        _Check("gradient-pairing", "<eps_i(x), v> equals the exact directional derivative for "
+               "every basis direction", _gradient_pairing, ALGEBRA_TYPES, "gradient", draws=1),
+        _Check("epsilon-polarization-identity",
+               "the gradient polarizations reassemble eps_i(a x + b y) exactly",
+               _eps_polarization, ALGEBRA_TYPES, "eps-polarization", draws=1),
+        _Check("sigma-weyl-invariance", "sigma is invariant under the whole realized Weyl group "
+               "on Cartan pairs", _weyl_invariance, ("A1", "A2", "B2"), "weyl", draws=3),
+        _Check("gradient-span-borel", "on regular Borel pencils the gradient polarizations span "
+               "exactly the Borel subalgebra", _span_is_borel, ("A1", "A2", "B2"), "span",
+               draws=lambda samples: max(5, samples // 5),
+               summary=lambda u, n: (True, {"pairs_checked": n})),
+    ),
+    "geometry": (
+        _Check("regular-semisimple-fiber-count", "torus Borels containing a regular semisimple "
+               "element number |W|", _fiber_count),
+        _Check("line-chains", "every torus Borel pair sharing a nilpotent support is joined by a "
+               "chain of projective lines of length l(w)", _line_chains, stream="chains"),
+        _Check("matrix-checks", "tangent-rank and fiber checks on the matrix realization",
+               _unrealized("no matrix realization for this type")),
+        _Check("borel-pair-rank", "the Borel-pair tangent map attains rank 3*b_g - rk at a "
+               "witness point", _borel_pair_rank, ALGEBRA_TYPES, "ranks"),
+        _Check("nullcone-pair-rank", "the nilpotent-pair tangent map attains rank 3*(b_g - rk) at "
+               "a regular nilpotent witness", _nullcone_pair_rank, ALGEBRA_TYPES, "ranks"),
+        _Check("mu-kernel", "the pair map on g x u x u has kernel dimension b_g at a regular "
+               "nilpotent", _mu_kernel, ALGEBRA_TYPES, "ranks"),
+        _Check("rank-nullity", "rank plus kernel dimension equals the domain dimension",
+               _rank_nullity, ALGEBRA_TYPES),
+        _Check("pencil-tangent-vanishing", "tangent directions of the nilpotent pair variety "
+               "annihilate the invariant differentials along the whole pencil",
+               _pencil_tangent_vanishing, ALGEBRA_TYPES, "pencil"),
+        _Check("sigma-pencil-consistency", "sigma reassembled along a pencil of parameters "
+               "reproduces the plain invariants pointwise", _pencil_consistency, ALGEBRA_TYPES,
+               "pencil-consistency", draws=_fifth),
+        _Check("commuting-pairs-sigma", "sigma collapses commuting pairs to their Cartan data: "
+               "conjugated Cartan pairs keep their value, nilpotent polynomial pairs give 0",
+               _commuting, ALGEBRA_TYPES, "commuting", draws=_fifth),
+        _Check("h-component-conjugation", "conjugating a Borel element by n_w b moves its Cartan "
+               "component by exactly w", _h_component_conjugation, ALGEBRA_TYPES, "tau",
+               draws=_fifth),
+        _Check("height-grading", "Borel elements decompose into height-graded eigencomponents of "
+               "the grading element", _height_grading, ALGEBRA_TYPES, "grading", draws=_fifth),
+        _Check("sigma-fiber-weyl-orbit", "two Cartan pairs share a sigma value exactly when they "
+               "share a diagonal Weyl orbit", _sigma_fibers, ("A1", "A2", "B2"), "fibers"),
+        _Check("rank-monotonicity", "tangent ranks never exceed their generic values at any "
+               "sampled point", _rank_monotonicity, ALGEBRA_TYPES, "monotonicity", draws=_fifth),
+        _Check("nonregular-pair-hyperplanes", "both members of a doubly non-regular Cartan pair "
+               "lie on explicit root hyperplanes (so such pairs have codimension at least two)",
+               _nonregular_hyperplanes, ALGEBRA_TYPES, "hyperplanes", draws=50,
+               summary=lambda u, n: (True, {"pairs_witnessed": n})),
+        _Check("singular-stratum-ranks", "measured tangent ranks over doubly non-regular "
+               "nilpotent pairs, reported against the generic value minus four", _singular_stratum,
+               ("A1", "A2"), "singular", draws=200, summary=_singular_summary),
+        # membership is always decided; "undecided" stays for the report schema
+        _Check("membership-constructed-pairs", "conjugated nilradical pairs are never rejected by "
+               "the common-flag search", _membership, ("A1", "A2", "A3"), "membership",
+               draws=lambda samples: max(5, samples // 2),
+               summary=lambda u, n: (True, {"members": n, "undecided": 0, "rejected": []})),
+    ),
+}
 
 
 def _shifts_checks(config: RunConfig, tname: str):
@@ -662,14 +651,6 @@ def _shifts_checks(config: RunConfig, tname: str):
 
 
 # -- assembly ------------------------------------------------------------------
-
-
-_SUITE_FUNCS = {
-    "roots": _roots_checks,
-    "shifts": _shifts_checks,
-    "invariants": _invariants_checks,
-    "geometry": _geometry_checks,
-}
 
 
 def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
@@ -682,8 +663,16 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
     """
     start = last = time.perf_counter()
     results = []
+    if suite == "shifts":
+        records = _shifts_checks(config, tname)
+    else:
+        unit = _Unit(config, suite, tname)
+        checks = (c for c in _CHECKS[suite] if c.types is None or tname in c.types)
+        records = (_run_check(check, unit) for check in checks)
     try:
-        for check in _SUITE_FUNCS[suite](config, tname):
+        for check in records:
+            if check is None:
+                continue
             now = time.perf_counter()
             results.append(replace(check, elapsed=now - last))
             last = now
@@ -700,10 +689,14 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
 
 def run(config: RunConfig):
     """Execute the configured suites; returns (exit_code, results)."""
-    results = []
+    for field in ("samples", "max_weyl_order"):
+        if getattr(config, field) < 1:
+            raise ValueError(f"{field} must be at least 1, got {getattr(config, field)!r}")
     for suite in config.suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
+    results = []
+    for suite in config.suites:
         for tname in config.types:
             parsed = _parse_type(tname)
             if isinstance(parsed, str):
@@ -768,7 +761,8 @@ def text_lines(config: RunConfig, results) -> list:
     for c in results:
         counts[c.status] += 1
         mark = {"pass": "ok", "fail": "FAIL", "undecided": "??", "skipped": "--"}[c.status]
-        line = f"[{mark:>4}] {c.check_id}  ({c.elapsed:.3f}s)"
+        drawn = "" if c.draws is None else f", {c.draws} draw{'s' * (c.draws != 1)}"
+        line = f"[{mark:>4}] {c.check_id}  ({c.elapsed:.3f}s{drawn})"
         if c.status in ("fail", "undecided"):
             line += f"\n       claim: {c.claim}\n       witness: {c.witness!r}"
         lines.append(line)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 from operator import index
 
 import pytest
@@ -382,6 +382,21 @@ def test_rank_of_rational_matrices_matches_rref():
         assert_echelon_matches_rref(m)
     assert min(ranks) < max(ranks)
     assert la.rank(cases[-1]) == 1
+
+
+def test_echelon_keeps_every_row_primitive():
+    # a kept row is divided by the gcd of its entries; without that the
+    # fraction-free reduction lets common factors pile up from row to row
+    rng = random.Random("echelon-primitive")
+    for scale in (1, 6):
+        echelon, rows = la.Echelon(), []
+        for _ in range(5):
+            rows.append([scale * rng.randint(-9, 9) for _ in range(8)])
+            rows.append([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5])) for _ in range(8)])
+        for row in rows:
+            echelon.add(row)
+        assert len(echelon) == len(la.rref(rows)[1]) == 8
+        assert [gcd(*row) for _pivot, row in echelon._rows] == [1] * 8
 
 
 def minimal_polynomial_degree_by_rank(m) -> int:

@@ -1,6 +1,7 @@
 """Report determinism, CLI behaviour and exit codes."""
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -209,3 +210,118 @@ def test_cli_rejects_unwritable_out_before_running(tmp_path, monkeypatch, capsys
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("field", ["samples", "max_weyl_order"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_run_rejects_counts_below_one(field, value):
+    # the library refuses what the CLI refuses: zero samples would let every
+    # sampled check pass on no draw at all
+    with pytest.raises(ValueError, match=field):
+        run(RunConfig(suites=("invariants",), types=("A1",), **{field: value}))
+
+
+def test_run_rejects_an_unknown_suite_before_running_any(monkeypatch):
+    units = []
+    monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
+    with pytest.raises(ValueError, match="bogus"):
+        run(RunConfig(suites=("roots", "bogus"), types=("A1",)))
+    assert units == []
+
+
+def test_text_report_prints_the_draw_count_of_sampled_checks(capsys):
+    assert main(["invariants", "--type", "A1"]) == 0
+    lines = {line.split()[2]: line for line in capsys.readouterr().out.splitlines()[1:-1]}
+    assert lines["invariants/A1/polarization-identity"].endswith("s, 25 draws)")
+    assert lines["invariants/A1/gradient-pairing"].endswith("s, 1 draw)")
+    assert lines["invariants/A1/sigma-borel-reduction"].endswith("s, 5 draws)")
+    assert "draw" not in lines["invariants/A1/degree-sum"]
+
+
+def _plant(monkeypatch, *checks):
+    """Make the roots suite run only ``checks``; returns the exit code and records on A1."""
+    monkeypatch.setitem(report._CHECKS, "roots", checks)
+    return run(RunConfig(suites=("roots",), types=("A1",)))
+
+
+def test_runner_stops_at_the_first_failing_draw(monkeypatch):
+    drawn = []
+
+    def draw(unit, rng):
+        drawn.append(rng.random())
+        return True if len(drawn) < 3 else {"draw": len(drawn)}
+
+    code, [record] = _plant(monkeypatch, report._Check("planted", "claim", draw, None, "s", 10))
+    assert code == 1
+    assert (record.check_id, record.status) == ("roots/A1/planted", "fail")
+    assert (record.witness, record.draws) == ({"draw": 3}, 3)
+    # no draw after the failing one, all from the stream seeded by the label
+    stream = random.Random("1789:roots/A1/s")
+    assert drawn == [stream.random() for _ in range(3)]
+
+
+def test_runner_does_not_count_draws_whose_precondition_fails(monkeypatch):
+    drawn = []
+
+    def draw(unit, rng):
+        drawn.append(None)
+        return None if len(drawn) % 2 else True
+
+    planted = report._Check(
+        "planted", "claim", draw, draws=7, summary=lambda unit, n: (True, {"held": n})
+    )
+    code, [record] = _plant(monkeypatch, planted)
+    assert code == 0 and len(drawn) == 7
+    assert (record.status, record.witness, record.draws) == ("pass", {"held": 3}, 3)
+
+
+def test_entries_naming_one_stream_share_it(monkeypatch):
+    def first(unit, rng):
+        return True, rng.random()
+
+    code, records = _plant(
+        monkeypatch,
+        report._Check("a", "claim", first, None, "shared"),
+        report._Check("b", "claim", first, None, "shared"),
+        report._Check("c", "claim", first, None, "other"),
+        report._Check("d", "claim", lambda unit, rng: None),  # no record at all
+    )
+    shared = random.Random("1789:roots/A1/shared")
+    expected = [shared.random(), shared.random(), random.Random("1789:roots/A1/other").random()]
+    assert [r.witness for r in records] == expected
+    assert [r.draws for r in records] == [None] * 3
+
+
+def test_entry_names_are_unique_within_a_suite():
+    for suite, checks in report._CHECKS.items():
+        names = [c.name for c in checks]
+        assert len(names) == len(set(names)), suite
+
+
+def test_every_sampled_entry_draws_at_samples_one():
+    # the types cover every entry's type list; counts in witnesses are the runner's
+    types = ("A1", "A2", "A3", "B2", "C3", "G2")
+    _, results = run(RunConfig(suites=("invariants", "geometry"), types=types, samples=1))
+    by_name = {}
+    for c in results:
+        by_name.setdefault(c.check_id.split("/")[2], []).append(c)
+    for suite in ("invariants", "geometry"):
+        for check in report._CHECKS[suite]:
+            records = by_name[check.name]
+            if check.draws is None:
+                assert all(c.draws is None for c in records), check.name
+                continue
+            assert all(c.status == "pass" and c.draws >= 1 for c in records), check.name
+            for c in records:
+                if isinstance(c.witness, dict):
+                    counts = {"pairs_checked", "pairs_witnessed", "members", "samples"}
+                    assert [c.witness[k] for k in counts & set(c.witness)] == [c.draws]
+
+
+def test_roots_suite_builds_no_algebra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the roots suite built an algebra")
+
+    monkeypatch.setattr(report, "build_algebra", refuse)
+    code, results = run(RunConfig(suites=("roots",), types=("A2", "B3")))
+    assert code == 0 and len(results) == 14
