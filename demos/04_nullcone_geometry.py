@@ -3,11 +3,11 @@
 The variety of pairs in a common Borel has dimension 3*b_g - rk; the
 variety of nilpotent pairs in a common Borel has dimension 3*(b_g - rk).
 Both show up here as exact ranks of integer matrices.  The same module
-decides nullcone membership in type A: a pair of nilpotents shares a Borel
-exactly when every word of length N in them vanishes.  Every verdict carries
-a certificate, a common complete flag for a member and a nonzero word (or a
-failed nilpotency or sigma test) for a rejection.  The demo also walks
-chains of projective lines between torus-fixed Borel subalgebras.
+decides nullcone membership: a pair shares a Borel and consists of
+nilpotents exactly when every word of length N in them vanishes.  Every
+verdict carries a certificate, a common complete flag for a member and a
+nonzero word for a rejection.  The demo also walks chains of projective
+lines between torus-fixed Borel subalgebras.
 """
 
 import random

@@ -354,12 +354,10 @@ class MatrixLieAlgebra:
     def _root_e_coords(self, root):
         n = self.rank
         if self.family == "A":
-            # e_i - e_j truncated to the first n diagonal slots
+            # e_lo - e_hi over all N = n + 1 diagonal slots
             support = [k for k, c in enumerate(root) if c]
             lo, hi = support[0], support[-1] + 1
-            return [
-                (1 if t == lo else 0) - (1 if t == hi else 0) for t in range(self.size)
-            ][: self.size]
+            return [(1 if t == lo else 0) - (1 if t == hi else 0) for t in range(self.size)]
         # beta_s = e_s - e_{s+1} for s < n, beta_n = e_n (B) or 2 e_n (C)
         last = 1 if self.family == "B" else 2
         out = [0] * n

@@ -8,12 +8,12 @@ generic rank 3*b_g - rk for the Borel pair map, 3*(b_g - rk) for the
 nilpotent pair map, and kernel dimension b_g for the nilradical map at a
 regular nilpotent first coordinate.
 
-Also here: nullcone membership in type A, decided by whether every word of
-length N in x and y vanishes, with a certificate for every verdict (a
-verified common flag for a member, a failed nilpotency or sigma test or a
-nonzero word for a rejection); sigma-fiber/Weyl-orbit comparisons on
-Cartan pairs; and the pointwise conjugation and grading identities used by
-the verification suites.
+Also here: nullcone membership on every realized type, decided by whether
+every word of length N in x and y vanishes, with a certificate for every
+verdict (a verified common flag for a member, a nonzero word for a
+rejection); sigma-fiber/Weyl-orbit comparisons on Cartan pairs; and the
+pointwise conjugation and grading identities used by the verification
+suites.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from .algebra import GroupElement, MatrixLieAlgebra
 
 @dataclass(frozen=True)
 class TangentReport:
-    point: tuple  # (x, y)
-    map_kind: str  # 'borel_pair' | 'nullcone_pair' | 'mu_map'
     domain_dim: int
     rank: int
     kernel_dim: int
 
 
-def _pair_map_report(alg: MatrixLieAlgebra, x, y, map_kind, v_fiber, w_fiber):
+def _pair_map_report(alg: MatrixLieAlgebra, x, y, v_fiber, w_fiber):
     """Rank and kernel of (xi, v, w) -> ([xi, x] + v, [xi, y] + w) over the given fibers.
 
     Fibers are sets of basis indices, i.e. unit coordinate vectors, so the rank
@@ -48,7 +46,7 @@ def _pair_map_report(alg: MatrixLieAlgebra, x, y, map_kind, v_fiber, w_fiber):
     ]
     domain = alg.dim + len(v_fiber) + len(w_fiber)
     r = len(v_fiber) + len(w_fiber) + la.rank(rows)
-    return TangentReport((x, y), map_kind, domain, r, domain - r)
+    return TangentReport(domain, r, domain - r)
 
 
 def rank_borel_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -56,7 +54,7 @@ def rank_borel_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_borel(x) and alg.in_borel(y)):
         raise ValueError("x and y must lie in the standard Borel subalgebra")
     fiber = alg.subspace_indices["b"]
-    return _pair_map_report(alg, x, y, "borel_pair", fiber, fiber)
+    return _pair_map_report(alg, x, y, fiber, fiber)
 
 
 def rank_nullcone_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -64,7 +62,7 @@ def rank_nullcone_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     if not (alg.in_nilradical(x) and alg.in_nilradical(y)):
         raise ValueError("x and y must lie in the nilradical of the Borel")
     fiber = alg.subspace_indices["u"]
-    return _pair_map_report(alg, x, y, "nullcone_pair", fiber, fiber)
+    return _pair_map_report(alg, x, y, fiber, fiber)
 
 
 def rank_nonregular_stratum_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -83,7 +81,7 @@ def rank_nonregular_stratum_pair(alg: MatrixLieAlgebra, x, y) -> TangentReport:
         u = alg.subspace_indices["u"]
         return {k for k, r in zip(u, alg.rs.positive_roots) if coords[k] or not alg.rs.is_simple(r)}
 
-    return _pair_map_report(alg, x, y, "nullcone_pair", stratum_fiber(x), stratum_fiber(y))
+    return _pair_map_report(alg, x, y, stratum_fiber(x), stratum_fiber(y))
 
 
 def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
@@ -93,12 +91,12 @@ def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
     a point the kernel is a copy of the Borel subalgebra, so kernel_dim
     should equal b_g.
     """
-    if not (alg.in_nilradical(x) and alg.is_nilpotent(x) and alg.is_regular_element(x)):
+    if not (alg.in_nilradical(x) and alg.is_regular_element(x)):
         raise ValueError("x must be a regular nilpotent element of the nilradical")
     if not alg.in_nilradical(y):
         raise ValueError("y must lie in the nilradical")
     fiber = alg.subspace_indices["u"]
-    return _pair_map_report(alg, x, y, "mu_map", fiber, fiber)
+    return _pair_map_report(alg, x, y, fiber, fiber)
 
 
 def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:
@@ -149,44 +147,40 @@ def _verify_flag(x, y, flag) -> bool:
 def nullcone_membership(alg: MatrixLieAlgebra, x, y) -> Membership:
     """Decide whether (x, y) is a pair of nilpotents in a common Borel.
 
-    Type A only.  Nilpotent x, y in gl(N) share a complete flag with
-    x V_i, y V_i inside V_(i-1) exactly when every product of N factors
-    from {x, y} is 0 (Levitzki's theorem for the nilpotent algebra A the
-    words span; Radjavi-Rosenthal, *Simultaneous Triangularization*, sec. 2.1).
-    Words grow letter by letter from the identity; a word whose product is
-    0 is not extended, and words with equal products are kept once.  A
-    nonzero word of length N is the rejection's witness.  Otherwise
-    V > AV > ... > A^N V = 0, where A^k V is spanned by the columns of the
-    words of length k, and any subspace between A^(k+1) V and A^k V is mapped
-    into A^(k+1) V; so the columns of the words of length N-1, ..., 0 that
-    raise the rank, in that order, form a common flag, verified before
-    ``member`` is returned.  The nilpotency and sigma tests run first.
+    For g semisimple in gl(N) this holds exactly when every word of length N
+    in x and y is 0.  If it is, the words of positive length span an
+    associative algebra A with A^N = 0, so the Lie algebra x and y generate,
+    inside A, consists of nilpotent matrices; by Engel's theorem it is
+    nilpotent, so solvable, and lies in a Borel of g.  Conversely the
+    nilradical of a Borel acts by nilpotent matrices, so by Engel's theorem
+    it kills a complete flag, and every word of length N vanishes (Humphreys,
+    *Introduction to Lie Algebras*, sec. 3).
+
+    The test is the chain V_0 = Q^N, V_(k+1) = x V_k + y V_k, whose V_k is
+    spanned by the columns of the words of length k.  Each level keeps the
+    images x v, y v of the previous level's kept vectors v that raise its
+    rank, with the word that made each; x and y are scaled to integers
+    first, which changes no V_k.  A kept vector of V_N names a nonzero word,
+    the rejection's witness.  Otherwise V_0 > V_1 > ... > V_N = 0 and any
+    subspace between V_(k+1) and V_k is mapped into V_(k+1), so the kept
+    vectors of V_(N-1), ..., V_0 that raise the rank, in that order, form a
+    common flag, verified before ``member`` is returned.
     """
-    if alg.family != "A":
-        raise ValueError("membership is decided for type A only")
-    if not (alg.is_nilpotent(x) and alg.is_nilpotent(y)):
-        return Membership("rejected", "not a pair of nilpotent elements")
-    if any(c != 0 for c in alg.sigma(x, y)):
-        return Membership("rejected", "sigma value is nonzero")
     n = alg.size
-    letters = (("x", la.mat(x)), ("y", la.mat(y)))
-    levels = [{la.identity(n): ""}]  # the nonzero products of each length, with a word
+    letters = (("x", la.clear_denominators(x)[1]), ("y", la.clear_denominators(y)[1]))
+    levels = [[(v, "") for v in la.identity(n)]]  # the kept vectors of each V_k, with their words
     for _ in range(n):
-        level = {}
-        for prod, word in levels[-1].items():
+        span, level = la.Echelon(), []
+        for v, word in levels[-1]:
             for letter, m in letters:
-                nxt = la.mul(prod, m)
-                if not la.is_zero(nxt):
-                    level.setdefault(nxt, word + letter)
+                image = la.mat_vec(m, v)
+                if span.add(image):
+                    level.append((image, letter + word))
         levels.append(level)
     if levels[n]:
-        return Membership("rejected", f"the word {next(iter(levels[n].values()))} is nonzero")
-    flag, span = [], la.Echelon()
-    for level in reversed(levels):
-        for prod in level:
-            for col in la.transpose(prod):
-                if len(flag) < n and span.add(col):
-                    flag.append(col)
+        return Membership("rejected", f"the word {levels[n][0][1]} is nonzero")
+    span = la.Echelon()
+    flag = [v for level in reversed(levels) for v, _ in level if span.add(v)]
     if not _verify_flag(x, y, flag):
         raise AssertionError("word criterion built an invalid flag")
     return Membership("member", flag=tuple(flag))

@@ -70,18 +70,12 @@ def named_word(reason: str) -> str:
 def membership_certificate_holds(alg, x, y, m) -> bool:
     """Whether the certificate of a membership verdict checks.
 
-    A member's flag must be a common flag.  A rejection must name a failed
-    prefilter that fails here too, or a word of length N in x and y whose
-    product, recomputed here, is nonzero.
+    A member's flag must be a common flag.  A rejection must name a word of
+    length N in x and y whose product, recomputed here, is nonzero.
     """
-    n = alg.size
     if m.status == "member":
         return geo._verify_flag(x, y, m.flag)
     if m.status != "rejected":
         return False
-    if m.reason == "not a pair of nilpotent elements":
-        return not (la.is_zero(word_product(x, y, "x" * n)) and la.is_zero(word_product(x, y, "y" * n)))
-    if m.reason == "sigma value is nonzero":
-        return any(c != 0 for c in alg.sigma(x, y))
     word = named_word(m.reason)
-    return len(word) == n and not la.is_zero(word_product(x, y, word))
+    return len(word) == alg.size and not la.is_zero(word_product(x, y, word))

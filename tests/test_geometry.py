@@ -201,7 +201,9 @@ def test_sl2_membership_examples():
     alg = build_algebra("A", 1)
     assert geo.nullcone_membership(alg, E, E).status == "member"
     m = geo.nullcone_membership(alg, E, F)
-    assert m.status == "rejected" and "sigma" in m.reason
+    assert m.status == "rejected" and m.reason == "the word xy is nonzero"
+    assert word_product(E, F, named_word(m.reason)) == ((1, 0), (0, 0))
+    assert membership_certificate_holds(alg, E, F, m)
     assert alg.sigma(E, F) == (0, -1, 0)
     assert geo.nullcone_membership(alg, E, Z2).status == "member"
     assert geo.nullcone_membership(alg, H, E).status == "rejected"
@@ -243,7 +245,7 @@ def test_sl3_constructed_members_never_rejected():
 
 
 def test_sigma_zero_nilpotent_pair_outside_the_nullcone():
-    # x = -E12 - E23, y = -E21 + E32: nilpotent with sigma 0, but xxy = E12
+    # x = -E12 - E23, y = -E21 + E32: nilpotent with sigma 0, but yxy = -E21 - E32
     alg = build_algebra("A", 2)
     x = ((0, -1, 0), (0, 0, -1), (0, 0, 0))
     y = ((0, 0, 0), (-1, 0, 0), (0, 1, 0))
@@ -251,8 +253,8 @@ def test_sigma_zero_nilpotent_pair_outside_the_nullcone():
     assert all(c == 0 for c in alg.sigma(x, y))
     m = geo.nullcone_membership(alg, x, y)
     assert m.status == "rejected"
-    assert m.reason == "the word xxy is nonzero"
-    assert word_product(x, y, named_word(m.reason)) == ((0, 1, 0), (0, 0, 0), (0, 0, 0))
+    assert m.reason == "the word yxy is nonzero"
+    assert word_product(x, y, named_word(m.reason)) == ((0, 0, 0), (-1, 0, 0), (0, -1, 0))
     assert membership_certificate_holds(alg, x, y, m)
 
 
@@ -288,7 +290,8 @@ def test_flag_verification_refuses_broken_flags():
 def test_membership_certificates_on_conjugated_nilradical_pairs(data):
     """A conjugated nilradical pair is a member, and adding one lowering root
     vector gives a verdict either way; every verdict's certificate checks."""
-    alg = build_algebra("A", data.draw(st.integers(1, 3)))
+    types = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3)]
+    alg = build_algebra(*data.draw(st.sampled_from(types)))
     pos = alg.rs.positive_roots
     coeff = st.integers(-2, 2)
 
@@ -311,9 +314,30 @@ def test_membership_certificates_on_conjugated_nilradical_pairs(data):
     assert membership_certificate_holds(alg, x, y, m)
 
 
-def test_membership_unsupported():
-    with pytest.raises(ValueError):
-        geo.nullcone_membership(build_algebra("B", 2), Z2, Z2)
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("C", 3)])
+def test_membership_on_types_b_and_c(family, rank):
+    """Conjugated nilradical pairs are members; a regular nilpotent next to a
+    nonzero lowering element is rejected, since the standard Borel is the only
+    one that holds the regular nilpotent; every certificate checks."""
+    alg = build_algebra(family, rank)
+    pos = alg.rs.positive_roots
+    rng = random.Random(f"membership:{family}{rank}")
+    for _ in range(5):
+        u1, u2 = alg.random_element(rng, 2, where="u"), alg.random_element(rng, 2, where="u")
+        g = alg.unipotent({r: rng.randint(-2, 2) for r in pos})
+        g = g * alg.weyl_rep(tuple(rng.randint(1, rank) for _ in range(2)))
+        x, y = g.conjugate(u1), g.conjugate(u2)
+        m = geo.nullcone_membership(alg, x, y)
+        assert m.status == "member"
+        assert membership_certificate_holds(alg, x, y, m)
+        lowering = la.zeros(alg.size, alg.size)
+        while la.is_zero(lowering):
+            for r in pos:
+                lowering = la.add(lowering, la.scale(rng.randint(-2, 2), alg.neg_vectors[r]))
+        x, y = g.conjugate(alg.regular_nilpotent()), g.conjugate(lowering)
+        m = geo.nullcone_membership(alg, x, y)
+        assert m.status == "rejected"
+        assert membership_certificate_holds(alg, x, y, m)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2)])
