@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # pairings with the simple coroots
@@ -164,6 +165,7 @@ class RootSystem:
             )
         self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
         self.rho = (1,) * n
+        self._lengths3 = tuple(int(3 * l) for l in self.lengths)  # 3 len2(beta_i)
         self._coroot_coords = {
             r: self._coroot_in_simple_coroots(r) for r in self.positive_roots
         }
@@ -194,13 +196,17 @@ class RootSystem:
         """Integer coordinates m with r^vee = sum m_i beta_i^vee.
 
         m_i = n_i * len2(beta_i) / len2(r); coroots form a root system with
-        the simple coroots as a base, so every m_i is an integer.
+        the simple coroots as a base, so every m_i is an integer.  Lengths
+        are scaled by 3, which makes every one an integer (G2's short root
+        has len2 2/3), and the quotients are taken exactly by ``divmod``.
         """
-        len2 = self.root_length2(r)
-        coords = tuple(Fraction(n_i) * l / len2 for n_i, l in zip(r, self.lengths))
-        if any(c.denominator != 1 for c in coords):
-            raise AssertionError(f"{self.stype}: coroot of {r} is not integral: {coords}")
-        return tuple(c.numerator for c in coords)
+        lengths = self._lengths3
+        pairings = self.weight_of_root(r)
+        len2 = sum(l * c * p for l, c, p in zip(lengths, r, pairings)) // 2  # 3 (r, r)
+        coords = [divmod(n_i * l, len2) for n_i, l in zip(r, lengths)]
+        if any(rem for _, rem in coords):
+            raise AssertionError(f"{self.stype}: coroot of {r} is not integral")
+        return tuple(q for q, _ in coords)
 
     # -- basic queries -----------------------------------------------------
 
@@ -241,7 +247,7 @@ class RootSystem:
     def reflect_root(self, r: Root, i: int) -> Root:
         """s_{beta_i}(r) in simple-root coordinates (i is 1-based)."""
         k = i - 1
-        pairing = sum(self.cartan[k][j] * r[j] for j in range(self.rank))
+        pairing = sum(map(mul, self.cartan[k], r))
         out = list(r)
         out[k] -= pairing
         return tuple(out)
@@ -268,7 +274,7 @@ class RootSystem:
         m = self._coroot_coords.get(tuple(r))
         if m is None:
             m = self._coroot_in_simple_coroots(tuple(r))
-        return sum(l * c for l, c in zip(lam, m))
+        return sum(map(mul, lam, m))
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(x >= 0 for x in lam)

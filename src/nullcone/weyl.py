@@ -8,18 +8,22 @@ reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k).
 Generation runs up the parabolic chain W_1 < W_2 < ... < W_n, where
 W_k = <s_1, ..., s_k>: W_k is every product of an element of W_{k-1} with
 one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
-3, 10, 16 and 27 on E6), so there is no deduplicating walk; the products
-must be pairwise distinct and exactly |W| many.  The stored word of each
+3, 10, 16 and 27 on E6), so there is no deduplicating walk.  In place of a
+|W|-sized set, each level's representatives are checked to be distinct and
+free of left descents below k, which makes the products pairwise distinct,
+and their final count is checked against |W|.  The stored word of each
 element is its lexicographically smallest reduced word.  Each group is
 enumerated, and its torus-fixed Borels counted, once per process and root
-system.  The enumeration builds no ``WeylElement``: it carries lengths in
-place of words and returns a read-only ``WeylGroup`` sequence over the
-ordered perms, which builds an element, its word read off its coset
+system.  The enumeration builds no ``WeylElement`` and no per-element
+``bytes``: it carries lengths in place of words and returns a read-only
+``WeylGroup`` sequence held as one buffer of every perm, which builds an
+element, its perm sliced from the buffer and its word read off its coset
 representatives, on the element's first read and keeps it.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,9 +97,9 @@ def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> WeylGroup:
     """Enumerate the full Weyl group, refusing if it exceeds max_order.
 
     Returns a ``WeylGroup`` sequence sorted by (length, word), the identity
-    first, whose elements are built on their first read.  The cap is
-    checked on every call; the group itself is enumerated once per root
-    system and the same sequence is returned afterwards.
+    first, held as one perm buffer whose elements are built on their first
+    read.  The cap is checked on every call; the group itself is enumerated
+    once per root system and the same sequence is returned afterwards.
     """
     order = weyl_order(rs)
     if order > max_order:
@@ -109,31 +113,30 @@ _GROUPS: dict = {}  # root system -> its group, enumerated on first request
 
 
 class WeylGroup(Sequence):
-    """An enumerated group in (length, word) order, held as its elements' perms.
+    """An enumerated group in (length, word) order, held as one perm buffer.
 
-    ``perms[j]`` is element j's perm.  ``group[j]`` builds its ``WeylElement``
-    on the first read and returns the same object afterwards; slices are
-    tuples.  Element j was product number ``origin[j]`` of the coset chain,
-    v on the outside: a mixed-radix number whose digits, the last level
-    least significant, pick one representative per level, so the element's
-    word is their words joined (lexmin(v u) = lexmin(v) + lexmin(u), see
-    ``_enumerate_weyl``).
+    The buffer joins every element's perm, n = 2m bytes each, in the order
+    the coset chain produced them, v on the outside; nothing else is stored
+    per element but ``origin[j]``, the product number of element j.  That
+    number is a mixed-radix number whose digits, the last level least
+    significant, pick one representative per level, so the element's word
+    is their words joined (lexmin(v u) = lexmin(v) + lexmin(u), see
+    ``_enumerate_weyl``).  ``group[j]`` slices the perm out of the buffer
+    and builds its ``WeylElement`` on the first read, and returns the same
+    object afterwards; slices are tuples.
     """
 
-    __slots__ = ("_perms", "_origin", "_words", "_elements")
+    __slots__ = ("_buffer", "_size", "_origin", "_words", "_elements")
 
-    def __init__(self, perms: tuple, origin: list, words: tuple):
-        self._perms = perms
+    def __init__(self, buffer: bytes, size: int, origin, words: tuple):
+        self._buffer = buffer
+        self._size = size  # bytes per perm, 2m
         self._origin = origin
         self._words = words  # per level, the representatives' lex-min words
         self._elements: dict = {}
 
-    @property
-    def perms(self) -> tuple:
-        return self._perms
-
     def __len__(self) -> int:
-        return len(self._perms)
+        return len(self._origin)
 
     def __getitem__(self, j):
         j = range(len(self))[j]  # an index in range, or the indices of a slice
@@ -142,10 +145,12 @@ class WeylGroup(Sequence):
         w = self._elements.get(j)
         if w is None:
             index, word = self._origin[j], ()
+            start = index * self._size
+            perm = self._buffer[start : start + self._size]
             for level in reversed(self._words):
                 index, digit = divmod(index, len(level))
                 word = level[digit] + word
-            w = self._elements[j] = WeylElement(word, self._perms[j])
+            w = self._elements[j] = WeylElement(word, perm)
         return w
 
 
@@ -153,6 +158,14 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # W_k = <s_1, ..., s_k> factors uniquely as W_k = W_{k-1} U_k, where
     # U_k holds the minimal representatives u of the cosets W_{k-1} u: the
     # u with no left descent below k.  Lengths add, l(v u) = l(v) + l(u).
+    #
+    # Distinctness.  If v u = v' u' with v, v' in W_{k-1}, then u' lies in
+    # the coset W_{k-1} u, which has exactly one element with no left
+    # descent below k (Humphreys, Reflection Groups and Coxeter Groups,
+    # sec. 1.10), so u = u' and v = v'.  The products are therefore pairwise
+    # distinct once each level's representatives are distinct and have no
+    # left descent below k, which is checked per level; together with the
+    # final count |W| they are the whole group, with no |W|-sized set.
     #
     # Words.  For i < k, s_i v u factors as (s_i v) u, so i is a left descent
     # of v u iff it is one of v.  A v != e has a left descent, all below k,
@@ -169,28 +182,33 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # has a letter below k, and sorts after it, as v1 does after v2.  Words
     # of one length are never proper prefixes of each other, so the stable
     # sort by length below gives the (length, word) order.
-    n = 2 * rs.num_positive
+    m = rs.num_positive
+    n = 2 * m
     rest = bytes(range(n, 256))
+    tables = _reflections(rs)
     words = []  # per level, the representatives' words
     lengths, perms = [0], bytes(range(n))  # perms: every element's perm, joined
     for k in range(1, rs.rank + 1):
         reps = _coset_representatives(rs, k)
+        if len({perm for _, perm in reps}) != len(reps):
+            raise AssertionError(f"{rs.stype} level {k}: a coset representative repeats")
+        for word, perm in reps:
+            for i, (alpha, _) in enumerate(tables[: k - 1], 1):
+                if perm.find(alpha, 0, m) < 0:
+                    raise AssertionError(
+                        f"{rs.stype} level {k}: representative {word} has the left descent {i}"
+                    )
         words.append(tuple(u for u, _ in reps))
         joined = b"".join(perm for _, perm in reps)
         lengths = [lv + len(u) for lv in lengths for u, _ in reps]
         perms = b"".join(
             joined.translate(perms[j : j + n] + rest) for j in range(0, len(perms), n)
         )
-    # perms are sliced in their final order, the order in which the Borel
-    # count walks them
-    origin = sorted(range(len(lengths)), key=lengths.__getitem__)
-    perms = tuple(perms[j * n : j * n + n] for j in origin)
     order = weyl_order(rs)
-    if len(perms) != order or len(set(perms)) != order:
-        raise AssertionError(
-            f"generated {len(set(perms))} distinct of {len(perms)} products, expected {order}"
-        )
-    return WeylGroup(perms, origin, tuple(words))
+    if len(lengths) != order:
+        raise AssertionError(f"generated {len(lengths)} products, expected {order}")
+    origin = array("L", sorted(range(order), key=lengths.__getitem__))
+    return WeylGroup(perms, n, origin, tuple(words))
 
 
 def _coset_representatives(rs: RootSystem, k: int) -> list:
@@ -289,10 +307,12 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
     """Count the distinct torus-fixed Borels w(b) over the generated group.
 
     Computed from the root-image sets rather than from |W|, so the test
-    that this equals the group order is not circular.  Each set w(R+) is
-    keyed by its indicator: the identity on the 2m root indices with those
-    in w(R+) overwritten by 0xff, which no index reaches, so equal keys mean
-    equal sets, the same sets as ``TorusBorel(w).positive_set``.
+    that this equals the group order is not circular.  An enumerated group
+    is read straight from its buffer, any other sequence element by element,
+    and each set w(R+) is keyed by its indicator: the identity on the 2m
+    root indices with those in w(R+) overwritten by 0xff, which no index
+    reaches, so equal keys mean equal sets, the same sets as
+    ``TorusBorel(w).positive_set``.
     The group that ``generate_weyl`` returns is counted once per root
     system; any other sequence is counted on every call.
     """
@@ -304,8 +324,12 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
 def _count_borels(rs: RootSystem, group) -> int:
     m = rs.num_positive
     mark = b"\xff" * m
-    perms = group.perms if isinstance(group, WeylGroup) else (w.perm for w in group)
-    return len({bytes.maketrans(perm[:m], mark)[: 2 * m] for perm in perms})
+    if isinstance(group, WeylGroup):  # w(R+) straight from the buffer
+        buffer = group._buffer
+        images = (buffer[j : j + m] for j in range(0, len(buffer), 2 * m))
+    else:
+        images = (w.perm[:m] for w in group)
+    return len({bytes.maketrans(image, mark)[: 2 * m] for image in images})
 
 
 @lru_cache(maxsize=None)

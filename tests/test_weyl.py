@@ -1,6 +1,7 @@
 """Weyl group generation, reduced words, torus Borels and line chains."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -247,7 +248,6 @@ def test_the_group_reads_as_the_tuple_of_its_elements(family, rank):
     group = generate_weyl(rs)
     elements = tuple(group)
     n = len(elements)
-    assert group.perms == tuple(w.perm for w in elements)
     for j in (0, 1, n // 2, n - 1, -1, -2, -n):
         assert group[j] is group[j] is elements[j]
     for j in (n, -n - 1):
@@ -276,7 +276,17 @@ def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
             super().__init__(word, perm)
 
     monkeypatch.setattr(weyl, "WeylElement", Counting)
-    group = weyl._enumerate_weyl(build_root_system("E", 6))
+    rs = build_root_system("E", 6)
+    weyl._reflections(rs)  # cached per root system, not held by the group
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = weyl._enumerate_weyl(rs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one 72-byte perm and one origin entry per element
+    assert held <= 6.5e6, f"the held E6 group takes {held / 1e6:.2f} MB"
     assert len(group) == 51840 and made == []
     w = group[-1]
     assert type(w) is Counting and group[-1] is w and len(made) == 1
@@ -315,11 +325,12 @@ def test_e6_coset_representatives_have_no_left_descent_below_their_level():
     assert counts == [2, 2, 3, 10, 16, 27]
 
 
-@pytest.mark.parametrize("fault", ["repeat", "drop", "substitute"])
+@pytest.mark.parametrize("fault", ["repeat", "drop", "substitute", "non-minimal"])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level):
     rs = build_root_system("B", 3)
     honest = weyl._coset_representatives
+    s1 = weyl._reflections(rs)[0][1]
 
     def planted(rs, k):
         reps = honest(rs, k)
@@ -328,12 +339,22 @@ def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level
                 reps = reps + reps[:1]
             elif fault == "drop":
                 reps = reps[1:]
-            else:  # as many products as |W|, two of them equal
+            elif fault == "substitute":  # as many products as |W|, two of them equal
                 reps = reps[:-1] + reps[:1]
+            else:  # the second representative u replaced by s_1 u, not minimal in its coset
+                word, perm = reps[1]
+                reps = [reps[0], ((1,) + word, perm.translate(s1))] + reps[2:]
         return reps
 
+    refusal = {
+        "repeat": "representative repeats",
+        "drop": "expected 48",
+        "substitute": "representative repeats",
+        # at level 1 the second representative is e, and s_1 e repeats the first
+        "non-minimal": "representative repeats" if level == 1 else "has the left descent 1",
+    }[fault]
     monkeypatch.setattr(weyl, "_coset_representatives", planted)
-    with pytest.raises(AssertionError, match="expected 48"):
+    with pytest.raises(AssertionError, match=refusal):
         weyl._enumerate_weyl(rs)
 
 
