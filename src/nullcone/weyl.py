@@ -9,9 +9,9 @@ Generation runs up the parabolic chain W_1 < W_2 < ... < W_n, where
 W_k = <s_1, ..., s_k>: W_k is every product of an element of W_{k-1} with
 one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
 3, 10, 16 and 27 on E6), so there is no deduplicating walk.  In place of a
-|W|-sized set, each level's representatives are checked to be distinct and
-free of left descents below k, which makes the products pairwise distinct,
-and their final count is checked against |W|.  The stored word of each
+|W|-sized set, each level's representatives are checked to be distinct,
+to lie in W_k and to be free of left descents below k, which makes the
+products pairwise distinct, and their final count is checked against |W|.  The stored word of each
 element is its lexicographically smallest reduced word.  Each group is
 enumerated, and its torus-fixed Borels counted, once per process and root
 system.  The enumeration builds no ``WeylElement`` and no per-element
@@ -126,11 +126,10 @@ class WeylGroup(Sequence):
     object afterwards; slices are tuples.
     """
 
-    __slots__ = ("_buffer", "_size", "_origin", "_words", "_elements")
+    __slots__ = ("_buffer", "_origin", "_words", "_elements")
 
-    def __init__(self, buffer: bytes, size: int, origin, words: tuple):
+    def __init__(self, buffer: bytes, origin, words: tuple):
         self._buffer = buffer
-        self._size = size  # bytes per perm, 2m
         self._origin = origin
         self._words = words  # per level, the representatives' lex-min words
         self._elements: dict = {}
@@ -145,8 +144,8 @@ class WeylGroup(Sequence):
         w = self._elements.get(j)
         if w is None:
             index, word = self._origin[j], ()
-            start = index * self._size
-            perm = self._buffer[start : start + self._size]
+            size = len(self._buffer) // len(self._origin)  # bytes per perm, 2m
+            perm = self._buffer[index * size : (index + 1) * size]
             for level in reversed(self._words):
                 index, digit = divmod(index, len(level))
                 word = level[digit] + word
@@ -162,10 +161,15 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # Distinctness.  If v u = v' u' with v, v' in W_{k-1}, then u' lies in
     # the coset W_{k-1} u, which has exactly one element with no left
     # descent below k (Humphreys, Reflection Groups and Coxeter Groups,
-    # sec. 1.10), so u = u' and v = v'.  The products are therefore pairwise
-    # distinct once each level's representatives are distinct and have no
-    # left descent below k, which is checked per level; together with the
-    # final count |W| they are the whole group, with no |W|-sized set.
+    # sec. 1.10), so u = u' and v = v'.  The premise v, v' in W_{k-1} holds
+    # when every level-j representative lies in W_j: its lex-min word, read
+    # off its perm rather than taken as given, uses no letter above j, as
+    # every reduced word of an element of a standard parabolic subgroup
+    # uses only that subgroup's letters.  The products are therefore
+    # pairwise distinct once each level's representatives are distinct, lie
+    # in W_k and have no left descent below k, which is checked per level;
+    # together with the final count |W| they are the whole group, with no
+    # |W|-sized set.
     #
     # Words.  For i < k, s_i v u factors as (s_i v) u, so i is a left descent
     # of v u iff it is one of v.  A v != e has a left descent, all below k,
@@ -198,6 +202,10 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
                     raise AssertionError(
                         f"{rs.stype} level {k}: representative {word} has the left descent {i}"
                     )
+            if max(_lex_min_word(rs, perm), default=0) > k:
+                raise AssertionError(
+                    f"{rs.stype} level {k}: representative {word} lies outside W_{k}"
+                )
         words.append(tuple(u for u, _ in reps))
         joined = b"".join(perm for _, perm in reps)
         lengths = [lv + len(u) for lv in lengths for u, _ in reps]
@@ -208,7 +216,7 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     if len(lengths) != order:
         raise AssertionError(f"generated {len(lengths)} products, expected {order}")
     origin = array("L", sorted(range(order), key=lengths.__getitem__))
-    return WeylGroup(perms, n, origin, tuple(words))
+    return WeylGroup(perms, origin, tuple(words))
 
 
 def _coset_representatives(rs: RootSystem, k: int) -> list:

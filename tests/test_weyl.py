@@ -325,12 +325,12 @@ def test_e6_coset_representatives_have_no_left_descent_below_their_level():
     assert counts == [2, 2, 3, 10, 16, 27]
 
 
-@pytest.mark.parametrize("fault", ["repeat", "drop", "substitute", "non-minimal"])
+@pytest.mark.parametrize("fault", ["repeat", "drop", "substitute", "non-minimal", "outside"])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level):
     rs = build_root_system("B", 3)
     honest = weyl._coset_representatives
-    s1 = weyl._reflections(rs)[0][1]
+    s1, s3 = (weyl._reflections(rs)[i][1] for i in (0, 2))
 
     def planted(rs, k):
         reps = honest(rs, k)
@@ -341,9 +341,11 @@ def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level
                 reps = reps[1:]
             elif fault == "substitute":  # as many products as |W|, two of them equal
                 reps = reps[:-1] + reps[:1]
-            else:  # the second representative u replaced by s_1 u, not minimal in its coset
+            elif fault == "non-minimal":  # the second representative u replaced by s_1 u
                 word, perm = reps[1]
                 reps = [reps[0], ((1,) + word, perm.translate(s1))] + reps[2:]
+            else:  # the first representative replaced by s_3, which lies outside W_1 and W_2
+                reps = [((3,), s3[: 2 * rs.num_positive])] + reps[1:]
         return reps
 
     refusal = {
@@ -352,6 +354,8 @@ def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level
         "substitute": "representative repeats",
         # at level 1 the second representative is e, and s_1 e repeats the first
         "non-minimal": "representative repeats" if level == 1 else "has the left descent 1",
+        # at level 3 s_3 is already a representative
+        "outside": "representative repeats" if level == 3 else f"\\(3,\\) lies outside W_{level}",
     }[fault]
     monkeypatch.setattr(weyl, "_coset_representatives", planted)
     with pytest.raises(AssertionError, match=refusal):
