@@ -11,14 +11,19 @@ one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
 3, 10, 16 and 27 on E6), so there is no deduplicating walk.  In place of a
 |W|-sized set, each level's representatives are checked to be distinct,
 to lie in W_k and to be free of left descents below k, which makes the
-products pairwise distinct, and their final count is checked against |W|.  The stored word of each
-element is its lexicographically smallest reduced word.  Each group is
-enumerated, and its torus-fixed Borels counted, once per process and root
-system.  The enumeration builds no ``WeylElement`` and no per-element
-``bytes``: it carries lengths in place of words and returns a read-only
-``WeylGroup`` sequence held as one buffer of every perm, which builds an
-element, its perm sliced from the buffer and its word read off its coset
-representatives, on the element's first read and keeps it.
+products pairwise distinct, and their final count is checked against |W|.
+The stored word of each element is its lexicographically smallest reduced
+word.  Each group is enumerated, and its torus-fixed Borels counted, once
+per process and root system.  The enumeration builds no ``WeylElement``
+and no per-element ``bytes``: it carries one length byte per element in
+place of words, and returns a read-only ``WeylGroup`` sequence held as one
+buffer of every perm, which builds an element, its perm sliced from the
+buffer and its word read off its coset representatives, on the element's
+first read and keeps it.  The inversion count n(w), the number of
+positive roots w makes negative, is read for every element at once from
+the buffer's columns: the torus-fixed Borels w(b) of an enumerated group
+are counted from it by orbit and stabilizer, and the word lengths are
+checked against it as one byte string, with no element built.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ class WeylGroup(Sequence):
 
     The buffer joins every element's perm, n = 2m bytes each, in the order
     the coset chain produced them, v on the outside; nothing else is stored
-    per element but ``origin[j]``, the product number of element j.  That
+    per element but its length, one byte of ``lengths`` in the same product
+    order, and ``origin[j]``, the product number of element j.  That
     number is a mixed-radix number whose digits, the last level least
     significant, pick one representative per level, so the element's word
     is their words joined (lexmin(v u) = lexmin(v) + lexmin(u), see
@@ -126,12 +132,13 @@ class WeylGroup(Sequence):
     object afterwards; slices are tuples.
     """
 
-    __slots__ = ("_buffer", "_origin", "_words", "_elements")
+    __slots__ = ("_buffer", "_origin", "_words", "_lengths", "_elements")
 
-    def __init__(self, buffer: bytes, origin, words: tuple):
+    def __init__(self, buffer, origin, words: tuple, lengths: bytes):
         self._buffer = buffer
         self._origin = origin
         self._words = words  # per level, the representatives' lex-min words
+        self._lengths = lengths  # per product, the length of its word
         self._elements: dict = {}
 
     def __len__(self) -> int:
@@ -145,7 +152,7 @@ class WeylGroup(Sequence):
         if w is None:
             index, word = self._origin[j], ()
             size = len(self._buffer) // len(self._origin)  # bytes per perm, 2m
-            perm = self._buffer[index * size : (index + 1) * size]
+            perm = bytes(self._buffer[index * size : (index + 1) * size])
             for level in reversed(self._words):
                 index, digit = divmod(index, len(level))
                 word = level[digit] + word
@@ -186,12 +193,17 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # has a letter below k, and sorts after it, as v1 does after v2.  Words
     # of one length are never proper prefixes of each other, so the stable
     # sort by length below gives the (length, word) order.
+    #
+    # Layout.  Each level writes its products into one preallocated buffer:
+    # with r = len(reps), the product of the j-th previous element and the
+    # d-th representative is number j r + d, so the lengths of the products
+    # with representative d are the slice out[d::r].
     m = rs.num_positive
     n = 2 * m
     rest = bytes(range(n, 256))
     tables = _reflections(rs)
     words = []  # per level, the representatives' words
-    lengths, perms = [0], bytes(range(n))  # perms: every element's perm, joined
+    lengths, perms = b"\0", bytes(range(n))  # perms: every element's perm, joined
     for k in range(1, rs.rank + 1):
         reps = _coset_representatives(rs, k)
         if len({perm for _, perm in reps}) != len(reps):
@@ -207,16 +219,21 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
                     f"{rs.stype} level {k}: representative {word} lies outside W_{k}"
                 )
         words.append(tuple(u for u, _ in reps))
+        r = len(reps)
+        out = bytearray(len(lengths) * r)
+        for d, (u, _) in enumerate(reps):  # l -> l + len(u), shifted on 256 bytes
+            out[d::r] = lengths.translate(bytes(range(len(u), 256)) + bytes(range(len(u))))
+        lengths = out
         joined = b"".join(perm for _, perm in reps)
-        lengths = [lv + len(u) for lv in lengths for u, _ in reps]
-        perms = b"".join(
-            joined.translate(perms[j : j + n] + rest) for j in range(0, len(perms), n)
-        )
+        out = bytearray(len(perms) * r)
+        for j in range(0, len(perms), n):
+            out[j * r : (j + n) * r] = joined.translate(perms[j : j + n] + rest)
+        perms = out
     order = weyl_order(rs)
     if len(lengths) != order:
         raise AssertionError(f"generated {len(lengths)} products, expected {order}")
     origin = array("L", sorted(range(order), key=lengths.__getitem__))
-    return WeylGroup(perms, origin, tuple(words))
+    return WeylGroup(perms, origin, tuple(words), bytes(lengths))
 
 
 def _coset_representatives(rs: RootSystem, k: int) -> list:
@@ -314,13 +331,20 @@ class TorusBorel:
 def borels_containing_torus(rs: RootSystem, group) -> int:
     """Count the distinct torus-fixed Borels w(b) over the generated group.
 
-    Computed from the root-image sets rather than from |W|, so the test
-    that this equals the group order is not circular.  An enumerated group
-    is read straight from its buffer, any other sequence element by element,
-    and each set w(R+) is keyed by its indicator: the identity on the 2m
-    root indices with those in w(R+) overwritten by 0xff, which no index
-    reaches, so equal keys mean equal sets, the same sets as
-    ``TorusBorel(w).positive_set``.
+    The Borels are told apart by their root sets w(R+), the same sets as
+    ``TorusBorel(w).positive_set``.  On an enumerated ``WeylGroup`` the
+    enumeration's certificate makes the perms a permutation group of order
+    |W|, so the sets w(R+) are the orbit of the positive index set R+, and
+    by orbit and stabilizer their number is |W| / s, where s counts the
+    elements with w(R+) = R+: those with no inversion, n(w) = 0, read in
+    bulk by ``_inversion_counts``.  That s is 1, the one fact behind W's
+    simple transitivity on these Borels (Humphreys, Reflection Groups and
+    Coxeter Groups, sec. 1.8), is what the count then tests, not something
+    it assumes; an s of 0 or one that does not divide |W| cannot come from a
+    group and raises ``AssertionError``.  Any other sequence is counted
+    element by element, each set w(R+) keyed by its indicator: the identity
+    on the 2m root indices with those in w(R+) overwritten by 0xff, which no
+    index reaches, so equal keys mean equal sets.
     The group that ``generate_weyl`` returns is counted once per root
     system; any other sequence is counted on every call.
     """
@@ -330,14 +354,46 @@ def borels_containing_torus(rs: RootSystem, group) -> int:
 
 
 def _count_borels(rs: RootSystem, group) -> int:
+    if isinstance(group, WeylGroup):  # orbit and stabilizer of R+
+        order, stabilizer = len(group), _inversion_counts(group).count(0)
+        if not stabilizer or order % stabilizer:
+            raise AssertionError(
+                f"{rs.stype}: {stabilizer} of {order} elements fix R+, "
+                "and a stabilizer's order is a positive divisor of the group's"
+            )
+        return order // stabilizer
     m = rs.num_positive
     mark = b"\xff" * m
-    if isinstance(group, WeylGroup):  # w(R+) straight from the buffer
-        buffer = group._buffer
-        images = (buffer[j : j + m] for j in range(0, len(buffer), 2 * m))
-    else:
-        images = (w.perm[:m] for w in group)
-    return len({bytes.maketrans(image, mark)[: 2 * m] for image in images})
+    return len({bytes.maketrans(w.perm[:m], mark)[: 2 * m] for w in group})
+
+
+def _inversion_counts(group: WeylGroup) -> bytes:
+    """n(w) for every element of an enumerated group, one byte each in product order.
+
+    Column j of the buffer, ``buffer[j::2m]``, holds w(j) for every w; for a
+    positive root j, translating it by k -> [k >= m] marks the w that send j
+    negative.  Read as little-endian integers, the m marked columns add byte
+    by byte: each byte sum is at most m <= 127, so no carry crosses a byte,
+    and the bytes of the total are the counts.
+    """
+    buffer, order = group._buffer, len(group)
+    n = len(buffer) // order
+    m = n // 2
+    negative = bytes(m) + b"\1" * (256 - m)
+    total = sum(int.from_bytes(buffer[j::n].translate(negative), "little") for j in range(m))
+    return total.to_bytes(order, "little")
+
+
+def length_inversion_failures(group: WeylGroup) -> list:
+    """The indices j, in group order, with l(group[j]) != n(group[j]).
+
+    The word lengths and the inversion counts are compared as two byte
+    strings in product order, so a group that passes builds no element.
+    """
+    counts, lengths = _inversion_counts(group), group._lengths
+    if counts == lengths:
+        return []
+    return [j for j, index in enumerate(group._origin) if counts[index] != lengths[index]]
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Report determinism, CLI behaviour and exit codes."""
 
+import functools
 import json
 import random
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nullcone import cli, report
+from nullcone import cli, report, weyl
 from nullcone.cli import main
 from nullcone.report import (
     DEFAULT_TYPES,
@@ -325,3 +326,25 @@ def test_roots_suite_builds_no_algebra(monkeypatch):
     monkeypatch.setattr(report, "build_algebra", refuse)
     code, results = run(RunConfig(suites=("roots",), types=("A2", "B3")))
     assert code == 0 and len(results) == 14
+
+
+def test_bulk_weyl_records_build_no_element(monkeypatch):
+    made = []
+
+    class Counting(weyl.WeylElement):
+        __slots__ = ()
+
+        def __init__(self, word, perm):
+            made.append(word)
+            super().__init__(word, perm)
+
+    # fresh groups and counts, so that nothing is read from an earlier test's cache
+    monkeypatch.setattr(weyl, "WeylElement", Counting)
+    monkeypatch.setattr(weyl, "_GROUPS", {})
+    monkeypatch.setattr(
+        weyl, "_enumerated_borel_count", functools.lru_cache(weyl._enumerated_borel_count.__wrapped__)
+    )
+    for tname, check in (("E6", "torus-borel-count"), ("F4", "length-inversions")):
+        records = report._unit_results(RunConfig(), "roots", tname)
+        assert [r.status for r in records if r.check_id == f"roots/{tname}/{check}"] == ["pass"]
+    assert made == []

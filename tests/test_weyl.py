@@ -3,12 +3,14 @@
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullcone import weyl
+from nullcone.report import RunConfig, _length_inversions
 from nullcone.roots import build_root_system
 from nullcone.weyl import (
     TorusBorel,
@@ -265,7 +267,8 @@ def test_the_group_reads_as_the_tuple_of_its_elements(family, rank):
             assert (built.word, built.perm) == (w.word, w.perm)
 
 
-def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
+def _record_built_elements(monkeypatch) -> list:
+    """The words of the ``WeylElement``s built from now on, in build order."""
     made = []
 
     class Counting(WeylElement):
@@ -276,21 +279,100 @@ def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
             super().__init__(word, perm)
 
     monkeypatch.setattr(weyl, "WeylElement", Counting)
+    return made
+
+
+def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
+    made = _record_built_elements(monkeypatch)
     rs = build_root_system("E", 6)
     weyl._reflections(rs)  # cached per root system, not held by the group
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         group = weyl._enumerate_weyl(rs)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # one 72-byte perm and one origin entry per element
+    # one 72-byte perm, one length byte and one origin entry per element
     assert held <= 6.5e6, f"the held E6 group takes {held / 1e6:.2f} MB"
+    # each level writes into one buffer, with no list of pieces beside it
+    assert peak <= 7.5e6, f"enumerating E6 peaks at {peak / 1e6:.2f} MB"
     assert len(group) == 51840 and made == []
     w = group[-1]
-    assert type(w) is Counting and group[-1] is w and len(made) == 1
+    assert type(w) is weyl.WeylElement and group[-1] is w and len(made) == 1
     assert len(w.word) == 36
+
+
+def test_counting_e6_borels_builds_no_element(monkeypatch):
+    made = _record_built_elements(monkeypatch)
+    rs = build_root_system("E", 6)
+    group = weyl._enumerate_weyl(rs)  # a group of its own, not the cached one
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = borels_containing_torus(rs, group)
+        above = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert count == 51840 and made == []
+    assert above < 1e6, f"counting E6's Borels takes {above / 1e6:.2f} MB"
+    assert weyl.length_inversion_failures(group) == [] and made == []
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES + [("E", 6)])
+def test_bulk_inversion_counts_match_the_element_walk(family, rank):
+    rs = build_root_system(family, rank)
+    group = generate_weyl(rs)
+    counts = weyl._inversion_counts(group)
+    assert len(counts) == len(group)
+    assert [counts[p] for p in group._origin] == [inversions(rs, w) for w in group]
+    assert counts.count(0) == 1 and counts[group._origin[0]] == 0
+    assert weyl.length_inversion_failures(group) == []
+
+
+def _planted_group(group, records):
+    """``group`` with the product records at the given indices replaced by perms."""
+    n = len(group._buffer) // len(group)
+    buffer = bytearray(group._buffer)
+    for index, perm in records.items():
+        buffer[index * n : (index + 1) * n] = perm
+    return weyl.WeylGroup(bytes(buffer), group._origin, group._words, group._lengths)
+
+
+def test_a_planted_group_is_not_counted_as_w_borels():
+    rs = build_root_system("B", 3)
+    group = generate_weyl(rs)
+    origin = group._origin  # origin[0] is the product that is e
+    ident = bytes(range(2 * rs.num_positive))
+    # one record replaced by the identity: two elements fix R+
+    once = _planted_group(group, {origin[-1]: ident})
+    assert borels_containing_torus(rs, once) != len(group) == 48
+    assert borels_containing_torus(rs, once) == 24
+    # five elements fixing R+, or none, can be no stabilizer in a group of order 48
+    fives = _planted_group(group, {p: ident for p in origin[-4:]})
+    none = _planted_group(group, {origin[0]: group[1].perm})
+    for planted, s in ((fives, 5), (none, 0)):
+        with pytest.raises(AssertionError, match=f"{s} of 48 elements fix R\\+"):
+            borels_containing_torus(rs, planted)
+
+
+def test_an_off_by_one_chain_length_fails_length_inversions(monkeypatch):
+    rs = build_root_system("B", 3)
+    honest = weyl._coset_representatives
+
+    def planted(rs, k):
+        reps = honest(rs, k)
+        if k == 2:  # the last of the 3 level-2 representatives, e, gets the word (2,)
+            word, perm = reps[-1]
+            reps = reps[:-1] + [(word + (2,), perm)]
+        return reps
+
+    monkeypatch.setattr(weyl, "_coset_representatives", planted)
+    group = weyl._enumerate_weyl(rs)
+    walk = [w.word for w in group if len(w.word) != inversions(rs, w)]
+    assert len(walk) == 48 // 3  # every product with that representative
+    unit = SimpleNamespace(rs=rs, group=group, order=48, config=RunConfig())
+    assert _length_inversions(unit, None) == (False, walk[:5])
 
 
 @pytest.mark.parametrize("family,rank", ORACLE_TYPES + [("E", 6)])
