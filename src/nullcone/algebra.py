@@ -391,15 +391,6 @@ class MatrixLieAlgebra:
         coeffs = la.char_poly(x)
         return tuple(coeffs[d - 1] for d in self.degrees)
 
-    def _index(self, i: int) -> int:
-        """Position of invariant i (1..rank) in the degree-ordered tuples."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"invariant index {i} out of range")
-        return i - 1
-
-    def eval_p(self, i: int, x):
-        return self.eval_all_p(x)[self._index(i)]
-
     def _pencil(self, x, y):
         """(L, K, z): z = X + 2^K Y for X = L x, Y = L y, L the lcm of their denominators.
 
@@ -429,9 +420,6 @@ class MatrixLieAlgebra:
         digits = [la.signed_digits(coeffs[d - 1], bits, d + 1) for d in self.degrees]
         return tuple(tuple(la.ratio(c, lcd**d) for c in ds) for d, ds in zip(self.degrees, digits))
 
-    def polarize(self, i: int, x, y):
-        return self.polarize_all(x, y)[self._index(i)]
-
     def sigma(self, x, y):
         """The full polarization vector, length borel_dim + rank."""
         return tuple(c for coeffs in self.polarize_all(x, y) for c in coeffs)
@@ -460,9 +448,6 @@ class MatrixLieAlgebra:
         """Trace-form gradients in g, the projections of the gradient matrices."""
         return tuple(self._project(g) for g in self.gradient_matrices(x))
 
-    def epsilon(self, i: int, x):
-        return self.epsilon_all(x)[self._index(i)]
-
     def epsilon_polarize_all(self, x, y):
         """The d_i polarizations of the gradient of every p_i at (x, y).
 
@@ -478,9 +463,6 @@ class MatrixLieAlgebra:
             rows = [zip(*(la.signed_digits(-e, bits, d) for e in row)) for row in aux[d - 1]]
             out.append([la.divide(self._project(part), lcd ** (d - 1)) for part in zip(*rows)])
         return tuple(out)
-
-    def epsilon_polarize(self, i: int, x, y):
-        return self.epsilon_polarize_all(x, y)[self._index(i)]
 
     def pencil_regularity_witness(self, x, y):
         """Sampled check that the pencil of (x, y) avoids non-regular elements.

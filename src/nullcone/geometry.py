@@ -23,6 +23,7 @@ from operator import mul
 
 from . import linalg as la
 from .algebra import GroupElement, MatrixLieAlgebra
+from .weyl import weyl_orbit_pairs
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,7 @@ def sigma_fiber_is_weyl_orbit(alg: MatrixLieAlgebra, group, pair_a, pair_b) -> b
     same_sigma = alg.sigma(xa, ya) == alg.sigma(xb, yb)
     ca = (h_coords(alg, xa), h_coords(alg, ya))
     cb = (h_coords(alg, xb), h_coords(alg, yb))
-    rs = alg.rs
-    in_orbit = any(
-        (w.apply_h(rs, ca[0]), w.apply_h(rs, ca[1])) == cb for w in group
-    )
-    return same_sigma == in_orbit
+    return same_sigma == (cb in weyl_orbit_pairs(alg.rs, group, ca))
 
 
 def sigma_pencil_consistency(alg: MatrixLieAlgebra, x, y, t_points) -> bool:

@@ -13,22 +13,18 @@ one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
 to lie in W_k and to be free of left descents below k, which makes the
 products pairwise distinct, and their final count is checked against |W|.
 The stored word of each element is its lexicographically smallest reduced
-word.  Each group is enumerated, and its torus-fixed Borels counted, once
-per process and root system.  The enumeration builds no ``WeylElement``
-and no per-element ``bytes``: it carries one length byte per element in
-place of words, and returns a read-only ``WeylGroup`` sequence held as one
-buffer of every perm, which builds an element, its perm sliced from the
-buffer and its word read off its coset representatives, on the element's
-first read and keeps it.  The inversion count n(w), the number of
-positive roots w makes negative, is read for every element at once from
-the buffer's columns: the torus-fixed Borels w(b) of an enumerated group
-are counted from it by orbit and stabilizer, and the word lengths are
-checked against it as one byte string, with no element built.
+word.  Each group is enumerated once per process and root system and held
+in product order as a read-only ``WeylGroup``: one perm buffer, one length
+byte and one inversion-count byte per element, with no ``WeylElement``
+built until one is read.  The inversion count n(w), the number of positive
+roots w makes negative, is read for every element at once from the
+buffer's columns; the torus-fixed Borels w(b) are counted from it by orbit
+and stabilizer, and the word lengths are checked against it, with no
+element built.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +49,7 @@ def _root_index(rs: RootSystem):
 def _reflections(rs: RootSystem) -> tuple:
     """(index of alpha_i, table S_i) per letter i, with S_i[k] the index of s_i(root k).
 
-    Indices are bytes, and 0xff stays free for the Borel keys: at most 255 roots.
+    Indices are bytes: at most 255 roots.
     """
     all_roots, index = _root_index(rs)
     if len(all_roots) > 255:
@@ -101,10 +97,10 @@ def weyl_order(rs: RootSystem) -> int:
 def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> WeylGroup:
     """Enumerate the full Weyl group, refusing if it exceeds max_order.
 
-    Returns a ``WeylGroup`` sequence sorted by (length, word), the identity
-    first, held as one perm buffer whose elements are built on their first
-    read.  The cap is checked on every call; the group itself is enumerated
-    once per root system and the same sequence is returned afterwards.
+    Returns a ``WeylGroup`` sequence in product order, the identity first,
+    held as one perm buffer whose elements are built on each read.  The cap
+    is checked on every call; the group itself is enumerated once per root
+    system and the same sequence is returned afterwards.
     """
     order = weyl_order(rs)
     if order > max_order:
@@ -118,46 +114,41 @@ _GROUPS: dict = {}  # root system -> its group, enumerated on first request
 
 
 class WeylGroup(Sequence):
-    """An enumerated group in (length, word) order, held as one perm buffer.
+    """An enumerated group in product order, held as one perm buffer.
 
-    The buffer joins every element's perm, n = 2m bytes each, in the order
-    the coset chain produced them, v on the outside; nothing else is stored
-    per element but its length, one byte of ``lengths`` in the same product
-    order, and ``origin[j]``, the product number of element j.  That
-    number is a mixed-radix number whose digits, the last level least
-    significant, pick one representative per level, so the element's word
-    is their words joined (lexmin(v u) = lexmin(v) + lexmin(u), see
-    ``_enumerate_weyl``).  ``group[j]`` slices the perm out of the buffer
-    and builds its ``WeylElement`` on the first read, and returns the same
-    object afterwards; slices are tuples.
+    Element j is product number j of the coset chain, v on the outside: a
+    mixed-radix number whose digits, the last level least significant, pick
+    one representative per level, so its word is their words joined
+    (lexmin(v u) = lexmin(v) + lexmin(u), see ``_enumerate_weyl``).  The
+    buffer joins every element's perm, n = 2m bytes each; nothing else is
+    stored per element but its length and its inversion count, one byte
+    each of ``lengths`` and ``counts``.  ``group[j]`` slices the perm out
+    of the buffer and builds its ``WeylElement`` on each read; slices are
+    tuples.
     """
 
-    __slots__ = ("_buffer", "_origin", "_words", "_lengths", "_elements")
+    __slots__ = ("_buffer", "_words", "_lengths", "_counts")
 
-    def __init__(self, buffer, origin, words: tuple, lengths: bytes):
+    def __init__(self, buffer, words: tuple, lengths: bytes, counts: bytes):
         self._buffer = buffer
-        self._origin = origin
         self._words = words  # per level, the representatives' lex-min words
-        self._lengths = lengths  # per product, the length of its word
-        self._elements: dict = {}
+        self._lengths = lengths  # per element, the length of its word
+        self._counts = counts  # per element, its inversion count n(w)
 
     def __len__(self) -> int:
-        return len(self._origin)
+        return len(self._lengths)
 
     def __getitem__(self, j):
         j = range(len(self))[j]  # an index in range, or the indices of a slice
         if isinstance(j, range):
             return tuple(map(self.__getitem__, j))
-        w = self._elements.get(j)
-        if w is None:
-            index, word = self._origin[j], ()
-            size = len(self._buffer) // len(self._origin)  # bytes per perm, 2m
-            perm = bytes(self._buffer[index * size : (index + 1) * size])
-            for level in reversed(self._words):
-                index, digit = divmod(index, len(level))
-                word = level[digit] + word
-            w = self._elements[j] = WeylElement(word, perm)
-        return w
+        size = len(self._buffer) // len(self)  # bytes per perm, 2m
+        perm = bytes(self._buffer[j * size : (j + 1) * size])
+        index, word = j, ()
+        for level in reversed(self._words):
+            index, digit = divmod(index, len(level))
+            word = level[digit] + word
+        return WeylElement(word, perm)
 
 
 def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
@@ -184,15 +175,6 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # descents, which spells the lex-min reduced word, strips v first:
     # lexmin(v u) = lexmin(v) + lexmin(u).  A u != e starts with k, its only
     # left descent.
-    #
-    # Order.  List words with a proper prefix after its extensions, as if
-    # each ended in a letter above every other.  W_{k-1} and U_k are listed
-    # so, and the products, v on the outside, come out so too: for v1 != v2
-    # the first difference of v1 u1 and v2 u2 is that of v1 and v2, unless
-    # v1 is a proper prefix of v2; then v1 u1 has k or its end where v2 u2
-    # has a letter below k, and sorts after it, as v1 does after v2.  Words
-    # of one length are never proper prefixes of each other, so the stable
-    # sort by length below gives the (length, word) order.
     #
     # Layout.  Each level writes its products into one preallocated buffer:
     # with r = len(reps), the product of the j-th previous element and the
@@ -232,8 +214,7 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     order = weyl_order(rs)
     if len(lengths) != order:
         raise AssertionError(f"generated {len(lengths)} products, expected {order}")
-    origin = array("L", sorted(range(order), key=lengths.__getitem__))
-    return WeylGroup(perms, origin, tuple(words), bytes(lengths))
+    return WeylGroup(perms, tuple(words), bytes(lengths), _inversion_counts(perms, order))
 
 
 def _coset_representatives(rs: RootSystem, k: int) -> list:
@@ -241,8 +222,7 @@ def _coset_representatives(rs: RootSystem, k: int) -> list:
 
     These are the u in W_k with no left descent below k; u s_j is again one
     for every right descent s_j of u, so they are reached from e by right
-    multiplications that lengthen.  Listed by word, a proper prefix after
-    its extensions.
+    multiplications that lengthen.  Listed by word, e first.
     """
     m = rs.num_positive
     rest = bytes(range(2 * m, 256))
@@ -260,8 +240,7 @@ def _coset_representatives(rs: RootSystem, k: int) -> list:
                         longer.add(us)
         level = list(longer)
         reps = reps + level
-    # letters run up to k, so k + 1 ends each word above every letter
-    return sorted(((_lex_min_word(rs, u), u) for u in reps), key=lambda r: r[0] + (k + 1,))
+    return sorted((_lex_min_word(rs, u), u) for u in reps)
 
 
 def _lex_min_word(rs: RootSystem, perm: bytes) -> tuple:
@@ -328,47 +307,32 @@ class TorusBorel:
         return all(index[tuple(s)] in pos for s in support)
 
 
-def borels_containing_torus(rs: RootSystem, group) -> int:
-    """Count the distinct torus-fixed Borels w(b) over the generated group.
+def borels_containing_torus(rs: RootSystem, group: WeylGroup) -> int:
+    """Count the distinct torus-fixed Borels w(b) over an enumerated group.
 
     The Borels are told apart by their root sets w(R+), the same sets as
-    ``TorusBorel(w).positive_set``.  On an enumerated ``WeylGroup`` the
-    enumeration's certificate makes the perms a permutation group of order
-    |W|, so the sets w(R+) are the orbit of the positive index set R+, and
-    by orbit and stabilizer their number is |W| / s, where s counts the
-    elements with w(R+) = R+: those with no inversion, n(w) = 0, read in
-    bulk by ``_inversion_counts``.  That s is 1, the one fact behind W's
-    simple transitivity on these Borels (Humphreys, Reflection Groups and
-    Coxeter Groups, sec. 1.8), is what the count then tests, not something
-    it assumes; an s of 0 or one that does not divide |W| cannot come from a
-    group and raises ``AssertionError``.  Any other sequence is counted
-    element by element, each set w(R+) keyed by its indicator: the identity
-    on the 2m root indices with those in w(R+) overwritten by 0xff, which no
-    index reaches, so equal keys mean equal sets.
-    The group that ``generate_weyl`` returns is counted once per root
-    system; any other sequence is counted on every call.
+    ``TorusBorel(w).positive_set``.  The enumeration's certificate makes the
+    perms a permutation group of order |W|, so the sets w(R+) are the orbit
+    of the positive index set R+, and by orbit and stabilizer their number
+    is |W| / s, where s counts the elements with w(R+) = R+: those with no
+    inversion, n(w) = 0, read off the group's inversion counts.  That s is
+    1, the one fact behind W's simple transitivity on these Borels
+    (Humphreys, Reflection Groups and Coxeter Groups, sec. 1.8), is what
+    the count then tests, not something it assumes; an s of 0 or one that
+    does not divide |W| cannot come from a group and raises
+    ``AssertionError``.
     """
-    if group is _GROUPS.get(rs):
-        return _enumerated_borel_count(rs)
-    return _count_borels(rs, group)
+    order, stabilizer = len(group), group._counts.count(0)
+    if not stabilizer or order % stabilizer:
+        raise AssertionError(
+            f"{rs.stype}: {stabilizer} of {order} elements fix R+, "
+            "and a stabilizer's order is a positive divisor of the group's"
+        )
+    return order // stabilizer
 
 
-def _count_borels(rs: RootSystem, group) -> int:
-    if isinstance(group, WeylGroup):  # orbit and stabilizer of R+
-        order, stabilizer = len(group), _inversion_counts(group).count(0)
-        if not stabilizer or order % stabilizer:
-            raise AssertionError(
-                f"{rs.stype}: {stabilizer} of {order} elements fix R+, "
-                "and a stabilizer's order is a positive divisor of the group's"
-            )
-        return order // stabilizer
-    m = rs.num_positive
-    mark = b"\xff" * m
-    return len({bytes.maketrans(w.perm[:m], mark)[: 2 * m] for w in group})
-
-
-def _inversion_counts(group: WeylGroup) -> bytes:
-    """n(w) for every element of an enumerated group, one byte each in product order.
+def _inversion_counts(buffer, order: int) -> bytes:
+    """n(w) for each of the ``order`` perms joined in ``buffer``, one byte each.
 
     Column j of the buffer, ``buffer[j::2m]``, holds w(j) for every w; for a
     positive root j, translating it by k -> [k >= m] marks the w that send j
@@ -376,7 +340,6 @@ def _inversion_counts(group: WeylGroup) -> bytes:
     by byte: each byte sum is at most m <= 127, so no carry crosses a byte,
     and the bytes of the total are the counts.
     """
-    buffer, order = group._buffer, len(group)
     n = len(buffer) // order
     m = n // 2
     negative = bytes(m) + b"\1" * (256 - m)
@@ -385,20 +348,15 @@ def _inversion_counts(group: WeylGroup) -> bytes:
 
 
 def length_inversion_failures(group: WeylGroup) -> list:
-    """The indices j, in group order, with l(group[j]) != n(group[j]).
+    """The indices j with l(group[j]) != n(group[j]).
 
     The word lengths and the inversion counts are compared as two byte
-    strings in product order, so a group that passes builds no element.
+    strings, so a group that passes builds no element.
     """
-    counts, lengths = _inversion_counts(group), group._lengths
+    counts, lengths = group._counts, group._lengths
     if counts == lengths:
         return []
-    return [j for j, index in enumerate(group._origin) if counts[index] != lengths[index]]
-
-
-@lru_cache(maxsize=None)
-def _enumerated_borel_count(rs: RootSystem) -> int:
-    return _count_borels(rs, _GROUPS[rs])
+    return [j for j, (count, length) in enumerate(zip(counts, lengths)) if count != length]
 
 
 def _inverse_image(rs: RootSystem, w: WeylElement, r):

@@ -410,11 +410,11 @@ def test_unsupported_types_rejected():
 
 def test_sl2_frozen_values():
     alg = build_algebra("A", 1)
-    assert alg.eval_p(1, H) == -1  # p = det on traceless 2x2
-    assert alg.eval_p(1, E) == 0
-    assert alg.polarize(1, E, F) == (0, -1, 0)  # det(aE + bF) = -ab
+    assert alg.eval_all_p(H) == (-1,)  # p = det on traceless 2x2
+    assert alg.eval_all_p(E) == (0,)
+    assert alg.polarize_all(E, F) == ((0, -1, 0),)  # det(aE + bF) = -ab
     assert alg.sigma(H, H) == (-1, -2, -1)  # det((a+b)H) = -(a+b)^2
-    assert alg.epsilon(1, H) == la.scale(-1, H)  # adjugate of traceless 2x2
+    assert alg.epsilon_all(H) == (la.scale(-1, H),)  # adjugate of traceless 2x2
     assert alg.sigma(la.zeros(2, 2), la.zeros(2, 2)) == (0, 0, 0)
 
 
@@ -438,9 +438,8 @@ def test_polarize_binomial_on_diagonal_pair():
         alg = build_algebra(fam, rk)
         x = alg.random_element(rng, 2)
         ps = alg.eval_all_p(x)
-        for i, d in enumerate(alg.degrees, start=1):
-            coeffs = alg.polarize(i, x, x)
-            assert coeffs == tuple(comb(d, n) * ps[i - 1] for n in range(d + 1))
+        for coeffs, d, p in zip(alg.polarize_all(x, x), alg.degrees, ps, strict=True):
+            assert coeffs == tuple(comb(d, n) * p for n in range(d + 1))
 
 
 def test_polarize_endpoints():
@@ -449,11 +448,12 @@ def test_polarize_endpoints():
     x = alg.random_element(rng, 2)
     y = alg.random_element(rng, 2)
     zero = la.zeros(alg.size, alg.size)
-    for i, d in enumerate(alg.degrees, start=1):
-        coeffs = alg.polarize(i, x, y)
-        assert coeffs[0] == alg.eval_p(i, x)
-        assert coeffs[d] == alg.eval_p(i, y)
-        assert alg.polarize(i, x, zero) == (alg.eval_p(i, x),) + (0,) * d
+    px, py = alg.eval_all_p(x), alg.eval_all_p(y)
+    pols, flat = alg.polarize_all(x, y), alg.polarize_all(x, zero)
+    for i, d in enumerate(alg.degrees):
+        assert pols[i][0] == px[i]
+        assert pols[i][d] == py[i]
+        assert flat[i] == (px[i],) + (0,) * d
 
 
 @settings(max_examples=30, deadline=None)
@@ -485,7 +485,7 @@ def polarize_by_interpolation(alg, x, y):
 def epsilon_polarize_by_interpolation(alg, i, x, y):
     """Reference gradient polarizations: eps_i(x + t y) at t = 0..d_i - 1, interpolated by entry."""
     d = alg.degrees[i - 1]
-    mats = [alg.epsilon(i, la.add(x, la.scale(t, y))) for t in range(d)]
+    mats = [alg.epsilon_all(la.add(x, la.scale(t, y)))[i - 1] for t in range(d)]
     n = alg.size
     coeffs = [[interpolate([m[a][b] for m in mats]) for b in range(n)] for a in range(n)]
     return [la.mat([[c[k] for c in row] for row in coeffs]) for k in range(d)]
@@ -537,7 +537,7 @@ def test_polarizations_match_interpolation_oracles(name, data):
     assert pols == expected
     assert [type(c) for p in pols for c in p] == [type(c) for p in expected for c in p]
     i = data.draw(st.integers(1, alg.rank))  # the oracle costs d_i gradient evaluations
-    assert alg.epsilon_polarize(i, x, y) == epsilon_polarize_by_interpolation(alg, i, x, y)
+    assert alg.epsilon_polarize_all(x, y)[i - 1] == epsilon_polarize_by_interpolation(alg, i, x, y)
 
 
 @pytest.mark.parametrize("fam,rk", [("A", 3), ("B", 2), ("C", 3)])
@@ -556,27 +556,11 @@ def test_one_kernel_call_per_pencil(fam, rk, monkeypatch):
     alg.polarize_all(x, y)
     assert calls == ["char_poly"]
     calls.clear()
-    alg.epsilon_polarize(rk, x, y)
+    alg.epsilon_polarize_all(x, y)
     assert calls == ["faddeev", "char_poly"]  # faddeev's own coefficients
     calls.clear()
     alg.borel_span(*_regular_pencil_pair(alg, rng))  # every invariant's polarizations
     assert calls == ["faddeev", "char_poly"]
-
-
-@pytest.mark.parametrize("fam,rk", [("A", 2), ("B", 2), ("C", 3)])
-def test_invariant_index_out_of_range_is_rejected(fam, rk):
-    alg = build_algebra(fam, rk)
-    rng = random.Random(f"index:{fam}{rk}")
-    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
-    for i in (0, -1, rk + 1):
-        for method, args in [
-            (alg.eval_p, (x,)),
-            (alg.polarize, (x, y)),
-            (alg.epsilon, (x,)),
-            (alg.epsilon_polarize, (x, y)),
-        ]:
-            with pytest.raises(ValueError, match="out of range"):
-                method(i, *args)
 
 
 def test_sigma_on_nilradical_pairs_vanishes():
@@ -622,9 +606,8 @@ def test_epsilon_degenerate_and_polarization_endpoints():
     rng = random.Random(6)
     x = alg.random_element(rng, 2)
     y = alg.random_element(rng, 2)
-    for i in range(1, alg.rank + 1):
-        parts = alg.epsilon_polarize(i, x, y)
-        assert parts[0] == alg.epsilon(i, x)
+    for parts, eps in zip(alg.epsilon_polarize_all(x, y), alg.epsilon_all(x), strict=True):
+        assert parts[0] == eps
 
 
 def test_euler_identity():

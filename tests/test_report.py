@@ -1,6 +1,5 @@
 """Report determinism, CLI behaviour and exit codes."""
 
-import functools
 import json
 import random
 import time
@@ -338,12 +337,9 @@ def test_bulk_weyl_records_build_no_element(monkeypatch):
             made.append(word)
             super().__init__(word, perm)
 
-    # fresh groups and counts, so that nothing is read from an earlier test's cache
+    # fresh groups, so that nothing is read from an earlier test's cache
     monkeypatch.setattr(weyl, "WeylElement", Counting)
     monkeypatch.setattr(weyl, "_GROUPS", {})
-    monkeypatch.setattr(
-        weyl, "_enumerated_borel_count", functools.lru_cache(weyl._enumerated_borel_count.__wrapped__)
-    )
     for tname, check in (("E6", "torus-borel-count"), ("F4", "length-inversions")):
         records = report._unit_results(RunConfig(), "roots", tname)
         assert [r.status for r in records if r.check_id == f"roots/{tname}/{check}"] == ["pass"]

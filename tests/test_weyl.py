@@ -6,8 +6,6 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nullcone import weyl
 from nullcone.report import RunConfig, _length_inversions
@@ -238,10 +236,33 @@ def enumerate_by_level_walk(rs):
     return tuple(WeylElement(word=w, perm=p) for p, w in seen.items())
 
 
+def _by_length_and_word(group) -> tuple:
+    """The elements of a group sorted by (length, word), the order of the oracles."""
+    return tuple(sorted(group, key=lambda w: (len(w.word), w.word)))
+
+
 @pytest.mark.parametrize("family,rank", ORACLE_TYPES + [("A", 6), ("D", 5), ("E", 6)])
 def test_coset_products_match_the_level_walk(family, rank):
     rs = build_root_system(family, rank)
-    assert tuple(generate_weyl(rs)) == enumerate_by_level_walk(rs)
+    assert _by_length_and_word(generate_weyl(rs)) == enumerate_by_level_walk(rs)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4), ("E", 6)])
+def test_element_j_is_the_product_the_digits_of_j_pick(family, rank):
+    # the last level is the least significant digit; each level lists e first
+    rs = build_root_system(family, rank)
+    group = generate_weyl(rs)
+    levels = [weyl._coset_representatives(rs, k) for k in range(1, rank + 1)]
+    indices = range(len(group))
+    if len(group) > 1152:
+        indices = random.Random(f"digits:{family}{rank}").sample(indices, 500)
+    for j in indices:
+        word, rest = (), j
+        for reps in reversed(levels):
+            rest, digit = divmod(rest, len(reps))
+            word = reps[digit][0] + word
+        assert group[j] == element_from_word(rs, word)  # a reduced, lex-min word
+    assert group[0].word == () and group[0].perm == bytes(range(2 * rs.num_positive))
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("E", 6)])
@@ -251,7 +272,7 @@ def test_the_group_reads_as_the_tuple_of_its_elements(family, rank):
     elements = tuple(group)
     n = len(elements)
     for j in (0, 1, n // 2, n - 1, -1, -2, -n):
-        assert group[j] is group[j] is elements[j]
+        assert group[j] == group[j] == elements[j]
     for j in (n, -n - 1):
         with pytest.raises(IndexError):
             group[j]
@@ -293,14 +314,16 @@ def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
         held, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # one 72-byte perm, one length byte and one origin entry per element
-    assert held <= 6.5e6, f"the held E6 group takes {held / 1e6:.2f} MB"
-    # each level writes into one buffer, with no list of pieces beside it
-    assert peak <= 7.5e6, f"enumerating E6 peaks at {peak / 1e6:.2f} MB"
+    # one 72-byte perm, one length byte and one inversion-count byte per element
+    assert held <= 4.5e6, f"the held E6 group takes {held / 1e6:.2f} MB"
+    # each level writes into one buffer, with no list of pieces and no sort beside it
+    assert peak <= 5.0e6, f"enumerating E6 peaks at {peak / 1e6:.2f} MB"
     assert len(group) == 51840 and made == []
-    w = group[-1]
-    assert type(w) is weyl.WeylElement and group[-1] is w and len(made) == 1
-    assert len(w.word) == 36
+    j = group._lengths.index(36)  # the longest element
+    w = group[j]
+    assert type(w) is weyl.WeylElement and len(made) == 1 and len(w.word) == 36
+    # each read builds its element anew
+    assert group[j] == w and len(made) == 2
 
 
 def test_counting_e6_borels_builds_no_element(monkeypatch):
@@ -323,34 +346,34 @@ def test_counting_e6_borels_builds_no_element(monkeypatch):
 def test_bulk_inversion_counts_match_the_element_walk(family, rank):
     rs = build_root_system(family, rank)
     group = generate_weyl(rs)
-    counts = weyl._inversion_counts(group)
+    counts = group._counts
     assert len(counts) == len(group)
-    assert [counts[p] for p in group._origin] == [inversions(rs, w) for w in group]
-    assert counts.count(0) == 1 and counts[group._origin[0]] == 0
+    assert list(counts) == [inversions(rs, w) for w in group]
+    assert counts.count(0) == 1 and counts[0] == 0
     assert weyl.length_inversion_failures(group) == []
 
 
 def _planted_group(group, records):
-    """``group`` with the product records at the given indices replaced by perms."""
+    """``group`` with the perms at the given indices replaced, its inversion counts recomputed."""
     n = len(group._buffer) // len(group)
     buffer = bytearray(group._buffer)
-    for index, perm in records.items():
-        buffer[index * n : (index + 1) * n] = perm
-    return weyl.WeylGroup(bytes(buffer), group._origin, group._words, group._lengths)
+    for j, perm in records.items():
+        buffer[j * n : (j + 1) * n] = perm
+    counts = weyl._inversion_counts(buffer, len(group))
+    return weyl.WeylGroup(bytes(buffer), group._words, group._lengths, counts)
 
 
 def test_a_planted_group_is_not_counted_as_w_borels():
     rs = build_root_system("B", 3)
-    group = generate_weyl(rs)
-    origin = group._origin  # origin[0] is the product that is e
+    group = generate_weyl(rs)  # group[0] is e
     ident = bytes(range(2 * rs.num_positive))
-    # one record replaced by the identity: two elements fix R+
-    once = _planted_group(group, {origin[-1]: ident})
+    # one perm replaced by the identity: two elements fix R+
+    once = _planted_group(group, {47: ident})
     assert borels_containing_torus(rs, once) != len(group) == 48
     assert borels_containing_torus(rs, once) == 24
     # five elements fixing R+, or none, can be no stabilizer in a group of order 48
-    fives = _planted_group(group, {p: ident for p in origin[-4:]})
-    none = _planted_group(group, {origin[0]: group[1].perm})
+    fives = _planted_group(group, {j: ident for j in range(44, 48)})
+    none = _planted_group(group, {0: group[1].perm})
     for planted, s in ((fives, 5), (none, 0)):
         with pytest.raises(AssertionError, match=f"{s} of 48 elements fix R\\+"):
             borels_containing_torus(rs, planted)
@@ -362,9 +385,9 @@ def test_an_off_by_one_chain_length_fails_length_inversions(monkeypatch):
 
     def planted(rs, k):
         reps = honest(rs, k)
-        if k == 2:  # the last of the 3 level-2 representatives, e, gets the word (2,)
-            word, perm = reps[-1]
-            reps = reps[:-1] + [(word + (2,), perm)]
+        if k == 2:  # the first of the 3 level-2 representatives, e, gets the word (2,)
+            word, perm = reps[0]
+            reps = [(word + (2,), perm)] + reps[1:]
         return reps
 
     monkeypatch.setattr(weyl, "_coset_representatives", planted)
@@ -448,14 +471,7 @@ def test_a_faulty_coset_representative_list_is_refused(monkeypatch, fault, level
 def test_generation_matches_the_plain_closure(family, rank):
     rs = build_root_system(family, rank)
     group = generate_weyl(rs)
-    assert [(w.word, w.perm) for w in group] == _oracle_weyl(rs)
-    assert borels_containing_torus(rs, group) == len(
-        {TorusBorel(w).positive_set(rs) for w in group}
-    )
-    # a Borel is the set w(R+), not the order its roots are listed in
-    m = rs.num_positive
-    relisted = [WeylElement(w.word, w.perm[m - 1 :: -1] + w.perm[m:]) for w in group]
-    assert borels_containing_torus(rs, list(group) + relisted) == len(group)
+    assert [(w.word, w.perm) for w in _by_length_and_word(group)] == _oracle_weyl(rs)
 
 
 def test_e6_order_words_and_sampled_lengths():
@@ -463,7 +479,7 @@ def test_e6_order_words_and_sampled_lengths():
     group = generate_weyl(rs)
     assert len(group) == 51840
     keys = [(len(w.word), w.word) for w in group]
-    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len(set(keys)) == len(keys)
     assert len({w.perm for w in group}) == len(group)
     for w in random.Random("e6-lengths").sample(group, 300):
         assert len(w.word) == inversions(rs, w)
@@ -492,43 +508,12 @@ def test_e6_walk_gives_every_element_its_lex_min_reduced_word():
         assert descents and descents[0] == first
 
 
-COUNT_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("F", 4)]
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_torus_borel_count_equals_the_frozenset_oracle(data):
-    rs = build_root_system(*data.draw(st.sampled_from(COUNT_TYPES)))
-    group = generate_weyl(rs)
-    m = rs.num_positive
-
-    def oracle(elems):
-        return len({TorusBorel(w).positive_set(rs) for w in elems})
-
-    real = {TorusBorel(w).positive_set(rs) for w in group}
-    # one non-identity reordering of the m positions lists every w(R+) differently
-    order = data.draw(st.permutations(range(m)).filter(lambda o: o != list(range(m))))
-    relisted = [WeylElement(w.word, bytes(w.perm[k] for k in order) + w.perm[m:]) for w in group]
-    missing = list(group)
-    del missing[data.draw(st.integers(0, len(group) - 1))]
-    fakes = [
-        WeylElement((), bytes(img) + bytes(range(m, 2 * m)))
-        for img in data.draw(
-            st.lists(
-                st.lists(st.integers(0, 2 * m - 1), min_size=m, max_size=m).filter(
-                    lambda img: frozenset(img) not in real
-                ),
-                min_size=1,
-                max_size=4,
-            )
-        )
-    ]
-    planted = list(group) + fakes
-    data.draw(st.randoms(use_true_random=False)).shuffle(planted)
-    for elems in (group, list(group), list(group) + relisted, missing, planted, fakes):
-        assert borels_containing_torus(rs, elems) == oracle(elems)
-    assert oracle(list(group) + relisted) == len(group)
-    assert oracle(missing) == len(group) - 1
+def test_torus_borel_count_equals_the_frozenset_oracle():
+    for family, rank in ORACLE_TYPES:
+        rs = build_root_system(family, rank)
+        group = generate_weyl(rs)
+        oracle = len({TorusBorel(w).positive_set(rs) for w in group})
+        assert borels_containing_torus(rs, group) == oracle == len(group)
 
 
 def test_element_from_word_refuses_bad_letters_and_non_reduced_words():
@@ -560,21 +545,21 @@ def test_group_is_enumerated_once_per_root_system():
 
 
 def test_the_enumerated_group_is_counted_once(monkeypatch):
+    # the enumeration reads the inversion counts; the Borel count and the
+    # length check only read them back
     rs = build_root_system("C", 3)
-    group = generate_weyl(rs)
-    count = borels_containing_torus(rs, group)
-    hits = weyl._enumerated_borel_count.cache_info().hits
-    assert borels_containing_torus(rs, generate_weyl(rs, 48)) == count == len(group)
-    assert weyl._enumerated_borel_count.cache_info().hits == hits + 1
+    honest, calls = weyl._inversion_counts, []
 
-    # any other sequence is counted directly, and counting never enumerates
-    def refuse(rs):
-        raise AssertionError("borels_containing_torus enumerated a group")
+    def counted(buffer, order):
+        calls.append(order)
+        return honest(buffer, order)
 
-    monkeypatch.setattr(weyl, "_enumerate_weyl", refuse)
-    assert borels_containing_torus(rs, list(group)[:-1]) == count - 1
-    rs_a = build_root_system("A", 3)
-    assert borels_containing_torus(rs_a, [element_from_word(rs_a, (1,))]) == 1
+    monkeypatch.setattr(weyl, "_inversion_counts", counted)
+    group = weyl._enumerate_weyl(rs)
+    assert calls == [48]
+    assert borels_containing_torus(rs, group) == borels_containing_torus(rs, group) == 48
+    assert weyl.length_inversion_failures(group) == []
+    assert calls == [48]
 
 
 def test_cap_is_checked_after_the_group_is_cached():
@@ -591,7 +576,8 @@ def test_chain_prefixes_are_the_elements_of_the_prefix_words():
     # words of their own elements
     rs = build_root_system("F", 4)
     group = generate_weyl(rs)
-    w = group[-1]  # the longest element, 24 letters
+    w = max(group, key=len)
+    assert len(w) == 24  # the longest element
     chain = chain_of_lines(rs, [], w)
     assert [c.word for c in chain] == [w.word[:q] for q in range(len(w.word) + 1)]
     by_word = {g.word: g.perm for g in group}
