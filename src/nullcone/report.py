@@ -7,12 +7,20 @@ the check ids, gives each stream label of a suite x type unit one seeded
 stream that every entry naming it shares, and makes and counts the draws of
 sampled entries.  The shifts suite reports :mod:`nullcone.shifts` outcomes.
 
+:func:`run` hands out whole types, each with all of its suites, from one
+queue shared by this process and, when at least two types run the matrix
+suites on a host with several CPUs, by children forked from it (see
+:func:`_process_count` for the whole gate).  A type's caches, its Weyl
+group and the notes its units share therefore stay in one process.
+
 Structured output is line-delimited JSON sorted by check id with a versioned
 schema identifier; it contains no timing, no draw counts and no environment
 data, so two runs with the same configuration are byte-identical.  Text
 output is for humans: each check's measured time, from the previous record
 of its unit (so set-up shared by several checks is charged to the first of
-them), and a sampled check's draw count.
+them), and a sampled check's draw count.  A check is timed in the process
+that ran its unit, so with several processes the times can add up to more
+than the run's wall time.
 
 Exit status convention: 0 when nothing failed, 1 when any check failed
 (undecided and skipped do not fail a run), 2 for usage errors.
@@ -21,7 +29,10 @@ Exit status convention: 0 when nothing failed, 1 when any check failed
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
+import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -692,6 +703,130 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
     return results
 
 
+def _type_results(config: RunConfig, tname: str) -> list:
+    """The records of every configured suite on one type."""
+    parsed = _parse_type(tname)
+    if isinstance(parsed, str):
+        claim = "the requested type and rank form a valid simple type"
+        return [_result(f"{suite}/{tname}/valid-type", claim, "skipped", parsed)
+                for suite in config.suites]
+    return [c for suite in config.suites for c in _unit_results(config, suite, tname)]
+
+
+def _records(config: RunConfig, indices) -> list:
+    """The records of every configured suite on each type ``config.types[i]``, i in ``indices``."""
+    return [c for i in indices for c in _type_results(config, config.types[i])]
+
+
+def _queued(queue: int):
+    """The type indices this process reads from the ``queue`` pipe, one byte each, until EOF."""
+    while index := os.read(queue, 1):
+        yield index[0]
+
+
+def _process_count(config: RunConfig) -> int:
+    """How many processes share out the run's types; 1 runs them all in this one.
+
+    Forking needs ``os.fork``, a second CPU and no other thread in this
+    process (a forked child gets only the forking thread, so a lock another
+    thread holds would stay locked in it).  It pays only when at least two
+    types run the matrix suites: the other suites are dominated by one
+    type's Weyl enumeration, which no worker shares.  A type index is one
+    byte of the queue, so at most 256 types are shared out.
+    """
+    threading = sys.modules.get("threading")
+    if (
+        not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+        or not {"invariants", "geometry"} & set(config.suites)
+        or sum(t in ALGEBRA_TYPES for t in config.types) < 2
+        or len(config.types) > 256
+    ):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(config.types))
+
+
+def _work_as_child(config: RunConfig, queue: int, out: int) -> None:
+    """Run the types read from ``queue`` in a forked child, pickle the records or the
+    exception to ``out``, and exit.
+
+    Never returns: the child exits with status 0 once its result is
+    written, and with status 1 if it could not be written.
+    """
+    import pickle
+
+    status = 1
+    try:
+        try:
+            payload = (_records(config, _queued(queue)), None)
+        except BaseException as exc:  # the parent re-raises it
+            payload = (None, exc)
+        with open(out, "wb") as fh:
+            pickle.dump(payload, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _shared_results(config: RunConfig, processes: int) -> list:
+    """The records of every type, shared out between this process and ``processes - 1``
+    forked children, each type run whole by one process.
+
+    The queue is a pipe holding one byte per type index, filled and closed
+    before any fork; every process reads one index at a time until EOF.
+    Each child pickles its records (or the exception it raised) to a pipe
+    of its own.  Once its own share is done, this process reads each
+    child's pipe to EOF, reaps the child and re-raises its exception, or
+    raises ``RuntimeError`` for a child that exited without a result.
+    Whatever this process raises, it first kills and reaps the children
+    still running.  A fork that fails leaves the queue to the processes
+    already running.
+    """
+    import pickle
+
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(config.types))))
+    os.close(fill)
+    children = {}  # pid -> read end of its result pipe, until the child is reaped
+    try:
+        for _ in range(processes - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                break
+            if pid == 0:
+                _work_as_child(config, queue, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        results = _records(config, _queued(queue))
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if status != 0 or not data:
+                raise RuntimeError(f"worker process {pid} exited with status {status} "
+                                   "and no result")
+            records, exc = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            results.extend(records)
+        return results
+    finally:
+        os.close(queue)
+        for pid, read_end in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+
+
 def run(config: RunConfig):
     """Execute the configured suites; returns (exit_code, results)."""
     for field in ("samples", "max_weyl_order"):
@@ -700,21 +835,11 @@ def run(config: RunConfig):
     for suite in config.suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
-    results = []
-    for suite in config.suites:
-        for tname in config.types:
-            parsed = _parse_type(tname)
-            if isinstance(parsed, str):
-                results.append(
-                    _result(
-                        f"{suite}/{tname}/valid-type",
-                        "the requested type and rank form a valid simple type",
-                        "skipped",
-                        parsed,
-                    )
-                )
-                continue
-            results.extend(_unit_results(config, suite, tname))
+    processes = _process_count(config)
+    if processes > 1:
+        results = _shared_results(config, processes)
+    else:
+        results = _records(config, range(len(config.types)))
     results.sort(key=lambda c: c.check_id)
     exit_code = 1 if any(c.status == "fail" for c in results) else 0
     return exit_code, results
