@@ -8,10 +8,10 @@ stream that every entry naming it shares, and makes and counts the draws of
 sampled entries.  The shifts suite reports :mod:`nullcone.shifts` outcomes.
 
 :func:`run` hands out whole types, each with all of its suites, from one
-queue shared by this process and, when at least two types run the matrix
-suites on a host with several CPUs, by children forked from it (see
-:func:`_process_count` for the whole gate).  A type's caches, its Weyl
-group and the notes its units share therefore stay in one process.
+queue shared by this process and, when the run has several types and
+several CPUs, by children forked from it (see :func:`_process_count` for
+the whole gate).  A type's caches, its Weyl group and the notes its units
+share therefore stay in one process.
 
 Structured output is line-delimited JSON sorted by check id with a versioned
 schema identifier; it contains no timing, no draw counts and no environment
@@ -713,15 +713,26 @@ def _type_results(config: RunConfig, tname: str) -> list:
     return [c for suite in config.suites for c in _unit_results(config, suite, tname)]
 
 
-def _records(config: RunConfig, indices) -> list:
-    """The records of every configured suite on each type ``config.types[i]``, i in ``indices``."""
-    return [c for i in indices for c in _type_results(config, config.types[i])]
+# Type slots of the shared queue: one byte each, slot b holding the types
+# config.types[b::_SLOTS], so a run of any length fills at most 256 bytes
+# of the pipe before any process reads it.
+_SLOTS = 256
+
+
+class _ChildTraceback(Exception):
+    """The traceback text of an exception a forked child raised (pickling drops the traceback)."""
+
+
+def _records(config: RunConfig, slots) -> list:
+    """The records of every configured suite on the types of each queue slot in ``slots``."""
+    return [c for b in slots for tname in config.types[b::_SLOTS]
+            for c in _type_results(config, tname)]
 
 
 def _queued(queue: int):
-    """The type indices this process reads from the ``queue`` pipe, one byte each, until EOF."""
-    while index := os.read(queue, 1):
-        yield index[0]
+    """The slots this process reads from the ``queue`` pipe, one byte each, until EOF."""
+    while slot := os.read(queue, 1):
+        yield slot[0]
 
 
 def _process_count(config: RunConfig) -> int:
@@ -729,19 +740,11 @@ def _process_count(config: RunConfig) -> int:
 
     Forking needs ``os.fork``, a second CPU and no other thread in this
     process (a forked child gets only the forking thread, so a lock another
-    thread holds would stay locked in it).  It pays only when at least two
-    types run the matrix suites: the other suites are dominated by one
-    type's Weyl enumeration, which no worker shares.  A type index is one
-    byte of the queue, so at most 256 types are shared out.
+    thread holds would stay locked in it).  No more processes start than
+    there are types.
     """
     threading = sys.modules.get("threading")
-    if (
-        not hasattr(os, "fork")
-        or (threading is not None and threading.active_count() > 1)
-        or not {"invariants", "geometry"} & set(config.suites)
-        or sum(t in ALGEBRA_TYPES for t in config.types) < 2
-        or len(config.types) > 256
-    ):
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -750,23 +753,44 @@ def _process_count(config: RunConfig) -> int:
     return min(cpus, len(config.types))
 
 
+def _child_result(config: RunConfig, queue: int) -> bytes:
+    """The pickled ``(records, None, None)`` of the types this child reads from
+    ``queue``, or ``(None, exception, traceback text)`` if it raised.
+
+    An exception that cannot be pickled, or that the parent could not
+    rebuild from its pickle, is sent as a ``RuntimeError`` naming it, with
+    both tracebacks in the text.
+    """
+    import pickle
+    import traceback
+
+    try:
+        return pickle.dumps((_records(config, _queued(queue)), None, None))
+    except BaseException as exc:  # the parent re-raises it
+        error, text = exc, traceback.format_exc()
+    try:
+        data = pickle.dumps((None, error, text))
+        pickle.loads(data)
+        return data
+    except BaseException:
+        text += "\nIt could not be sent to the parent process:\n\n" + traceback.format_exc()
+        name = "".join(traceback.format_exception_only(type(error), error)).strip()
+        message = f"worker process {os.getpid()} raised an exception it could not send: {name}"
+        return pickle.dumps((None, RuntimeError(message), text))
+
+
 def _work_as_child(config: RunConfig, queue: int, out: int) -> None:
-    """Run the types read from ``queue`` in a forked child, pickle the records or the
-    exception to ``out``, and exit.
+    """Run the types read from ``queue`` in a forked child, write their pickled
+    result (see :func:`_child_result`) to ``out``, and exit.
 
     Never returns: the child exits with status 0 once its result is
     written, and with status 1 if it could not be written.
     """
-    import pickle
-
     status = 1
     try:
-        try:
-            payload = (_records(config, _queued(queue)), None)
-        except BaseException as exc:  # the parent re-raises it
-            payload = (None, exc)
+        data = _child_result(config, queue)
         with open(out, "wb") as fh:
-            pickle.dump(payload, fh)
+            fh.write(data)
         status = 0
     finally:
         os._exit(status)
@@ -776,20 +800,19 @@ def _shared_results(config: RunConfig, processes: int) -> list:
     """The records of every type, shared out between this process and ``processes - 1``
     forked children, each type run whole by one process.
 
-    The queue is a pipe holding one byte per type index, filled and closed
-    before any fork; every process reads one index at a time until EOF.
-    Each child pickles its records (or the exception it raised) to a pipe
-    of its own.  Once its own share is done, this process reads each
-    child's pipe to EOF, reaps the child and re-raises its exception, or
+    The queue is a pipe holding one byte per type slot, filled and closed
+    before any fork; every process reads one slot at a time until EOF.
+    Each child pickles its records (or the exception it raised, with its
+    traceback text) to a pipe of its own.  Once its own share is done,
+    this process reads each child's pipe to EOF, reaps the child and
+    re-raises its exception, with the child's traceback as the cause, or
     raises ``RuntimeError`` for a child that exited without a result.
     Whatever this process raises, it first kills and reaps the children
     still running.  A fork that fails leaves the queue to the processes
     already running.
     """
-    import pickle
-
     queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(config.types))))
+    os.write(fill, bytes(range(min(len(config.types), _SLOTS))))
     os.close(fill)
     children = {}  # pid -> read end of its result pipe, until the child is reaped
     try:
@@ -814,9 +837,12 @@ def _shared_results(config: RunConfig, processes: int) -> list:
             if status != 0 or not data:
                 raise RuntimeError(f"worker process {pid} exited with status {status} "
                                    "and no result")
-            records, exc = pickle.loads(data)
-            if exc is not None:
-                raise exc
+            import pickle  # only a run that forked reads a pickle
+
+            records, error, text = pickle.loads(data)
+            if error is not None:
+                error.__cause__ = _ChildTraceback(text)
+                raise error
             results.extend(records)
         return results
     finally:
@@ -835,11 +861,7 @@ def run(config: RunConfig):
     for suite in config.suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
-    processes = _process_count(config)
-    if processes > 1:
-        results = _shared_results(config, processes)
-    else:
-        results = _records(config, range(len(config.types)))
+    results = _shared_results(config, _process_count(config))
     results.sort(key=lambda c: c.check_id)
     exit_code = 1 if any(c.status == "fail" for c in results) else 0
     return exit_code, results

@@ -68,6 +68,21 @@ def _refused_forks(monkeypatch):
     return attempts
 
 
+class _HoldingError(Exception):
+    """An exception that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _KeywordError(Exception):
+    """An exception that pickles but cannot be rebuilt: its argument is keyword-only."""
+
+    def __init__(self, *, detail):
+        super().__init__(f"failed on {detail}")
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -149,15 +164,43 @@ def test_a_check_raising_on_any_type_is_raised_by_the_run(failing, monkeypatch, 
 
 
 def test_an_exception_in_a_child_is_raised_in_the_parent(monkeypatch):
-    def fail():
+    def fail_in_the_child():
         raise ValueError("raised in a child")
 
     _cpus(monkeypatch, 2)
-    with _in_a_child(fail) as body:
+    with _in_a_child(fail_in_the_child) as body:
         _plant_first(monkeypatch, body)
-        with _deadline(60), pytest.raises(ValueError, match="raised in a child"):
+        with _deadline(60), pytest.raises(ValueError, match="raised in a child") as raised:
             run(RunConfig(types=SMALL_ALGEBRAS))
     _assert_no_child_left()
+    # the child's traceback, which pickling drops, comes back as the cause
+    cause = raised.value.__cause__
+    assert isinstance(cause, report._ChildTraceback)
+    assert "in fail_in_the_child" in str(cause) and "ValueError: raised in a child" in str(cause)
+
+
+@pytest.mark.parametrize(
+    "error, cannot",
+    [
+        (lambda: _HoldingError("holds a lock"), "cannot pickle"),
+        (lambda: _KeywordError(detail="B3"), "takes 1 positional argument"),
+    ],
+    ids=["unpicklable", "not-rebuilt"],
+)
+def test_an_exception_a_child_cannot_send_is_named_by_the_run(error, cannot, monkeypatch):
+    def fail_in_the_child():
+        raise error()
+
+    _cpus(monkeypatch, 2)
+    with _in_a_child(fail_in_the_child) as body:
+        _plant_first(monkeypatch, body)
+        with _deadline(60), pytest.raises(RuntimeError, match="could not send") as raised:
+            run(RunConfig(types=SMALL_ALGEBRAS))
+    _assert_no_child_left()
+    name = type(error()).__name__
+    assert name in str(raised.value)
+    text = str(raised.value.__cause__)
+    assert "in fail_in_the_child" in text and name in text and cannot in text
 
 
 @pytest.mark.parametrize("status", [3, 0])
@@ -209,20 +252,23 @@ def test_a_second_thread_or_a_failed_fork_keeps_the_run_in_one_process(monkeypat
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize(
-    "suites, types",
-    [
-        (("roots",), ("A2", "A3", "B2", "C3")),
-        (("shifts",), ("A2", "B3", "C3", "G2")),
-        (("roots", "shifts"), GOLDEN_SMALL),
-        (report.SUITES, ("A2", "E6", "G2")),  # one type with a matrix realization
-    ],
-)
-def test_runs_without_matrix_work_on_two_types_never_fork(suites, types, monkeypatch):
+def test_one_type_never_forks(monkeypatch):
     _cpus(monkeypatch, 4)
     attempts = _refused_forks(monkeypatch)
-    run(RunConfig(suites=suites, types=types))
+    run(RunConfig(types=("A2",)))
     assert attempts == []
+
+
+def test_more_types_than_queue_slots_give_the_one_process_report(monkeypatch):
+    # 300 types fill the 256 one-byte slots, so some slots hold two types
+    config = RunConfig(suites=("roots",), types=("A1", "A2", "B2") * 100)
+    expected = _one_process_report(monkeypatch, config)
+    _cpus(monkeypatch, 2)
+    forks = _counting_forks(monkeypatch)
+    with _deadline(120):
+        assert structured_lines(config, run(config)[1]) == expected
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 def test_a_shared_run_warns_of_nothing_under_dev_mode(monkeypatch):
