@@ -7,8 +7,12 @@ none besides the highest root) the tests pin the reported discrepancy and
 its witness rather than hiding it.
 """
 
+import copy
+from dataclasses import replace
+
 import pytest
 
+from nullcone import shifts
 from nullcone.roots import build_root_system
 from nullcone.shifts import (
     CLAIMED_PLUS_COUNTS,
@@ -205,3 +209,179 @@ def test_full_report_fails_only_at_known_places(family, rank):
         assert failed == {"plus-regular-count", "plus-designated-values"}
     else:
         assert failed == set()
+
+
+# -- planted faults ------------------------------------------------------------
+#
+# Each case plants one fault and pins every outcome that fails because of it,
+# with its witness.  The shipped tables and classifications all pass, so a
+# check that could not fail would go unnoticed without these cases.
+
+
+def _failures(rs) -> dict:
+    return {o.check_id: o.witness for o in full_shift_report(rs) if not o.ok}
+
+
+def _tables(edit):
+    """A plant that serves the shipped tables of the type with ``edit`` applied."""
+
+    def plant(monkeypatch, rs):
+        tables = copy.deepcopy(load_shift_tables(rs.stype.family, rs.rank))
+        edit(tables)
+        monkeypatch.setattr(shifts, "load_shift_tables", lambda family, rank: tables)
+
+    return plant
+
+
+def _add_non_root(t):
+    t.roots["minus"][99] = (2, 2, 2, 2, 2, 2)
+
+
+def _drop_root_line(t):
+    del t.roots["minus"][11]
+    t.assigns["minus"][2].remove(11)
+
+
+def _move_to_wrong_row(t):
+    t.assigns["minus"][2].remove(11)
+    t.assigns["minus"][3].append(11)
+
+
+def _drop_row_label(t):
+    t.assigns["plus"][1].remove(6)
+
+
+def _wrong_reduction_target(t):
+    t.reductions["minus"][1] = (4, 6, ("r", 4))
+
+
+def _reduction_onto_regular(t):
+    t.roots["plus"][22] = (1, 2, 2, 2)
+    t.reductions["plus"].append((3, 22, ("c", (1, 2, 3, 2))))
+
+
+def _unjustified_move(t):
+    # r(1) satisfies its plus identity at both 1 and 6, so moving it is unjustified
+    t.errata.append(("move", "plus", 1, 6, 1))
+
+
+def _swap_to_non_unique(t):
+    # r(10) holds at minus row 4, but so do r(1) and r(2)
+    row = t.assigns["minus"][4]
+    row[row.index(10)] = 11
+    t.errata.append(("swap", "minus", 4, 11, 10))
+
+
+def _lax_condition_and_wrong_row(monkeypatch, rs):
+    # a misprinted F4 condition that holds everywhere only the reflection catches
+    monkeypatch.setitem(shifts._F4_MINUS_CONDITIONS, 1, lambda n: True)
+
+    def edit(t):
+        t.assigns["minus"][4].remove(11)
+        t.assigns["minus"][1].append(11)
+
+    _tables(edit)(monkeypatch, rs)
+
+
+def _bad_g2_identity(monkeypatch, rs):
+    inline = list(shifts._G2_INLINE)
+    inline[0] = (-1, (2, 1), 2, None)
+    monkeypatch.setattr(shifts, "_G2_INLINE", inline)
+
+
+def _unfixed(monkeypatch, lost):
+    """Make ``reflection_fixes_shift`` false for every call ``lost`` accepts."""
+    real = shifts.reflection_fixes_shift
+
+    def fixes(rs, alpha, i, sign):
+        return not lost(rs, tuple(alpha), sign) and real(rs, alpha, i, sign)
+
+    monkeypatch.setattr(shifts, "reflection_fixes_shift", fixes)
+
+
+def _lost_subsystem_index(monkeypatch, rs):
+    _unfixed(monkeypatch, lambda low, a, sign: low.rank == 6 and a == (0, 1, 1, 2, 1, 0)
+             and sign < 0)
+
+
+def _bad_low_coordinate_root(monkeypatch, rs):
+    _unfixed(monkeypatch, lambda rs, a, sign: a == (1, 1, 0) and sign > 0)
+
+
+def _verdict(change):
+    """A plant under which ``classify_rho_plus`` returns ``change(rs, verdict)``."""
+
+    def plant(monkeypatch, rs):
+        real = shifts.classify_rho_plus
+        monkeypatch.setattr(shifts, "classify_rho_plus", lambda rs, a: change(rs, real(rs, a)))
+
+    return plant
+
+
+def _wrong_evidence(rs, v):
+    return replace(v, witness=(1, 0)) if v.alpha == (1, 0) else v
+
+
+def _dominant_claimed(rs, v):
+    return replace(v, status=REGULAR_DOMINANT, witness=None) if v.alpha == (0, 1) else v
+
+
+PLANTED_FAULTS = [
+    pytest.param("E6", _tables(_add_non_root), {
+        "E6/table-decode-minus": [99],
+        "E6/table-roots-complete-minus": {"missing": [], "extra": [(2, 2, 2, 2, 2, 2)]},
+        "E6/table-coverage-minus": [99],
+    }, id="table-decode"),
+    pytest.param("E6", _tables(_drop_root_line), {
+        "E6/table-roots-complete-minus": {"missing": [(1, 2, 2, 3, 2, 1)], "extra": []},
+    }, id="table-roots-complete"),
+    pytest.param("E6", _tables(_move_to_wrong_row), {
+        "E6/table-rows-minus": [(3, 11, "identity")],
+    }, id="table-rows-identity"),
+    pytest.param("F4", _lax_condition_and_wrong_row, {
+        "F4/table-rows-minus": [(1, 11, "reflection")],
+    }, id="table-rows-reflection"),
+    pytest.param("E6", _tables(_drop_row_label), {
+        "E6/table-coverage-plus": [6],
+    }, id="table-coverage"),
+    pytest.param("F4", _tables(_wrong_reduction_target), {
+        "F4/table-reductions-minus": [(4, 6, (1, 2, 2, 0))],
+    }, id="table-reductions-target"),
+    pytest.param("F4", _tables(_reduction_onto_regular), {
+        "F4/table-roots-complete-plus": {"missing": [], "extra": [(1, 2, 2, 2)]},
+        "F4/table-reductions-plus": [(3, 22, (1, 2, 3, 2))],
+    }, id="table-reductions-regular"),
+    pytest.param("E6", _tables(_unjustified_move), {
+        "E6/table-errata": [("move", "plus", 1, 6, 1)],
+    }, id="table-errata-move"),
+    pytest.param("E6", _tables(_swap_to_non_unique), {
+        "E6/table-errata": [("swap", "minus", 4, 11, 10)],
+    }, id="table-errata-swap"),
+    pytest.param("G2", _bad_g2_identity, {
+        "G2/inline-equalities": [(-1, (2, 1), 2)],
+    }, id="inline-equalities"),
+    pytest.param("E7", _lost_subsystem_index, {
+        "E7/subsystem-reduction": [((0, 1, 1, 2, 1, 0, 0), -1, [])],
+    }, id="subsystem-reduction"),
+    pytest.param("A3", _bad_low_coordinate_root, {
+        "A3/low-coordinate-roots": [("plus", (1, 1, 0))],
+    }, id="low-coordinate-roots"),
+    pytest.param("A2", _verdict(_wrong_evidence), {
+        "A2/verdict-evidence": [("plus", (1, 0))],
+    }, id="verdict-evidence"),
+    pytest.param("G2", _verdict(_dominant_claimed), {
+        "G2/verdict-evidence": [("plus", (0, 1))],
+        "G2/stated-plus-classification": [((0, 1), REGULAR_AFTER_REFLECTION, REGULAR_DOMINANT)],
+        "G2/plus-designated-values": [((0, 1), "stated regular_after_reflection, got "
+                                               "regular_dominant")],
+        "G2/plus-reflection-to-dominant": [((0, 1), REGULAR_DOMINANT)],
+    }, id="plus-reflection-to-dominant"),
+]
+
+
+@pytest.mark.parametrize("tname,plant,expected", PLANTED_FAULTS)
+def test_a_planted_fault_fails_exactly_its_outcomes(monkeypatch, tname, plant, expected):
+    rs = build_root_system(tname[0], int(tname[1:]))
+    assert _failures(rs) == {}
+    plant(monkeypatch, rs)
+    assert _failures(rs) == expected
