@@ -18,7 +18,10 @@ schema identifier; it contains no timing, no draw counts and no environment
 data, so two runs with the same configuration are byte-identical.  Text
 output is for humans: each check's measured time, from the previous record
 of its unit (so set-up shared by several checks is charged to the first of
-them), and a sampled check's draw count.  A check is timed in the process
+them), and a sampled check's draw count.  A shifts unit's records all come
+from one :func:`~nullcone.shifts.full_shift_report` pass, so the first record
+that pass returns (``shifts/<type>/oracle-agreement``) carries the whole
+unit's time and every other shifts record of the type shows 0.000s.  A check is timed in the process
 that ran its unit, so with several processes the times can add up to more
 than the run's wall time.
 
@@ -660,7 +663,7 @@ _CHECKS = {
 }
 
 
-def _shifts_checks(config: RunConfig, tname: str):
+def _shifts_checks(tname: str):
     stype = SimpleType.from_name(tname)
     for o in full_shift_report(build_root_system(stype.family, stype.rank)):
         yield _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
@@ -680,7 +683,7 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
     start = last = time.perf_counter()
     results = []
     if suite == "shifts":
-        records = _shifts_checks(config, tname)
+        records = _shifts_checks(tname)
     else:
         unit = _Unit(config, suite, tname)
         checks = (c for c in _CHECKS[suite] if c.types is None or tname in c.types)

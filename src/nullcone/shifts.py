@@ -51,13 +51,23 @@ class CheckOutcome:
 
 # -- verdicts ---------------------------------------------------------------
 
+_SIGNS = {"minus": -1, "plus": +1}
 
-def _evidence_verdict(rs: RootSystem, alpha, sign: int) -> ShiftVerdict:
+
+def _outcome(check_id: str, claim: str, failure) -> CheckOutcome:
+    """The one outcome rule: pass exactly when ``failure`` is empty.
+
+    A non-empty ``failure`` (the offending entries, or a dict describing the
+    mismatch) is the witness.
+    """
+    return CheckOutcome(check_id, claim, not failure, failure or None)
+
+
+def _evidence_verdict(rs: RootSystem, alpha, shift: str) -> ShiftVerdict:
     alpha = tuple(alpha)
     if not rs.is_positive_root(alpha):
         raise ValueError(f"{alpha} is not a positive root of {rs.stype}")
-    shift = "minus" if sign < 0 else "plus"
-    lam = rs.rho_shift(alpha, sign)
+    lam = rs.rho_shift(alpha, _SIGNS[shift])
     gamma = rs.zero_pairing_witness(lam)
     if gamma is not None:
         return ShiftVerdict(shift, alpha, NOT_REGULAR, gamma)
@@ -68,36 +78,31 @@ def _evidence_verdict(rs: RootSystem, alpha, sign: int) -> ShiftVerdict:
         if rs.is_dominant(refl) and rs.is_regular(refl):
             return ShiftVerdict(shift, alpha, REGULAR_AFTER_REFLECTION, i)
     raise ArithmeticError(
-        f"{rs.stype}: rho{'-' if sign < 0 else '+'}{alpha} is regular but no single "
+        f"{rs.stype}: rho{'-' if shift == 'minus' else '+'}{alpha} is regular but no single "
         "simple reflection makes it dominant; outside the supported classification"
     )
 
 
 def classify_rho_minus(rs: RootSystem, alpha) -> ShiftVerdict:
     """Verdict for rho - alpha; alpha must be a positive root."""
-    return _evidence_verdict(rs, alpha, -1)
+    return _evidence_verdict(rs, alpha, "minus")
 
 
 def classify_rho_plus(rs: RootSystem, alpha) -> ShiftVerdict:
     """Verdict for rho + alpha; alpha must be a positive root."""
-    return _evidence_verdict(rs, alpha, +1)
+    return _evidence_verdict(rs, alpha, "plus")
 
 
 def verdict_evidence_ok(rs: RootSystem, v: ShiftVerdict) -> bool:
     """Validate a verdict's evidence against the direct pairing predicates."""
-    sign = -1 if v.shift == "minus" else +1
-    lam = rs.rho_shift(v.alpha, sign)
+    lam = rs.rho_shift(v.alpha, _SIGNS[v.shift])
     if v.status == NOT_REGULAR:
         return rs.is_positive_root(v.witness) and rs.pairing(lam, v.witness) == 0
     if v.status == REGULAR_DOMINANT:
         return rs.is_regular(lam) and rs.is_dominant(lam)
     refl = rs.reflect(lam, v.witness)
-    return (
-        rs.is_regular(lam)
-        and not rs.is_dominant(lam)
-        and rs.is_regular(refl)
-        and rs.is_dominant(refl)
-    )
+    regular = rs.is_regular(lam) and rs.is_regular(refl)
+    return regular and not rs.is_dominant(lam) and rs.is_dominant(refl)
 
 
 # -- the stated classification ----------------------------------------------
@@ -140,10 +145,8 @@ def predicted_plus_status(rs: RootSystem, alpha) -> str:
     alpha = tuple(alpha)
     if alpha == rs.highest_root:
         return REGULAR_DOMINANT
-    for val, status, _ in _designated_plus_values(rs):
-        if alpha == val and val != rs.highest_root:
-            return status
-    return NOT_REGULAR
+    stated = (status for val, status, _ in _designated_plus_values(rs) if val == alpha)
+    return next(stated, NOT_REGULAR)
 
 
 def reflection_fixes_shift(rs: RootSystem, alpha, i: int, sign: int) -> bool:
@@ -176,15 +179,11 @@ _F4_MINUS_CONDITIONS = {
 
 # -- table data --------------------------------------------------------------
 
-_DISPLAY_PERMUTES_FIRST_TWO = ("E",)
-
 
 def display_to_coords(family: str, disp) -> tuple:
     """Undo a table's display ordering ([n2, n1, n3, ...] for type E)."""
     disp = tuple(disp)
-    if family in _DISPLAY_PERMUTES_FIRST_TWO:
-        return (disp[1], disp[0]) + disp[2:]
-    return disp
+    return (disp[1], disp[0]) + disp[2:] if family == "E" else disp
 
 
 @dataclass
@@ -202,14 +201,14 @@ class ShiftTables:
     def effective_assigns(self, shift: str) -> dict:
         """Assignments with the documented errata applied."""
         out = {i: list(js) for i, js in self.assigns[shift].items()}
-        for rec in self.errata:
-            if rec[0] == "move" and rec[1] == shift:
-                _, _, label, i_src, i_dst = rec
-                out[i_src].remove(label)
-                out.setdefault(i_dst, []).append(label)
-            elif rec[0] == "swap" and rec[1] == shift:
-                _, _, i, j_src, j_dst = rec
-                out[i][out[i].index(j_src)] = j_dst
+        for kind, rec_shift, a, b, c in self.errata:
+            if rec_shift != shift:
+                continue
+            if kind == "move":  # label a moves from row b to row c
+                out[b].remove(a)
+                out.setdefault(c, []).append(a)
+            else:  # entry b of row a becomes c
+                out[a][out[a].index(b)] = c
         return out
 
 
@@ -220,20 +219,18 @@ _TABLE_FILES = {
     ("F", 4): "f4_shift_tables.txt",
 }
 
-_MOVE_RE = re.compile(r"^move (minus|plus) (\d+) : (\d+) -> (\d+)$")
-_SWAP_RE = re.compile(r"^swap (minus|plus) (\d+) : (\d+) -> (\d+)$")
+_ERRATUM_RE = re.compile(r"^(move|swap) (minus|plus) (\d+) : (\d+) -> (\d+)$")
 _REDUCE_RE = re.compile(r"^reduce-(minus|plus) (\d+) (\d+) -> (r (\d+)|c ([\d ]+))$")
 
 
-def has_shift_tables(family: str, rank: int) -> bool:
-    return (family, rank) in _TABLE_FILES
-
-
 def load_shift_tables(family: str, rank: int) -> ShiftTables:
-    """Parse one of the table data files shipped under ``data/``."""
+    """Parse one of the table data files shipped under ``data/``.
+
+    Errata are recorded as they are printed; :meth:`ShiftTables.effective_assigns`
+    applies them.
+    """
     fname = _TABLE_FILES[(family, rank)]
     text = resources.files("nullcone.data").joinpath(fname).read_text()
-    shared_roots: dict = {}
     tables = ShiftTables(
         family=family,
         rank=rank,
@@ -241,44 +238,30 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
         assigns={"minus": {}, "plus": {}},
         reductions={"minus": [], "plus": []},
     )
-    split_roots = False
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _MOVE_RE.match(line)
+        m = _ERRATUM_RE.match(line)
         if m:
-            shift, label, i_src, i_dst = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
-            tables.errata.append(("move", shift, label, i_src, i_dst))
-            continue
-        m = _SWAP_RE.match(line)
-        if m:
-            shift, i, j_src, j_dst = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
-            tables.errata.append(("swap", shift, i, j_src, j_dst))
+            tables.errata.append((m[1], m[2], int(m[3]), int(m[4]), int(m[5])))
             continue
         m = _REDUCE_RE.match(line)
         if m:
-            shift, i, label = m.group(1), int(m.group(2)), int(m.group(3))
-            if m.group(5) is not None:
-                target = ("r", int(m.group(5)))
-            else:
-                target = ("c", tuple(int(x) for x in m.group(6).split()))
-            tables.reductions[shift].append((i, label, target))
+            target = ("r", int(m[5])) if m[5] else ("c", tuple(int(x) for x in m[6].split()))
+            tables.reductions[m[1]].append((int(m[2]), int(m[3]), target))
             continue
         head, _, tail = line.partition("|")
-        head = head.split()
-        if head[0] == "root":
-            shared_roots[int(head[1])] = tuple(int(x) for x in tail.split())
-        elif head[0] in ("root-minus", "root-plus"):
-            split_roots = True
-            shift = head[0].split("-")[1]
-            tables.roots[shift][int(head[1])] = tuple(int(x) for x in tail.split())
-        elif head[0] in ("minus", "plus"):
-            tables.assigns[head[0]][int(head[1])] = [int(x) for x in tail.split()]
+        kind, _, key = head.strip().partition(" ")
+        values = [int(x) for x in tail.split()]
+        if kind in ("minus", "plus"):
+            tables.assigns[kind][int(key)] = values
+        elif kind in ("root", "root-minus", "root-plus"):
+            # a plain root record belongs to both lists
+            for shift in _SIGNS if kind == "root" else (kind.removeprefix("root-"),):
+                tables.roots[shift][int(key)] = tuple(values)
         else:
             raise ValueError(f"unrecognized table record: {raw!r}")
-    if not split_roots:
-        tables.roots = {"minus": dict(shared_roots), "plus": dict(shared_roots)}
     return tables
 
 
@@ -306,6 +289,14 @@ def _row_identity_ok(rs: RootSystem, alpha, i: int, sign: int) -> bool:
     return reflection_fixes_shift(rs, alpha, i, sign)
 
 
+def _row_fault(rs: RootSystem, alpha, i: int, sign: int):
+    """Why row i may not list alpha ('identity' or 'reflection'), or None."""
+    if not _row_identity_ok(rs, alpha, i, sign):
+        return "identity"
+    lam = rs.rho_shift(alpha, sign)
+    return "reflection" if rs.reflect(lam, i) != lam else None
+
+
 def verify_shift_tables(rs: RootSystem) -> list:
     """Check the transcribed tables for one of E6/E7/E8/F4.
 
@@ -314,127 +305,80 @@ def verify_shift_tables(rs: RootSystem) -> list:
     are validated in both directions (the printed entry fails, the corrected
     one holds); the root lists and the row coverage are checked complete.
     """
-    fam, n = rs.stype.family, rs.rank
-    tables = load_shift_tables(fam, n)
+    tables = load_shift_tables(rs.stype.family, rs.rank)
     tname = rs.stype.name
+    decoded = {
+        shift: {j: tables.coords(shift, j) for j in tables.roots[shift]} for shift in _SIGNS
+    }
     out = []
-
-    for shift in ("minus", "plus"):
-        sign = -1 if shift == "minus" else +1
-        labels = tables.roots[shift]
-        decoded = {j: display_to_coords(fam, d) for j, d in labels.items()}
-        out.append(
-            CheckOutcome(
+    for shift, sign in _SIGNS.items():
+        roots = decoded[shift]
+        listed, expected = set(roots.values()), _expected_table_roots(rs, shift)
+        effective = tables.effective_assigns(shift)
+        reductions = tables.reductions[shift]
+        covered = {j for js in effective.values() for j in js}
+        covered |= {label for _, label, _ in reductions}
+        # every listed label is due, except the highest root's on the plus side
+        due = {j for j, r in roots.items() if shift == "minus" or r != rs.highest_root}
+        bad_reductions = []
+        for i, label, (kind, target) in reductions:
+            tgt = roots[target] if kind == "r" else display_to_coords(tables.family, target)
+            want = rs.rho_shift(tgt, sign)
+            if rs.reflect(rs.rho_shift(roots[label], sign), i) != want or rs.is_regular(want):
+                bad_reductions.append((i, label, tgt))
+        out += [
+            _outcome(
                 f"{tname}/table-decode-{shift}",
                 "every transcribed coordinate list decodes to a positive root",
-                all(rs.is_positive_root(r) for r in decoded.values()),
-                [j for j, r in decoded.items() if not rs.is_positive_root(r)] or None,
-            )
-        )
-        expected = _expected_table_roots(rs, shift)
-        out.append(
-            CheckOutcome(
+                [j for j, r in roots.items() if not rs.is_positive_root(r)],
+            ),
+            _outcome(
                 f"{tname}/table-roots-complete-{shift}",
                 "the transcribed list matches the intended root subset exactly",
-                set(decoded.values()) == expected,
-                {
-                    "missing": sorted(expected - set(decoded.values())),
-                    "extra": sorted(set(decoded.values()) - expected),
-                }
-                if set(decoded.values()) != expected
-                else None,
-            )
-        )
-        effective = tables.effective_assigns(shift)
-        bad_rows = []
-        for i, js in sorted(effective.items()):
-            for j in js:
-                alpha = decoded[j]
-                lam = rs.rho_shift(alpha, sign)
-                identity = _row_identity_ok(rs, alpha, i, sign)
-                fixed = rs.reflect(lam, i) == lam
-                if not (identity and fixed):
-                    bad_rows.append((i, j, "identity" if not identity else "reflection"))
-        out.append(
-            CheckOutcome(
+                listed != expected
+                and {"missing": sorted(expected - listed), "extra": sorted(listed - expected)},
+            ),
+            _outcome(
                 f"{tname}/table-rows-{shift}",
                 "every (i, j) assignment satisfies the printed identity and "
                 "the reflection fixes the shifted weight",
-                not bad_rows,
-                bad_rows or None,
-            )
-        )
-        covered = {j for js in effective.values() for j in js}
-        for i, label, target in tables.reductions[shift]:
-            covered.add(label)
-        expected_labels = set(labels)
-        if shift == "plus":
-            # the highest root is excluded from the plus rows
-            high_labels = {j for j, r in decoded.items() if r == rs.highest_root}
-            expected_labels -= high_labels
-        out.append(
-            CheckOutcome(
+                [
+                    (i, j, fault)
+                    for i, js in sorted(effective.items())
+                    for j in js
+                    if (fault := _row_fault(rs, roots[j], i, sign))
+                ],
+            ),
+            _outcome(
                 f"{tname}/table-coverage-{shift}",
                 "rows plus reduction records cover every listed root "
                 + ("except the highest" if shift == "plus" else ""),
-                covered == expected_labels,
-                sorted(expected_labels ^ covered) or None,
-            )
-        )
-        bad_red = []
-        for i, label, target in tables.reductions[shift]:
-            alpha = decoded[label]
-            if target[0] == "r":
-                tgt = decoded[target[1]]
-            else:
-                tgt = display_to_coords(fam, target[1])
-            lam = rs.rho_shift(alpha, sign)
-            want = rs.rho_shift(tgt, sign)
-            if rs.reflect(lam, i) != want or rs.is_regular(want):
-                bad_red.append((i, label, tgt))
-        out.append(
-            CheckOutcome(
+                sorted(due ^ covered),
+            ),
+            _outcome(
                 f"{tname}/table-reductions-{shift}",
                 "each reduction record is an exact weight equality onto a "
                 "non-regular shift",
-                not bad_red,
-                bad_red or None,
-            )
-        )
+                bad_reductions,
+            ),
+        ]
 
-    bad_err = []
-    for rec in tables.errata:
-        if rec[0] == "move":
-            _, shift, label, i_src, i_dst = rec
-            sign = -1 if shift == "minus" else +1
-            alpha = display_to_coords(fam, tables.roots[shift][label])
-            if _row_identity_ok(rs, alpha, i_src, sign) or not _row_identity_ok(
-                rs, alpha, i_dst, sign
-            ):
-                bad_err.append(rec)
-        else:
-            _, shift, i, j_src, j_dst = rec
-            sign = -1 if shift == "minus" else +1
-            a_src = display_to_coords(fam, tables.roots[shift][j_src])
-            a_dst = display_to_coords(fam, tables.roots[shift][j_dst])
-            satisfiers = [
-                j
-                for j, d in tables.roots[shift].items()
-                if _row_identity_ok(rs, display_to_coords(fam, d), i, sign)
-            ]
-            if (
-                _row_identity_ok(rs, a_src, i, sign)
-                or not _row_identity_ok(rs, a_dst, i, sign)
-                or satisfiers != [j_dst]
-            ):
-                bad_err.append(rec)
+    def holds(shift, j, i):
+        return _row_identity_ok(rs, decoded[shift][j], i, _SIGNS[shift])
+
+    def justified(kind, shift, a, b, c):
+        if kind == "move":  # label a fails its identity at row b and holds at row c
+            return not holds(shift, a, b) and holds(shift, a, c)
+        # entry b of row a fails the identity; c is the one root satisfying it
+        satisfiers = [j for j in decoded[shift] if holds(shift, j, a)]
+        return not holds(shift, b, a) and satisfiers == [c]
+
     out.append(
-        CheckOutcome(
+        _outcome(
             f"{tname}/table-errata",
             "every documented correction is justified: the printed entry fails "
             "its identity and the corrected one holds",
-            not bad_err,
-            bad_err or None,
+            [rec for rec in tables.errata if not justified(*rec)],
         )
     )
     return out
@@ -450,7 +394,6 @@ def verify_subsystem_reduction(rs: RootSystem) -> list:
     """
     fam, n = rs.stype.family, rs.rank
     assert fam == "E" and n in (7, 8)
-    tname = rs.stype.name
     bad = []
     low = build_root_system("E", n - 1)
     for alpha in rs.positive_roots:
@@ -459,26 +402,18 @@ def verify_subsystem_reduction(rs: RootSystem) -> list:
         sub = alpha[: n - 1]
         for sign in (-1, +1):
             if sign > 0 and sub == low.highest_root:
-                ok = reflection_fixes_shift(rs, alpha, n, sign)
-                if not ok:
+                if not reflection_fixes_shift(rs, alpha, n, sign):
                     bad.append((alpha, sign, n))
                 continue
-            idx = [
-                i
-                for i in range(1, n)
-                if reflection_fixes_shift(low, sub, i, sign)
-            ]
-            if not idx or not any(
-                reflection_fixes_shift(rs, alpha, i, sign) for i in idx
-            ):
+            idx = [i for i in range(1, n) if reflection_fixes_shift(low, sub, i, sign)]
+            if not any(reflection_fixes_shift(rs, alpha, i, sign) for i in idx):
                 bad.append((alpha, sign, idx))
     return [
-        CheckOutcome(
-            f"{tname}/subsystem-reduction",
+        _outcome(
+            f"{rs.stype.name}/subsystem-reduction",
             "every high-coordinate root with last coordinate 0 inherits its "
             "fixed point from the lower-rank subsystem",
-            not bad,
-            bad or None,
+            bad,
         )
     ]
 
@@ -498,19 +433,14 @@ _G2_INLINE = [
 def verify_g2_inline(rs: RootSystem) -> list:
     """The explicit G2 reflection identities, checked as weight equalities."""
     assert rs.stype.family == "G"
-    bad = []
-    for sign, alpha, i, target in _G2_INLINE:
-        lam = rs.rho_shift(alpha, sign)
-        img = rs.reflect(lam, i)
-        want = lam if target is None else rs.rho_shift(target, sign)
-        if img != want:
-            bad.append((sign, alpha, i))
+    bad = [
+        (sign, alpha, i)
+        for sign, alpha, i, target in _G2_INLINE
+        if rs.reflect(rs.rho_shift(alpha, sign), i) != rs.rho_shift(target or alpha, sign)
+    ]
     return [
-        CheckOutcome(
-            "G2/inline-equalities",
-            "the explicit G2 reflection identities hold as stated",
-            not bad,
-            bad or None,
+        _outcome(
+            "G2/inline-equalities", "the explicit G2 reflection identities hold as stated", bad
         )
     ]
 
@@ -522,28 +452,21 @@ def verify_low_coordinate_roots(rs: RootSystem) -> list:
     coordinate pairing one; for the plus shift every such root other than
     the highest admits a simple fixed point as well.  (Simply-laced types.)
     """
-    tname = rs.stype.name
     bad = []
     for alpha in rs.positive_roots:
         if max(alpha) >= 2:
             continue
-        if not rs.is_simple(alpha):
-            if not any(
-                reflection_fixes_shift(rs, alpha, i, -1) for i in range(1, rs.rank + 1)
+        for shift, exempt in (("minus", rs.is_simple(alpha)), ("plus", alpha == rs.highest_root)):
+            if not exempt and not any(
+                reflection_fixes_shift(rs, alpha, i, _SIGNS[shift]) for i in range(1, rs.rank + 1)
             ):
-                bad.append(("minus", alpha))
-        if alpha != rs.highest_root:
-            if not any(
-                reflection_fixes_shift(rs, alpha, i, +1) for i in range(1, rs.rank + 1)
-            ):
-                bad.append(("plus", alpha))
+                bad.append((shift, alpha))
     return [
-        CheckOutcome(
-            f"{tname}/low-coordinate-roots",
+        _outcome(
+            f"{rs.stype.name}/low-coordinate-roots",
             "sums of distinct simple roots are handled by a single simple "
             "fixed point on both shifts",
-            not bad,
-            bad or None,
+            bad,
         )
     ]
 
@@ -551,118 +474,88 @@ def verify_low_coordinate_roots(rs: RootSystem) -> list:
 def classification_report(rs: RootSystem) -> list:
     """Compare verdicts, oracle predicates and the stated classification."""
     tname = rs.stype.name
-    out = []
-    minus_bad, plus_bad, evidence_bad = [], [], []
-    minus_pred_bad, plus_pred_bad = [], []
-    plus_regular = []
+    oracle_bad = {"minus": [], "plus": []}
+    stated_bad = {"minus": [], "plus": []}
+    evidence_bad, plus_regular = [], []
     for alpha in rs.positive_roots:
-        vm = classify_rho_minus(rs, alpha)
         vp = classify_rho_plus(rs, alpha)
-        for v, bucket in ((vm, minus_bad), (vp, plus_bad)):
-            lam = rs.rho_shift(alpha, -1 if v.shift == "minus" else +1)
-            if (v.status == NOT_REGULAR) == rs.is_regular(lam):
-                bucket.append(alpha)
-        for v in (vm, vp):
+        for v, predicted in (
+            (classify_rho_minus(rs, alpha), predicted_minus_status(rs, alpha)),
+            (vp, predicted_plus_status(rs, alpha)),
+        ):
+            if (v.status == NOT_REGULAR) == rs.is_regular(rs.rho_shift(alpha, _SIGNS[v.shift])):
+                oracle_bad[v.shift].append(alpha)
             if not verdict_evidence_ok(rs, v):
                 evidence_bad.append((v.shift, alpha))
-        if predicted_minus_status(rs, alpha) != vm.status:
-            minus_pred_bad.append((alpha, predicted_minus_status(rs, alpha), vm.status))
-        if predicted_plus_status(rs, alpha) != vp.status:
-            plus_pred_bad.append((alpha, predicted_plus_status(rs, alpha), vp.status))
+            if predicted != v.status:
+                stated_bad[v.shift].append((alpha, predicted, v.status))
         if vp.status != NOT_REGULAR and alpha != rs.highest_root:
             plus_regular.append((alpha, vp))
 
-    out.append(
-        CheckOutcome(
+    claimed = CLAIMED_PLUS_COUNTS[rs.stype.family]
+    bad_designated = []
+    for val, status, refl in _designated_plus_values(rs):
+        if not rs.is_positive_root(val):
+            bad_designated.append((val, "not a root"))
+        elif val == rs.highest_root:
+            bad_designated.append((val, "designated value equals the highest root"))
+        else:
+            v = classify_rho_plus(rs, val)
+            if v.status != status or (refl is not None and v.witness != refl):
+                bad_designated.append((val, f"stated {status}, got {v.status}"))
+    return [
+        _outcome(
             f"{tname}/oracle-agreement",
             "classifier verdicts agree with the direct pairing oracle on "
             "regularity for every positive root and both shifts",
-            not (minus_bad or plus_bad),
-            {"minus": minus_bad, "plus": plus_bad} if minus_bad or plus_bad else None,
-        )
-    )
-    out.append(
-        CheckOutcome(
+            any(oracle_bad.values()) and oracle_bad,
+        ),
+        _outcome(
             f"{tname}/verdict-evidence",
             "every verdict carries valid evidence (zero-pairing witness or "
             "dominant-making reflection)",
-            not evidence_bad,
-            evidence_bad or None,
-        )
-    )
-    out.append(
-        CheckOutcome(
+            evidence_bad,
+        ),
+        _outcome(
             f"{tname}/stated-minus-classification",
             "rho - alpha: simple roots are regular after one reflection, all "
             "other roots are not regular",
-            not minus_pred_bad,
-            minus_pred_bad or None,
-        )
-    )
-    out.append(
-        CheckOutcome(
+            stated_bad["minus"],
+        ),
+        _outcome(
             f"{tname}/stated-plus-classification",
             "rho + alpha: regular exactly at the highest root and the stated "
             "per-family values",
-            not plus_pred_bad,
-            plus_pred_bad or None,
-        )
-    )
-
-    claimed = CLAIMED_PLUS_COUNTS[rs.stype.family]
-    out.append(
-        CheckOutcome(
+            stated_bad["plus"],
+        ),
+        _outcome(
             f"{tname}/plus-regular-count",
             f"number of non-highest roots with rho + alpha regular equals the "
             f"stated {claimed}",
-            len(plus_regular) == claimed,
-            {
+            len(plus_regular) != claimed
+            and {
                 "stated": claimed,
                 "actual": len(plus_regular),
                 "roots": [a for a, _ in plus_regular],
-            }
-            if len(plus_regular) != claimed
-            else None,
-        )
-    )
-
-    designated = _designated_plus_values(rs)
-    bad_designated = []
-    for val, status, refl in designated:
-        if not rs.is_positive_root(val):
-            bad_designated.append((val, "not a root"))
-            continue
-        if val == rs.highest_root:
-            bad_designated.append((val, "designated value equals the highest root"))
-            continue
-        v = classify_rho_plus(rs, val)
-        if v.status != status or (refl is not None and v.witness != refl):
-            bad_designated.append((val, f"stated {status}, got {v.status}"))
-    out.append(
-        CheckOutcome(
+            },
+        ),
+        _outcome(
             f"{tname}/plus-designated-values",
             "each stated regular value of the plus shift is a non-highest "
             "root with the stated status and reflection",
-            not bad_designated,
-            bad_designated or None,
-        )
-    )
-
-    bad_refl = [
-        (a, v.status)
-        for a, v in plus_regular
-        if not rs.is_dominant(rs.rho_shift(a, +1)) and v.status != REGULAR_AFTER_REFLECTION
-    ]
-    out.append(
-        CheckOutcome(
+            bad_designated,
+        ),
+        _outcome(
             f"{tname}/plus-reflection-to-dominant",
             "every non-dominant regular plus shift becomes regular dominant "
             "after one simple reflection",
-            not bad_refl,
-            bad_refl or None,
-        )
-    )
-    return out
+            [
+                (a, v.status)
+                for a, v in plus_regular
+                if not rs.is_dominant(rs.rho_shift(a, +1)) and v.status != REGULAR_AFTER_REFLECTION
+            ],
+        ),
+    ]
 
 
 def full_shift_report(rs: RootSystem) -> list:
@@ -671,7 +564,7 @@ def full_shift_report(rs: RootSystem) -> list:
     fam, n = rs.stype.family, rs.rank
     if fam in ("A", "D", "E"):
         out.extend(verify_low_coordinate_roots(rs))
-    if has_shift_tables(fam, n):
+    if (fam, n) in _TABLE_FILES:
         out.extend(verify_shift_tables(rs))
     if fam == "E" and n in (7, 8):
         out.extend(verify_subsystem_reduction(rs))
