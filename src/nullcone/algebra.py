@@ -255,21 +255,9 @@ class MatrixLieAlgebra:
     def in_nilradical(self, x) -> bool:
         return self.in_borel(x) and all(x[a][a] == 0 for a in range(self.size))
 
-    def in_cartan(self, x) -> bool:
-        return self.in_algebra(x) and all(
-            x[a][b] == 0 for a in range(self.size) for b in range(self.size) if a != b
-        )
-
     def h_component(self, x):
         """Diagonal (Cartan) part of any algebra element."""
         return _diagonal([x[a][a] for a in range(self.size)])
-
-    def decompose(self, x):
-        """x = x_0 + x_+ for x in the Borel subalgebra."""
-        if not self.in_borel(x):
-            raise ValueError("element is not in the standard Borel subalgebra")
-        x0 = self.h_component(x)
-        return x0, la.sub(x, x0)
 
     def coordinates(self, x):
         """Coordinates of x in the root-graded basis, one matrix cell each."""
@@ -433,10 +421,6 @@ class MatrixLieAlgebra:
         """Matrices G_i with d p_i(x)(v) = trace(G_i v), from one char-poly pass."""
         _, aux = la.faddeev(x)
         return tuple(la.scale(-1, aux[d - 1]) for d in self.degrees)
-
-    def directional_derivatives(self, x, v):
-        """d/dt p_i(x + t v) at t = 0, for every invariant i."""
-        return tuple(la.trace_mul(g, v) for g in self.gradient_matrices(x))
 
     def _project(self, g):
         """Trace-form projection onto g: G - (tr G / N) I on sl, (G - mirror(G)) / 2 on so/sp."""

@@ -228,12 +228,6 @@ class RootSystem:
     def is_simple(self, r) -> bool:
         return sum(r) == 1 and all(x in (0, 1) for x in r)
 
-    def simple_index(self, r) -> int:
-        """1-based index of a simple root."""
-        if not self.is_simple(r):
-            raise ValueError(f"{r} is not a simple root")
-        return list(r).index(1) + 1
-
     def root_height(self, r) -> int:
         return sum(r)
 

@@ -281,37 +281,11 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     return WeylElement(word=lex_min, perm=perm)
 
 
-def inversions(rs: RootSystem, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w."""
-    m = rs.num_positive
-    return sum(1 for j in range(m) if w.perm[j] >= m)
-
-
-@dataclass(frozen=True)
-class TorusBorel:
-    """A Borel subalgebra containing the fixed Cartan, labelled by w(b)."""
-
-    w: WeylElement
-
-    def positive_set(self, rs: RootSystem) -> frozenset:
-        return frozenset(self.w.perm[: rs.num_positive])
-
-    def contains_support(self, rs: RootSystem, support) -> bool:
-        """Whether w(b) contains nilpotents supported on the given roots.
-
-        w(b) contains the root space of gamma iff w^{-1}(gamma) > 0, i.e.
-        iff gamma lies in w(R+).
-        """
-        _, index = _root_index(rs)
-        pos = self.positive_set(rs)
-        return all(index[tuple(s)] in pos for s in support)
-
-
 def borels_containing_torus(rs: RootSystem, group: WeylGroup) -> int:
     """Count the distinct torus-fixed Borels w(b) over an enumerated group.
 
-    The Borels are told apart by their root sets w(R+), the same sets as
-    ``TorusBorel(w).positive_set``.  The enumeration's certificate makes the
+    The Borels are told apart by their root sets w(R+), the first m
+    entries of w's perm.  The enumeration's certificate makes the
     perms a permutation group of order |W|, so the sets w(R+) are the orbit
     of the positive index set R+, and by orbit and stabilizer their number
     is |W| / s, where s counts the elements with w(R+) = R+: those with no

@@ -4,14 +4,18 @@
 is the closed-form rank-one membership test; ``height_element_by_solve``
 solves for the Cartan element on which every simple root is 1.
 ``membership_certificate_holds`` recomputes the certificate behind a
-``nullcone_membership`` verdict.
+``nullcone_membership`` verdict.  ``in_cartan``, ``decompose``,
+``directional_derivatives``, ``simple_index``, ``inversions`` and
+``TorusBorel`` are direct definitions that only the tests read.
 """
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
+from nullcone.weyl import _root_index
 
 
 def nullspace(rows) -> list:
@@ -79,3 +83,56 @@ def membership_certificate_holds(alg, x, y, m) -> bool:
         return False
     word = named_word(m.reason)
     return len(word) == alg.size and not la.is_zero(word_product(x, y, word))
+
+
+def in_cartan(alg, x) -> bool:
+    """Whether x is a diagonal element of the algebra."""
+    return alg.in_algebra(x) and all(
+        x[a][b] == 0 for a in range(alg.size) for b in range(alg.size) if a != b
+    )
+
+
+def decompose(alg, x):
+    """x = x_0 + x_+ for x in the Borel subalgebra."""
+    if not alg.in_borel(x):
+        raise ValueError("element is not in the standard Borel subalgebra")
+    x0 = alg.h_component(x)
+    return x0, la.sub(x, x0)
+
+
+def directional_derivatives(alg, x, v):
+    """d/dt p_i(x + t v) at t = 0, for every invariant i."""
+    return tuple(la.trace_mul(g, v) for g in alg.gradient_matrices(x))
+
+
+def simple_index(rs, r) -> int:
+    """1-based index of a simple root."""
+    if not rs.is_simple(r):
+        raise ValueError(f"{r} is not a simple root")
+    return list(r).index(1) + 1
+
+
+def inversions(rs, w) -> int:
+    """Number of positive roots sent to negative roots by w."""
+    m = rs.num_positive
+    return sum(1 for j in range(m) if w.perm[j] >= m)
+
+
+@dataclass(frozen=True)
+class TorusBorel:
+    """A Borel subalgebra containing the fixed Cartan, labelled by w(b)."""
+
+    w: object  # a WeylElement
+
+    def positive_set(self, rs) -> frozenset:
+        return frozenset(self.w.perm[: rs.num_positive])
+
+    def contains_support(self, rs, support) -> bool:
+        """Whether w(b) contains nilpotents supported on the given roots.
+
+        w(b) contains the root space of gamma iff w^{-1}(gamma) > 0, i.e.
+        iff gamma lies in w(R+).
+        """
+        _, index = _root_index(rs)
+        pos = self.positive_set(rs)
+        return all(index[tuple(s)] in pos for s in support)

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interpolation import interpolate
-from oracles import height_element_by_solve, nullspace
+from oracles import (
+    decompose,
+    directional_derivatives,
+    height_element_by_solve,
+    in_cartan,
+    nullspace,
+)
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
@@ -590,12 +596,12 @@ def test_epsilon_gradient_pairing_dual_routes():
         x = alg.random_element(rng, 2)
         v = alg.random_element(rng, 2)
         # the t^1 coefficients of p_i(x + t v), read off one char_poly
-        assert alg.directional_derivatives(x, v) == tuple(
+        assert directional_derivatives(alg, x, v) == tuple(
             coeffs[1] for coeffs in alg.polarize_all(x, v)
         )
         eps = alg.epsilon_all(x)
         for i in range(alg.rank):
-            assert alg.trace_form(eps[i], v) == alg.directional_derivatives(x, v)[i]
+            assert alg.trace_form(eps[i], v) == directional_derivatives(alg, x, v)[i]
 
 
 def test_epsilon_degenerate_and_polarization_endpoints():
@@ -666,11 +672,11 @@ def test_membership_and_component_helpers():
     rng = random.Random(8)
     x = alg.random_element(rng, 2, where="b")
     assert alg.in_borel(x)
-    x0, xp = alg.decompose(x)
+    x0, xp = decompose(alg, x)
     assert la.add(x0, xp) == x
-    assert alg.in_cartan(x0) and alg.in_nilradical(xp)
+    assert in_cartan(alg, x0) and alg.in_nilradical(xp)
     with pytest.raises(ValueError):
-        alg.decompose(la.transpose(x) if not alg.in_borel(la.transpose(x)) else F)
+        decompose(alg, la.transpose(x) if not alg.in_borel(la.transpose(x)) else F)
     full = alg.random_element(rng, 2)
     assert alg.in_algebra(full)
     assert alg.coordinates(full) is not None
@@ -818,7 +824,7 @@ def test_height_element_evaluates_one_on_simple_roots():
     for fam, rk in [("A", 3), ("B", 3), ("C", 4)]:
         alg = build_algebra(fam, rk)
         t = alg.height_element
-        assert alg.in_cartan(t)  # height_grading_check relies on t being diagonal
+        assert in_cartan(alg, t)  # height_grading_check relies on t being diagonal
         assert alg.height_element is t
         for root in alg.rs.positive_roots:
             assert alg.root_value(root, t) == alg.rs.root_height(root)
@@ -839,7 +845,7 @@ def test_weyl_representatives_normalize_cartan():
         x = alg.random_element(rng, 3, where="h")
         for i in range(1, rk + 1):
             g = alg.simple_reflection_rep(i)
-            assert alg.in_cartan(g.conjugate(x))
+            assert in_cartan(alg, g.conjugate(x))
             assert alg.in_algebra(g.conjugate(alg.random_element(rng, 2)))
 
 

@@ -6,19 +6,18 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from oracles import TorusBorel, inversions
 
 from nullcone import weyl
 from nullcone.report import RunConfig, _length_inversions
 from nullcone.roots import build_root_system
 from nullcone.weyl import (
-    TorusBorel,
     WeylElement,
     WeylOrderError,
     borels_containing_torus,
     chain_of_lines,
     element_from_word,
     generate_weyl,
-    inversions,
     weyl_orbit_pairs,
     weyl_order,
 )
