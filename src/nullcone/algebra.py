@@ -44,7 +44,9 @@ in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import lcm, perm
+from itertools import chain, repeat
+from math import perm
+from operator import add, lshift
 
 from . import linalg as la
 from .roots import RootSystem, build_root_system
@@ -382,19 +384,23 @@ class MatrixLieAlgebra:
     def _pencil(self, x, y):
         """(L, K, z): z = X + 2^K Y for X = L x, Y = L y, L the lcm of their denominators.
 
+        X and Y come from one clear_denominators pass over the rows of x and y, and
+        M and z are read off their ints, with no Fraction product.
+
         c_k(X + t Y) is +- a sum of perm(N, k) products of k entries X_e + t Y_e,
         so with M = max(1, max |entry| of X, Y) its t^j coefficient is at most
         perm(N, k) (2M)^k in absolute value, as is that of each entry of Faddeev's
         M_{k-1}, a derivative of c_k.  For k <= d_max that is below 2^(K-1), so the
         signed base-2^K digits of c_k(z) and of M_{k-1}(z) are their t-coefficients.
         """
-        entries = la.flatten(x) + la.flatten(y)
-        lcd = lcm(*(e.denominator for e in entries))
-        bound = max(1, int(lcd * max(map(abs, entries))))
+        lcd, rows = la.clear_denominators((*x, *y))
+        bound = max(1, max(map(abs, chain.from_iterable(rows))))
         dmax = self.degrees[-1]
         bits = (perm(self.size, dmax) * (2 * bound) ** dmax).bit_length() + 1
-        high = lcd << bits
-        z = tuple(tuple(int(lcd * a + high * b) for a, b in zip(*rows)) for rows in zip(x, y))
+        n = len(x)
+        z = tuple(
+            tuple(map(add, a, map(lshift, b, repeat(bits)))) for a, b in zip(rows[:n], rows[n:])
+        )
         return lcd, bits, z
 
     def polarize_all(self, x, y):
@@ -585,7 +591,9 @@ class MatrixLieAlgebra:
             raise ValueError(f"unknown subspace {where!r}")
         out = [[0] * self.size for _ in range(self.size)]
         for k in self.subspace_indices[where]:
-            coeff = rng.randint(-bound, bound)
+            coeff = rng.randint(-bound, bound)  # drawn for every k, zero or not
+            if not coeff:
+                continue
             for a, b, c in self._nonzero[k]:
                 out[a][b] += coeff * c
         return la.mat(out)

@@ -114,13 +114,14 @@ def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:
 
 def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents, t_list) -> bool:
     """Whether p_i'(x + t y)(v + t w) = 0 for all i, all t, all (v, w)."""
+    # trace(g d) is the sum of g[i][j] d[j][i], and trace(g (v + t w)) is
+    # trace(g v) + t trace(g w): each v and w is transposed and flattened once,
+    # and each gradient is flattened once per t
+    directions = [(la.flatten(la.transpose(v)), la.flatten(la.transpose(w))) for v, w in tangents]
     for t in t_list:
-        # trace(g d) is the sum of g[i][j] d[j][i]: each gradient is flattened
-        # once per t, and each direction once, transposed
         grads = [la.flatten(g) for g in alg.gradient_matrices(la.add(x, la.scale(t, y)))]
-        for v, w in tangents:
-            direction = la.flatten(la.transpose(la.add(v, la.scale(t, w))))
-            if any(sum(map(mul, g, direction)) != 0 for g in grads):
+        for v, w in directions:
+            if any(sum(map(mul, g, v)) + t * sum(map(mul, g, w)) for g in grads):
                 return False
     return True
 

@@ -16,7 +16,11 @@ auxiliary matrices from those coefficients by Horner's rule.  ``rref``,
 benchmark's trace, which wraps them by name.  ``signed_digits`` reads an
 integer polynomial's coefficients off its value at 2^K (Kronecker
 substitution).  ``clear_denominators`` scales a rational matrix to an
-integer one by the lcm of its denominators.
+integer one by the lcm of its denominators, as new lists of ints; rows
+whose entries are all ints it returns as they are, with d = 1, and
+``Echelon`` likewise takes an all-int vector without rescaling it.  The
+test is on the entry type, not on d = 1, so a Fraction(2, 1) entry still
+comes back as the int 2.
 ``minimal_polynomial_degree`` reads the degree off an upper-triangular
 matrix whose diagonal entries are distinct, or that is diagonal, or a scalar
 plus a nilpotent; every other matrix has its flattened powers I, m, m^2, ...
@@ -26,15 +30,21 @@ square, and ``Echelon``, so ``rank`` too, vectors of unequal length.
 
 ``mul`` builds each row of a b as a combination of b's rows, one term per
 nonzero entry of a's row, so the sparse basis matrices and triangular group
-elements of :mod:`nullcone.algebra` cost only their nonzero cells;
-``trace_mul`` gives trace(a b) from the entries alone, in O(N^2).
+elements of :mod:`nullcone.algebra` cost only their nonzero cells; each term
+is accumulated by ``map`` over the row of b.  A dot product of rows and
+columns is faster on dense operands but slower on those sparse ones, which
+most products have.  ``trace_mul`` gives trace(a b) from the entries alone,
+in O(N^2).  The entrywise kernels do their per-entry work in ``map``, list
+builds or ``chain``, and keep the entry types of the plain entry-by-entry
+formulas: an int stays an int, and ``whole`` leaves int entries untouched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul as mul_op
+from operator import add as add_op, mul as mul_op, sub as sub_op
 from typing import Sequence
 
 Vec = tuple
@@ -42,12 +52,15 @@ Mat = tuple
 
 
 def mat(rows) -> Mat:
-    return tuple(tuple(x for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def whole(rows) -> Mat:
     """The matrix with each integral entry as an int (Fraction(3, 1) becomes 3)."""
-    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in rows)
+    return tuple(
+        tuple([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
+        for row in rows
+    )
 
 
 def zeros(nrows: int, ncols: int) -> Mat:
@@ -59,15 +72,15 @@ def identity(n: int) -> Mat:
 
 
 def add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(map(add_op, ra, rb)) for ra, rb in zip(a, b))
 
 
 def sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(map(sub_op, ra, rb)) for ra, rb in zip(a, b))
 
 
 def scale(c, a: Mat) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple([c * x for x in row]) for row in a)
 
 
 def ratio(a, b):
@@ -78,7 +91,7 @@ def ratio(a, b):
 
 def divide(a: Mat, d) -> Mat:
     """a / d exactly, entry by entry; integral entries come back as ints."""
-    return tuple(tuple(ratio(x, d) for x in row) for row in a)
+    return tuple(tuple([ratio(x, d) for x in row]) for row in a)
 
 
 def mul(a: Mat, b: Mat) -> Mat:
@@ -89,10 +102,8 @@ def mul(a: Mat, b: Mat) -> Mat:
         acc = None
         for x, brow in zip(row, b):
             if x:
-                if acc is None:
-                    acc = [x * y for y in brow]
-                else:
-                    acc = [s + x * y for s, y in zip(acc, brow)]
+                terms = map(mul_op, repeat(x), brow)
+                acc = list(terms) if acc is None else list(map(add_op, acc, terms))
         out.append(zero if acc is None else tuple(acc))
     return tuple(out)
 
@@ -123,7 +134,7 @@ def is_zero(a: Mat) -> bool:
 
 
 def flatten(a: Mat) -> Vec:
-    return tuple(x for row in a for x in row)
+    return tuple(chain.from_iterable(a))
 
 
 def _integral(row, d) -> list:
@@ -131,8 +142,18 @@ def _integral(row, d) -> list:
     return [x.numerator * (d // x.denominator) for x in row]
 
 
+def _all_int(entries) -> bool:
+    return {int}.issuperset(map(type, entries))
+
+
 def clear_denominators(rows):
-    """(d, d * rows as int rows) for d the lcm of the entries' denominators."""
+    """(d, d * rows as int rows) for d the lcm of the entries' denominators.
+
+    Rows whose entries are all ints come back as they are, with d = 1;
+    any other rows come back as new lists of ints.
+    """
+    if _all_int(chain.from_iterable(rows)):
+        return 1, rows
     d = lcm(*(x.denominator for row in rows for x in row))
     return d, [_integral(row, d) for row in rows]
 
@@ -154,10 +175,11 @@ class Echelon:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v) -> list:
+    def _reduce(self, v) -> Sequence:
         if self._width is not None and len(v) != self._width:
             raise ValueError(f"a vector of length {len(v)} next to rows of length {self._width}")
-        v = _integral(v, lcm(*(x.denominator for x in v)))
+        if not _all_int(v):
+            v = _integral(v, lcm(*(x.denominator for x in v)))
         for p, e in self._rows:
             if v[p]:
                 g = gcd(e[p], v[p])

@@ -765,11 +765,12 @@ def _child_result(config: RunConfig, queue: int) -> bytes:
     both tracebacks in the text.
     """
     import pickle
-    import traceback
 
     try:
         return pickle.dumps((_records(config, _queued(queue)), None, None))
     except BaseException as exc:  # the parent re-raises it
+        import traceback
+
         error, text = exc, traceback.format_exc()
     try:
         data = pickle.dumps((None, error, text))

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
-from math import comb
+from math import comb, lcm, perm
 
 import pytest
 from hypothesis import given, settings
@@ -567,6 +567,36 @@ def test_one_kernel_call_per_pencil(fam, rk, monkeypatch):
     calls.clear()
     alg.borel_span(*_regular_pencil_pair(alg, rng))  # every invariant's polarizations
     assert calls == ["faddeev", "char_poly"]
+
+
+def pencil_by_fraction_products(alg, x, y):
+    """Reference _pencil: M from lcd * max |entry|, z entry by entry from Fraction products."""
+    entries = la.flatten(x) + la.flatten(y)
+    lcd = lcm(*(Q(e).denominator for e in entries))
+    bound = max(1, int(lcd * max(map(abs, entries))))
+    dmax = alg.degrees[-1]
+    bits = (perm(alg.size, dmax) * (2 * bound) ** dmax).bit_length() + 1
+    high = lcd << bits
+    z = tuple(tuple(int(lcd * a + high * b) for a, b in zip(*rows)) for rows in zip(x, y))
+    return lcd, bits, z
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_pencil_matches_fraction_product_formula(name):
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"pencil:{name}")
+    torus = alg.torus([Q(k + 2, 2 * k + 1) for k in range(alg.rank)])
+    integral = (alg.random_element(rng, 3), alg.random_element(rng, 3))
+    fractional = (
+        torus.conjugate(alg.random_element(rng, 2)),
+        la.scale(Q(1, 7), torus.conjugate(alg.random_element(rng, 2))),
+    )
+    as_fractions = tuple(la.mat([[Q(v) for v in row] for row in m]) for m in integral)
+    for x, y in (integral, fractional, as_fractions):
+        lcd, bits, z = alg._pencil(x, y)
+        assert (lcd, bits, z) == pencil_by_fraction_products(alg, x, y)
+        assert _types(z) == [int] * alg.size**2
+    assert alg._pencil(*integral)[0] == 1 and alg._pencil(*fractional)[0] > 1
 
 
 def test_sigma_on_nilradical_pairs_vanishes():

@@ -108,8 +108,67 @@ def mul_by_dot_products(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+# The kernels below are checked against these references, written entry by
+# entry in generator expressions, for their entry types as well as their
+# values: Fraction(2, 1) == 2, so == alone passes a kernel that returns the
+# one for the other, which a structured report then prints as "2/1".
+
+
+def mul_by_row_combinations(a, b):
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
+
+
+def add_by_entries(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def sub_by_entries(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def scale_by_entries(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def divide_by_entries(a, d):
+    return tuple(tuple(la.ratio(x, d) for x in row) for row in a)
+
+
+def whole_by_entries(rows):
+    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in rows)
+
+
+def clear_denominators_by_entries(rows):
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def typed(m):
+    """The rows of m as tuples of (type, value) pairs."""
+    return tuple(tuple((type(x), x) for x in row) for row in m)
+
+
+def is_tuple_matrix(m):
+    return type(m) is tuple and all(type(row) is tuple for row in m)
+
+
+# rational entries, and integral ones held as Fraction(n, 1)
+kernel_entry = st.one_of(rational_entry, st.builds(Fraction, st.integers(-4, 4)))
+
+
 def _matrix(nrows, ncols):
-    row = st.lists(rational_entry, min_size=ncols, max_size=ncols)
+    row = st.lists(kernel_entry, min_size=ncols, max_size=ncols)
     zero_row = st.just([0] * ncols)
     return st.lists(st.one_of(row, zero_row), min_size=nrows, max_size=nrows)
 
@@ -126,7 +185,44 @@ def test_mul_matches_dot_product_kernel(operands):
     a, b = operands
     product = la.mul(a, b)
     assert product == mul_by_dot_products(a, b)
+    assert typed(product) == typed(mul_by_row_combinations(a, b))
+    assert is_tuple_matrix(product)
     assert len(product) == len(a) and all(len(row) == len(b[0]) for row in product)
+
+
+# two m x n matrices, all-zero rows mixed in
+same_shape_operands = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_matrix(*s), _matrix(*s))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_shape_operands, kernel_entry, kernel_entry.filter(bool))
+def test_entrywise_kernels_keep_values_and_entry_types(operands, c, d):
+    a, b = operands
+    for result, reference in [
+        (la.add(a, b), add_by_entries(a, b)),
+        (la.sub(a, b), sub_by_entries(a, b)),
+        (la.scale(c, a), scale_by_entries(c, a)),
+        (la.divide(a, d), divide_by_entries(a, d)),
+        (la.whole(a), whole_by_entries(a)),
+        (la.mat(a), tuple(tuple(row) for row in a)),
+    ]:
+        assert typed(result) == typed(reference)
+        assert is_tuple_matrix(result)
+    assert la.flatten(a) == tuple(x for row in a for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _matrix(n, n)))
+def test_clear_denominators_keeps_values_and_entry_types(rows):
+    d, scaled = la.clear_denominators(rows)
+    d_ref, scaled_ref = clear_denominators_by_entries(rows)
+    assert d == d_ref
+    assert typed(scaled) == typed(scaled_ref)
+    # all-int rows come back as they are, the caller's own object
+    d_int, same = la.clear_denominators(scaled_ref)
+    assert d_int == 1 and same is scaled_ref
 
 
 # a (m x n) and b (n x m), so that a b is square
