@@ -143,6 +143,7 @@ def _integral(row, d) -> list:
 
 
 def _all_int(entries) -> bool:
+    """Whether every entry is an int; a Fraction(2, 1) is not."""
     return {int}.issuperset(map(type, entries))
 
 
