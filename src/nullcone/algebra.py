@@ -5,11 +5,12 @@ anti-diagonal forms J, s_i = J[i][N-1-i], chosen so that the standard Borel
 subalgebra consists of the upper-triangular members and the Cartan
 subalgebra of the diagonal ones.  x lies in so/sp iff x = -mirror(x), where
 mirror(x) = J^-1 x^T J is the cell rule s_a s_b x[N-1-b][N-1-a]; in_algebra
-tests that rule cell by cell, on and above the anti-diagonal, and stops at
-the first cell that breaks it.  The basis
-is root-graded and ordered (Cartan part, positive root vectors in the root
-system's order, negative root vectors); each basis vector is 1 on a cell
-where all later ones vanish, so coordinates are read off matrix cells.
+picks the cells on and above the anti-diagonal and their signed mirror cells
+out of x's row-major cells, by two ``itemgetter``s built once per algebra,
+and compares them as two tuples.  The basis is root-graded and ordered
+(Cartan part, positive root vectors in the root system's order, negative
+root vectors); each basis vector is 1 on a cell where all later ones
+vanish, so coordinates are read off matrix cells.
 
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; by Kronecker substitution, their polarizations are the
@@ -46,7 +47,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import perm
-from operator import add, lshift
+from operator import add, itemgetter, lshift, mul
 
 from . import linalg as la
 from .roots import RootSystem, build_root_system
@@ -119,6 +120,15 @@ class MatrixLieAlgebra:
         self.size = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank}[family]
         # s_i = J[i][N-1-i]: all +1 for so(2n+1), +1 then -1 for sp(2n); no form for A
         self._signs = tuple(1 if family != "C" or i < rank else -1 for i in range(self.size))
+        # in_algebra: cell (a, b) must be -s_a s_b times its mirror cell
+        # (N-1-b, N-1-a); the rule at a cell is the rule at its mirror, so the
+        # cells on and above the anti-diagonal, the self-mirror ones included,
+        # cover every pair.  Both are positions among x's row-major cells.
+        N, s = self.size, self._signs
+        upper = [(a, b) for a in range(N) for b in range(N - a)]
+        self._upper_cells = itemgetter(*(a * N + b for a, b in upper))
+        self._upper_mirrors = itemgetter(*((N - 1 - b) * N + N - 1 - a for a, b in upper))
+        self._upper_signs = tuple(-s[a] * s[b] for a, b in upper)
         if family == "A":
             self.degrees = tuple(range(2, rank + 2))
         else:
@@ -239,15 +249,9 @@ class MatrixLieAlgebra:
             return False
         if self.family == "A":
             return la.trace(x) == 0
-        # x = -mirror(x) cell by cell; the rule at (a, b) is the rule at its
-        # mirror cell (N-1-b, N-1-a), so the cells on and above the
-        # anti-diagonal cover every pair, the self-mirror cells included
-        s, last = self._signs, self.size - 1
-        return all(
-            x[a][b] == -sa * s[b] * x[last - b][last - a]
-            for a, sa in enumerate(s)
-            for b in range(last - a + 1)
-        )
+        cells = tuple(chain.from_iterable(x))
+        mirrors = map(mul, self._upper_signs, self._upper_mirrors(cells))
+        return self._upper_cells(cells) == tuple(mirrors)
 
     def in_borel(self, x) -> bool:
         return self.in_algebra(x) and all(

@@ -19,6 +19,7 @@ suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import mul
 
 from . import linalg as la
@@ -38,11 +39,13 @@ def _pair_map_report(alg: MatrixLieAlgebra, x, y, v_fiber, w_fiber):
 
     Fibers are sets of basis indices, i.e. unit coordinate vectors, so the rank
     is |v| + |w| plus that of the bracket coordinates outside them
-    (Marsaglia-Styan 1974).
+    (Marsaglia-Styan 1974).  The columns outside each fiber are marked once
+    per call and picked from every row by ``compress``.
     """
+    kept_v = [k not in v_fiber for k in range(alg.dim)]
+    kept_w = [k not in w_fiber for k in range(alg.dim)]
     rows = [
-        [c for k, c in enumerate(cx) if k not in v_fiber]
-        + [c for k, c in enumerate(cy) if k not in w_fiber]
+        [*compress(cx, kept_v), *compress(cy, kept_w)]
         for cx, cy in zip(alg.ad_coordinates(x), alg.ad_coordinates(y))
     ]
     domain = alg.dim + len(v_fiber) + len(w_fiber)

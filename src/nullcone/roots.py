@@ -9,6 +9,11 @@ chains are numbered consecutively; in type D the last two nodes are the
 fork; in type E node 2 hangs off node 4 of the chain 1-3-4-5-...; in types
 B/C/F/G the arrow conventions are fixed by the Cartan matrices below.
 Long roots have squared length 2.
+
+The root predicates read per-root tables built once per root system: the
+coroot coordinates of every positive root, in positive-root order, and the
+columns of the Cartan matrix.  A pairing <lam, r^vee> is the sum of lam
+against r's coroot row, and s_{beta_i} subtracts lam_i times column i.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
-from operator import mul
+from operator import mul, sub
 
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # pairings with the simple coroots
@@ -169,6 +175,8 @@ class RootSystem:
         self._coroot_coords = {
             r: self._coroot_in_simple_coroots(r) for r in self.positive_roots
         }
+        self._coroots = tuple(self._coroot_coords.values())  # in positive-root order
+        self._columns = tuple(zip(*self.cartan))  # column j holds C[i][j] for every i
 
     # -- construction -----------------------------------------------------
 
@@ -250,11 +258,7 @@ class RootSystem:
         """s_{beta_i}(lam) on coroot-pairing coordinates (i is 1-based)."""
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple index {i} out of range 1..{self.rank}")
-        k = i - 1
-        li = lam[k]
-        return tuple(
-            lam[j] - li * self.cartan[j][k] for j in range(self.rank)
-        )
+        return tuple(map(sub, lam, map(mul, repeat(lam[i - 1]), self._columns[i - 1])))
 
     def weight_of_root(self, r) -> Weight:
         """Coroot pairings <r, beta_i^vee> of a root (integer entries)."""
@@ -274,19 +278,18 @@ class RootSystem:
         return all(x >= 0 for x in lam)
 
     def is_regular(self, lam: Weight) -> bool:
-        return all(self.pairing(lam, r) != 0 for r in self.positive_roots)
+        return self.zero_pairing_witness(lam) is None
 
     def zero_pairing_witness(self, lam: Weight):
-        """A positive root r with <lam, r^vee> = 0, or None if lam is regular."""
-        for r in self.positive_roots:
-            if self.pairing(lam, r) == 0:
+        """The first positive root r with <lam, r^vee> = 0, or None if lam is regular."""
+        for r, coroot in zip(self.positive_roots, self._coroots):
+            if sum(map(mul, lam, coroot)) == 0:
                 return r
         return None
 
     def rho_shift(self, r: Root, sign: int) -> Weight:
         """The weight rho + sign*r for a root r."""
-        w = self.weight_of_root(r)
-        return tuple(1 + sign * x for x in w)
+        return tuple([1 + sign * x for x in self.weight_of_root(r)])
 
 
 @lru_cache(maxsize=None)

@@ -14,13 +14,14 @@ to lie in W_k and to be free of left descents below k, which makes the
 products pairwise distinct, and their final count is checked against |W|.
 The stored word of each element is its lexicographically smallest reduced
 word.  Each group is enumerated once per process and root system and held
-in product order as a read-only ``WeylGroup``: one perm buffer, one length
-byte and one inversion-count byte per element, with no ``WeylElement``
-built until one is read.  The inversion count n(w), the number of positive
-roots w makes negative, is read for every element at once from the
-buffer's columns; the torus-fixed Borels w(b) are counted from it by orbit
-and stabilizer, and the word lengths are checked against it, with no
-element built.
+in product order as a read-only ``WeylGroup``: the joined perms of
+W_{n-1}, the top level's representatives, and one length byte and one
+inversion-count byte per element, with no ``WeylElement`` built and no
+product of the top level formed until one is read.  The inversion count
+n(w), the number of positive roots w makes negative, is read for every
+element at once from the columns of W_{n-1}'s perms; the torus-fixed Borels
+w(b) are counted from it by orbit and stabilizer, and the word lengths are
+checked against it, with no element built.
 """
 
 from __future__ import annotations
@@ -114,23 +115,28 @@ _GROUPS: dict = {}  # root system -> its group, enumerated on first request
 
 
 class WeylGroup(Sequence):
-    """An enumerated group in product order, held as one perm buffer.
+    """An enumerated group in product order, held as its top coset level over W_{n-1}.
 
     Element j is product number j of the coset chain, v on the outside: a
     mixed-radix number whose digits, the last level least significant, pick
     one representative per level, so its word is their words joined
-    (lexmin(v u) = lexmin(v) + lexmin(u), see ``_enumerate_weyl``).  The
-    buffer joins every element's perm, n = 2m bytes each; nothing else is
-    stored per element but its length and its inversion count, one byte
-    each of ``lengths`` and ``counts``.  ``group[j]`` slices the perm out
-    of the buffer and builds its ``WeylElement`` on each read; slices are
-    tuples.
+    (lexmin(v u) = lexmin(v) + lexmin(u), see ``_enumerate_weyl``).  With r
+    representatives u on the top level, j = v r + d is v u for element v of
+    W_{n-1} and the d-th u.  Only W_{n-1}'s perms are stored, joined in one
+    buffer of n = 2m bytes each, beside the r perms of the top level and,
+    per element, its length and its inversion count, one byte each of
+    ``lengths`` and ``counts``.  ``group[j]`` composes
+    perm(v u) = perm(u).translate(perm(v) + tail), with the identity tail
+    on the bytes above 2m built once per group, and builds its
+    ``WeylElement`` on each read; slices are tuples.
     """
 
-    __slots__ = ("_buffer", "_words", "_lengths", "_counts")
+    __slots__ = ("_lower", "_top", "_tail", "_words", "_lengths", "_counts")
 
-    def __init__(self, buffer, words: tuple, lengths: bytes, counts: bytes):
-        self._buffer = buffer
+    def __init__(self, lower: bytes, top: tuple, words: tuple, lengths: bytes, counts: bytes):
+        self._lower = lower  # the perms of W_{n-1}, joined in product order
+        self._top = top  # the top level's representative perms, e first
+        self._tail = bytes(range(len(top[0]), 256))
         self._words = words  # per level, the representatives' lex-min words
         self._lengths = lengths  # per element, the length of its word
         self._counts = counts  # per element, its inversion count n(w)
@@ -142,8 +148,10 @@ class WeylGroup(Sequence):
         j = range(len(self))[j]  # an index in range, or the indices of a slice
         if isinstance(j, range):
             return tuple(map(self.__getitem__, j))
-        size = len(self._buffer) // len(self)  # bytes per perm, 2m
-        perm = bytes(self._buffer[j * size : (j + 1) * size])
+        v, d = divmod(j, len(self._top))
+        u = self._top[d]
+        n = len(u)
+        perm = u.translate(self._lower[v * n : (v + 1) * n] + self._tail)
         index, word = j, ()
         for level in reversed(self._words):
             index, digit = divmod(index, len(level))
@@ -176,16 +184,19 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     # lexmin(v u) = lexmin(v) + lexmin(u).  A u != e starts with k, its only
     # left descent.
     #
-    # Layout.  Each level writes its products into one preallocated buffer:
-    # with r = len(reps), the product of the j-th previous element and the
-    # d-th representative is number j r + d, so the lengths of the products
-    # with representative d are the slice out[d::r].
+    # Layout.  Each level below the top writes its products' perms into one
+    # preallocated buffer: with r = len(reps), the product of the j-th
+    # previous element and the d-th representative is number j r + d, so
+    # the lengths of the products with representative d are the slice
+    # out[d::r].  The top level's products are not formed: the group keeps
+    # W_{n-1}'s buffer and the top representatives, and composes an element
+    # when it is read.
     m = rs.num_positive
     n = 2 * m
     rest = bytes(range(n, 256))
     tables = _reflections(rs)
     words = []  # per level, the representatives' words
-    lengths, perms = b"\0", bytes(range(n))  # perms: every element's perm, joined
+    lengths, perms = b"\0", bytes(range(n))  # perms: the previous level's perms, joined
     for k in range(1, rs.rank + 1):
         reps = _coset_representatives(rs, k)
         if len({perm for _, perm in reps}) != len(reps):
@@ -206,6 +217,8 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
         for d, (u, _) in enumerate(reps):  # l -> l + len(u), shifted on 256 bytes
             out[d::r] = lengths.translate(bytes(range(len(u), 256)) + bytes(range(len(u))))
         lengths = out
+        if k == rs.rank:
+            break
         joined = b"".join(perm for _, perm in reps)
         out = bytearray(len(perms) * r)
         for j in range(0, len(perms), n):
@@ -214,7 +227,30 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     order = weyl_order(rs)
     if len(lengths) != order:
         raise AssertionError(f"generated {len(lengths)} products, expected {order}")
-    return WeylGroup(perms, tuple(words), bytes(lengths), _inversion_counts(perms, order))
+    lower, top = bytes(perms), tuple(perm for _, perm in reps)
+    counts = _product_inversion_counts(lower, top)
+    return WeylGroup(lower, top, tuple(words), bytes(lengths), counts)
+
+
+def _product_inversion_counts(lower: bytes, top: tuple) -> bytes:
+    """n(v u) for each v joined in ``lower`` and each u in ``top``, one byte each, in product order.
+
+    By definition n(v u) = #{k < m : perm(v)[perm(u)[k]] >= m}.  Column c
+    of ``lower``, ``lower[c::2m]``, holds perm(v)[c] for every v; translated
+    by k -> [k >= m] and read as a little-endian integer, it flags the v
+    that send root c negative, one byte lane per v.  The count of v u is
+    then lane v of the sum of the m columns perm(u) names: each lane adds at
+    most m <= 127 ones, so no carry crosses a lane.  Each column is read
+    once, and no pass runs over a |W|-sized buffer.
+    """
+    n = len(top[0])
+    m, size, r = n // 2, len(lower) // n, len(top)
+    negative = bytes(m) + b"\1" * (256 - m)
+    flags = [int.from_bytes(lower[c::n].translate(negative), "little") for c in range(n)]
+    counts = bytearray(size * r)
+    for d, u in enumerate(top):
+        counts[d::r] = sum(map(flags.__getitem__, u[:m])).to_bytes(size, "little")
+    return bytes(counts)
 
 
 def _coset_representatives(rs: RootSystem, k: int) -> list:
@@ -303,22 +339,6 @@ def borels_containing_torus(rs: RootSystem, group: WeylGroup) -> int:
             "and a stabilizer's order is a positive divisor of the group's"
         )
     return order // stabilizer
-
-
-def _inversion_counts(buffer, order: int) -> bytes:
-    """n(w) for each of the ``order`` perms joined in ``buffer``, one byte each.
-
-    Column j of the buffer, ``buffer[j::2m]``, holds w(j) for every w; for a
-    positive root j, translating it by k -> [k >= m] marks the w that send j
-    negative.  Read as little-endian integers, the m marked columns add byte
-    by byte: each byte sum is at most m <= 127, so no carry crosses a byte,
-    and the bytes of the total are the counts.
-    """
-    n = len(buffer) // order
-    m = n // 2
-    negative = bytes(m) + b"\1" * (256 - m)
-    total = sum(int.from_bytes(buffer[j::n].translate(negative), "little") for j in range(m))
-    return total.to_bytes(order, "little")
 
 
 def length_inversion_failures(group: WeylGroup) -> list:

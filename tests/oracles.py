@@ -136,3 +136,29 @@ class TorusBorel:
         _, index = _root_index(rs)
         pos = self.positive_set(rs)
         return all(index[tuple(s)] in pos for s in support)
+
+
+def pairing_is_regular(rs, lam) -> bool:
+    """Whether lam pairs nonzero with every positive coroot, one ``pairing`` per root."""
+    return all(rs.pairing(lam, r) != 0 for r in rs.positive_roots)
+
+
+def pairing_zero_witness(rs, lam):
+    """The first positive root r with <lam, r^vee> = 0, one ``pairing`` per root, or None."""
+    for r in rs.positive_roots:
+        if rs.pairing(lam, r) == 0:
+            return r
+    return None
+
+
+def reflect_by_cartan_entries(rs, lam, i):
+    """s_{beta_i}(lam), entry j read as lam_j - lam_i C[j][i-1]."""
+    k = i - 1
+    li = lam[k]
+    return tuple(lam[j] - li * rs.cartan[j][k] for j in range(rs.rank))
+
+
+def rho_shift_by_generator(rs, r, sign):
+    """rho + sign*r, built from a generator over r's coroot pairings."""
+    w = rs.weight_of_root(r)
+    return tuple(1 + sign * x for x in w)

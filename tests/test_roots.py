@@ -1,11 +1,20 @@
 """Root system construction, pairings and predicates."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    pairing_is_regular,
+    pairing_zero_witness,
+    reflect_by_cartan_entries,
+    rho_shift_by_generator,
+)
 
+from nullcone.report import DEFAULT_TYPES
 from nullcone.roots import SimpleType, build_root_system
 
 ALL_TYPES = (
@@ -195,3 +204,73 @@ def test_weight_of_root_commutes_with_reflection(stype, data):
     i = data.draw(st.integers(1, rank), label="i")
     img = rs.reflect_root(r, i)
     assert rs.weight_of_root(img) == rs.reflect(rs.weight_of_root(r), i)
+
+
+def _weight_grid(rs) -> list:
+    """rho +- alpha for every positive alpha, each simple reflection of those, and a seeded grid.
+
+    The grid holds the zero weight, weights with entries in -3..3 (mostly
+    non-dominant), half-integral ones, and one weight on each positive
+    root's wall: m_i lam' - <lam', r^vee> e_i pairs to zero with r and, for
+    a generic lam', with no root whose coroot is not a multiple of r's.
+    """
+    weights = []
+    for alpha in rs.positive_roots:
+        for sign in (1, -1):
+            lam = rho_shift_by_generator(rs, alpha, sign)
+            weights.append(lam)
+            weights.extend(reflect_by_cartan_entries(rs, lam, i) for i in range(1, rs.rank + 1))
+    rng = random.Random(f"weights:{rs.stype}")
+    weights.append((0,) * rs.rank)
+    weights.extend(tuple(rng.randint(-3, 3) for _ in range(rs.rank)) for _ in range(40))
+    weights.extend(
+        tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(rs.rank)) for _ in range(10)
+    )
+    for r in rs.positive_roots:
+        coroot = rs._coroot_in_simple_coroots(r)
+        i = next(k for k, m in enumerate(coroot) if m)
+        generic = [rng.randint(-(10**6), 10**6) for _ in range(rs.rank)]
+        on_wall = [coroot[i] * x for x in generic]
+        on_wall[i] -= sum(x * m for x, m in zip(generic, coroot))
+        weights.append(tuple(on_wall))
+    return weights
+
+
+def _table_mismatches(rs, weights) -> list:
+    """The weights on which a table read of ``rs`` differs from its per-root oracle."""
+    bad = []
+    for lam in weights:
+        if rs.zero_pairing_witness(lam) != pairing_zero_witness(rs, lam):
+            bad.append(("witness", lam))
+        if rs.is_regular(lam) != pairing_is_regular(rs, lam):
+            bad.append(("regular", lam))
+        for i in range(1, rs.rank + 1):
+            if rs.reflect(lam, i) != reflect_by_cartan_entries(rs, lam, i):
+                bad.append(("reflect", lam, i))
+    return bad
+
+
+@pytest.mark.parametrize("name", DEFAULT_TYPES)
+def test_root_tables_match_the_per_root_formulas(name):
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    for alpha in rs.positive_roots:
+        for sign in (1, -1):
+            assert rs.rho_shift(alpha, sign) == rho_shift_by_generator(rs, alpha, sign)
+    weights = _weight_grid(rs)
+    assert _table_mismatches(rs, weights) == []
+    # the walls are reached: every positive root is the first zero of some weight
+    assert {rs.zero_pairing_witness(lam) for lam in weights} >= set(rs.positive_roots)
+
+
+# A1 has one positive root, so no other root's coroot can take its row
+@pytest.mark.parametrize("name", DEFAULT_TYPES[1:])
+def test_a_planted_wrong_coroot_row_is_caught(name):
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    weights = _weight_grid(rs)
+    rows, m = rs._coroots, rs.num_positive
+    for k in sorted({0, random.Random(f"plant:{name}").randrange(m), m - 1}):
+        planted = copy.copy(rs)  # row k holds the coroot of the next positive root
+        planted._coroots = rows[:k] + (rows[(k + 1) % m],) + rows[k + 1 :]
+        assert _table_mismatches(planted, weights), f"row {k} of {name} planted unseen"

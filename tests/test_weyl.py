@@ -313,10 +313,11 @@ def test_enumerating_builds_no_element_until_one_is_read(monkeypatch):
         held, peak = (x - before for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # one 72-byte perm, one length byte and one inversion-count byte per element
-    assert held <= 4.5e6, f"the held E6 group takes {held / 1e6:.2f} MB"
-    # each level writes into one buffer, with no list of pieces and no sort beside it
-    assert peak <= 5.0e6, f"enumerating E6 peaks at {peak / 1e6:.2f} MB"
+    # the 1920 72-byte perms of W_5 = D5, the 27 top representatives, and one
+    # length byte and one inversion-count byte per element
+    assert held <= 0.5e6, f"the held E6 group takes {held / 1e6:.2f} MB"
+    # no level below the top is kept beside the next, and the top is not formed
+    assert peak <= 1.0e6, f"enumerating E6 peaks at {peak / 1e6:.2f} MB"
     assert len(group) == 51840 and made == []
     j = group._lengths.index(36)  # the longest element
     w = group[j]
@@ -353,27 +354,33 @@ def test_bulk_inversion_counts_match_the_element_walk(family, rank):
 
 
 def _planted_group(group, records):
-    """``group`` with the perms at the given indices replaced, its inversion counts recomputed."""
-    n = len(group._buffer) // len(group)
-    buffer = bytearray(group._buffer)
+    """``group`` with the perms of W_{n-1} at the given indices replaced.
+
+    Its inversion counts are recomputed from the planted perms.
+    """
+    n = len(group._top[0])
+    lower = bytearray(group._lower)
     for j, perm in records.items():
-        buffer[j * n : (j + 1) * n] = perm
-    counts = weyl._inversion_counts(buffer, len(group))
-    return weyl.WeylGroup(bytes(buffer), group._words, group._lengths, counts)
+        lower[j * n : (j + 1) * n] = perm
+    lower = bytes(lower)
+    counts = weyl._product_inversion_counts(lower, group._top)
+    return weyl.WeylGroup(lower, group._top, group._words, group._lengths, counts)
 
 
 def test_a_planted_group_is_not_counted_as_w_borels():
     rs = build_root_system("B", 3)
-    group = generate_weyl(rs)  # group[0] is e
+    group = generate_weyl(rs)  # 6 elements of W_2 times 8 top representatives, e first
     ident = bytes(range(2 * rs.num_positive))
-    # one perm replaced by the identity: two elements fix R+
-    once = _planted_group(group, {47: ident})
+    # one perm of W_2 replaced by the identity: two elements fix R+
+    once = _planted_group(group, {5: ident})
+    assert list(once._counts) == [inversions(rs, w) for w in once]
     assert borels_containing_torus(rs, once) != len(group) == 48
     assert borels_containing_torus(rs, once) == 24
     # five elements fixing R+, or none, can be no stabilizer in a group of order 48
-    fives = _planted_group(group, {j: ident for j in range(44, 48)})
-    none = _planted_group(group, {0: group[1].perm})
+    fives = _planted_group(group, {j: ident for j in range(2, 6)})
+    none = _planted_group(group, {0: group[8].perm})  # e replaced by s_2, the next of W_2
     for planted, s in ((fives, 5), (none, 0)):
+        assert list(planted._counts) == [inversions(rs, w) for w in planted]
         with pytest.raises(AssertionError, match=f"{s} of 48 elements fix R\\+"):
             borels_containing_torus(rs, planted)
 
@@ -547,18 +554,42 @@ def test_the_enumerated_group_is_counted_once(monkeypatch):
     # the enumeration reads the inversion counts; the Borel count and the
     # length check only read them back
     rs = build_root_system("C", 3)
-    honest, calls = weyl._inversion_counts, []
+    honest, calls = weyl._product_inversion_counts, []
 
-    def counted(buffer, order):
-        calls.append(order)
-        return honest(buffer, order)
+    def counted(lower, top):
+        counts = honest(lower, top)
+        calls.append(len(counts))
+        return counts
 
-    monkeypatch.setattr(weyl, "_inversion_counts", counted)
+    monkeypatch.setattr(weyl, "_product_inversion_counts", counted)
     group = weyl._enumerate_weyl(rs)
     assert calls == [48]
     assert borels_containing_torus(rs, group) == borels_containing_torus(rs, group) == 48
     assert weyl.length_inversion_failures(group) == []
     assert calls == [48]
+
+
+def test_e7_is_enumerated_within_16_mb_but_stays_above_the_cap():
+    rs = build_root_system("E", 7)
+    weyl._reflections(rs)  # cached per root system, not held by the group
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = weyl._enumerate_weyl(rs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the 51,840 126-byte perms of W_6 = E6, and two bytes per element
+    assert held <= 16e6, f"the held E7 group takes {held / 1e6:.2f} MB"
+    assert len(group) == weyl_order(rs) == 2903040
+    assert borels_containing_torus(rs, group) == len(group)
+    assert weyl.length_inversion_failures(group) == []
+    for w in random.Random("e7").sample(group, 20):
+        assert element_from_word(rs, w.word) == w
+    # the default cap still refuses E7, so its records stay skipped
+    with pytest.raises(WeylOrderError, match="2903040"):
+        generate_weyl(rs, RunConfig().max_weyl_order)
+    assert rs not in weyl._GROUPS
 
 
 def test_cap_is_checked_after_the_group_is_cached():
