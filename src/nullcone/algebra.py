@@ -7,10 +7,19 @@ subalgebra of the diagonal ones.  x lies in so/sp iff x = -mirror(x), where
 mirror(x) = J^-1 x^T J is the cell rule s_a s_b x[N-1-b][N-1-a]; in_algebra
 picks the cells on and above the anti-diagonal and their signed mirror cells
 out of x's row-major cells, by two ``itemgetter``s built once per algebra,
-and compares them as two tuples.  The basis is root-graded and ordered
-(Cartan part, positive root vectors in the root system's order, negative
-root vectors); each basis vector is 1 on a cell where all later ones
-vanish, so coordinates are read off matrix cells.
+and compares them as two tuples.  One table of mirror cells serves
+in_algebra, the mirror itself and the root vectors.
+
+Roots come from one table of diagonal-slot weights: slot a has weight e_a
+on sl(n+1); on so/sp, e_a for a < n, -e_k at the mirror slot N-1-k, and 0
+in the middle of so(2n+1).  Cell (a, b) has weight slot(a) - slot(b).
+Simple root i sits at cell (i, i+1) in all three families, so
+e(beta_i) = slot(i) - slot(i+1) and beta_i(t) = t[i][i] - t[i+1][i+1]
+(root_value).  The root vector of beta is the first off-diagonal cell of
+weight beta in row-major order, less its signed mirror cell on so/sp.  The
+basis is root-graded and ordered (Cartan part, positive root vectors in the
+root system's order, negative root vectors); each basis vector is 1 on a
+cell where all later ones vanish, so coordinates are read off matrix cells.
 
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; by Kronecker substitution, their polarizations are the
@@ -47,19 +56,13 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import perm
-from operator import add, itemgetter, lshift, mul
+from operator import add, itemgetter, lshift, mul, sub
 
 from . import linalg as la
 from .roots import RootSystem, build_root_system
 
 #: ranks with a matrix realization, per family
 SUPPORTED_RANKS = {"A": range(1, 9), "B": range(2, 5), "C": range(3, 5)}
-
-
-def _basis_cell(n: int, i: int, j: int, value=1):
-    return tuple(
-        tuple(value if (a, b) == (i, j) else 0 for b in range(n)) for a in range(n)
-    )
 
 
 def _diagonal(entries):
@@ -118,17 +121,22 @@ class MatrixLieAlgebra:
         self.family = family
         self.rank = rank
         self.size = {"A": rank + 1, "B": 2 * rank + 1, "C": 2 * rank}[family]
+        N = self.size
         # s_i = J[i][N-1-i]: all +1 for so(2n+1), +1 then -1 for sp(2n); no form for A
-        self._signs = tuple(1 if family != "C" or i < rank else -1 for i in range(self.size))
-        # in_algebra: cell (a, b) must be -s_a s_b times its mirror cell
-        # (N-1-b, N-1-a); the rule at a cell is the rule at its mirror, so the
-        # cells on and above the anti-diagonal, the self-mirror ones included,
-        # cover every pair.  Both are positions among x's row-major cells.
-        N, s = self.size, self._signs
+        s = tuple(1 if family != "C" or i < rank else -1 for i in range(N))
+        # mirror(x) = J^-1 x^T J holds s_a s_b x[N-1-b][N-1-a] at (a, b)
+        self._mirror_cells = tuple(
+            tuple((N - 1 - b, N - 1 - a, s[a] * s[b]) for b in range(N)) for a in range(N)
+        )
+        # in_algebra: cell (a, b) must be -1 times its mirror entry; the rule at
+        # a cell is the rule at its mirror, so the cells on and above the
+        # anti-diagonal, the self-mirror ones included, cover every pair.  Both
+        # are positions among x's row-major cells.
         upper = [(a, b) for a in range(N) for b in range(N - a)]
+        mirrors = [self._mirror_cells[a][b] for a, b in upper]
         self._upper_cells = itemgetter(*(a * N + b for a, b in upper))
-        self._upper_mirrors = itemgetter(*((N - 1 - b) * N + N - 1 - a for a, b in upper))
-        self._upper_signs = tuple(-s[a] * s[b] for a, b in upper)
+        self._upper_mirrors = itemgetter(*(c * N + d for c, d, _ in mirrors))
+        self._upper_signs = tuple(-sign for _, _, sign in mirrors)
         if family == "A":
             self.degrees = tuple(range(2, rank + 2))
         else:
@@ -146,31 +154,27 @@ class MatrixLieAlgebra:
 
     def _build_basis(self):
         fam, n, N = self.family, self.rank, self.size
-        self.h_basis = []
+        # the weight of diagonal slot a, in e-coordinates: e_a on sl(n+1); on so/sp,
+        # e_a for a < n, -e_k at the mirror slot a = N-1-k, 0 in the middle of so(2n+1)
+        m = N if fam == "A" else n
+        slots = [[(a == k) - (fam != "A" and a == N - 1 - k) for k in range(m)] for a in range(N)]
+        if fam == "A":  # h_k = E_kk - E_{k+1,k+1}
+            self.h_basis = [_diagonal([w[k] - w[k + 1] for w in slots]) for k in range(n)]
+        else:  # h_k = E_kk - E_{N-1-k,N-1-k}
+            self.h_basis = [_diagonal([w[k] for w in slots]) for k in range(n)]
+        # cell (a, b) has weight slot(a) - slot(b); keep the first cell of each weight
+        first = {}
+        for a, wa in enumerate(slots):
+            for b, wb in enumerate(slots):
+                if a != b:
+                    first.setdefault(tuple(map(sub, wa, wb)), (a, b))
+        # simple root i sits at cell (i, i+1), so e(beta_i) = slot(i) - slot(i+1)
+        simple = [tuple(map(sub, slots[i], slots[i + 1])) for i in range(n)]
         pos, neg = {}, {}
-        if fam == "A":
-            for k in range(n):
-                self.h_basis.append(
-                    la.add(_basis_cell(N, k, k), _basis_cell(N, k + 1, k + 1, -1))
-                )
-            for root in self.rs.positive_roots:
-                support = [k for k, c in enumerate(root) if c]
-                lo, hi = support[0], support[-1]
-                pos[root] = _basis_cell(N, lo, hi + 1)
-                neg[root] = _basis_cell(N, hi + 1, lo)
-        else:
-            for k in range(n):
-                self.h_basis.append(
-                    la.add(_basis_cell(N, k, k), _basis_cell(N, N - 1 - k, N - 1 - k, -1))
-                )
-            roots = {tuple(self._root_e_coords(r)): r for r in self.rs.positive_roots}
-            for (i, j), vec in self._form_graded_cells().items():
-                weight = self._cell_weight(i, j)
-                if i < j:
-                    pos[roots[weight]] = vec
-                else:
-                    neg[roots[tuple(-c for c in weight)]] = vec
-            assert set(pos) == set(self.rs.positive_roots)
+        for root in self.rs.positive_roots:
+            weight = tuple(sum(c * w[k] for c, w in zip(root, simple)) for k in range(m))
+            pos[root] = self._root_vector(*first[weight])
+            neg[root] = self._root_vector(*first[tuple(-c for c in weight)])
         self.pos_vectors = pos
         self.neg_vectors = neg
         self.basis = (
@@ -194,49 +198,18 @@ class MatrixLieAlgebra:
             self._cells_in_row[p].append((j, q))
             self._cells_in_col[q].append((j, p))
 
+    def _root_vector(self, a, b):
+        """E_ab, less its signed mirror cell on so/sp; a self-mirror cell stands alone."""
+        cells = {(a, b): 1}
+        if self.family != "A":  # the mirror of a cell of weight beta has weight beta
+            c, d, sign = self._mirror_cells[a][b]
+            cells.setdefault((c, d), -sign)
+        N = self.size
+        return tuple(tuple(cells.get((p, q), 0) for q in range(N)) for p in range(N))
+
     def _mirror(self, m):
         """J^-1 m^T J for the so/sp form J, cell by cell."""
-        s, last = self._signs, self.size - 1
-        return tuple(
-            tuple(sa * sb * m[last - b][last - a] for b, sb in enumerate(s))
-            for a, sa in enumerate(s)
-        )
-
-    def _form_graded_cells(self) -> dict:
-        """One basis vector per mirror pair of off-diagonal cells.
-
-        The form J is anti-diagonal with signs s_i = J[i][N-1-i], so E_ik -
-        s_i s_k E_{N-1-k,N-1-i} preserves it; a self-mirror cell (i + k = N-1)
-        gives E_ik alone when s_i s_k = -1 (type C) and nothing otherwise.
-        Keys are the first cell of each pair in row-major order.
-        """
-        N, s = self.size, self._signs
-        out = {}
-        for i in range(N):
-            for k in range(N):
-                mi, mk = N - 1 - k, N - 1 - i
-                if i == k or (mi, mk) < (i, k):
-                    continue  # diagonal, or mirror cell already handled
-                sign = s[i] * s[k]
-                if (mi, mk) == (i, k):
-                    if sign == -1:
-                        out[(i, k)] = _basis_cell(N, i, k)
-                else:
-                    out[(i, k)] = la.sub(_basis_cell(N, i, k), _basis_cell(N, mi, mk, sign))
-        return out
-
-    def _cell_weight(self, i: int, k: int) -> tuple:
-        """e-coordinates of the weight of the cell (i, k)."""
-        n, N = self.rank, self.size
-
-        def d(pos, idx):  # e_idx coordinate of the diagonal unit at pos
-            if pos == idx:
-                return 1
-            if pos == N - 1 - idx:
-                return -1
-            return 0
-
-        return tuple(d(i, t) - d(k, t) for t in range(n))
+        return tuple(tuple(sign * m[c][d] for c, d, sign in row) for row in self._mirror_cells)
 
     # -- membership and components ------------------------------------------
 
@@ -340,28 +313,8 @@ class MatrixLieAlgebra:
         return out
 
     def root_value(self, root, t):
-        """beta(t) for t in the Cartan subalgebra, via e-coordinates."""
-        e = self._root_e_coords(root)
-        diag = [t[a][a] for a in range(len(e))]
-        return sum(c * d for c, d in zip(e, diag))
-
-    def _root_e_coords(self, root):
-        n = self.rank
-        if self.family == "A":
-            # e_lo - e_hi over all N = n + 1 diagonal slots
-            support = [k for k, c in enumerate(root) if c]
-            lo, hi = support[0], support[-1] + 1
-            return [(1 if t == lo else 0) - (1 if t == hi else 0) for t in range(self.size)]
-        # beta_s = e_s - e_{s+1} for s < n, beta_n = e_n (B) or 2 e_n (C)
-        last = 1 if self.family == "B" else 2
-        out = [0] * n
-        for s, c in enumerate(root):
-            if s < n - 1:
-                out[s] += c
-                out[s + 1] -= c
-            else:
-                out[s] += last * c
-        return out
+        """beta(t) for t in the Cartan subalgebra: simple root i takes t[i][i] - t[i+1][i+1]."""
+        return sum(c * (t[i][i] - t[i + 1][i + 1]) for i, c in enumerate(root) if c)
 
     @cached_property
     def height_element(self):

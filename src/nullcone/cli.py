@@ -1,8 +1,9 @@
 """Command line driver for the verification suites.
 
 One subcommand per suite plus ``all``; see the package README for the
-report formats.  Exit status: 0 all checks passed, 1 at least one failed,
-2 usage error.
+report formats.  Exit status: 0 no check failed and at least one passed,
+1 at least one failed, 2 usage error, 3 nothing checked (every record
+undecided or skipped).
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ unit's time and every other shifts record of the type shows 0.000s.  A check is 
 that ran its unit, so with several processes the times can add up to more
 than the run's wall time.
 
-Exit status convention: 0 when nothing failed, 1 when any check failed
-(undecided and skipped do not fail a run), 2 for usage errors.
+Exit status convention: 0 when some check passed and none failed, 1 when
+any check failed (undecided and skipped do not fail a run), 2 for usage
+errors, 3 when nothing was checked: no record passed and none failed.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class _Check:
     the claim holds on it, None when its precondition is not met (not
     counted), or a failure witness (False for none), and the first failure
     ends the check.  ``summary(unit, n)`` gives ``(ok, witness)`` once all
-    ``n`` counted draws held.
+    ``n`` counted draws held; a check with no counted draw is undecided.
     """
 
     name: str
@@ -207,6 +208,8 @@ def _run_check(check: _Check, unit: _Unit):
         n += 1
         if got is not True:
             return _result(check_id, check.claim, False, got or None, n)
+    if not n:
+        return _result(check_id, check.claim, "undecided", "no counted draws", n)
     return _result(check_id, check.claim, *check.summary(unit, n), draws=n)
 
 
@@ -525,7 +528,7 @@ def _nonregular_hyperplanes(u, rng):
 def _singular_summary(u, n):
     plain, stratum = u.notes.get("singular", (0, 0))
     generic = 3 * (u.alg.borel_dim - u.alg.rank)
-    return n > 0, {
+    return True, {
         "samples": n,
         "max_rank": plain,
         "max_stratum_rank": stratum,
@@ -867,7 +870,8 @@ def run(config: RunConfig):
             raise ValueError(f"unknown suite {suite!r}")
     results = _shared_results(config, _process_count(config))
     results.sort(key=lambda c: c.check_id)
-    exit_code = 1 if any(c.status == "fail" for c in results) else 0
+    statuses = {c.status for c in results}
+    exit_code = 1 if "fail" in statuses else 0 if "pass" in statuses else 3
     return exit_code, results
 
 

@@ -227,9 +227,14 @@ def _enumerate_weyl(rs: RootSystem) -> WeylGroup:
     order = weyl_order(rs)
     if len(lengths) != order:
         raise AssertionError(f"generated {len(lengths)} products, expected {order}")
+    # free each bytearray once its bytes copy exists (out is the top level's
+    # lengths), so that no buffer is alive in two copies beside the next one
+    del out
+    lengths = bytes(lengths)
     lower, top = bytes(perms), tuple(perm for _, perm in reps)
+    del perms
     counts = _product_inversion_counts(lower, top)
-    return WeylGroup(lower, top, tuple(words), bytes(lengths), counts)
+    return WeylGroup(lower, top, tuple(words), lengths, counts)
 
 
 def _product_inversion_counts(lower: bytes, top: tuple) -> bytes:
@@ -250,6 +255,7 @@ def _product_inversion_counts(lower: bytes, top: tuple) -> bytes:
     counts = bytearray(size * r)
     for d, u in enumerate(top):
         counts[d::r] = sum(map(flags.__getitem__, u[:m])).to_bytes(size, "little")
+    del flags
     return bytes(counts)
 
 

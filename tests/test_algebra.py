@@ -20,6 +20,7 @@ from oracles import (
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
 from nullcone.report import ALGEBRA_TYPES, _regular_pencil_pair
+from nullcone.roots import SimpleType, cartan_matrix
 
 E = ((0, 1), (0, 0))
 F = ((0, 0), (1, 0))
@@ -113,6 +114,28 @@ def test_closed_form_root_vectors_match_nullspace_oracle(fam, rk):
 
 
 ALL_TYPES = [(fam, rk) for fam, ranks in SUPPORTED_RANKS.items() for rk in ranks]
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_simple_root_vectors_realize_the_cartan_matrix(fam, rk):
+    # brackets alone: no root_value, so the slot weights are checked against
+    # cartan_matrix, not against themselves
+    alg = build_algebra(fam, rk)
+    cartan = cartan_matrix(SimpleType(fam, rk))
+    simple = [tuple(int(j == i) for j in range(rk)) for i in range(rk)]
+    e = [alg.pos_vectors[r] for r in simple]
+    f = [alg.neg_vectors[r] for r in simple]
+    for i in range(rk):
+        h = la.commutator(e[i], f[i])
+        a, b = next((a, b) for a, row in enumerate(e[i]) for b, v in enumerate(row) if v)
+        value = Q(la.commutator(h, e[i])[a][b], e[i][a][b])  # beta_i(h_i)
+        assert la.commutator(h, e[i]) == la.scale(value, e[i])
+        coroot = la.scale(2 / value, h)
+        for j in range(rk):
+            assert la.commutator(coroot, e[j]) == la.scale(cartan[i][j], e[j])
+            assert la.commutator(coroot, f[j]) == la.scale(-cartan[i][j], f[j])
+            if i != j:
+                assert la.is_zero(la.commutator(e[i], f[j]))
 
 
 def _solve_coordinates(alg, x):

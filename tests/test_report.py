@@ -82,7 +82,7 @@ def test_invalid_types_reported_per_entry_not_fatal():
 
 def test_empty_types_runs_clean():
     code, results = run(RunConfig(suites=("roots",), types=()))
-    assert code == 0 and results == []
+    assert code == 3 and results == []  # nothing was checked
 
 
 def test_weyl_cap_skips_enumeration_checks():
@@ -123,6 +123,16 @@ def test_cli_exit_codes():
     assert exc.value.code == 2
 
 
+def test_a_run_that_checks_nothing_exits_3(capsys):
+    assert main(["invariants", "--type", "E6", "--type", "D4"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 0 passed, 0 failed, 0 undecided, 2 skipped"
+    )
+    # one pass among skips is a checked run
+    code, results = run(RunConfig(suites=("invariants",), types=("E6", "A1")))
+    assert code == 0 and {c.status for c in results} == {"pass", "skipped"}
+
+
 def test_default_types_cover_the_standard_list():
     assert "E8" in DEFAULT_TYPES and "G2" in DEFAULT_TYPES and "D4" in DEFAULT_TYPES
 
@@ -153,7 +163,7 @@ def test_weyl_cap_inside_a_unit_reports_only_the_enumeration_skip():
     code, results = run(
         RunConfig(suites=("invariants",), types=("A2",), max_weyl_order=2)
     )
-    assert code == 0
+    assert code == 3  # the dropped passes leave nothing checked
     assert [(c.check_id, c.status) for c in results] == [
         ("invariants/A2/enumeration", "skipped")
     ]
@@ -273,6 +283,21 @@ def test_runner_does_not_count_draws_whose_precondition_fails(monkeypatch):
     code, [record] = _plant(monkeypatch, planted)
     assert code == 0 and len(drawn) == 7
     assert (record.status, record.witness, record.draws) == ("pass", {"held": 3}, 3)
+
+
+def test_a_sampled_check_with_no_counted_draw_is_undecided(monkeypatch):
+    drawn = []
+
+    def draw(unit, rng):
+        drawn.append(None)
+
+    planted = report._Check(
+        "planted", "claim", draw, draws=4, summary=lambda unit, n: (True, {"held": n})
+    )
+    code, [record] = _plant(monkeypatch, planted)
+    assert len(drawn) == 4
+    assert (record.status, record.witness, record.draws) == ("undecided", "no counted draws", 0)
+    assert code == 3  # its one record neither passed nor failed
 
 
 def test_entries_naming_one_stream_share_it(monkeypatch):

@@ -592,6 +592,23 @@ def test_e7_is_enumerated_within_16_mb_but_stays_above_the_cap():
     assert rs not in weyl._GROUPS
 
 
+def test_e7_enumeration_peaks_within_19_mb():
+    rs = build_root_system("E", 7)
+    weyl._reflections(rs)  # cached per root system, not held by the group
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = weyl._enumerate_weyl(rs)
+        held, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # at the peak the 126 column flags (6.5 MB) sit beside the group's
+    # buffers; no bytearray outlives its bytes copy
+    assert held <= 12.5e6, f"the held E7 group takes {held / 1e6:.2f} MB"
+    assert peak <= 19e6, f"enumerating E7 peaks at {peak / 1e6:.2f} MB"
+    assert len(group) == 2903040
+
+
 def test_cap_is_checked_after_the_group_is_cached():
     rs = build_root_system("D", 4)
     assert len(generate_weyl(rs, 10**6)) == 192
