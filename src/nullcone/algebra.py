@@ -29,14 +29,14 @@ is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
 2n-1; sp(2n): 2n+2) -- nothing here depends on the normalization; a
 gradient is the orthogonal projection onto g for this form.
 
-Group elements carry their inverses in closed form (exp m = I + m + m^2/2
-with exp -m, as a root vector has m^3 = 0; diag p with diag 1/p), so
-nothing is inverted by elimination and integral elements keep int entries.
-A unipotent element is formed without dense products: a root vector e and
-its square have one or two nonzero cells each, so each factor exp(c e) is
-a few column operations on the matrix and row operations on its inverse.  Conjugation clears the denominators of g, x and g^-1, takes
-both products over the integers and divides once by the product of the
-three multipliers.
+Group elements carry their inverses in closed form, so nothing is inverted
+by elimination and integral elements keep int entries.  One sparse
+exponential builds the unipotent elements and the Weyl representatives
+exp(e_i) exp(-f_i) exp(e_i): a root vector e, positive or negative, and e^2
+have one or two nonzero cells each, so exp(c e) = I + c e + c^2 e^2 / 2 is a
+few column operations on the matrix and row operations on its inverse.  A
+torus element reads the slot weights.  Conjugation clears the denominators
+of g, x and g^-1, takes both products over the integers and divides once.
 
 Regularity is decided in the defining representation too: x is regular
 exactly when its minimal polynomial has degree N (is_regular_element), an
@@ -53,9 +53,10 @@ in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from math import perm
+from math import perm, prod
 from operator import add, itemgetter, lshift, mul, sub
 
 from . import linalg as la
@@ -73,11 +74,12 @@ def _diagonal(entries):
 class GroupElement:
     """An invertible matrix together with its exact inverse; integral entries are ints.
 
-    Built by MatrixLieAlgebra.unipotent (sparse column and row operations, one
-    factor exp(c e) at a time), torus, weyl_rep or exp.  conjugate scales g,
-    x and g^-1 to integer matrices, multiplies over int and makes one exact
-    division; products of group elements stay plain la.mul products, as the
-    Weyl representatives they mostly join are monomial int matrices.
+    Built by MatrixLieAlgebra.unipotent and the Weyl representatives (one
+    sparse exponential, a factor exp(c e) at a time), torus or weyl_rep.
+    conjugate scales g, x and g^-1 to integer matrices, multiplies over int
+    and makes one exact division; products of group elements stay plain
+    la.mul products, as the Weyl representatives they mostly join are
+    monomial int matrices.
     """
 
     __slots__ = ("mat", "inv")
@@ -85,15 +87,6 @@ class GroupElement:
     def __init__(self, mat, inv):
         self.mat = la.whole(mat)
         self.inv = la.whole(inv)
-
-    @classmethod
-    def exp(cls, m) -> "GroupElement":
-        """(exp m, exp -m) = (I + m + m^2/2, I - m + m^2/2) for a matrix with m^3 = 0."""
-        square = la.mul(m, m)
-        if not la.is_zero(la.mul(square, m)):
-            raise ValueError("closed-form exp needs a matrix with m^3 = 0")
-        even = la.add(la.identity(len(m)), la.divide(square, 2))
-        return cls(la.add(even, m), la.sub(even, m))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(la.mul(self.mat, other.mat), la.mul(other.inv, self.inv))
@@ -157,7 +150,9 @@ class MatrixLieAlgebra:
         # the weight of diagonal slot a, in e-coordinates: e_a on sl(n+1); on so/sp,
         # e_a for a < n, -e_k at the mirror slot a = N-1-k, 0 in the middle of so(2n+1)
         m = N if fam == "A" else n
-        slots = [[(a == k) - (fam != "A" and a == N - 1 - k) for k in range(m)] for a in range(N)]
+        slots = self._slots = [
+            [(a == k) - (fam != "A" and a == N - 1 - k) for k in range(m)] for a in range(N)
+        ]
         if fam == "A":  # h_k = E_kk - E_{k+1,k+1}
             self.h_basis = [_diagonal([w[k] - w[k + 1] for w in slots]) for k in range(n)]
         else:  # h_k = E_kk - E_{N-1-k,N-1-k}
@@ -307,9 +302,8 @@ class MatrixLieAlgebra:
     def regular_nilpotent(self):
         """Sum of the simple positive root vectors."""
         out = la.zeros(self.size, self.size)
-        for root in self.rs.positive_roots:
-            if self.rs.is_simple(root):
-                out = la.add(out, self.pos_vectors[root])
+        for root in self.rs.simple_roots:
+            out = la.add(out, self.pos_vectors[root])
         return out
 
     def root_value(self, root, t):
@@ -320,16 +314,13 @@ class MatrixLieAlgebra:
     def height_element(self):
         """rho^vee, the Cartan element on which every simple root takes the value 1.
 
-        sl(n+1): n/2, n/2 - 1, ..., -n/2.  so(2n+1): n, n - 1, ..., 1, 0 and
-        the negatives mirrored.  sp(2n): n - 1/2, ..., 1/2 and the negatives
-        mirrored, as the last simple root is 2 e_n.
+        Slot a of weight w holds sum_k w_k (c - k), so e_k takes c - k and the
+        inner simple roots e_k - e_(k+1) take 1 for any c.  Then c = n/2 on
+        sl(n+1) (trace 0), n on so(2n+1) (e_(n-1) takes 1) and n - 1/2 on
+        sp(2n) (2 e_(n-1) takes 1): c = (N - 1)/2 in each family.
         """
-        n = self.rank
-        if self.family == "A":
-            return _diagonal([la.ratio(n - 2 * k, 2) for k in range(n + 1)])
-        top = [la.ratio(2 * (n - k) - (self.family == "C"), 2) for k in range(n)]
-        middle = [0] * (self.size - 2 * n)
-        return _diagonal(top + middle + [-h for h in reversed(top)])
+        c = la.ratio(self.size - 1, 2)
+        return _diagonal([sum(x * (c - k) for k, x in enumerate(w) if x) for w in self._slots])
 
     # -- invariants -----------------------------------------------------------
 
@@ -461,13 +452,10 @@ class MatrixLieAlgebra:
     def _simple_reflection_reps(self) -> tuple:
         """exp(e) exp(-f) exp(e) for each simple root, f scaled so that (e, h, f) is an sl2 triple."""
         reps = []
-        for i in range(self.rank):
-            root = tuple(1 if j == i else 0 for j in range(self.rank))
-            e = self.pos_vectors[root]
-            f_raw = self.neg_vectors[root]
-            c = self.root_value(root, la.commutator(e, f_raw))
-            ge = GroupElement.exp(e)
-            reps.append(ge * GroupElement.exp(la.divide(la.scale(-2, f_raw), c)) * ge)
+        for root in self.rs.simple_roots:
+            e, f_raw = self._exp_cells[root], self._exp_cells[tuple(-x for x in root)]
+            c = self.root_value(root, la.commutator(self.pos_vectors[root], self.neg_vectors[root]))
+            reps.append(self._exp([(*e, 1), (*f_raw, la.ratio(-2, c)), (*e, 1)]))
         return tuple(reps)
 
     def simple_reflection_rep(self, i: int) -> GroupElement:
@@ -484,11 +472,12 @@ class MatrixLieAlgebra:
         return out
 
     @cached_property
-    def _root_cells(self) -> dict:
-        """The nonzero cells (a, b, value) of e and of e^2, per positive root vector e."""
+    def _exp_cells(self) -> dict:
+        """The nonzero cells (a, b, value) of e and e^2 per root vector e, negatives included."""
+        roots = self.rs.positive_roots
+        keys = chain(roots, (tuple(-x for x in r) for r in roots))
         out = {}
-        for root, e in self.pos_vectors.items():
-            cells = [(a, b, v) for a, row in enumerate(e) for b, v in enumerate(row) if v]
+        for root, cells in zip(keys, self._nonzero[self.rank :]):
             square = {}
             for a, b, v in cells:
                 for b2, d, w in cells:
@@ -497,8 +486,8 @@ class MatrixLieAlgebra:
             out[root] = (cells, [(a, d, v) for (a, d), v in square.items() if v])
         return out
 
-    def unipotent(self, coeffs: dict) -> GroupElement:
-        """Product of exp(c * e_root) over the given positive roots, in the dict's order.
+    def _exp(self, factors) -> GroupElement:
+        """Product of exp(c e) over the factors (cells of e, cells of e^2, c), in order.
 
         exp(+-c e) = I +- c e + c^2 e^2 / 2, with one or two cells in each of
         e and e^2, so each factor updates the matrix by column operations
@@ -510,10 +499,7 @@ class MatrixLieAlgebra:
         ident = la.identity(self.size)
         mat = [list(row) for row in ident]
         inv = [list(row) for row in ident]
-        for root, c in coeffs.items():
-            if not c:
-                continue
-            cells, square = self._root_cells[tuple(root)]
+        for cells, square, c in factors:
             even = [(a, b, la.ratio(c * c * v, 2)) for a, b, v in square]
             forward = [(a, b, c * v) for a, b, v in cells] + even
             backward = [(a, b, -c * v) for a, b, v in cells] + even
@@ -528,16 +514,27 @@ class MatrixLieAlgebra:
                 inv[a] = [x + v * y for x, y in zip(inv[a], rows[b])]
         return GroupElement(mat, inv)
 
+    def unipotent(self, coeffs: dict) -> GroupElement:
+        """Product of exp(c * e_root) over the given roots, in the dict's order."""
+        cells = self._exp_cells
+        return self._exp((*cells[tuple(root)], c) for root, c in coeffs.items() if c)
+
     def torus(self, params) -> GroupElement:
-        """Diagonal group element (diag p, diag 1/p) from rank nonzero rational parameters."""
-        n, N = self.rank, self.size
-        p = [la.ratio(params[k], 1) for k in range(n)]
+        """Diagonal group element (diag t, diag 1/t) from rank nonzero rational parameters.
+
+        Slot a of weight w holds prod_k p_k^(w_k), with p_n = 1 on sl(n+1); a
+        slot weight has at most one nonzero entry, +-1.  On sl(n+1) the element
+        lies in GL(n+1), and conjugates as its multiple of determinant 1 does.
+        """
+        if len(params) != self.rank:
+            raise ValueError(f"torus takes {self.rank} parameters, got {len(params)}")
+        p = [la.ratio(x, 1) for x in params]
         if 0 in p:
             raise ValueError("torus parameters must be nonzero")
-        if self.family == "A":
-            diag = p + [1]
-        else:  # p_k at k and 1/p_k at N-1-k, with 1 in the middle on so(2n+1)
-            diag = p + [1] * (N - 2 * n) + [la.ratio(1, x) for x in reversed(p)]
+        p.append(1)
+        diag = [
+            prod(x if s > 0 else la.ratio(1, x) for x, s in zip(p, w) if s) for w in self._slots
+        ]
         return GroupElement(_diagonal(diag), _diagonal([la.ratio(1, d) for d in diag]))
 
     # -- seeded element constructors ----------------------------------------------
@@ -556,15 +553,13 @@ class MatrixLieAlgebra:
         return la.mat(out)
 
 
+@dataclass(frozen=True)
 class SpanReport:
     """Result of a gradient-span computation."""
 
-    __slots__ = ("vectors", "dim", "in_borel")
-
-    def __init__(self, vectors, dim, in_borel):
-        self.vectors = vectors
-        self.dim = dim
-        self.in_borel = in_borel
+    vectors: tuple
+    dim: int
+    in_borel: bool
 
 
 @lru_cache(maxsize=None)

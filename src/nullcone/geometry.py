@@ -196,10 +196,7 @@ def nullcone_membership(alg: MatrixLieAlgebra, x, y) -> Membership:
 
 def h_coords(alg: MatrixLieAlgebra, x) -> tuple:
     """Simple-root values of a Cartan element."""
-    simple = [
-        tuple(1 if j == i else 0 for j in range(alg.rank)) for i in range(alg.rank)
-    ]
-    return tuple(alg.root_value(s, x) for s in simple)
+    return tuple(alg.root_value(s, x) for s in alg.rs.simple_roots)
 
 
 def sigma_fiber_is_weyl_orbit(alg: MatrixLieAlgebra, group, pair_a, pair_b) -> bool:

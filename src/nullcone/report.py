@@ -224,8 +224,7 @@ def _positive_count(u, rng):
 
 def _simple_reflections(u, rng):
     rs, bad = u.rs, []
-    for i in range(1, rs.rank + 1):
-        beta = tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
+    for i, beta in enumerate(rs.simple_roots, 1):
         images = set()
         for r in rs.positive_roots:
             img = rs.reflect_root(r, i)
@@ -388,9 +387,8 @@ def _regular_pencil_pair(alg, rng):
     """
     x = la.add(_regular_cartan(alg, rng), alg.random_element(rng, 2, where="u"))
     y = alg.random_element(rng, 2, where="u")
-    for root in alg.rs.positive_roots:
-        if alg.rs.is_simple(root):
-            y = la.add(y, la.scale(3, alg.pos_vectors[root]))
+    for root in alg.rs.simple_roots:
+        y = la.add(y, la.scale(3, alg.pos_vectors[root]))
     return x, y
 
 

@@ -154,6 +154,7 @@ class RootSystem:
             for j in range(n):
                 if self.bilinear[i][j] != self.bilinear[j][i]:
                     raise AssertionError("Cartan data is not symmetrizable as configured")
+        self.simple_roots = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
         self.positive_roots = self._enumerate_positive_roots()
         self._positive_set = frozenset(self.positive_roots)
         # <r, beta_i^vee> = sum_j C[i][j] r_j for each of the 2m roots, negatives by negation
@@ -182,9 +183,8 @@ class RootSystem:
 
     def _enumerate_positive_roots(self) -> tuple:
         n = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        seen = set(simple)
-        frontier = list(simple)
+        seen = set(self.simple_roots)
+        frontier = list(self.simple_roots)
         while frontier:
             nxt = []
             for r in frontier:
@@ -248,6 +248,8 @@ class RootSystem:
 
     def reflect_root(self, r: Root, i: int) -> Root:
         """s_{beta_i}(r) in simple-root coordinates (i is 1-based)."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple index {i} out of range 1..{self.rank}")
         k = i - 1
         pairing = sum(map(mul, self.cartan[k], r))
         out = list(r)

@@ -56,10 +56,9 @@ def _reflections(rs: RootSystem) -> tuple:
     if len(all_roots) > 255:
         raise ValueError(f"{rs.stype} has {len(all_roots)} roots, above the 255 bytes can index")
     rest = bytes(range(len(all_roots), 256))
-    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
     return tuple(
         (index[alpha], bytes(index[rs.reflect_root(r, i)] for r in all_roots) + rest)
-        for i, alpha in enumerate(simple, 1)
+        for i, alpha in enumerate(rs.simple_roots, 1)
     )
 
 

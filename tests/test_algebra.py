@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
-from math import comb, lcm, perm
+from math import comb, lcm, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -331,16 +331,25 @@ def test_closed_form_group_elements_match_exponential_series(fam, rk):
         assert la.mul(g.mat, g.inv) == ident
 
 
-def test_closed_form_exp_rejects_a_nonzero_cube():
-    jordan = la.mat([[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)])
-    assert not la.is_zero(la.mul(la.mul(jordan, jordan), jordan))
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_torus_lies_in_the_group_with_p_k_at_slot_k(fam, rk):
+    alg = build_algebra(fam, rk)
+    ident = la.identity(alg.size)
+    for params in ([k + 2 for k in range(rk)], [Q(k + 2, 2 * k + 1) for k in range(rk)], [Q(-3, 7)] * rk):
+        g = alg.torus(params)
+        assert la.mul(g.mat, g.inv) == ident
+        assert g.mat == alg.h_component(g.mat)
+        diag = [g.mat[a][a] for a in range(alg.size)]
+        assert diag[:rk] == params
+        if fam == "A":  # diag(p, 1) lies in GL(n+1); its conjugation is that of SL(n+1)
+            assert prod(diag) == prod(params)
+        else:  # g^T J g = J
+            assert alg._mirror(g.mat) == g.inv
+        for wrong in (params[:-1], params + [2]):
+            with pytest.raises(ValueError):
+                alg.torus(wrong)
     with pytest.raises(ValueError):
-        GroupElement.exp(jordan)
-    with pytest.raises(ValueError):
-        GroupElement.exp(la.identity(2))
-    three = la.mat([[1 if j == i + 1 else 0 for j in range(3)] for i in range(3)])
-    g = GroupElement.exp(three)  # m^3 = 0, m^2 != 0: the m^2/2 term matters
-    assert g.mat == exp_by_series(three) and g.inv == exp_by_series(la.scale(-1, three))
+        alg.torus([0] * rk)
 
 
 @pytest.mark.parametrize("rk", SUPPORTED_RANKS["B"])
@@ -361,11 +370,11 @@ def test_type_b_group_elements_store_whole_entries_as_ints(rk):
 
 
 def _dense_unipotent(alg, coeffs):
-    """Reference unipotent element: the product of closed-form exp factors in the dict's order."""
+    """Reference unipotent element: the product of series exp factors in the dict's order."""
     ident = la.identity(alg.size)
     out = GroupElement(ident, ident)
     for root, c in coeffs.items():
-        out = out * GroupElement.exp(la.scale(c, alg.pos_vectors[root]))
+        out = out * _exp_pair(la.scale(c, alg.pos_vectors[root]))
     return out
 
 

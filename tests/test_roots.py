@@ -157,6 +157,18 @@ def test_weight_table_holds_the_cartan_product_of_every_root(family, rank):
             assert rs.weight_of_root(list(root)) == pairings
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("B", 3), ("C", 4), ("D", 4), ("E", 6), ("G", 2)])
+def test_simple_roots_and_reflection_indices(family, rank):
+    rs = build_root_system(family, rank)
+    assert set(rs.simple_roots) == {r for r in rs.positive_roots if rs.is_simple(r)}
+    for i, beta in enumerate(rs.simple_roots, 1):
+        assert beta[i - 1] == 1
+        assert rs.reflect_root(beta, i) == tuple(-x for x in beta)
+    for i in (0, -1, rank + 1):
+        with pytest.raises(ValueError):
+            rs.reflect_root(rs.highest_root, i)
+
+
 def test_reflection_examples():
     a2 = build_root_system("A", 2)
     rho = a2.rho
