@@ -1,6 +1,7 @@
 """Command line driver for the verification suites.
 
-One subcommand per suite plus ``all``; see the package README for the
+The suite (one of ``SUITES`` or ``all``) is the one positional argument,
+and options may come before or after it; see the package README for the
 report formats.  Exit status: 0 no check failed and at least one passed,
 1 at least one failed, 2 usage error, 3 nothing checked (every record
 undecided or skipped).
@@ -40,22 +41,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nullcone-verify",
         description="exact verification suites for Borel-pair and nullcone geometry",
     )
-    sub = parser.add_subparsers(dest="suite", required=True)
-    for name in SUITES + ("all",):
-        p = sub.add_parser(name, help=f"run the {name} suite" if name != "all" else "run every suite")
-        p.add_argument(
-            "--type",
-            action="append",
-            dest="types",
-            type=_simple_type,
-            metavar="T",
-            help="simple type such as A2 or E8 (repeatable; default: the standard list)",
-        )
-        p.add_argument("--seed", type=int, default=1789)
-        p.add_argument("--samples", type=_positive_int, default=25)
-        p.add_argument("--max-weyl-order", type=_positive_int, default=10**6)
-        p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--out", metavar="PATH", help="write the report to a file")
+    parser.add_argument("suite", choices=SUITES + ("all",), help="the suite to run, or all")
+    parser.add_argument(
+        "--type",
+        action="append",
+        dest="types",
+        type=_simple_type,
+        metavar="T",
+        help="simple type such as A2 or E8 (repeatable; default: the standard list)",
+    )
+    parser.add_argument("--seed", type=int, default=1789)
+    parser.add_argument("--samples", type=_positive_int, default=25)
+    parser.add_argument("--max-weyl-order", type=_positive_int, default=10**6)
+    parser.add_argument("--format", choices=("text", "structured"), default="text")
+    parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser
 
 

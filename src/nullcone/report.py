@@ -11,19 +11,22 @@ sampled entries.  The shifts suite reports :mod:`nullcone.shifts` outcomes.
 queue shared by this process and, when the run has several types and
 several CPUs, by children forked from it (see :func:`_process_count` for
 the whole gate).  A type's caches, its Weyl group and the notes its units
-share therefore stay in one process.
+share therefore stay in one process.  The queue hands out the largest
+types first, by positive-root count.
 
 Structured output is line-delimited JSON sorted by check id with a versioned
 schema identifier; it contains no timing, no draw counts and no environment
 data, so two runs with the same configuration are byte-identical.  Text
-output is for humans: each check's measured time, from the previous record
-of its unit (so set-up shared by several checks is charged to the first of
-them), and a sampled check's draw count.  A shifts unit's records all come
-from one :func:`~nullcone.shifts.full_shift_report` pass, so the first record
-that pass returns (``shifts/<type>/oracle-agreement``) carries the whole
-unit's time and every other shifts record of the type shows 0.000s.  A check is timed in the process
-that ran its unit, so with several processes the times can add up to more
-than the run's wall time.
+output is for humans: the records unit by unit, each unit in the order its
+records were checked, with each check's measured time, from the previous
+record of its unit (so set-up shared by several checks is charged to the
+first of them), and a sampled check's draw count.  A shifts unit's records
+all come from one :func:`~nullcone.shifts.full_shift_report` pass, so the
+first record that pass returns (``shifts/<type>/oracle-agreement``) comes
+first and carries the whole unit's time, and every other shifts record of
+the type shows 0.000s.  A check is timed in the process that ran its unit,
+so with several processes the times can add up to more than the run's wall
+time.
 
 Exit status convention: 0 when some check passed and none failed, 1 when
 any check failed (undecided and skipped do not fail a run), 2 for usage
@@ -401,15 +404,20 @@ def _fiber_count(u, rng):
     return borels_containing_torus(u.rs, u.group) == u.order, {"expected": u.order}
 
 
+def _common_positive_roots(rs, w) -> list:
+    """R+ ∩ w(R+) in positive-root order: positive root k is in w(R+) when w's
+    perm sends some positive root (an index below m) to k."""
+    image = set(w.perm[: rs.num_positive])
+    return [r for k, r in enumerate(rs.positive_roots) if k in image]
+
+
 def _line_chains(u, rng):
     # a direct body: the at most 60 elements are drawn once, not per draw
     if u.capped:
         return None
     rs, group, bad = u.rs, u.group, []
     for w in rng.sample(group, 60) if len(group) > 60 else group:
-        pos_image = {w.apply_root(rs, r) for r in rs.positive_roots}
-        common = [r for r in rs.positive_roots if r in pos_image]
-        support = [r for r in common if rng.random() < 0.5]
+        support = [r for r in _common_positive_roots(rs, w) if rng.random() < 0.5]
         try:
             chain = chain_of_lines(rs, support, w)
         except (ValueError, AssertionError) as exc:
@@ -733,6 +741,21 @@ def _records(config: RunConfig, slots) -> list:
             for c in _type_results(config, tname)]
 
 
+def _slot_order(config: RunConfig) -> bytes:
+    """The queue's slots, costliest first, so no large type is handed out last.
+
+    A slot costs the positive roots of its types (an invalid type costs 0),
+    and slots of equal cost keep the configured order: Graham's
+    largest-first rule, whose finish time is within 4/3 of the best.
+    """
+    def cost(tname):
+        parsed = _parse_type(tname)
+        return 0 if isinstance(parsed, str) else POSITIVE_ROOT_COUNTS[parsed.family](parsed.rank)
+
+    slots = range(min(len(config.types), _SLOTS))
+    return bytes(sorted(slots, key=lambda b: -sum(map(cost, config.types[b::_SLOTS]))))
+
+
 def _queued(queue: int):
     """The slots this process reads from the ``queue`` pipe, one byte each, until EOF."""
     while slot := os.read(queue, 1):
@@ -765,7 +788,7 @@ def _child_result(config: RunConfig, queue: int) -> bytes:
     rebuild from its pickle, is sent as a ``RuntimeError`` naming it, with
     both tracebacks in the text.
     """
-    import pickle
+    import pickle  # already loaded: the parent imported it before forking
 
     try:
         return pickle.dumps((_records(config, _queued(queue)), None, None))
@@ -805,8 +828,11 @@ def _shared_results(config: RunConfig, processes: int) -> list:
     """The records of every type, shared out between this process and ``processes - 1``
     forked children, each type run whole by one process.
 
-    The queue is a pipe holding one byte per type slot, filled and closed
-    before any fork; every process reads one slot at a time until EOF.
+    The queue is a pipe holding one byte per type slot, costliest slot
+    first (:func:`_slot_order`), filled and closed before any fork; every
+    process reads one slot at a time until EOF.  A run that forks imports
+    ``pickle`` before its first fork, so no child imports a module before
+    its first type.
     Each child pickles its records (or the exception it raised, with its
     traceback text) to a pipe of its own.  Once its own share is done,
     this process reads each child's pipe to EOF, reaps the child and
@@ -817,10 +843,12 @@ def _shared_results(config: RunConfig, processes: int) -> list:
     already running.
     """
     queue, fill = os.pipe()
-    os.write(fill, bytes(range(min(len(config.types), _SLOTS))))
+    os.write(fill, _slot_order(config))
     os.close(fill)
     children = {}  # pid -> read end of its result pipe, until the child is reaped
     try:
+        if processes > 1:
+            import pickle
         for _ in range(processes - 1):
             read_end, write_end = os.pipe()
             try:
@@ -842,8 +870,6 @@ def _shared_results(config: RunConfig, processes: int) -> list:
             if status != 0 or not data:
                 raise RuntimeError(f"worker process {pid} exited with status {status} "
                                    "and no result")
-            import pickle  # only a run that forked reads a pickle
-
             records, error, text = pickle.loads(data)
             if error is not None:
                 error.__cause__ = _ChildTraceback(text)
@@ -859,7 +885,11 @@ def _shared_results(config: RunConfig, processes: int) -> list:
 
 
 def run(config: RunConfig):
-    """Execute the configured suites; returns (exit_code, results)."""
+    """Execute the configured suites; returns (exit_code, results).
+
+    The results are grouped by suite x type unit, the units sorted by name
+    and each unit's records in the order they were checked.
+    """
     for field in ("samples", "max_weyl_order"):
         if getattr(config, field) < 1:
             raise ValueError(f"{field} must be at least 1, got {getattr(config, field)!r}")
@@ -867,7 +897,7 @@ def run(config: RunConfig):
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
     results = _shared_results(config, _process_count(config))
-    results.sort(key=lambda c: c.check_id)
+    results.sort(key=lambda c: c.check_id.rpartition("/")[0])
     statuses = {c.status for c in results}
     exit_code = 1 if "fail" in statuses else 0 if "pass" in statuses else 3
     return exit_code, results
@@ -902,7 +932,7 @@ def structured_lines(config: RunConfig, results) -> list:
         },
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for c in results:
+    for c in sorted(results, key=lambda c: c.check_id):
         record = {
             "check_id": c.check_id,
             "claim": c.claim,

@@ -16,6 +16,7 @@ from nullcone.report import (
     structured_lines,
     text_lines,
 )
+from nullcone.roots import SimpleType, build_root_system
 
 
 def test_structured_reports_are_byte_identical():
@@ -118,9 +119,24 @@ def test_cli_roundtrip(tmp_path, capsys):
 
 def test_cli_exit_codes():
     assert main(["shifts", "--type", "C3"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--type", "A1"], ["bogus-suite"], ["--seed", "3", "bogus-suite"]],
+    ids=["nothing", "no-suite", "unknown", "unknown-after-an-option"],
+)
+def test_cli_rejects_a_missing_or_unknown_suite(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bogus-suite"])
+        main(argv)
     assert exc.value.code == 2
+    assert "suite" in capsys.readouterr().err
+
+
+def test_cli_options_may_come_before_or_after_the_suite():
+    parser = cli.build_parser()
+    before = parser.parse_args(["--seed", "3", "roots", "--type", "A1"])
+    assert before == parser.parse_args(["roots", "--type", "A1", "--seed", "3"])
+    assert (before.suite, before.types, before.seed) == ("roots", ["A1"], 3)
 
 
 def test_a_run_that_checks_nothing_exits_3(capsys):
@@ -135,6 +151,30 @@ def test_a_run_that_checks_nothing_exits_3(capsys):
 
 def test_default_types_cover_the_standard_list():
     assert "E8" in DEFAULT_TYPES and "G2" in DEFAULT_TYPES and "D4" in DEFAULT_TYPES
+
+
+def test_text_report_lists_each_unit_in_the_order_it_was_checked(capsys):
+    # the full_shift_report pass is timed on its first record, which now prints first
+    assert main(["shifts", "--type", "E7", "--type", "A2"]) == 0
+    ids = [line.split()[2] for line in capsys.readouterr().out.splitlines()[1:-1]]
+    units = [i.rpartition("/")[0] for i in ids]
+    assert units == sorted(units) and ids[units.index("shifts/E7")] == "shifts/E7/oracle-agreement"
+    _, results = run(RunConfig(suites=("roots",), types=("A2",)))
+    assert [c.check_id for c in results] == [f"roots/A2/{c.name}" for c in report._CHECKS["roots"]]
+
+
+def test_common_positive_roots_read_off_the_perm_match_apply_root():
+    rng = random.Random("common-positive-roots")
+    for tname in DEFAULT_TYPES:
+        stype = SimpleType.from_name(tname)
+        rs = build_root_system(stype.family, stype.rank)
+        if weyl.weyl_order(rs) > RunConfig().max_weyl_order:
+            continue  # not enumerated by a default run
+        group = weyl.generate_weyl(rs)
+        for w in rng.sample(group, min(len(group), 40)):
+            image = {w.apply_root(rs, r) for r in rs.positive_roots}
+            expected = [r for r in rs.positive_roots if r in image]
+            assert report._common_positive_roots(rs, w) == expected, (tname, w.word)
 
 
 def test_text_timings_are_measured_per_check(monkeypatch):

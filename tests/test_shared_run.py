@@ -5,6 +5,7 @@ writes its result, or a parent that never reaps one, fails the test instead
 of hanging it, and checks afterwards that no child process is left.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,8 @@ import pytest
 from nullcone import cli, report
 from nullcone.report import RunConfig, run, structured_lines
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 GOLDEN_SMALL = ("A1", "A2", "B2", "C3")
 SMALL_ALGEBRAS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3")
 
@@ -40,6 +43,11 @@ def _deadline(seconds):
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _subprocess_env():
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def _counting_forks(monkeypatch):
@@ -94,10 +102,10 @@ def _one_process_report(monkeypatch, config):
         return structured_lines(config, run(config)[1])
 
 
-def _plant_first(monkeypatch, body):
-    """Put a direct entry running ``body`` ahead of the invariants suite's entries."""
+def _plant_first(monkeypatch, body, suite="invariants"):
+    """Put a direct entry running ``body`` ahead of the entries of ``suite``."""
     planted = report._Check("planted", "claim", body)
-    monkeypatch.setitem(report._CHECKS, "invariants", (planted,) + report._CHECKS["invariants"])
+    monkeypatch.setitem(report._CHECKS, suite, (planted,) + report._CHECKS[suite])
 
 
 @contextmanager
@@ -275,12 +283,77 @@ def test_a_shared_run_warns_of_nothing_under_dev_mode(monkeypatch):
     # -X dev -W error turns a pipe left open (ResourceWarning) and a fork
     # from a process with threads (DeprecationWarning) into a failure
     argv = ["all", "--type", "A1", "--type", "A2", "--type", "B2", "--format", "structured"]
-    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "nullcone.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
     config = RunConfig(types=("A1", "A2", "B2"), output_format="structured")
     assert done.stdout == "\n".join(_one_process_report(monkeypatch, config)) + "\n"
+
+
+def _queue_types(config):
+    return [config.types[b] for b in report._slot_order(config)]
+
+
+def test_the_queue_hands_out_the_largest_types_first():
+    spec = json.loads((ROOT / "perfbench" / "workloads" / "exceptional-roots.json").read_text())
+    config = RunConfig(types=tuple(cli.build_parser().parse_args(spec["argv"]).types))
+    assert _queue_types(config) == ["E8", "E7", "E6", "F4", "D4", "G2"]
+
+
+def test_an_invalid_type_goes_last_and_a_slot_weighs_the_sum_of_its_types():
+    # G2 and A3 both have 6 positive roots, so they keep the configured order
+    assert _queue_types(RunConfig(types=("X9", "A1", "G2", "A3"))) == ["G2", "A3", "A1", "X9"]
+    # 258 types: slot 0 holds A1 twice (2 roots), slot 1 holds A1 and A3 (7)
+    config = RunConfig(types=("A1",) * 256 + ("A1", "A3"))
+    assert list(report._slot_order(config)) == [1, 0] + list(range(2, 256))
+
+
+def test_a_child_imports_no_module_between_its_fork_and_its_first_type(monkeypatch):
+    # drop pickle, so that importing it anywhere in the run adds a module
+    monkeypatch.delitem(sys.modules, "pickle", raising=False)
+    at_fork, fork, checked = [], os.fork, []
+
+    def snapshot():
+        at_fork.append(frozenset(sys.modules))
+        return fork()
+
+    def first_type():
+        if not checked:
+            checked.append(None)
+            new = sorted(set(sys.modules) - at_fork[-1])
+            if new or "pickle" not in sys.modules:
+                raise AssertionError(f"new modules at the first type: {new}")
+
+    monkeypatch.setattr(os, "fork", snapshot)
+    _cpus(monkeypatch, 2)
+    with _in_a_child(first_type) as body:
+        _plant_first(monkeypatch, body, "roots")
+        with _deadline(60):
+            run(RunConfig(suites=("roots",), types=SMALL_ALGEBRAS))
+    assert len(at_fork) == 1
+    _assert_no_child_left()
+
+
+def test_a_run_in_one_process_imports_no_pickle():
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from nullcone import cli\n"
+        "cli.main(['all', '--type', 'A1', '--type', 'G2', '--format', 'structured'])\n"
+        "print('pickle' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_reversing_the_type_order_gives_the_same_records(monkeypatch):
+    types = ("D4", "G2", "F4", "E6", "E7", "E8")
+    _cpus(monkeypatch, 2)
+    with _deadline(120):
+        forward, backward = (run(RunConfig(types=t))[1] for t in (types, types[::-1]))
+    assert [replace(c, elapsed=0) for c in forward] == [replace(c, elapsed=0) for c in backward]
+    _assert_no_child_left()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nullcone.cli import main
+from nullcone.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = sorted((PERFBENCH / "workloads").glob("*.json"))
@@ -33,3 +33,15 @@ def test_workload_verdicts_match(workload, tmp_path, monkeypatch):
     exit_code = main(argv + ["--out", str(out)])
     comparison = verdicts.compare(expected, out.read_text(), exit_code)
     assert comparison.wrong == 0, comparison.problems
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_workload_argv_parses_to_the_fields_the_benchmark_reads(workload):
+    # perfbench/child.py builds its RunConfig from these attributes of build_parser()
+    spec = json.loads(workload.read_text())
+    argv = spec["argv"] + ["--seed", str(spec["seed"]), "--format", "structured"]
+    args = build_parser().parse_args(argv + ["--out", "report.jsonl"])
+    types = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--type"]
+    got = (args.suite, args.types, args.seed, args.samples, args.max_weyl_order, args.format,
+           args.out)
+    assert got == (argv[0], types, spec["seed"], 25, 10**6, "structured", "report.jsonl")
