@@ -270,10 +270,6 @@ class MatrixLieAlgebra:
 
     # -- element predicates ---------------------------------------------------
 
-    def is_nilpotent(self, x) -> bool:
-        """x^N = 0 exactly when det(tI - x) = t^N."""
-        return not any(la.char_poly(x))
-
     def centralizer_dim(self, x) -> int:
         """dim g - rank(ad x): the definition that is_regular_element decides faster."""
         return self.dim - la.rank(self.ad_coordinates(x))

@@ -11,9 +11,9 @@ regular nilpotent first coordinate.
 Also here: nullcone membership on every realized type, decided by whether
 every word of length N in x and y vanishes, with a certificate for every
 verdict (a verified common flag for a member, a nonzero word for a
-rejection); sigma-fiber/Weyl-orbit comparisons on Cartan pairs; and the
-pointwise conjugation and grading identities used by the verification
-suites.
+rejection); and sigma-fiber/Weyl-orbit comparisons on Cartan pairs.  The
+pointwise sigma, conjugation and grading identities of the geometry suite
+are written in the bodies of its entries in :mod:`nullcone.report`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import compress
 from operator import mul
 
 from . import linalg as la
-from .algebra import GroupElement, MatrixLieAlgebra
+from .algebra import MatrixLieAlgebra
 from .weyl import weyl_orbit_pairs
 
 
@@ -207,101 +207,3 @@ def sigma_fiber_is_weyl_orbit(alg: MatrixLieAlgebra, group, pair_a, pair_b) -> b
     ca = (h_coords(alg, xa), h_coords(alg, ya))
     cb = (h_coords(alg, xb), h_coords(alg, yb))
     return same_sigma == (cb in weyl_orbit_pairs(alg.rs, group, ca))
-
-
-def sigma_pencil_consistency(alg: MatrixLieAlgebra, x, y, t_points) -> bool:
-    """Reassembling sigma along a pencil reproduces the plain invariants.
-
-    With m = max degree and m+1 pairwise distinct parameters t, the linear
-    map sending the sigma vector to (sum_j t^j z_i^(j))_{i,t} must land on
-    (p_1(x + t y), ..., p_rk(x + t y)) for every t.
-    """
-    t_points = list(t_points)
-    if len(t_points) != alg.degrees[-1] + 1 or len(set(t_points)) != len(t_points):
-        raise ValueError("need max-degree + 1 pairwise distinct parameters")
-    pols = alg.polarize_all(x, y)
-    for t in t_points:
-        direct = alg.eval_all_p(la.add(x, la.scale(t, y)))
-        for idx in range(alg.rank):
-            total = sum(c * t**k for k, c in enumerate(pols[idx]))
-            if total != direct[idx]:
-                return False
-    return True
-
-
-def conjugated_cartan_sigma_check(alg, h1, h2, g: GroupElement) -> bool:
-    """sigma is constant on conjugated Cartan pairs."""
-    return alg.sigma(g.conjugate(h1), g.conjugate(h2)) == alg.sigma(h1, h2)
-
-
-def nilpotent_polynomial_sigma_check(alg, n_elem, poly_coeffs) -> bool:
-    """sigma vanishes on (n, q(n)) for nilpotent n and q with q(0) = 0."""
-    if not alg.is_nilpotent(n_elem):
-        raise ValueError("first element must be nilpotent")
-    q = la.zeros(alg.size, alg.size)
-    power = la.mat(n_elem)
-    for c in poly_coeffs:  # coefficient of n^1, n^2, ...
-        q = la.add(q, la.scale(c, power))
-        power = la.mul(power, n_elem)
-    sig = alg.sigma(n_elem, q)
-    return all(c == 0 for c in sig)
-
-
-def h_component_conjugation_check(alg, x, word, b_elem: GroupElement) -> bool:
-    """((n_w b)(x))_0 = w(x_0) for x in the Borel and b in the Borel group."""
-    if not alg.in_borel(x):
-        raise ValueError("x must lie in the standard Borel subalgebra")
-    n_w = alg.weyl_rep(word)
-    lhs = alg.h_component((n_w * b_elem).conjugate(x))
-    rhs = n_w.conjugate(alg.h_component(x))
-    return lhs == rhs
-
-
-# -- height grading ------------------------------------------------------------
-
-
-def height_components(alg: MatrixLieAlgebra, x) -> dict:
-    """Decompose x in the Borel into ad-h eigencomponents keyed by height."""
-    if not alg.in_borel(x):
-        raise ValueError("x must lie in the standard Borel subalgebra")
-    coords = alg.coordinates(x)
-    out = {0: alg.h_component(x)}
-    offset = alg.rank
-    for idx, root in enumerate(alg.rs.positive_roots):
-        c = coords[offset + idx]
-        if c != 0:
-            h = alg.rs.root_height(root)
-            comp = out.get(h, la.zeros(alg.size, alg.size))
-            out[h] = la.add(comp, la.scale(c, alg.pos_vectors[root]))
-    return out
-
-
-def height_grading_check(alg: MatrixLieAlgebra, x):
-    """Verify the grading of x under the height element; returns (ok, heights).
-
-    ``heights`` lists, with multiplicity, the heights of the nonzero root
-    contributions of x (the eigenvalue-0 part being its Cartan component).
-    """
-    comps = height_components(alg, x)
-    t = alg.height_element
-    n = alg.size
-    ok = True
-    for h, comp in comps.items():
-        # [t, comp] for the diagonal t is (t_aa - t_bb) comp_ab, cell by cell
-        if any(
-            (t[a][a] - t[b][b]) * comp[a][b] != h * comp[a][b]
-            for a in range(n)
-            for b in range(n)
-        ):
-            ok = False
-    if not la.is_zero(
-        la.sub(x, [ [sum(c[a][b] for c in comps.values()) for b in range(alg.size)] for a in range(alg.size)]
-    )):
-        ok = False
-    coords = alg.coordinates(x)
-    heights = sorted(
-        alg.rs.root_height(r)
-        for idx, r in enumerate(alg.rs.positive_roots)
-        if coords[alg.rank + idx] != 0
-    )
-    return ok, heights

@@ -43,7 +43,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import geometry as geo
 from . import linalg as la
@@ -293,16 +293,27 @@ def _sigma_length(u, rng):
     return len(u.alg.sigma(zero, zero)) == u.alg.borel_dim + u.alg.rank, None
 
 
+def _unipotent(alg, rng):
+    """exp of a combination of the positive root vectors, each coefficient drawn in [-2, 2]."""
+    return alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+
+
+def _reassembly_failure(alg, pols, x, y, a, b):
+    """The first invariant i (1-based) with p_i(a x + b y) != sum_k a^(d-k) b^k p_i^(k)(x, y),
+    where ``pols`` is ``polarize_all(x, y)``; None when every invariant reassembles."""
+    direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
+    for idx, d in enumerate(alg.degrees):
+        if sum(a ** (d - k) * b**k * c for k, c in enumerate(pols[idx])) != direct[idx]:
+            return idx + 1
+    return None
+
+
 def _polarization(u, rng):
     alg = u.alg
     x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
     a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-    pols = alg.polarize_all(x, y)
-    direct = alg.eval_all_p(la.add(la.scale(a, x), la.scale(b, y)))
-    for idx, d in enumerate(alg.degrees):
-        if sum(a ** (d - k) * b**k * c for k, c in enumerate(pols[idx])) != direct[idx]:
-            return {"invariant": idx + 1, "a": a, "b": b}
-    return True
+    bad = _reassembly_failure(alg, alg.polarize_all(x, y), x, y, a, b)
+    return bad is None or {"invariant": bad, "a": a, "b": b}
 
 
 def _borel_reduction(u, rng):
@@ -314,7 +325,7 @@ def _borel_reduction(u, rng):
 def _conjugation(u, rng):
     alg = u.alg
     x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
-    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    g = _unipotent(alg, rng)
     g = g * alg.torus([rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(alg.rank)])
     return alg.sigma(g.conjugate(x), g.conjugate(y)) == alg.sigma(x, y) or {"x": x, "y": y}
 
@@ -462,35 +473,58 @@ def _pencil_tangent_vanishing(u, rng):
 
 
 def _pencil_consistency(u, rng):
+    # p_i(x + t y) = sum_k t^k p_i^(k)(x, y) at max-degree + 1 distinct t,
+    # enough points to pin down every p_i along the pencil
     alg = u.alg
     x, y = alg.random_element(rng, 2, where="h"), alg.random_element(rng, 2, where="h")
-    return geo.sigma_pencil_consistency(alg, x, y, range(alg.degrees[-1] + 1)) or {"x": x, "y": y}
+    pols = alg.polarize_all(x, y)
+    ok = all(
+        _reassembly_failure(alg, pols, x, y, 1, t) is None for t in range(alg.degrees[-1] + 1)
+    )
+    return ok or {"x": x, "y": y}
 
 
 def _commuting(u, rng):
     alg = u.alg
     h1, h2 = alg.random_element(rng, 2, where="h"), alg.random_element(rng, 2, where="h")
-    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
-    if not geo.conjugated_cartan_sigma_check(alg, h1, h2, g):
+    g = _unipotent(alg, rng)
+    if alg.sigma(g.conjugate(h1), g.conjugate(h2)) != alg.sigma(h1, h2):
         return {"h1": h1, "h2": h2}
+    # sigma vanishes on (n, q(n)) for n nilpotent and q(t) = c_1 t + c_2 t^2
     n = alg.random_element(rng, 2, where="u")
     coeffs = [rng.randint(-2, 2) for _ in range(2)]
-    return geo.nilpotent_polynomial_sigma_check(alg, n, coeffs) or {"n": n, "coeffs": coeffs}
+    q = la.add(la.scale(coeffs[0], n), la.scale(coeffs[1], la.mul(n, n)))
+    return not any(alg.sigma(n, q)) or {"n": n, "coeffs": coeffs}
 
 
 def _h_component_conjugation(u, rng):
+    # ((n_w b)(x))_0 = w(x_0) for x in the Borel and b in the Borel group
     alg = u.alg
     x = alg.random_element(rng, 2, where="b")
     word = tuple(rng.randint(1, alg.rank) for _ in range(rng.randint(0, 4)))
-    b_elem = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    b_elem = _unipotent(alg, rng)
     b_elem = b_elem * alg.torus([rng.choice([1, 2, Fraction(1, 2), 3]) for _ in range(alg.rank)])
-    return geo.h_component_conjugation_check(alg, x, word, b_elem) or {"x": x, "word": word}
+    n_w = alg.weyl_rep(word)
+    ok = alg.h_component((n_w * b_elem).conjugate(x)) == n_w.conjugate(alg.h_component(x))
+    return ok or {"x": x, "word": word}
 
 
 def _height_grading(u, rng):
-    x = u.alg.random_element(rng, 2, where="b")
-    good, heights = geo.height_grading_check(u.alg, x)
-    return good or {"x": x, "heights": heights}
+    # x in the Borel is its Cartan part x_0 plus parts x_h on the roots of
+    # height h; rho^vee grades them, [rho^vee, x_h] = h x_h, and they sum to x
+    alg = u.alg
+    x = alg.random_element(rng, 2, where="b")
+    parts, heights = {0: alg.h_component(x)}, []
+    for root, c in zip(alg.rs.positive_roots, alg.coordinates(x)[alg.rank :]):
+        if c:
+            h = alg.rs.root_height(root)
+            heights.append(h)
+            part = la.scale(c, alg.pos_vectors[root])
+            parts[h] = la.add(parts[h], part) if h in parts else part
+    t = alg.height_element
+    ok = all(la.commutator(t, part) == la.scale(h, part) for h, part in parts.items())
+    ok = ok and la.is_zero(la.sub(x, reduce(la.add, parts.values())))
+    return ok or {"x": x, "heights": sorted(heights)}
 
 
 def _sigma_fibers(u, rng):
@@ -563,7 +597,7 @@ def _singular_stratum(u, rng):
 def _membership(u, rng):
     alg = u.alg
     u1, u2 = alg.random_element(rng, 2, where="u"), alg.random_element(rng, 2, where="u")
-    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    g = _unipotent(alg, rng)
     g = g * alg.weyl_rep(tuple(rng.randint(1, alg.rank) for _ in range(2)))
     m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2))
     return m.status == "member" or {"rejected": [m.reason]}
@@ -573,8 +607,20 @@ def _membership(u, rng):
 
 
 def _unrealized(reason: str):
-    """A body that skips each type without a matrix realization and is silent on the rest."""
-    return lambda u, rng: None if u.tname in ALGEBRA_TYPES else ("skipped", reason)
+    """A body that skips each type without a matrix realization and is silent on the rest.
+
+    The skip of a type in a realized family names that family's realized
+    ranks; ``reason`` is the skip of every other family.
+    """
+    def body(u, rng):
+        if u.tname in ALGEBRA_TYPES:
+            return None
+        fam, ranks = u.stype.family, SUPPORTED_RANKS.get(u.stype.family)
+        if ranks:
+            return "skipped", f"type {fam} is realized at {fam}{ranks[0]}-{fam}{ranks[-1]} only"
+        return "skipped", reason
+
+    return body
 
 
 #: the entries of each suite, in run order
@@ -888,7 +934,9 @@ def run(config: RunConfig):
     """Execute the configured suites; returns (exit_code, results).
 
     The results are grouped by suite x type unit, the units sorted by name
-    and each unit's records in the order they were checked.
+    and each unit's records in the order they were checked.  A count below
+    1, an unknown suite or a type named twice (``A2`` and ``a2`` included)
+    raises ``ValueError`` before any type runs.
     """
     for field in ("samples", "max_weyl_order"):
         if getattr(config, field) < 1:
@@ -896,6 +944,13 @@ def run(config: RunConfig):
     for suite in config.suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
+    seen = set()
+    for tname in config.types:
+        parsed = _parse_type(tname)
+        name = tname if isinstance(parsed, str) else parsed.name
+        if name in seen:
+            raise ValueError(f"type {tname!r} repeats {name!r}")
+        seen.add(name)
     results = _shared_results(config, _process_count(config))
     results.sort(key=lambda c: c.check_id.rpartition("/")[0])
     statuses = {c.status for c in results}

@@ -4,7 +4,8 @@
 is the closed-form rank-one membership test; ``height_element_by_solve``
 solves for the Cartan element on which every simple root is 1.
 ``membership_certificate_holds`` recomputes the certificate behind a
-``nullcone_membership`` verdict.  ``in_cartan``, ``decompose``,
+``nullcone_membership`` verdict.  ``is_nilpotent`` reads nilpotency off
+the characteristic polynomial.  ``in_cartan``, ``decompose``,
 ``directional_derivatives``, ``simple_index``, ``inversions`` and
 ``TorusBorel`` are direct definitions that only the tests read.
 """
@@ -83,6 +84,11 @@ def membership_certificate_holds(alg, x, y, m) -> bool:
         return False
     word = named_word(m.reason)
     return len(word) == alg.size and not la.is_zero(word_product(x, y, word))
+
+
+def is_nilpotent(x) -> bool:
+    """x^N = 0 exactly when det(tI - x) = t^N."""
+    return not any(la.char_poly(x))
 
 
 def in_cartan(alg, x) -> bool:

@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-from oracles import membership_certificate_holds, sl2_common_borel_criterion
+from oracles import is_nilpotent, membership_certificate_holds, sl2_common_borel_criterion
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
@@ -407,13 +407,13 @@ def test_c13_sl2_membership_oracle_grid():
     for x in mats:
         for y in mats:
             closed = (
-                alg.is_nilpotent(x)
-                and alg.is_nilpotent(y)
+                is_nilpotent(x)
+                and is_nilpotent(y)
                 and sl2_common_borel_criterion(alg, x, y)
             )
             necessary = (
-                alg.is_nilpotent(x)
-                and alg.is_nilpotent(y)
+                is_nilpotent(x)
+                and is_nilpotent(y)
                 and all(c == 0 for c in alg.sigma(x, y))
             )
             m = geo.nullcone_membership(alg, x, y)

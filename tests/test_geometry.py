@@ -2,16 +2,24 @@
 
 import random
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import membership_certificate_holds, named_word, sl2_common_borel_criterion, word_product
+from oracles import (
+    is_nilpotent,
+    membership_certificate_holds,
+    named_word,
+    sl2_common_borel_criterion,
+    word_product,
+)
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
-from nullcone.algebra import build_algebra
-from nullcone.report import ALGEBRA_TYPES, _regular_cartan
+from nullcone import report
+from nullcone.algebra import MatrixLieAlgebra, build_algebra
+from nullcone.report import ALGEBRA_TYPES, RunConfig, _regular_cartan
 from nullcone.weyl import generate_weyl
 
 E = ((0, 1), (0, 0))
@@ -216,14 +224,14 @@ def test_sl2_grid_criterion_flag_and_sigma_coincide():
     for x in mats[:20]:
         for y in mats[::7]:
             closed = (
-                alg.is_nilpotent(x)
-                and alg.is_nilpotent(y)
+                is_nilpotent(x)
+                and is_nilpotent(y)
                 and sl2_common_borel_criterion(alg, x, y)
             )
             m = geo.nullcone_membership(alg, x, y)
             necessary = (
-                alg.is_nilpotent(x)
-                and alg.is_nilpotent(y)
+                is_nilpotent(x)
+                and is_nilpotent(y)
                 and all(c == 0 for c in alg.sigma(x, y))
             )
             assert membership_certificate_holds(alg, x, y, m)
@@ -249,7 +257,7 @@ def test_sigma_zero_nilpotent_pair_outside_the_nullcone():
     alg = build_algebra("A", 2)
     x = ((0, -1, 0), (0, 0, -1), (0, 0, 0))
     y = ((0, 0, 0), (-1, 0, 0), (0, 1, 0))
-    assert alg.is_nilpotent(x) and alg.is_nilpotent(y)
+    assert is_nilpotent(x) and is_nilpotent(y)
     assert all(c == 0 for c in alg.sigma(x, y))
     m = geo.nullcone_membership(alg, x, y)
     assert m.status == "rejected"
@@ -358,69 +366,85 @@ def test_sigma_fiber_equals_weyl_orbit(family, rank):
             assert geo.sigma_fiber_is_weyl_orbit(alg, group, pa, pb)
 
 
-def test_sigma_pencil_consistency_cases():
-    alg = build_algebra("A", 1)
-    x = H
-    y = la.scale(2, H)
-    assert geo.sigma_pencil_consistency(alg, x, y, [0, 1, 2])
-    assert geo.sigma_pencil_consistency(alg, x, Z2, [0, 1, 2])
-    with pytest.raises(ValueError):
-        geo.sigma_pencil_consistency(alg, x, y, [0, 1])
-    alg2 = build_algebra("A", 2)
-    rng = random.Random("pc")
-    assert geo.sigma_pencil_consistency(
-        alg2,
-        alg2.random_element(rng, 2, where="h"),
-        alg2.random_element(rng, 2, where="h"),
-        range(4),
-    )
+def _entry_record(suite, tname, name):
+    """The record of the report entry ``name`` of ``suite`` run alone on ``tname``.
+
+    Each entry below is the only one drawing from its stream, so its draws
+    are those of a whole default run, where every one of them passes.
+    """
+    check = next(c for c in report._CHECKS[suite] if c.name == name)
+    return report._run_check(check, report._Unit(RunConfig(), suite, tname))
 
 
-def test_commuting_family_checks():
-    alg = build_algebra("A", 2)
-    rng = random.Random("comm")
-    h1 = alg.random_element(rng, 2, where="h")
-    h2 = alg.random_element(rng, 2, where="h")
-    g = alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
-    assert geo.conjugated_cartan_sigma_check(alg, h1, h2, g)
-    n = alg.regular_nilpotent()
-    assert geo.nilpotent_polynomial_sigma_check(alg, n, [0, 1])  # q(n) = n^2
-    with pytest.raises(ValueError):
-        geo.nilpotent_polynomial_sigma_check(alg, H if alg.size == 2 else alg.h_basis[0], [1])
+@pytest.mark.parametrize("tname", ["A2", "B2"])
+def test_a_perturbed_polarization_fails_both_reassembly_checks(monkeypatch, tname):
+    real = MatrixLieAlgebra.polarize_all
+
+    def perturbed(self, x, y):
+        (first, *rest), *others = real(self, x, y)
+        return ((first + 1, *rest), *others)
+
+    monkeypatch.setattr(MatrixLieAlgebra, "polarize_all", perturbed)
+    record = _entry_record("invariants", tname, "polarization-identity")
+    # p_1^(0) enters p_1(a x + b y) times a^d, so only a draw with a != 0 sees it
+    assert record.status == "fail"
+    assert record.witness["invariant"] == 1 and record.witness["a"] != 0
+    # the pencil reassembly at t = 0 is p_1^(0) itself
+    record = _entry_record("geometry", tname, "sigma-pencil-consistency")
+    assert record.status == "fail" and set(record.witness) == {"x", "y"}
 
 
-def test_h_component_conjugation():
-    alg = build_algebra("A", 1)
-    ident = alg.unipotent({})
-    assert geo.h_component_conjugation_check(alg, H, (), ident)
-    x = la.add(H, E)
-    n_w = alg.weyl_rep((1,))
-    moved = alg.h_component(n_w.conjugate(x))
-    assert moved == la.scale(-1, H)
-    assert geo.h_component_conjugation_check(alg, x, (1,), ident)
-    alg2 = build_algebra("A", 2)
-    rng = random.Random("tau")
-    for _ in range(5):
-        xb = alg2.random_element(rng, 2, where="b")
-        b_elem = alg2.unipotent({r: rng.randint(-2, 2) for r in alg2.rs.positive_roots})
-        b_elem = b_elem * alg2.torus([2, Q(1, 3)])
-        word = tuple(rng.randint(1, 2) for _ in range(3))
-        assert geo.h_component_conjugation_check(alg2, xb, word, b_elem)
-
-
-def test_height_grading():
-    alg = build_algebra("A", 2)
-    rng = random.Random("ht")
-    x0 = alg.random_element(rng, 2, where="h")
-    ok, heights = geo.height_grading_check(alg, x0)
-    assert ok and heights == []
-    # Cartan part plus the highest root vector: heights {0} and {2}
-    x = la.add(x0, alg.pos_vectors[(1, 1)])
-    ok, heights = geo.height_grading_check(alg, x)
-    assert ok and heights == [2]
+def test_a_wrong_grading_element_fails_height_grading_with_the_heights(monkeypatch):
     b2 = build_algebra("B", 2)
-    xall = la.zeros(b2.size, b2.size)
-    for r in b2.rs.positive_roots:
-        xall = la.add(xall, b2.pos_vectors[r])
-    ok, heights = geo.height_grading_check(b2, xall)
-    assert ok and heights == [1, 1, 2, 3]
+    xall = reduce(la.add, (b2.pos_vectors[r] for r in b2.rs.positive_roots))
+    t = [list(row) for row in b2.height_element]
+    t[0][0] += 1
+    monkeypatch.setattr(MatrixLieAlgebra, "height_element", property(lambda self: la.mat(t)))
+    monkeypatch.setattr(MatrixLieAlgebra, "random_element", lambda self, *args, **kw: xall)
+    record = _entry_record("geometry", "B2", "height-grading")
+    assert record.status == "fail"
+    assert record.witness == {"x": xall, "heights": [1, 1, 2, 3]}
+
+
+def test_the_height_grading_witness_lists_the_heights_of_the_drawn_element(monkeypatch):
+    alg = build_algebra("A", 3)
+    t = [list(row) for row in alg.height_element]
+    t[0][0] += 1
+    monkeypatch.setattr(MatrixLieAlgebra, "height_element", property(lambda self: la.mat(t)))
+    record = _entry_record("geometry", "A3", "height-grading")
+    assert record.status == "fail"
+    coords = alg.coordinates(record.witness["x"])
+    pos = alg.rs.positive_roots
+    heights = sorted(alg.rs.root_height(r) for r, c in zip(pos, coords[alg.rank :]) if c)
+    assert record.witness["heights"] == heights != []
+
+
+def test_a_faulty_h_component_fails_h_component_conjugation(monkeypatch):
+    alg = build_algebra("A", 1)
+    # the simple reflection's representative moves the Cartan part H of H + E to -H
+    assert alg.h_component(alg.weyl_rep((1,)).conjugate(la.add(H, E))) == la.scale(-1, H)
+    real = MatrixLieAlgebra.h_component
+    corner = la.mat([[int(a == b == 0) for b in range(3)] for a in range(3)])
+    monkeypatch.setattr(MatrixLieAlgebra, "h_component", lambda self, x: la.add(real(self, x), corner))
+    record = _entry_record("geometry", "A2", "h-component-conjugation")
+    assert record.status == "fail" and set(record.witness) == {"x", "word"}
+    # a word that fixes the first slot moves the planted corner nowhere
+    assert 1 in record.witness["word"]
+
+
+@pytest.mark.parametrize("shift,witness", [
+    # the cell that a unipotent conjugation fills on a Cartan element
+    (lambda alg, x: x[0][1], {"h1", "h2"}),
+    # nonzero on (n, q(n)) for every nonzero nilpotent n
+    (lambda alg, x: int(alg.in_nilradical(x) and not la.is_zero(x)), {"n", "coeffs"}),
+])
+def test_a_planted_sigma_fault_fails_commuting_pairs(monkeypatch, shift, witness):
+    real = MatrixLieAlgebra.sigma
+
+    def planted(self, x, y):
+        sig = real(self, x, y)
+        return (sig[0] + shift(self, x), *sig[1:])
+
+    monkeypatch.setattr(MatrixLieAlgebra, "sigma", planted)
+    record = _entry_record("geometry", "A2", "commuting-pairs-sigma")
+    assert record.status == "fail" and set(record.witness) == witness

@@ -2,11 +2,13 @@
 
 A companion to ``test_imports_used``: a top-level function or method of
 ``src/nullcone`` (dunders aside) whose name is referenced nowhere in
-``src/``, ``tests/`` or ``perfbench/`` is dead code, and a helper that has
-moved into the tests as an oracle must not linger in ``src/`` under the
-same name.  A reference is a name, an attribute, an imported name, or a
-string constant that is exactly the name (``perfbench`` traces functions
-by name); words inside docstrings are not references.
+``src/``, ``demos/`` or ``perfbench/`` is dead code.  A reference from
+``tests/`` alone does not keep it: a helper only the tests need belongs
+in ``tests/oracles.py``, and one that has moved there must not linger in
+``src/`` under the same name.  A reference is a name, an attribute, an
+imported name, or a string constant that is exactly the name
+(``perfbench`` traces functions by name); words inside docstrings are not
+references.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nullcone"
-SCANNED = ("src", "tests", "perfbench")
+SCANNED = ("src", "demos", "perfbench")
 
 
 def _defined(tree) -> list:

@@ -279,6 +279,36 @@ def test_run_rejects_an_unknown_suite_before_running_any(monkeypatch):
     assert units == []
 
 
+def test_run_rejects_a_repeated_type_before_running_any(monkeypatch):
+    units = []
+    monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
+    for types in (("A2", "A2", "a2"), ("A2", "G2", "a2"), ("X1", "X1")):
+        with pytest.raises(ValueError, match="repeats"):
+            run(RunConfig(suites=("roots",), types=types))
+    assert units == []
+    # invalid names are compared as given, and each gets its own record
+    _, records = run(RunConfig(suites=("roots",), types=("X1", "x1")))
+    assert [c.check_id for c in records] == ["roots/X1/valid-type", "roots/x1/valid-type"]
+
+
+def test_unrealized_ranks_of_a_realized_family_are_named_in_the_skip():
+    config = RunConfig(suites=("invariants", "geometry"), types=("A9", "B5", "C5", "D5"),
+                       max_weyl_order=1)
+    skips = {c.check_id: c.witness for c in run(config)[1]
+             if c.check_id.endswith(("matrix-checks", "matrix-realization"))}
+    assert skips == {
+        "invariants/A9/matrix-realization": "type A is realized at A1-A8 only",
+        "geometry/A9/matrix-checks": "type A is realized at A1-A8 only",
+        "invariants/B5/matrix-realization": "type B is realized at B2-B4 only",
+        "geometry/B5/matrix-checks": "type B is realized at B2-B4 only",
+        "invariants/C5/matrix-realization": "type C is realized at C3-C4 only",
+        "geometry/C5/matrix-checks": "type C is realized at C3-C4 only",
+        "invariants/D5/matrix-realization":
+            "no realization shipped (type D uses a Pfaffian; E/F/G none)",
+        "geometry/D5/matrix-checks": "no matrix realization for this type",
+    }
+
+
 def test_text_report_prints_the_draw_count_of_sampled_checks(capsys):
     assert main(["invariants", "--type", "A1"]) == 0
     lines = {line.split()[2]: line for line in capsys.readouterr().out.splitlines()[1:-1]}

@@ -268,8 +268,10 @@ def test_one_type_never_forks(monkeypatch):
 
 
 def test_more_types_than_queue_slots_give_the_one_process_report(monkeypatch):
-    # 300 types fill the 256 one-byte slots, so some slots hold two types
-    config = RunConfig(suites=("roots",), types=("A1", "A2", "B2") * 100)
+    # 300 types fill the 256 one-byte slots, so some slots hold two types;
+    # no type may be named twice, so most are invalid names (one skip each)
+    types = ("A1", "A2", "B2") + tuple(f"Z{k}" for k in range(294)) + ("A3", "B3", "C3")
+    config = RunConfig(suites=("roots",), types=types)
     expected = _one_process_report(monkeypatch, config)
     _cpus(monkeypatch, 2)
     forks = _counting_forks(monkeypatch)
