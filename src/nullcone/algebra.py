@@ -14,12 +14,13 @@ Roots come from one table of diagonal-slot weights: slot a has weight e_a
 on sl(n+1); on so/sp, e_a for a < n, -e_k at the mirror slot N-1-k, and 0
 in the middle of so(2n+1).  Cell (a, b) has weight slot(a) - slot(b).
 Simple root i sits at cell (i, i+1) in all three families, so
-e(beta_i) = slot(i) - slot(i+1) and beta_i(t) = t[i][i] - t[i+1][i+1]
-(root_value).  The root vector of beta is the first off-diagonal cell of
-weight beta in row-major order, less its signed mirror cell on so/sp.  The
-basis is root-graded and ordered (Cartan part, positive root vectors in the
-root system's order, negative root vectors); each basis vector is 1 on a
-cell where all later ones vanish, so coordinates are read off matrix cells.
+e(beta_i) = slot(i) - slot(i+1).  The root vector of beta is the first
+off-diagonal cell of weight beta in row-major order, less its signed mirror
+cell on so/sp.  The basis is root-graded and ordered (Cartan part, then the
+root vectors in the root order ``rs.roots``); each basis vector is 1 on a
+cell (a, b) where all later ones vanish, so coordinates are read off matrix
+cells, and beta(t) = t[a][a] - t[b][b] for t in h at e_beta's cell, as
+[t, e_beta] = beta(t) e_beta (root_value).
 
 Fundamental invariants are characteristic-polynomial coefficients, so every
 evaluation is exact; by Kronecker substitution, their polarizations are the
@@ -303,8 +304,9 @@ class MatrixLieAlgebra:
         return out
 
     def root_value(self, root, t):
-        """beta(t) for t in the Cartan subalgebra: simple root i takes t[i][i] - t[i+1][i+1]."""
-        return sum(c * (t[i][i] - t[i + 1][i + 1]) for i, c in enumerate(root) if c)
+        """beta(t) for t in the Cartan subalgebra: t[a][a] - t[b][b] at the cell (a, b) of e_beta."""
+        a, b = self._cells[self.rank + self.rs.index[tuple(root)]]
+        return t[a][a] - t[b][b]
 
     @cached_property
     def height_element(self):
@@ -470,10 +472,8 @@ class MatrixLieAlgebra:
     @cached_property
     def _exp_cells(self) -> dict:
         """The nonzero cells (a, b, value) of e and e^2 per root vector e, negatives included."""
-        roots = self.rs.positive_roots
-        keys = chain(roots, (tuple(-x for x in r) for r in roots))
         out = {}
-        for root, cells in zip(keys, self._nonzero[self.rank :]):
+        for root, cells in zip(self.rs.roots, self._nonzero[self.rank :]):
             square = {}
             for a, b, v in cells:
                 for b2, d, w in cells:

@@ -50,10 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="T",
         help="simple type such as A2 or E8 (repeatable; default: the standard list)",
     )
-    parser.add_argument("--seed", type=int, default=1789)
-    parser.add_argument("--samples", type=_positive_int, default=25)
-    parser.add_argument("--max-weyl-order", type=_positive_int, default=10**6)
-    parser.add_argument("--format", choices=("text", "structured"), default="text")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--samples", type=_positive_int, default=RunConfig.samples)
+    parser.add_argument("--max-weyl-order", type=_positive_int, default=RunConfig.max_weyl_order)
+    parser.add_argument("--format", choices=("text", "structured"), default=RunConfig.output_format)
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser
 

@@ -5,7 +5,10 @@ A run is configured by :class:`RunConfig` and produces a list of
 of entries (:class:`_Check`), one per claim, run by one runner: it builds
 the check ids, gives each stream label of a suite x type unit one seeded
 stream that every entry naming it shares, and makes and counts the draws of
-sampled entries.  The shifts suite reports :mod:`nullcone.shifts` outcomes.
+sampled entries.  An entry that needs a Weyl group above the configured cap
+(``--max-weyl-order``) is skipped, with the refusal naming the group's
+order as its witness; the other records of its unit are kept.  The shifts
+suite reports :mod:`nullcone.shifts` outcomes.
 
 :func:`run` hands out whole types, each with all of its suites, from one
 queue shared by this process and, when the run has several types and
@@ -199,18 +202,21 @@ def _run_check(check: _Check, unit: _Unit):
     """The record of ``check`` on ``unit``, or None; see :class:`_Check`."""
     check_id = f"{unit.suite}/{unit.tname}/{check.name}"
     rng = unit.stream(check.stream) if check.stream else None
-    if check.draws is None:
-        got = check.body(unit, rng)
-        return None if got is None else _result(check_id, check.claim, *got)
-    count = check.draws if isinstance(check.draws, int) else check.draws(unit.config.samples)
-    n = 0
-    for _ in range(count):
-        got = check.body(unit, rng)
-        if got is None:
-            continue
-        n += 1
-        if got is not True:
-            return _result(check_id, check.claim, False, got or None, n)
+    try:
+        if check.draws is None:
+            got = check.body(unit, rng)
+            return None if got is None else _result(check_id, check.claim, *got)
+        count = check.draws if isinstance(check.draws, int) else check.draws(unit.config.samples)
+        n = 0
+        for _ in range(count):
+            got = check.body(unit, rng)
+            if got is None:
+                continue
+            n += 1
+            if got is not True:
+                return _result(check_id, check.claim, False, got or None, n)
+    except WeylOrderError as exc:
+        return _result(check_id, check.claim, "skipped", str(exc))
     if not n:
         return _result(check_id, check.claim, "undecided", "no counted draws", n)
     return _result(check_id, check.claim, *check.summary(unit, n), draws=n)
@@ -732,10 +738,10 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
 
     A record's elapsed time runs from the previous record of the unit (or
     the unit's start), so set-up shared by later checks is charged to the
-    first check after it.  A unit that hits the Weyl enumeration cap
-    reports only that skip.
+    first check after it.  An entry that hits the Weyl enumeration cap is
+    skipped by :func:`_run_check`, and the unit's other records stay.
     """
-    start = last = time.perf_counter()
+    last = time.perf_counter()
     results = []
     if suite == "shifts":
         records = _shifts_checks(tname)
@@ -743,21 +749,12 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
         unit = _Unit(config, suite, tname)
         checks = (c for c in _CHECKS[suite] if c.types is None or tname in c.types)
         records = (_run_check(check, unit) for check in checks)
-    try:
-        for check in records:
-            if check is None:
-                continue
-            now = time.perf_counter()
-            results.append(replace(check, elapsed=now - last))
-            last = now
-    except WeylOrderError as exc:
-        skip = _result(
-            f"{suite}/{tname}/enumeration",
-            "group enumeration within the configured cap",
-            "skipped",
-            str(exc),
-        )
-        return [replace(skip, elapsed=time.perf_counter() - start)]
+    for check in records:
+        if check is None:
+            continue
+        now = time.perf_counter()
+        results.append(replace(check, elapsed=now - last))
+        last = now
     return results
 
 

@@ -10,6 +10,11 @@ fork; in type E node 2 hangs off node 4 of the chain 1-3-4-5-...; in types
 B/C/F/G the arrow conventions are fixed by the Cartan matrices below.
 Long roots have squared length 2.
 
+The root order lives here: ``rs.roots`` is the positive roots followed by
+their negatives in the same order, so root k is positive exactly when
+k < m, and ``rs.index`` inverts it.  Weyl permutations, Cartan-pair orbits
+and the bases of the matrix realizations read this one order.
+
 The root predicates read per-root tables built once per root system: the
 coroot coordinates of every positive root, in positive-root order, and the
 columns of the Cartan matrix.  A pairing <lam, r^vee> is the sum of lam
@@ -23,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
-from operator import mul, sub
+from operator import mul, neg, sub
 
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # pairings with the simple coroots
@@ -156,15 +161,10 @@ class RootSystem:
                     raise AssertionError("Cartan data is not symmetrizable as configured")
         self.simple_roots = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
         self.positive_roots = self._enumerate_positive_roots()
-        self._positive_set = frozenset(self.positive_roots)
-        # <r, beta_i^vee> = sum_j C[i][j] r_j for each of the 2m roots, negatives by negation
-        self._weights = {
-            r: tuple(sum(c * x for c, x in zip(row, r)) for row in self.cartan)
-            for r in self.positive_roots
-        }
-        self._weights.update(
-            {tuple(-x for x in r): tuple(-x for x in w) for r, w in self._weights.items()}
-        )
+        self.roots = self.positive_roots + tuple(tuple(map(neg, r)) for r in self.positive_roots)
+        self.index = {r: k for k, r in enumerate(self.roots)}
+        # <r, beta_i^vee> = sum_j C[i][j] r_j for each of the 2m roots
+        self._weights = {r: tuple(sum(map(mul, row, r)) for row in self.cartan) for r in self.roots}
         expected = POSITIVE_ROOT_COUNTS[stype.family](stype.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
@@ -228,10 +228,11 @@ class RootSystem:
         return self.num_positive + self.rank
 
     def is_root(self, r) -> bool:
-        return tuple(r) in self._weights
+        return tuple(r) in self.index
 
     def is_positive_root(self, r) -> bool:
-        return tuple(r) in self._positive_set
+        m = len(self.positive_roots)
+        return self.index.get(tuple(r), m) < m
 
     def is_simple(self, r) -> bool:
         return sum(r) == 1 and all(x in (0, 1) for x in r)

@@ -11,10 +11,12 @@ transcribed fixed-point tables for E6/E7/E8/F4 shipped under ``data/``.
 Soundness contract: every verdict carries evidence that is checked against
 the direct pairing predicates of :mod:`nullcone.roots` (a zero-pairing
 positive root for ``not_regular``, a simple index whose reflection lands on
-a regular dominant weight for ``regular_after_reflection``).  The stated
-classification is the system under test; the pairing oracle is the ground
-truth, and any disagreement between them becomes a reported discrepancy
-rather than a silent fix.
+a regular dominant weight for ``regular_after_reflection``, and for
+``beyond_one_reflection`` a regular non-dominant weight that no simple
+reflection makes regular dominant, which no stated classification allows).
+The stated classification is the system under test; the pairing oracle is
+the ground truth, and any disagreement between them becomes a reported
+discrepancy rather than a silent fix.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .roots import RootSystem, build_root_system
 REGULAR_DOMINANT = "regular_dominant"
 REGULAR_AFTER_REFLECTION = "regular_after_reflection"
 NOT_REGULAR = "not_regular"
+BEYOND_ONE_REFLECTION = "beyond_one_reflection"
 
 #: claimed number of non-highest roots alpha with rho + alpha regular
 CLAIMED_PLUS_COUNTS = {"A": 0, "B": 2, "C": 1, "D": 1, "E": 0, "F": 2, "G": 2}
@@ -77,10 +80,7 @@ def _evidence_verdict(rs: RootSystem, alpha, shift: str) -> ShiftVerdict:
         refl = rs.reflect(lam, i)
         if rs.is_dominant(refl) and rs.is_regular(refl):
             return ShiftVerdict(shift, alpha, REGULAR_AFTER_REFLECTION, i)
-    raise ArithmeticError(
-        f"{rs.stype}: rho{'-' if shift == 'minus' else '+'}{alpha} is regular but no single "
-        "simple reflection makes it dominant; outside the supported classification"
-    )
+    return ShiftVerdict(shift, alpha, BEYOND_ONE_REFLECTION)
 
 
 def classify_rho_minus(rs: RootSystem, alpha) -> ShiftVerdict:
@@ -100,6 +100,10 @@ def verdict_evidence_ok(rs: RootSystem, v: ShiftVerdict) -> bool:
         return rs.is_positive_root(v.witness) and rs.pairing(lam, v.witness) == 0
     if v.status == REGULAR_DOMINANT:
         return rs.is_regular(lam) and rs.is_dominant(lam)
+    if v.status == BEYOND_ONE_REFLECTION:
+        reached = [rs.reflect(lam, i) for i in range(1, rs.rank + 1)]
+        regular = rs.is_regular(lam) and not rs.is_dominant(lam)
+        return regular and not any(rs.is_dominant(r) and rs.is_regular(r) for r in reached)
     refl = rs.reflect(lam, v.witness)
     regular = rs.is_regular(lam) and rs.is_regular(refl)
     return regular and not rs.is_dominant(lam) and rs.is_dominant(refl)

@@ -1,7 +1,8 @@
 """Finite Weyl groups: generation, reduced words, torus-fixed Borel data.
 
 Elements act on the roots; the action is stored as a ``bytes`` permutation
-of the full root list (positive roots first, then their negatives), so that
+of ``rs.roots``, the root order of :mod:`nullcone.roots` (positive roots
+first, then their negatives), looked up through ``rs.index``, so that
 2m <= 255 roots fit a byte each.  Composition is one C-level call,
 perm(v u) = perm(u).translate(perm(v) + the identity tail), and a simple
 reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k).
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .roots import RootSystem, WEYL_ORDERS
 
@@ -38,26 +40,17 @@ class WeylOrderError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _root_index(rs: RootSystem):
-    """All roots (positives then matching negatives) and their index map."""
-    all_roots = list(rs.positive_roots) + [
-        tuple(-x for x in r) for r in rs.positive_roots
-    ]
-    return tuple(all_roots), {r: i for i, r in enumerate(all_roots)}
-
-
-@lru_cache(maxsize=None)
 def _reflections(rs: RootSystem) -> tuple:
     """(index of alpha_i, table S_i) per letter i, with S_i[k] the index of s_i(root k).
 
     Indices are bytes: at most 255 roots.
     """
-    all_roots, index = _root_index(rs)
-    if len(all_roots) > 255:
-        raise ValueError(f"{rs.stype} has {len(all_roots)} roots, above the 255 bytes can index")
-    rest = bytes(range(len(all_roots), 256))
+    roots, index = rs.roots, rs.index
+    if len(roots) > 255:
+        raise ValueError(f"{rs.stype} has {len(roots)} roots, above the 255 bytes can index")
+    rest = bytes(range(len(roots), 256))
     return tuple(
-        (index[alpha], bytes(index[rs.reflect_root(r, i)] for r in all_roots) + rest)
+        (index[alpha], bytes(index[rs.reflect_root(r, i)] for r in roots) + rest)
         for i, alpha in enumerate(rs.simple_roots, 1)
     )
 
@@ -65,29 +58,13 @@ def _reflections(rs: RootSystem) -> tuple:
 @dataclass(frozen=True, slots=True)
 class WeylElement:
     word: tuple  # lexicographically smallest reduced word, 1-based indices
-    perm: bytes  # image indices of the full root list under the action
+    perm: bytes  # perm[k] is the index in rs.roots of w(rs.roots[k])
 
     def __len__(self) -> int:
         return len(self.word)
 
     def apply_root(self, rs: RootSystem, r) -> tuple:
-        all_roots, index = _root_index(rs)
-        return all_roots[self.perm[index[tuple(r)]]]
-
-    def apply_h(self, rs: RootSystem, xi) -> tuple:
-        """Action on a point of the Cartan subalgebra.
-
-        Points of h carry simple-root-value coordinates xi_j = beta_j(x);
-        a simple reflection s_i sends them to xi_j - C[i][j]*xi_i, and a
-        word acts letter by letter from the right.
-        """
-        out = tuple(xi)
-        for i in reversed(self.word):
-            k = i - 1
-            out = tuple(
-                out[j] - rs.cartan[k][j] * out[k] for j in range(len(out))
-            )
-        return out
+        return rs.roots[self.perm[rs.index[tuple(r)]]]
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -360,8 +337,7 @@ def length_inversion_failures(group: WeylGroup) -> list:
 
 def _inverse_image(rs: RootSystem, w: WeylElement, r):
     """w^{-1}(r), read off the stored root permutation."""
-    all_roots, index = _root_index(rs)
-    return all_roots[w.perm.index(index[tuple(r)])]
+    return rs.roots[w.perm.index(rs.index[tuple(r)])]
 
 
 def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
@@ -383,8 +359,7 @@ def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
             raise ValueError(f"precondition failed: w^(-1){s} is not a positive root")
     m = rs.num_positive
     reflections = _reflections(rs)
-    _, index = _root_index(rs)
-    targets = [(s, index[s]) for s in support]
+    targets = [(s, rs.index[s]) for s in support]
     ident = bytes(range(2 * m))
     inv = ident  # perm of w_q^{-1} = s_{a_q} w_{q-1}^{-1}
     chain = [WeylElement(word=(), perm=ident)]
@@ -404,7 +379,15 @@ def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
 def weyl_orbit_pairs(rs: RootSystem, group, pair) -> frozenset:
     """Diagonal W-orbit of a rational point (x, y) of h x h.
 
-    Points of h are given by their simple-root values beta_j(x).
+    Points of h are given by their simple-root values beta_j(x), and each
+    element's images of the simple roots are read off its perm.  The value
+    of beta_j at w^{-1}x is that of w(beta_j) at x, the sum over i of
+    w(beta_j)_i x_i; as w runs over W so does w^{-1}, so these points are
+    the whole orbit.
     """
-    x, y = tuple(pair[0]), tuple(pair[1])
-    return frozenset((w.apply_h(rs, x), w.apply_h(rs, y)) for w in group)
+    simple = [rs.index[beta] for beta in rs.simple_roots]
+    images = ([rs.roots[w.perm[k]] for k in simple] for w in group)
+    return frozenset(
+        tuple(tuple(sum(map(mul, image, point)) for image in ims) for point in pair)
+        for ims in images
+    )

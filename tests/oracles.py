@@ -4,8 +4,11 @@
 is the closed-form rank-one membership test; ``height_element_by_solve``
 solves for the Cartan element on which every simple root is 1.
 ``membership_certificate_holds`` recomputes the certificate behind a
-``nullcone_membership`` verdict.  ``is_nilpotent`` reads nilpotency off
-the characteristic polynomial.  ``in_cartan``, ``decompose``,
+``nullcone_membership`` verdict.  ``apply_h`` moves a point of the Cartan
+subalgebra by a Weyl element letter by letter, through the Cartan matrix,
+as the reference for the orbits ``weyl_orbit_pairs`` reads off root
+permutations.  ``is_nilpotent`` reads nilpotency off the characteristic
+polynomial.  ``in_cartan``, ``decompose``,
 ``directional_derivatives``, ``simple_index``, ``inversions`` and
 ``TorusBorel`` are direct definitions that only the tests read.
 """
@@ -16,7 +19,6 @@ from fractions import Fraction
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
-from nullcone.weyl import _root_index
 
 
 def nullspace(rows) -> list:
@@ -139,9 +141,21 @@ class TorusBorel:
         w(b) contains the root space of gamma iff w^{-1}(gamma) > 0, i.e.
         iff gamma lies in w(R+).
         """
-        _, index = _root_index(rs)
         pos = self.positive_set(rs)
-        return all(index[tuple(s)] in pos for s in support)
+        return all(rs.index[tuple(s)] in pos for s in support)
+
+
+def apply_h(rs, w, xi) -> tuple:
+    """w(x) for the point x of the Cartan subalgebra with simple-root values xi_j = beta_j(x).
+
+    A simple reflection s_i sends the values to xi_j - C[i][j] xi_i, and a
+    word acts letter by letter from the right.
+    """
+    out = tuple(xi)
+    for i in reversed(w.word):
+        k = i - 1
+        out = tuple(out[j] - rs.cartan[k][j] * out[k] for j in range(len(out)))
+    return out
 
 
 def pairing_is_regular(rs, lam) -> bool:

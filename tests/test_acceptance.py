@@ -16,7 +16,12 @@ import random
 import time
 from fractions import Fraction as Q
 
-from oracles import is_nilpotent, membership_certificate_holds, sl2_common_borel_criterion
+from oracles import (
+    apply_h,
+    is_nilpotent,
+    membership_certificate_holds,
+    sl2_common_borel_criterion,
+)
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
@@ -231,7 +236,7 @@ def test_c06_sigma_fiber_equals_weyl_orbit():
             (geo.h_coords(alg, x), geo.h_coords(alg, y)) for x, y in pairs
         ]
         orbits = [
-            {(w.apply_h(rs, cx), w.apply_h(rs, cy)) for w in group}
+            {(apply_h(rs, w, cx), apply_h(rs, w, cy)) for w in group}
             for cx, cy in coords
         ]
         for i in range(len(pairs)):

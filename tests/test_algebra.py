@@ -139,6 +139,23 @@ def test_simple_root_vectors_realize_the_cartan_matrix(fam, rk):
                 assert la.is_zero(la.commutator(e[i], f[j]))
 
 
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_root_value_is_the_sum_of_simple_root_values(fam, rk):
+    # beta(t) = sum_i c_i (t_ii - t_(i+1)(i+1)) for beta = sum_i c_i beta_i,
+    # as simple root i sits at cell (i, i+1) in every realized family
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"root-value:{fam}{rk}")
+    for _ in range(3):
+        coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in alg.h_basis]
+        t = la.zeros(alg.size, alg.size)
+        for c, h in zip(coeffs, alg.h_basis):
+            t = la.add(t, la.scale(c, h))
+        assert in_cartan(alg, t)
+        for root in alg.rs.roots:
+            reference = sum(c * (t[i][i] - t[i + 1][i + 1]) for i, c in enumerate(root))
+            assert alg.root_value(root, t) == reference
+
+
 def _solve_coordinates(alg, x):
     """Reference coordinates: the flattened basis solved against x."""
     return la.solve(la.transpose([la.flatten(b) for b in alg.basis]), la.flatten(x))

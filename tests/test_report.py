@@ -139,6 +139,14 @@ def test_cli_options_may_come_before_or_after_the_suite():
     assert (before.suite, before.types, before.seed) == ("roots", ["A1"], 3)
 
 
+def test_cli_defaults_are_the_run_config_defaults():
+    args = cli.build_parser().parse_args(["all"])
+    defaults = RunConfig()
+    assert (args.seed, args.samples, args.max_weyl_order, args.format) == (
+        defaults.seed, defaults.samples, defaults.max_weyl_order, defaults.output_format
+    )
+
+
 def test_a_run_that_checks_nothing_exits_3(capsys):
     assert main(["invariants", "--type", "E6", "--type", "D4"]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
@@ -197,16 +205,25 @@ def test_text_timings_are_measured_per_check(monkeypatch):
     assert all(t < 0.05 for t in elapsed.values()), elapsed
 
 
-def test_weyl_cap_inside_a_unit_reports_only_the_enumeration_skip():
-    # the invariants suite enumerates W(A2) after five checks have passed;
-    # hitting the cap drops those and leaves the single skip record
+def test_weyl_cap_inside_a_unit_skips_only_the_entries_that_need_the_group():
+    # W(A2) has order 6: above a cap of 2 the entries that enumerate it are
+    # skipped with the refusal as witness, and every other record is kept
+    full = {c.check_id: c.status for c in run(RunConfig(types=("A2",)))[1]}
     code, results = run(
-        RunConfig(suites=("invariants",), types=("A2",), max_weyl_order=2)
+        RunConfig(suites=("invariants", "geometry"), types=("A2",), max_weyl_order=2)
     )
-    assert code == 3  # the dropped passes leave nothing checked
-    assert [(c.check_id, c.status) for c in results] == [
-        ("invariants/A2/enumeration", "skipped")
-    ]
+    assert code == 0
+    skipped = {c.check_id: c.witness for c in results if c.status == "skipped"}
+    assert skipped == {
+        "invariants/A2/sigma-weyl-invariance": "Weyl group of A2 has order 6, above the cap 2",
+        "geometry/A2/regular-semisimple-fiber-count": "group order 6 above the cap",
+        "geometry/A2/sigma-fiber-weyl-orbit": "Weyl group of A2 has order 6, above the cap 2",
+    }
+    kept = {c.check_id: c.status for c in results if c.status != "skipped"}
+    assert kept == {k: full[k] for k in kept}
+    assert set(kept) | set(skipped) == {
+        k for k in full if k.startswith(("invariants/", "geometry/"))
+    } - {"geometry/A2/line-chains"}  # silent above the cap
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -286,3 +286,43 @@ def test_a_planted_wrong_coroot_row_is_caught(name):
         planted = copy.copy(rs)  # row k holds the coroot of the next positive root
         planted._coroots = rows[:k] + (rows[(k + 1) % m],) + rows[k + 1 :]
         assert _table_mismatches(planted, weights), f"row {k} of {name} planted unseen"
+
+
+@pytest.mark.parametrize("name", DEFAULT_TYPES)
+def test_root_order_is_the_positive_roots_then_their_negatives(name):
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    m = len(rs.positive_roots)
+    assert len(rs.roots) == 2 * m
+    assert rs.roots[:m] == rs.positive_roots
+    for k, r in enumerate(rs.positive_roots):
+        assert rs.roots[m + k] == tuple(-x for x in r)
+    assert rs.index == {r: k for k, r in enumerate(rs.roots)}
+    assert [rs.roots[k] for k in rs.index.values()] == list(rs.index)
+
+
+@pytest.mark.parametrize("name", DEFAULT_TYPES)
+def test_root_predicates_agree_with_their_definitions(name):
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    # the roots by definition: the orbit of the simple roots under the reflections
+    roots, frontier = set(rs.simple_roots), list(rs.simple_roots)
+    while frontier:
+        images = {rs.reflect_root(r, i) for r in frontier for i in range(1, rs.rank + 1)}
+        frontier = list(images - roots)
+        roots |= images
+    assert roots == set(rs.roots)
+    for r in rs.roots:
+        assert rs.is_root(r) and rs.is_root(list(r))
+        assert rs.is_positive_root(r) == all(x >= 0 for x in r)
+        assert rs.weight_of_root(r) == tuple(
+            sum(c * x for c, x in zip(row, r)) for row in rs.cartan
+        )
+    candidates = {tuple(2 * x for x in r) for r in rs.roots} | {(0,) * rs.rank}
+    candidates |= {tuple(map(sum, zip(r, s))) for r in rs.roots for s in rs.simple_roots}
+    non_roots = candidates - roots
+    assert len(non_roots) > len(rs.roots)
+    for r in non_roots:
+        assert not rs.is_root(r) and not rs.is_positive_root(r)
+        with pytest.raises(ValueError):
+            rs.weight_of_root(r)

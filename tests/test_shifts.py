@@ -14,8 +14,9 @@ import pytest
 from oracles import simple_index
 
 from nullcone import shifts
-from nullcone.roots import build_root_system
+from nullcone.roots import RootSystem, SimpleType, build_root_system
 from nullcone.shifts import (
+    BEYOND_ONE_REFLECTION,
     CLAIMED_PLUS_COUNTS,
     NOT_REGULAR,
     REGULAR_AFTER_REFLECTION,
@@ -327,6 +328,12 @@ def _dominant_claimed(rs, v):
     return replace(v, status=REGULAR_DOMINANT, witness=None) if v.alpha == (0, 1) else v
 
 
+def _inert_reflections(monkeypatch, rs):
+    # every simple reflection fixes every weight, so no regular non-dominant
+    # shift becomes dominant after one reflection
+    monkeypatch.setattr(rs, "reflect", lambda lam, i: lam)
+
+
 PLANTED_FAULTS = [
     pytest.param("E6", _tables(_add_non_root), {
         "E6/table-decode-minus": [99],
@@ -377,6 +384,20 @@ PLANTED_FAULTS = [
                                                "regular_dominant")],
         "G2/plus-reflection-to-dominant": [((0, 1), REGULAR_DOMINANT)],
     }, id="plus-reflection-to-dominant"),
+    pytest.param("B3", _inert_reflections, {
+        "B3/stated-minus-classification": [
+            ((0, 0, 1), REGULAR_AFTER_REFLECTION, BEYOND_ONE_REFLECTION),
+            ((0, 1, 0), REGULAR_AFTER_REFLECTION, BEYOND_ONE_REFLECTION),
+            ((1, 0, 0), REGULAR_AFTER_REFLECTION, BEYOND_ONE_REFLECTION),
+        ],
+        "B3/stated-plus-classification": [
+            ((1, 1, 0), REGULAR_AFTER_REFLECTION, BEYOND_ONE_REFLECTION)
+        ],
+        "B3/plus-designated-values": [
+            ((1, 1, 0), "stated regular_after_reflection, got beyond_one_reflection")
+        ],
+        "B3/plus-reflection-to-dominant": [((1, 1, 0), BEYOND_ONE_REFLECTION)],
+    }, id="reflection-to-dominant-beyond-one"),
 ]
 
 
@@ -386,3 +407,34 @@ def test_a_planted_fault_fails_exactly_its_outcomes(monkeypatch, tname, plant, e
     assert _failures(rs) == {}
     plant(monkeypatch, rs)
     assert _failures(rs) == expected
+
+
+def test_a_shift_no_single_reflection_dominates_fails_records_instead_of_raising():
+    # C3 with inert simple reflections: rho - beta_i and rho + (0, 2, 1) are
+    # regular and not dominant, and no reflection makes them dominant
+    rs = RootSystem(SimpleType("C", 3))
+    rs.reflect = lambda lam, i: lam
+    report = {o.check_id: o for o in classification_report(rs)}
+    for alpha in rs.simple_roots:
+        v = classify_rho_minus(rs, alpha)
+        assert v.status == BEYOND_ONE_REFLECTION and verdict_evidence_ok(rs, v)
+        assert not verdict_evidence_ok(rs, replace(v, status=REGULAR_AFTER_REFLECTION, witness=1))
+    assert report["C3/verdict-evidence"].ok and report["C3/oracle-agreement"].ok
+    assert report["C3/stated-minus-classification"].witness == [
+        (alpha, REGULAR_AFTER_REFLECTION, BEYOND_ONE_REFLECTION)
+        for alpha in rs.positive_roots if rs.is_simple(alpha)
+    ]
+    assert report["C3/plus-reflection-to-dominant"].witness == [
+        ((0, 2, 1), BEYOND_ONE_REFLECTION)
+    ]
+
+
+def test_beyond_one_reflection_evidence_needs_every_reflection_to_fail():
+    # on the real C3, rho - beta_1 becomes regular dominant after s_1
+    rs = build_root_system("C", 3)
+    v = classify_rho_minus(rs, (1, 0, 0))
+    assert v.status == REGULAR_AFTER_REFLECTION
+    assert not verdict_evidence_ok(rs, replace(v, status=BEYOND_ONE_REFLECTION, witness=None))
+    # a regular dominant weight is no evidence either
+    theta = classify_rho_plus(rs, rs.highest_root)
+    assert not verdict_evidence_ok(rs, replace(theta, status=BEYOND_ONE_REFLECTION))

@@ -3,13 +3,14 @@
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import TorusBorel, inversions
+from oracles import TorusBorel, apply_h, inversions
 
 from nullcone import weyl
-from nullcone.report import RunConfig, _length_inversions
+from nullcone.report import DEFAULT_TYPES, RunConfig, _length_inversions
 from nullcone.roots import build_root_system
 from nullcone.weyl import (
     WeylElement,
@@ -152,6 +153,28 @@ def test_orbit_pairs():
     orbit = weyl_orbit_pairs(rs2, g2, ((1, 2), (3, 5)))
     assert len(orbit) == 6
     assert len(generate_weyl(rs2)) % len(orbit) == 0
+
+
+# the default types with enumerated groups up to |W(F4)| = 1152
+ENUMERATED_DEFAULT_TYPES = [
+    name for name in DEFAULT_TYPES
+    if weyl_order(build_root_system(name[0], int(name[1:]))) <= 1152
+]
+
+
+@pytest.mark.parametrize("name", ENUMERATED_DEFAULT_TYPES)
+def test_orbit_pairs_match_the_cartan_walk(name):
+    rs = build_root_system(name[0], int(name[1:]))
+    group = generate_weyl(rs)
+    rng = random.Random(f"orbit-pairs:{name}")
+    points = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rs.rank)]
+        for _ in range(4)
+    ]
+    points.append([Fraction(0)] * rs.rank)  # fixed by all of W
+    for x, y in zip(points, points[1:]):
+        orbit = {(apply_h(rs, w, x), apply_h(rs, w, y)) for w in group}
+        assert weyl_orbit_pairs(rs, group, (x, y)) == orbit
 
 
 def _generator_tuples(rs):
