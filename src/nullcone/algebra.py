@@ -54,7 +54,7 @@ in :mod:`nullcone.roots` and :mod:`nullcone.shifts`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import perm, prod
@@ -549,13 +549,10 @@ class MatrixLieAlgebra:
         return la.mat(out)
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(namedtuple("SpanReport", "vectors dim in_borel")):
     """Result of a gradient-span computation."""
 
-    vectors: tuple
-    dim: int
-    in_borel: bool
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

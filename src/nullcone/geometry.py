@@ -18,7 +18,7 @@ are written in the bodies of its entries in :mod:`nullcone.report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 from operator import mul
 
@@ -27,11 +27,7 @@ from .algebra import MatrixLieAlgebra
 from .weyl import weyl_orbit_pairs
 
 
-@dataclass(frozen=True)
-class TangentReport:
-    domain_dim: int
-    rank: int
-    kernel_dim: int
+TangentReport = namedtuple("TangentReport", "domain_dim rank kernel_dim")
 
 
 def _pair_map_report(alg: MatrixLieAlgebra, x, y, v_fiber, w_fiber):
@@ -132,11 +128,14 @@ def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents, t_list) -> b
 # -- nullcone membership by the word criterion ---------------------------------
 
 
-@dataclass(frozen=True)
-class Membership:
-    status: str  # 'member' (with a verified flag) | 'rejected' (with its reason)
-    reason: str = ""
-    flag: tuple = ()  # common complete flag, one new vector per level
+class Membership(namedtuple("Membership", "status reason flag", defaults=("", ()))):
+    """A membership verdict: ``status`` 'member' or 'rejected'.
+
+    A member carries a verified ``flag``, a common complete flag with one
+    new vector per level; a rejection carries its ``reason``.
+    """
+
+    __slots__ = ()
 
 
 def _verify_flag(x, y, flag) -> bool:

@@ -41,11 +41,11 @@ formulas: an int stays an int, and ``whole`` leaves int entries untouched.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add as add_op, mul as mul_op, sub as sub_op
-from typing import Sequence
 
 Vec = tuple
 Mat = tuple

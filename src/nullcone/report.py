@@ -44,7 +44,8 @@ import random
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
@@ -88,16 +89,19 @@ ALGEBRA_TYPES = tuple(f"{fam}{n}" for fam, ns in SUPPORTED_RANKS.items() for n i
 _EXHAUSTIVE_WEYL_CAP = 1152
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    claim: str
-    status: str  # 'pass' | 'fail' | 'undecided' | 'skipped'
-    witness: object = None
-    elapsed: float = 0.0
-    draws: int | None = None  # counted draws of a sampled check; None for a direct one
+class CheckResult(namedtuple("CheckResult", "check_id claim status witness elapsed draws",
+                             defaults=(None, 0.0, None))):
+    """One record of a run.
+
+    ``status`` is 'pass', 'fail', 'undecided' or 'skipped'; ``draws`` counts
+    the draws of a sampled check and is None for a direct one.
+    """
+
+    __slots__ = ()
 
 
+# A dataclass, not a record like the others: perfbench/child.py derives its
+# per-unit configurations with dataclasses.replace.
 @dataclass(frozen=True)
 class RunConfig:
     suites: tuple = SUITES
@@ -128,8 +132,8 @@ def _parse_type(name: str):
 # -- check entries and their runner -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(namedtuple("_Check", "name claim body types stream draws summary",
+                        defaults=(None, None, None, lambda unit, n: (True, None)))):
     """One claim of a suite, checked on every type in ``types`` (None: all).
 
     ``body(unit, rng)`` gets the unit's stream named ``stream`` (None without
@@ -142,13 +146,7 @@ class _Check:
     ``n`` counted draws held; a check with no counted draw is undecided.
     """
 
-    name: str
-    claim: str
-    body: object
-    types: tuple | None = None
-    stream: str | None = None
-    draws: object = None
-    summary: object = lambda unit, n: (True, None)
+    __slots__ = ()
 
 
 def _fifth(samples: int) -> int:
@@ -753,7 +751,7 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
         if check is None:
             continue
         now = time.perf_counter()
-        results.append(replace(check, elapsed=now - last))
+        results.append(check._replace(elapsed=now - last))
         last = now
     return results
 

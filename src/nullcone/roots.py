@@ -15,6 +15,14 @@ their negatives in the same order, so root k is positive exactly when
 k < m, and ``rs.index`` inverts it.  Weyl permutations, Cartan-pair orbits
 and the bases of the matrix realizations read this one order.
 
+The roots are found in one closure of the simple roots under the simple
+reflections, each root together with its weight (its coroot pairings):
+s_i sends a root r of weight w to r - w_i beta_i, of weight w - w_i times
+column i of the Cartan matrix, so the pass takes vector subtractions and
+no pairing.  It records every reflection it takes as well, which gives
+``rs.reflection_tables``: entry k of table i - 1 is the index of
+s_i(root k), the table S_i that :mod:`nullcone.weyl` composes.
+
 The root predicates read per-root tables built once per root system: the
 coroot coordinates of every positive root, in positive-root order, and the
 columns of the Cartan matrix.  A pairing <lam, r^vee> is the sum of lam
@@ -23,7 +31,7 @@ against r's coroot row, and s_{beta_i} subtracts lam_i times column i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -56,13 +64,13 @@ WEYL_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    family: str
-    rank: int
+class SimpleType(namedtuple("SimpleType", "family rank")):
+    """A family letter and a rank that name a finite simple type, checked on creation."""
 
-    def __post_init__(self):
-        fam, n = self.family, self.rank
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        fam, n = family, rank
         if fam in _RANK_BOUNDS:
             if n < _RANK_BOUNDS[fam]:
                 raise ValueError(f"type {fam} requires rank >= {_RANK_BOUNDS[fam]}, got {n}")
@@ -77,6 +85,7 @@ class SimpleType:
                 raise ValueError(f"type G requires rank 2, got {n}")
         else:
             raise ValueError(f"unknown family {fam!r}")
+        return super().__new__(cls, family, rank)
 
     @classmethod
     def from_name(cls, name: str) -> "SimpleType":
@@ -160,11 +169,19 @@ class RootSystem:
                 if self.bilinear[i][j] != self.bilinear[j][i]:
                     raise AssertionError("Cartan data is not symmetrizable as configured")
         self.simple_roots = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
-        self.positive_roots = self._enumerate_positive_roots()
+        self._columns = tuple(zip(*self.cartan))  # column j holds C[i][j] for every i
+        self._weights, images = self._close_under_reflections()
+        positive = [r for r in self._weights if min(r) >= 0]
+        negative = [r for r in self._weights if max(r) <= 0]
+        if len(positive) + len(negative) != len(self._weights):
+            raise AssertionError("found a root with mixed-sign coordinates")
+        self.positive_roots = tuple(sorted(positive, key=lambda r: (sum(r), r)))
         self.roots = self.positive_roots + tuple(tuple(map(neg, r)) for r in self.positive_roots)
         self.index = {r: k for k, r in enumerate(self.roots)}
-        # <r, beta_i^vee> = sum_j C[i][j] r_j for each of the 2m roots
-        self._weights = {r: tuple(sum(map(mul, row, r)) for row in self.cartan) for r in self.roots}
+        self.reflection_tables = tuple(
+            tuple(map(self.index.__getitem__, row))
+            for row in zip(*map(images.__getitem__, self.roots))
+        )
         expected = POSITIVE_ROOT_COUNTS[stype.family](stype.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
@@ -177,28 +194,38 @@ class RootSystem:
             r: self._coroot_in_simple_coroots(r) for r in self.positive_roots
         }
         self._coroots = tuple(self._coroot_coords.values())  # in positive-root order
-        self._columns = tuple(zip(*self.cartan))  # column j holds C[i][j] for every i
 
     # -- construction -----------------------------------------------------
 
-    def _enumerate_positive_roots(self) -> tuple:
-        n = self.rank
-        seen = set(self.simple_roots)
-        frontier = list(self.simple_roots)
+    def _close_under_reflections(self) -> tuple:
+        """Every root with its weight, and its image under each simple reflection.
+
+        Returns ``(weights, images)``: ``weights[r]`` holds the pairings
+        <r, beta_i^vee>, and ``images[r][i - 1]`` is s_i(r).  A simple root's
+        weight is its column of the Cartan matrix, and s_i sends a root r of
+        weight w to r - w_i beta_i, of weight w - w_i times column i.  Each
+        root is reflected by every s_i once, when the closure reaches it.
+        """
+        columns = self._columns
+        weights = dict(zip(self.simple_roots, columns))
+        images = {}
+        frontier = self.simple_roots
         while frontier:
-            nxt = []
+            found = []
             for r in frontier:
-                for i in range(n):
-                    s = self.reflect_root(r, i + 1)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        positive = [r for r in seen if all(x >= 0 for x in r)]
-        negative = [r for r in seen if all(x <= 0 for x in r)]
-        if len(positive) + len(negative) != len(seen):
-            raise AssertionError("found a root with mixed-sign coordinates")
-        return tuple(sorted(positive, key=lambda r: (sum(r), r)))
+                w, row = weights[r], []
+                for i, c in enumerate(w):
+                    if not c:  # s_i fixes r
+                        row.append(r)
+                        continue
+                    s = (*r[:i], r[i] - c, *r[i + 1 :])
+                    if s not in weights:
+                        weights[s] = tuple(map(sub, w, map(mul, repeat(c), columns[i])))
+                        found.append(s)
+                    row.append(s)
+                images[r] = row
+            frontier = found
+        return weights, images
 
     def _coroot_in_simple_coroots(self, r: Root) -> tuple:
         """Integer coordinates m with r^vee = sum m_i beta_i^vee.

@@ -21,9 +21,9 @@ discrepancy rather than a silent fix.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from collections import namedtuple
 
 from .roots import RootSystem, build_root_system
 
@@ -36,20 +36,20 @@ BEYOND_ONE_REFLECTION = "beyond_one_reflection"
 CLAIMED_PLUS_COUNTS = {"A": 0, "B": 2, "C": 1, "D": 1, "E": 0, "F": 2, "G": 2}
 
 
-@dataclass(frozen=True)
-class ShiftVerdict:
-    shift: str  # 'minus' | 'plus'
-    alpha: tuple
-    status: str
-    witness: object = None  # root with zero pairing, or a simple index
+class ShiftVerdict(namedtuple("ShiftVerdict", "shift alpha status witness", defaults=(None,))):
+    """The verdict on rho + alpha (``shift`` 'plus') or rho - alpha ('minus').
+
+    ``witness`` is the root with zero pairing or the simple index whose
+    reflection the status names, and None for the other statuses.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    check_id: str
-    claim: str
-    ok: bool
-    witness: object = None
+class CheckOutcome(namedtuple("CheckOutcome", "check_id claim ok witness", defaults=(None,))):
+    """One shift check: whether the claim held, and the failure that broke it."""
+
+    __slots__ = ()
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -190,14 +190,15 @@ def display_to_coords(family: str, disp) -> tuple:
     return (disp[1], disp[0]) + disp[2:] if family == "E" else disp
 
 
-@dataclass
-class ShiftTables:
-    family: str
-    rank: int
-    roots: dict  # shift -> {label: display coords}
-    assigns: dict  # shift -> {i: [labels]}  (as printed)
-    errata: list = field(default_factory=list)  # (kind, shift, ...) records
-    reductions: dict = field(default_factory=dict)  # shift -> [(i, label, target)]
+class ShiftTables(namedtuple("ShiftTables", "family rank roots assigns errata reductions")):
+    """The parsed tables of one type.
+
+    ``roots`` maps each shift to {label: display coords} and ``assigns``
+    maps it to {i: [labels]} as printed; ``errata`` lists the (kind, shift,
+    ...) records and ``reductions`` maps each shift to [(i, label, target)].
+    """
+
+    __slots__ = ()
 
     def coords(self, shift: str, label: int) -> tuple:
         return display_to_coords(self.family, self.roots[shift][label])
@@ -234,12 +235,14 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
     applies them.
     """
     fname = _TABLE_FILES[(family, rank)]
-    text = resources.files("nullcone.data").joinpath(fname).read_text()
+    with open(os.path.join(os.path.dirname(__file__), "data", fname), encoding="utf-8") as fh:
+        text = fh.read()
     tables = ShiftTables(
         family=family,
         rank=rank,
         roots={"minus": {}, "plus": {}},
         assigns={"minus": {}, "plus": {}},
+        errata=[],
         reductions={"minus": [], "plus": []},
     )
     for raw in text.splitlines():

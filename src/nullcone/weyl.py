@@ -5,7 +5,9 @@ of ``rs.roots``, the root order of :mod:`nullcone.roots` (positive roots
 first, then their negatives), looked up through ``rs.index``, so that
 2m <= 255 roots fit a byte each.  Composition is one C-level call,
 perm(v u) = perm(u).translate(perm(v) + the identity tail), and a simple
-reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k).
+reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k):
+``rs.reflection_tables``, which the closure that finds the roots records,
+with the identity tail appended.
 Generation runs up the parabolic chain W_1 < W_2 < ... < W_n, where
 W_k = <s_1, ..., s_k>: W_k is every product of an element of W_{k-1} with
 one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
@@ -28,7 +30,6 @@ checked against it, with no element built.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -43,22 +44,42 @@ class WeylOrderError(ValueError):
 def _reflections(rs: RootSystem) -> tuple:
     """(index of alpha_i, table S_i) per letter i, with S_i[k] the index of s_i(root k).
 
-    Indices are bytes: at most 255 roots.
+    S_i is ``rs.reflection_tables[i - 1]`` as bytes, with the identity on
+    the bytes above 2m.  Indices are bytes: at most 255 roots.
     """
-    roots, index = rs.roots, rs.index
-    if len(roots) > 255:
-        raise ValueError(f"{rs.stype} has {len(roots)} roots, above the 255 bytes can index")
-    rest = bytes(range(len(roots), 256))
+    n = len(rs.roots)
+    if n > 255:
+        raise ValueError(f"{rs.stype} has {n} roots, above the 255 bytes can index")
+    rest = bytes(range(n, 256))
     return tuple(
-        (index[alpha], bytes(index[rs.reflect_root(r, i)] for r in roots) + rest)
-        for i, alpha in enumerate(rs.simple_roots, 1)
+        (rs.index[alpha], bytes(table) + rest)
+        for alpha, table in zip(rs.simple_roots, rs.reflection_tables)
     )
 
 
-@dataclass(frozen=True, slots=True)
 class WeylElement:
-    word: tuple  # lexicographically smallest reduced word, 1-based indices
-    perm: bytes  # perm[k] is the index in rs.roots of w(rs.roots[k])
+    """An element w of W: its lex-min reduced word and its permutation of the roots.
+
+    Two elements are equal when their words and perms are; ``len(w)`` is
+    the length of w's word.
+    """
+
+    __slots__ = ("word", "perm")
+
+    def __init__(self, word: tuple, perm: bytes):
+        self.word = word  # lexicographically smallest reduced word, 1-based indices
+        self.perm = perm  # perm[k] is the index in rs.roots of w(rs.roots[k])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.word, self.perm) == (other.word, other.perm)
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.perm))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(word={self.word!r}, perm={self.perm!r})"
 
     def __len__(self) -> int:
         return len(self.word)

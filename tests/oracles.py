@@ -7,10 +7,12 @@ solves for the Cartan element on which every simple root is 1.
 ``nullcone_membership`` verdict.  ``apply_h`` moves a point of the Cartan
 subalgebra by a Weyl element letter by letter, through the Cartan matrix,
 as the reference for the orbits ``weyl_orbit_pairs`` reads off root
-permutations.  ``is_nilpotent`` reads nilpotency off the characteristic
-polynomial.  ``in_cartan``, ``decompose``,
-``directional_derivatives``, ``simple_index``, ``inversions`` and
-``TorusBorel`` are direct definitions that only the tests read.
+permutations.  ``reflection_tables`` reflects root by root, as the
+reference for the tables the closure in ``RootSystem`` records.
+``is_nilpotent`` reads nilpotency off the characteristic polynomial.
+``in_cartan``, ``decompose``, ``directional_derivatives``,
+``simple_index``, ``inversions`` and ``TorusBorel`` are direct definitions
+that only the tests read.
 """
 
 import re
@@ -156,6 +158,19 @@ def apply_h(rs, w, xi) -> tuple:
         k = i - 1
         out = tuple(out[j] - rs.cartan[k][j] * out[k] for j in range(len(out)))
     return out
+
+
+def reflection_tables(rs) -> list:
+    """Each simple reflection as a tuple: entry k is the index of s_i(root k).
+
+    The roots are the positive roots, then their negatives in the same
+    order, and each image is one ``reflect_root`` call.
+    """
+    all_roots = list(rs.positive_roots) + [tuple(-x for x in r) for r in rs.positive_roots]
+    index = {r: k for k, r in enumerate(all_roots)}
+    return [
+        tuple(index[rs.reflect_root(r, i)] for r in all_roots) for i in range(1, rs.rank + 1)
+    ]
 
 
 def pairing_is_regular(rs, lam) -> bool:

@@ -3,10 +3,13 @@
 No linter ships with the project, so this stdlib ``ast`` scan stands in for
 an unused-import rule.  Names listed in a module's ``__all__`` count as used
 (the package ``__init__`` imports only to re-export), and ``from __future__``
-imports are not names.
+imports are not names.  A start-up test checks what importing the command
+line driver loads.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,34 @@ def test_scan_flags_an_unused_import():
         "parse('1')\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "dumps")]
+
+
+# Run under python -S, where no site .pth file has imported anything first.
+_STARTUP_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import nullcone.cli
+print([name for name in ("importlib.resources", "typing") if name in sys.modules])
+import dataclasses
+print(sorted(
+    f"{{name}}.{{key}}"
+    for name, module in list(sys.modules.items()) if name.partition(".")[0] == "nullcone"
+    for key, value in vars(module).items()
+    if isinstance(value, type) and value.__module__ == name and dataclasses.is_dataclass(value)
+))
+"""
+
+
+def test_importing_the_cli_loads_neither_resources_nor_typing_and_one_dataclass():
+    script = _STARTUP_SCRIPT.format(src=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, dataclasses = done.stdout.splitlines()
+    # the shift tables are read with open(), not through importlib.resources,
+    # and Sequence comes from collections.abc, not typing
+    assert loaded == "[]"
+    # records are named tuples, which need no generated code; RunConfig stays a
+    # dataclass because perfbench/child.py derives configurations from it with
+    # dataclasses.replace
+    assert dataclasses == "['nullcone.report.RunConfig']"

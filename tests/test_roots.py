@@ -11,9 +11,11 @@ from oracles import (
     pairing_is_regular,
     pairing_zero_witness,
     reflect_by_cartan_entries,
+    reflection_tables,
     rho_shift_by_generator,
 )
 
+from nullcone import weyl
 from nullcone.report import DEFAULT_TYPES
 from nullcone.roots import SimpleType, build_root_system
 
@@ -273,6 +275,14 @@ def test_root_tables_match_the_per_root_formulas(name):
     assert _table_mismatches(rs, weights) == []
     # the walls are reached: every positive root is the first zero of some weight
     assert {rs.zero_pairing_witness(lam) for lam in weights} >= set(rs.positive_roots)
+    # the closure's image of every root under every s_i, and the bytes weyl composes
+    for i, table in enumerate(rs.reflection_tables, 1):
+        assert [rs.roots[k] for k in table] == [rs.reflect_root(r, i) for r in rs.roots]
+    tail = bytes(range(len(rs.roots), 256))
+    assert weyl._reflections(rs) == tuple(
+        (rs.index[alpha], bytes(table) + tail)
+        for alpha, table in zip(rs.simple_roots, reflection_tables(rs))
+    )
 
 
 # A1 has one positive root, so no other root's coroot can take its row

@@ -13,7 +13,6 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -357,5 +356,5 @@ def test_reversing_the_type_order_gives_the_same_records(monkeypatch):
     _cpus(monkeypatch, 2)
     with _deadline(120):
         forward, backward = (run(RunConfig(types=t))[1] for t in (types, types[::-1]))
-    assert [replace(c, elapsed=0) for c in forward] == [replace(c, elapsed=0) for c in backward]
+    assert [c._replace(elapsed=0) for c in forward] == [c._replace(elapsed=0) for c in backward]
     _assert_no_child_left()

@@ -8,7 +8,6 @@ its witness rather than hiding it.
 """
 
 import copy
-from dataclasses import replace
 
 import pytest
 from oracles import simple_index
@@ -321,11 +320,11 @@ def _verdict(change):
 
 
 def _wrong_evidence(rs, v):
-    return replace(v, witness=(1, 0)) if v.alpha == (1, 0) else v
+    return v._replace(witness=(1, 0)) if v.alpha == (1, 0) else v
 
 
 def _dominant_claimed(rs, v):
-    return replace(v, status=REGULAR_DOMINANT, witness=None) if v.alpha == (0, 1) else v
+    return v._replace(status=REGULAR_DOMINANT, witness=None) if v.alpha == (0, 1) else v
 
 
 def _inert_reflections(monkeypatch, rs):
@@ -418,7 +417,7 @@ def test_a_shift_no_single_reflection_dominates_fails_records_instead_of_raising
     for alpha in rs.simple_roots:
         v = classify_rho_minus(rs, alpha)
         assert v.status == BEYOND_ONE_REFLECTION and verdict_evidence_ok(rs, v)
-        assert not verdict_evidence_ok(rs, replace(v, status=REGULAR_AFTER_REFLECTION, witness=1))
+        assert not verdict_evidence_ok(rs, v._replace(status=REGULAR_AFTER_REFLECTION, witness=1))
     assert report["C3/verdict-evidence"].ok and report["C3/oracle-agreement"].ok
     assert report["C3/stated-minus-classification"].witness == [
         (alpha, REGULAR_AFTER_REFLECTION, BEYOND_ONE_REFLECTION)
@@ -434,7 +433,7 @@ def test_beyond_one_reflection_evidence_needs_every_reflection_to_fail():
     rs = build_root_system("C", 3)
     v = classify_rho_minus(rs, (1, 0, 0))
     assert v.status == REGULAR_AFTER_REFLECTION
-    assert not verdict_evidence_ok(rs, replace(v, status=BEYOND_ONE_REFLECTION, witness=None))
+    assert not verdict_evidence_ok(rs, v._replace(status=BEYOND_ONE_REFLECTION, witness=None))
     # a regular dominant weight is no evidence either
     theta = classify_rho_plus(rs, rs.highest_root)
-    assert not verdict_evidence_ok(rs, replace(theta, status=BEYOND_ONE_REFLECTION))
+    assert not verdict_evidence_ok(rs, theta._replace(status=BEYOND_ONE_REFLECTION))

@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import TorusBorel, apply_h, inversions
+from oracles import TorusBorel, apply_h, inversions, reflection_tables
 
 from nullcone import weyl
 from nullcone.report import DEFAULT_TYPES, RunConfig, _length_inversions
@@ -177,22 +177,13 @@ def test_orbit_pairs_match_the_cartan_walk(name):
         assert weyl_orbit_pairs(rs, group, (x, y)) == orbit
 
 
-def _generator_tuples(rs):
-    """Each simple reflection as a tuple: entry j is the index of s_i(root j)."""
-    all_roots = list(rs.positive_roots) + [tuple(-x for x in r) for r in rs.positive_roots]
-    index = {r: i for i, r in enumerate(all_roots)}
-    return [
-        tuple(index[rs.reflect_root(r, i)] for r in all_roots) for i in range(1, rs.rank + 1)
-    ]
-
-
 def _all_reduced_words(rs):
     """Every reduced word of every element, keyed by its perm, breadth first.
 
     The reduced words of x at distance q + 1 from e are the words y + (i,)
     of the y at distance q with y s_i = x.
     """
-    gens = _generator_tuples(rs)
+    gens = reflection_tables(rs)
     ident = tuple(range(len(gens[0])))
     level = {ident: {()}}
     found = dict(level)
@@ -210,7 +201,7 @@ def _all_reduced_words(rs):
 
 def _oracle_weyl(rs):
     """The plain breadth-first closure: every letter, one tuple per image."""
-    gens = _generator_tuples(rs)
+    gens = reflection_tables(rs)
     ident = tuple(range(len(gens[0])))
     seen = {ident: ()}
     frontier = [(ident, ())]
