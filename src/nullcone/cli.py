@@ -32,7 +32,7 @@ def _simple_type(text: str) -> str:
     """The canonical name of a valid simple type (a2 -> A2); else a usage error (exit 2)."""
     try:
         return SimpleType.from_name(text).name
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid simple type {text!r}: {exc}") from None
 
 

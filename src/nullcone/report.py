@@ -5,10 +5,14 @@ A run is configured by :class:`RunConfig` and produces a list of
 of entries (:class:`_Check`), one per claim, run by one runner: it builds
 the check ids, gives each stream label of a suite x type unit one seeded
 stream that every entry naming it shares, and makes and counts the draws of
-sampled entries.  An entry that needs a Weyl group above the configured cap
-(``--max-weyl-order``) is skipped, with the refusal naming the group's
-order as its witness; the other records of its unit are kept.  The shifts
-suite reports :mod:`nullcone.shifts` outcomes.
+sampled entries.  Above the configured Weyl cap (``--max-weyl-order``),
+``weyl-order`` and ``regular-semisimple-fiber-count`` are skipped, each
+with its own witness naming the group's order; ``torus-borel-count`` and
+``line-chains`` give no record, nor does ``length-inversions`` (also above
+order 1152); any other entry that asks for the group is skipped with the
+refusal, which names the order and the cap, as its witness.  The other
+records of its unit are kept.  The shifts suite reports
+:mod:`nullcone.shifts` outcomes.
 
 :func:`run` hands out whole types, each with all of its suites, from one
 queue shared by this process and, when the run has several types and
@@ -122,13 +126,6 @@ def _result(check_id, claim, ok, witness=None, draws=None) -> CheckResult:
     return CheckResult(check_id, claim, status, witness, draws=draws)
 
 
-def _parse_type(name: str):
-    try:
-        return SimpleType.from_name(name)
-    except (ValueError, IndexError) as exc:
-        return str(exc)
-
-
 # -- check entries and their runner -----------------------------------------------
 
 
@@ -157,16 +154,15 @@ def _fifth(samples: int) -> int:
 class _Unit:
     """What the entries of one suite x type unit share, each part built on first use."""
 
-    def __init__(self, config: RunConfig, suite: str, tname: str):
-        self.config, self.suite, self.tname = config, suite, tname
-        self.stype = SimpleType.from_name(tname)
+    def __init__(self, config: RunConfig, suite: str, stype: SimpleType):
+        self.config, self.suite, self.stype = config, suite, stype
         self.streams = {}
         self.notes = {}  # values an entry leaves for a later entry of the unit
 
     def stream(self, label: str) -> random.Random:
         """The stream seeded by ``<suite>/<type>/<label>``, one per label."""
         if label not in self.streams:
-            seed = f"{self.config.seed}:{self.suite}/{self.tname}/{label}"
+            seed = f"{self.config.seed}:{self.suite}/{self.stype.name}/{label}"
             self.streams[label] = random.Random(seed)
         return self.streams[label]
 
@@ -198,7 +194,7 @@ class _Unit:
 
 def _run_check(check: _Check, unit: _Unit):
     """The record of ``check`` on ``unit``, or None; see :class:`_Check`."""
-    check_id = f"{unit.suite}/{unit.tname}/{check.name}"
+    check_id = f"{unit.suite}/{unit.stype.name}/{check.name}"
     rng = unit.stream(check.stream) if check.stream else None
     try:
         if check.draws is None:
@@ -617,7 +613,7 @@ def _unrealized(reason: str):
     ranks; ``reason`` is the skip of every other family.
     """
     def body(u, rng):
-        if u.tname in ALGEBRA_TYPES:
+        if u.stype.name in ALGEBRA_TYPES:
             return None
         fam, ranks = u.stype.family, SUPPORTED_RANKS.get(u.stype.family)
         if ranks:
@@ -722,8 +718,7 @@ _CHECKS = {
 }
 
 
-def _shifts_checks(tname: str):
-    stype = SimpleType.from_name(tname)
+def _shifts_checks(stype: SimpleType):
     for o in full_shift_report(build_root_system(stype.family, stype.rank)):
         yield _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
 
@@ -731,7 +726,7 @@ def _shifts_checks(tname: str):
 # -- assembly ------------------------------------------------------------------
 
 
-def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
+def _unit_results(config: RunConfig, suite: str, stype: SimpleType) -> list:
     """The records of one suite x type unit, each timed as it arrives.
 
     A record's elapsed time runs from the previous record of the unit (or
@@ -742,10 +737,10 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
     last = time.perf_counter()
     results = []
     if suite == "shifts":
-        records = _shifts_checks(tname)
+        records = _shifts_checks(stype)
     else:
-        unit = _Unit(config, suite, tname)
-        checks = (c for c in _CHECKS[suite] if c.types is None or tname in c.types)
+        unit = _Unit(config, suite, stype)
+        checks = (c for c in _CHECKS[suite] if c.types is None or stype.name in c.types)
         records = (_run_check(check, unit) for check in checks)
     for check in records:
         if check is None:
@@ -756,18 +751,8 @@ def _unit_results(config: RunConfig, suite: str, tname: str) -> list:
     return results
 
 
-def _type_results(config: RunConfig, tname: str) -> list:
-    """The records of every configured suite on one type."""
-    parsed = _parse_type(tname)
-    if isinstance(parsed, str):
-        claim = "the requested type and rank form a valid simple type"
-        return [_result(f"{suite}/{tname}/valid-type", claim, "skipped", parsed)
-                for suite in config.suites]
-    return [c for suite in config.suites for c in _unit_results(config, suite, tname)]
-
-
-# Type slots of the shared queue: one byte each, slot b holding the types
-# config.types[b::_SLOTS], so a run of any length fills at most 256 bytes
+# Type slots of the shared queue: one byte each, slot b holding the parsed
+# types stypes[b::_SLOTS], so a run of any length fills at most 256 bytes
 # of the pipe before any process reads it.
 _SLOTS = 256
 
@@ -776,25 +761,23 @@ class _ChildTraceback(Exception):
     """The traceback text of an exception a forked child raised (pickling drops the traceback)."""
 
 
-def _records(config: RunConfig, slots) -> list:
+def _records(config: RunConfig, stypes: tuple, slots) -> list:
     """The records of every configured suite on the types of each queue slot in ``slots``."""
-    return [c for b in slots for tname in config.types[b::_SLOTS]
-            for c in _type_results(config, tname)]
+    return [c for b in slots for stype in stypes[b::_SLOTS] for suite in config.suites
+            for c in _unit_results(config, suite, stype)]
 
 
-def _slot_order(config: RunConfig) -> bytes:
+def _slot_order(stypes: tuple) -> bytes:
     """The queue's slots, costliest first, so no large type is handed out last.
 
-    A slot costs the positive roots of its types (an invalid type costs 0),
-    and slots of equal cost keep the configured order: Graham's
-    largest-first rule, whose finish time is within 4/3 of the best.
+    A slot costs the positive roots of its types, and slots of equal cost
+    keep the configured order: Graham's largest-first rule, whose finish
+    time is within 4/3 of the best.
     """
-    def cost(tname):
-        parsed = _parse_type(tname)
-        return 0 if isinstance(parsed, str) else POSITIVE_ROOT_COUNTS[parsed.family](parsed.rank)
+    def cost(b):
+        return sum(POSITIVE_ROOT_COUNTS[s.family](s.rank) for s in stypes[b::_SLOTS])
 
-    slots = range(min(len(config.types), _SLOTS))
-    return bytes(sorted(slots, key=lambda b: -sum(map(cost, config.types[b::_SLOTS]))))
+    return bytes(sorted(range(min(len(stypes), _SLOTS)), key=lambda b: -cost(b)))
 
 
 def _queued(queue: int):
@@ -821,7 +804,7 @@ def _process_count(config: RunConfig) -> int:
     return min(cpus, len(config.types))
 
 
-def _child_result(config: RunConfig, queue: int) -> bytes:
+def _child_result(config: RunConfig, stypes: tuple, queue: int) -> bytes:
     """The pickled ``(records, None, None)`` of the types this child reads from
     ``queue``, or ``(None, exception, traceback text)`` if it raised.
 
@@ -832,7 +815,7 @@ def _child_result(config: RunConfig, queue: int) -> bytes:
     import pickle  # already loaded: the parent imported it before forking
 
     try:
-        return pickle.dumps((_records(config, _queued(queue)), None, None))
+        return pickle.dumps((_records(config, stypes, _queued(queue)), None, None))
     except BaseException as exc:  # the parent re-raises it
         import traceback
 
@@ -848,7 +831,7 @@ def _child_result(config: RunConfig, queue: int) -> bytes:
         return pickle.dumps((None, RuntimeError(message), text))
 
 
-def _work_as_child(config: RunConfig, queue: int, out: int) -> None:
+def _work_as_child(config: RunConfig, stypes: tuple, queue: int, out: int) -> None:
     """Run the types read from ``queue`` in a forked child, write their pickled
     result (see :func:`_child_result`) to ``out``, and exit.
 
@@ -857,7 +840,7 @@ def _work_as_child(config: RunConfig, queue: int, out: int) -> None:
     """
     status = 1
     try:
-        data = _child_result(config, queue)
+        data = _child_result(config, stypes, queue)
         with open(out, "wb") as fh:
             fh.write(data)
         status = 0
@@ -865,9 +848,9 @@ def _work_as_child(config: RunConfig, queue: int, out: int) -> None:
         os._exit(status)
 
 
-def _shared_results(config: RunConfig, processes: int) -> list:
-    """The records of every type, shared out between this process and ``processes - 1``
-    forked children, each type run whole by one process.
+def _shared_results(config: RunConfig, stypes: tuple, processes: int) -> list:
+    """The records of every type of ``stypes``, shared out between this process and
+    ``processes - 1`` forked children, each type run whole by one process.
 
     The queue is a pipe holding one byte per type slot, costliest slot
     first (:func:`_slot_order`), filled and closed before any fork; every
@@ -884,7 +867,7 @@ def _shared_results(config: RunConfig, processes: int) -> list:
     already running.
     """
     queue, fill = os.pipe()
-    os.write(fill, _slot_order(config))
+    os.write(fill, _slot_order(stypes))
     os.close(fill)
     children = {}  # pid -> read end of its result pipe, until the child is reaped
     try:
@@ -899,10 +882,10 @@ def _shared_results(config: RunConfig, processes: int) -> list:
                 os.close(write_end)
                 break
             if pid == 0:
-                _work_as_child(config, queue, write_end)
+                _work_as_child(config, stypes, queue, write_end)
             os.close(write_end)
             children[pid] = read_end
-        results = _records(config, _queued(queue))
+        results = _records(config, stypes, _queued(queue))
         for pid, read_end in list(children.items()):
             with open(read_end, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -929,8 +912,10 @@ def run(config: RunConfig):
     """Execute the configured suites; returns (exit_code, results).
 
     The results are grouped by suite x type unit, the units sorted by name
-    and each unit's records in the order they were checked.  A count below
-    1, an unknown suite or a type named twice (``A2`` and ``a2`` included)
+    and each unit's records in the order they were checked.  Each type is
+    parsed here, once, and checked and reported by its canonical name (``a2``
+    as ``A2``).  A count below 1, an unknown suite, a name that is not a
+    valid simple type or a type named twice (``A2`` and ``a2`` included)
     raises ``ValueError`` before any type runs.
     """
     for field in ("samples", "max_weyl_order"):
@@ -939,14 +924,16 @@ def run(config: RunConfig):
     for suite in config.suites:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}")
-    seen = set()
+    stypes = []
     for tname in config.types:
-        parsed = _parse_type(tname)
-        name = tname if isinstance(parsed, str) else parsed.name
-        if name in seen:
-            raise ValueError(f"type {tname!r} repeats {name!r}")
-        seen.add(name)
-    results = _shared_results(config, _process_count(config))
+        try:
+            stype = SimpleType.from_name(tname)
+        except ValueError as exc:
+            raise ValueError(f"invalid simple type {tname!r}: {exc}") from None
+        if stype in stypes:
+            raise ValueError(f"type {tname!r} repeats {stype.name!r}")
+        stypes.append(stype)
+    results = _shared_results(config, tuple(stypes), _process_count(config))
     results.sort(key=lambda c: c.check_id.rpartition("/")[0])
     statuses = {c.status for c in results}
     exit_code = 1 if "fail" in statuses else 0 if "pass" in statuses else 3

@@ -89,6 +89,9 @@ class SimpleType(namedtuple("SimpleType", "family rank")):
 
     @classmethod
     def from_name(cls, name: str) -> "SimpleType":
+        """The type named by a family letter (either case) and a rank in ASCII digits."""
+        if not (name[1:].isascii() and name[1:].isdigit()):
+            raise ValueError("expected a family letter and a rank in ASCII digits")
         return cls(name[0].upper(), int(name[1:]))
 
     @property

@@ -20,6 +20,7 @@ from nullcone import linalg as la
 from nullcone import report
 from nullcone.algebra import MatrixLieAlgebra, build_algebra
 from nullcone.report import ALGEBRA_TYPES, RunConfig, _regular_cartan
+from nullcone.roots import SimpleType
 from nullcone.weyl import generate_weyl
 
 E = ((0, 1), (0, 0))
@@ -373,7 +374,8 @@ def _entry_record(suite, tname, name):
     are those of a whole default run, where every one of them passes.
     """
     check = next(c for c in report._CHECKS[suite] if c.name == name)
-    return report._run_check(check, report._Unit(RunConfig(), suite, tname))
+    unit = report._Unit(RunConfig(), suite, SimpleType.from_name(tname))
+    return report._run_check(check, unit)
 
 
 @pytest.mark.parametrize("tname", ["A2", "B2"])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -17,6 +18,10 @@ from nullcone.report import (
     text_lines,
 )
 from nullcone.roots import SimpleType, build_root_system
+
+# an unknown family, a rank below the family's least, no rank, nothing, and
+# ranks int() would read but that are not plain ASCII digits
+INVALID_TYPES = ("X9", "C2", "A", "", "A1_0", "A+2", "A 2", "A\u0662")
 
 
 def test_structured_reports_are_byte_identical():
@@ -73,12 +78,33 @@ def test_exit_code_one_on_any_failure():
     assert any(c.status == "fail" for c in results)
 
 
-def test_invalid_types_reported_per_entry_not_fatal():
-    code, results = run(RunConfig(suites=("roots",), types=("C2", "A2")))
-    assert code == 0
-    skipped = [c for c in results if c.status == "skipped"]
-    assert any("C2" in c.check_id for c in skipped)
-    assert any(c.check_id.startswith("roots/A2/") and c.status == "pass" for c in results)
+@pytest.mark.parametrize("tname", INVALID_TYPES)
+def test_run_rejects_an_invalid_type_before_running_any(monkeypatch, tname):
+    # the library refuses what the CLI refuses, naming the type
+    units = []
+    monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
+    with pytest.raises(ValueError, match=re.escape(f"invalid simple type {tname!r}")):
+        run(RunConfig(suites=("roots",), types=("A2", tname)))
+    assert units == []
+
+
+@pytest.mark.parametrize("suites", [("invariants",), ("geometry",)])
+def test_a_lowercase_type_gives_the_records_of_its_canonical_name(suites):
+    # the entry gates, streams and check ids all read the canonical name
+    def records(tname):
+        config = RunConfig(suites=suites, types=(tname,), samples=2)
+        return [(c.check_id, c.status, c.witness) for c in run(config)[1]]
+
+    assert records("a2") == records("A2")
+
+
+def test_every_entry_gate_names_canonical_realized_types():
+    # a misspelt gate would drop its records without a trace
+    for checks in report._CHECKS.values():
+        for check in checks:
+            for tname in check.types or ():
+                assert SimpleType.from_name(tname).name == tname, (check.name, tname)
+                assert tname in report.ALGEBRA_TYPES, (check.name, tname)
 
 
 def test_empty_types_runs_clean():
@@ -243,7 +269,7 @@ def test_cli_rejects_max_weyl_order_below_one(value, capsys):
     assert "--max-weyl-order" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["X9", "C2", "A", ""])
+@pytest.mark.parametrize("value", INVALID_TYPES)
 def test_cli_rejects_invalid_type(value, capsys):
     # an unknown type would otherwise run nothing and exit 0
     with pytest.raises(SystemExit) as exc:
@@ -299,13 +325,10 @@ def test_run_rejects_an_unknown_suite_before_running_any(monkeypatch):
 def test_run_rejects_a_repeated_type_before_running_any(monkeypatch):
     units = []
     monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
-    for types in (("A2", "A2", "a2"), ("A2", "G2", "a2"), ("X1", "X1")):
+    for types in (("A2", "A2", "a2"), ("A2", "G2", "a2")):
         with pytest.raises(ValueError, match="repeats"):
             run(RunConfig(suites=("roots",), types=types))
     assert units == []
-    # invalid names are compared as given, and each gets its own record
-    _, records = run(RunConfig(suites=("roots",), types=("X1", "x1")))
-    assert [c.check_id for c in records] == ["roots/X1/valid-type", "roots/x1/valid-type"]
 
 
 def test_unrealized_ranks_of_a_realized_family_are_named_in_the_skip():
@@ -453,6 +476,6 @@ def test_bulk_weyl_records_build_no_element(monkeypatch):
     monkeypatch.setattr(weyl, "WeylElement", Counting)
     monkeypatch.setattr(weyl, "_GROUPS", {})
     for tname, check in (("E6", "torus-borel-count"), ("F4", "length-inversions")):
-        records = report._unit_results(RunConfig(), "roots", tname)
+        records = report._unit_results(RunConfig(), "roots", SimpleType.from_name(tname))
         assert [r.status for r in records if r.check_id == f"roots/{tname}/{check}"] == ["pass"]
     assert made == []

@@ -19,6 +19,7 @@ import pytest
 
 from nullcone import cli, report
 from nullcone.report import RunConfig, run, structured_lines
+from nullcone.roots import SimpleType
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -149,8 +150,8 @@ def test_any_process_count_gives_the_one_process_report(types, monkeypatch):
 @pytest.mark.parametrize("failing", ["A1", "B3", "C3"])
 def test_a_check_raising_on_any_type_is_raised_by_the_run(failing, monkeypatch, tmp_path, capsys):
     def body(unit, rng):
-        if unit.tname == failing:
-            raise ValueError(f"planted failure on {unit.tname}")
+        if unit.stype.name == failing:
+            raise ValueError(f"planted failure on {unit.stype.name}")
 
     _plant_first(monkeypatch, body)
     _cpus(monkeypatch, 2)
@@ -267,11 +268,10 @@ def test_one_type_never_forks(monkeypatch):
 
 
 def test_more_types_than_queue_slots_give_the_one_process_report(monkeypatch):
-    # 300 types fill the 256 one-byte slots, so some slots hold two types;
-    # no type may be named twice, so most are invalid names (one skip each)
-    types = ("A1", "A2", "B2") + tuple(f"Z{k}" for k in range(294)) + ("A3", "B3", "C3")
-    config = RunConfig(suites=("roots",), types=types)
+    # six types in two slots, so each slot holds three types
+    config = RunConfig(suites=("roots",), types=("A1", "A2", "B2", "A3", "B3", "C3"))
     expected = _one_process_report(monkeypatch, config)
+    monkeypatch.setattr(report, "_SLOTS", 2)
     _cpus(monkeypatch, 2)
     forks = _counting_forks(monkeypatch)
     with _deadline(120):
@@ -293,22 +293,22 @@ def test_a_shared_run_warns_of_nothing_under_dev_mode(monkeypatch):
     assert done.stdout == "\n".join(_one_process_report(monkeypatch, config)) + "\n"
 
 
-def _queue_types(config):
-    return [config.types[b] for b in report._slot_order(config)]
+def _queue_types(types):
+    return [types[b] for b in report._slot_order(tuple(map(SimpleType.from_name, types)))]
 
 
 def test_the_queue_hands_out_the_largest_types_first():
     spec = json.loads((ROOT / "perfbench" / "workloads" / "exceptional-roots.json").read_text())
-    config = RunConfig(types=tuple(cli.build_parser().parse_args(spec["argv"]).types))
-    assert _queue_types(config) == ["E8", "E7", "E6", "F4", "D4", "G2"]
+    types = tuple(cli.build_parser().parse_args(spec["argv"]).types)
+    assert _queue_types(types) == ["E8", "E7", "E6", "F4", "D4", "G2"]
 
 
-def test_an_invalid_type_goes_last_and_a_slot_weighs_the_sum_of_its_types():
+def test_equal_slots_keep_their_order_and_a_slot_weighs_the_sum_of_its_types():
     # G2 and A3 both have 6 positive roots, so they keep the configured order
-    assert _queue_types(RunConfig(types=("X9", "A1", "G2", "A3"))) == ["G2", "A3", "A1", "X9"]
+    assert _queue_types(("A1", "G2", "A3")) == ["G2", "A3", "A1"]
     # 258 types: slot 0 holds A1 twice (2 roots), slot 1 holds A1 and A3 (7)
-    config = RunConfig(types=("A1",) * 256 + ("A1", "A3"))
-    assert list(report._slot_order(config)) == [1, 0] + list(range(2, 256))
+    stypes = (SimpleType("A", 1),) * 257 + (SimpleType("A", 3),)
+    assert list(report._slot_order(stypes)) == [1, 0] + list(range(2, 256))
 
 
 def test_a_child_imports_no_module_between_its_fork_and_its_first_type(monkeypatch):
