@@ -22,8 +22,11 @@ cell (a, b) where all later ones vanish, so coordinates are read off matrix
 cells, and beta(t) = t[a][a] - t[b][b] for t in h at e_beta's cell, as
 [t, e_beta] = beta(t) e_beta (root_value).
 
-Fundamental invariants are characteristic-polynomial coefficients, so every
-evaluation is exact; by Kronecker substitution, their polarizations are the
+Fundamental invariants are characteristic-polynomial coefficients, one of
+each degree d in the root system's ``rs.degrees``, which are read off the
+root heights: 2, ..., n+1 on sl(n+1), and 2, 4, ..., 2n on so(2n+1) and
+sp(2n), whose odd coefficients vanish.  So every evaluation is exact; by
+Kronecker substitution, their polarizations are the
 signed base-2^K digits of the char-poly coefficients of X + 2^K Y (_pencil).
 The bilinear form is the trace form of the defining representation, which
 is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
@@ -131,10 +134,7 @@ class MatrixLieAlgebra:
         self._upper_cells = itemgetter(*(a * N + b for a, b in upper))
         self._upper_mirrors = itemgetter(*(c * N + d for c, d, _ in mirrors))
         self._upper_signs = tuple(-sign for _, _, sign in mirrors)
-        if family == "A":
-            self.degrees = tuple(range(2, rank + 2))
-        else:
-            self.degrees = tuple(2 * i for i in range(1, rank + 1))
+        self.degrees = self.rs.degrees
         self._build_basis()
         self.dim = len(self.basis)
         assert self.dim == self.rank + 2 * self.rs.num_positive

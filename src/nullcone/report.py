@@ -956,13 +956,13 @@ def _jsonable(value):
 
 
 def structured_lines(config: RunConfig, results) -> list:
-    """Line-delimited JSON records, sorted by check id, no timings."""
+    """Line-delimited JSON records, sorted by check id, no timings; types by canonical name."""
     header = {
         "schema": SCHEMA_ID,
         "tool_version": TOOL_VERSION,
         "config": {
             "suites": list(config.suites),
-            "types": list(config.types),
+            "types": [SimpleType.from_name(t).name for t in config.types],
             "seed": config.seed,
             "samples": config.samples,
             "max_weyl_order": config.max_weyl_order,

@@ -7,8 +7,9 @@ regularity and dominance are sign tests and nothing is ever irrational.
 Simple roots are indexed 1..rank and ordered the standard (Bourbaki) way:
 chains are numbered consecutively; in type D the last two nodes are the
 fork; in type E node 2 hangs off node 4 of the chain 1-3-4-5-...; in types
-B/C/F/G the arrow conventions are fixed by the Cartan matrices below.
-Long roots have squared length 2.
+B/C/F/G the arrow conventions are fixed by the Cartan matrices below.  The
+Cartan matrix is the one hand-written input: every other piece of root
+data is derived from it.
 
 The root order lives here: ``rs.roots`` is the positive roots followed by
 their negatives in the same order, so root k is positive exactly when
@@ -16,22 +17,32 @@ k < m, and ``rs.index`` inverts it.  Weyl permutations, Cartan-pair orbits
 and the bases of the matrix realizations read this one order.
 
 The roots are found in one closure of the simple roots under the simple
-reflections, each root together with its weight (its coroot pairings):
-s_i sends a root r of weight w to r - w_i beta_i, of weight w - w_i times
-column i of the Cartan matrix, so the pass takes vector subtractions and
-no pairing.  It records every reflection it takes as well, which gives
-``rs.reflection_tables``: entry k of table i - 1 is the index of
-s_i(root k), the table S_i that :mod:`nullcone.weyl` composes.
+reflections, each root together with its weight (its coroot pairings)
+and its coroot: s_i sends a root r of weight w to r - w_i beta_i, of weight
+w - w_i times column i of the Cartan matrix, and sends r's coroot, with
+coordinates m in the simple coroots and pairings cw with the simple roots,
+to m - cw_i e_i, with pairings cw - cw_i times row i.  So the pass takes
+vector subtractions and no pairing.  It records every reflection it takes
+as well, which gives ``rs.reflection_tables``: entry k of table i - 1 is
+the index of s_i(root k), the table S_i that :mod:`nullcone.weyl`
+composes.  Cartan data of infinite type fails the closure's root bound.
+
+Long roots have squared length 2.  The highest root theta is long and
+every theta_i is positive, so r^vee = 2r/(r, r) gives the squared lengths
+len2(beta_i) = 2 theta^vee_i / theta_i; they must symmetrize the Cartan
+matrix.  The degrees d_i of the fundamental invariants are the exponents
+plus one, and as many exponents are >= h as there are positive roots of
+height h (Kostant).
 
 The root predicates read per-root tables built once per root system: the
-coroot coordinates of every positive root, in positive-root order, and the
-columns of the Cartan matrix.  A pairing <lam, r^vee> is the sum of lam
-against r's coroot row, and s_{beta_i} subtracts lam_i times column i.
+coroot coordinates of every root, and the columns of the Cartan matrix.
+A pairing <lam, r^vee> is the sum of lam against r's coroot row, and
+s_{beta_i} subtracts lam_i times column i.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -135,22 +146,12 @@ def cartan_matrix(stype: SimpleType) -> tuple:
     return tuple(tuple(row) for row in c)
 
 
-def _simple_root_lengths(stype: SimpleType) -> tuple:
-    """Squared lengths of the simple roots, long roots normalized to 2."""
-    fam, n = stype.family, stype.rank
-    if fam in ("A", "D", "E"):
-        return (Fraction(2),) * n
-    if fam == "B":
-        return (Fraction(2),) * (n - 1) + (Fraction(1),)
-    if fam == "C":
-        return (Fraction(1),) * (n - 1) + (Fraction(2),)
-    if fam == "F":
-        return (Fraction(2), Fraction(2), Fraction(1), Fraction(1))
-    return (Fraction(2, 3), Fraction(2))  # G2
-
-
 class RootSystem:
-    """Root data of one simple type: Cartan matrix, positive roots, pairings.
+    """Root data of one simple type, all derived from its Cartan matrix.
+
+    The roots and their order, weights, coroots and reflection tables come
+    from one closure; the squared simple-root lengths from the highest
+    root; the degrees of the fundamental invariants from the root heights.
 
     Immutable after construction; every method is a pure function of its
     arguments, so instances are safe for any number of concurrent readers.
@@ -158,22 +159,12 @@ class RootSystem:
 
     def __init__(self, stype: SimpleType):
         self.stype = stype
-        self.rank = stype.rank
+        self.rank = n = stype.rank
         self.cartan = cartan_matrix(stype)
-        self.lengths = _simple_root_lengths(stype)
-        # (beta_i, beta_j) = len2(beta_i)/2 * C[i][j]; must come out symmetric
-        n = self.rank
-        self.bilinear = tuple(
-            tuple(self.lengths[i] / 2 * self.cartan[i][j] for j in range(n))
-            for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                if self.bilinear[i][j] != self.bilinear[j][i]:
-                    raise AssertionError("Cartan data is not symmetrizable as configured")
         self.simple_roots = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
         self._columns = tuple(zip(*self.cartan))  # column j holds C[i][j] for every i
-        self._weights, images = self._close_under_reflections()
+        expected = POSITIVE_ROOT_COUNTS[stype.family](n)
+        self._weights, self._coroot_coords, images = self._close_under_reflections(2 * expected)
         positive = [r for r in self._weights if min(r) >= 0]
         negative = [r for r in self._weights if max(r) <= 0]
         if len(positive) + len(negative) != len(self._weights):
@@ -185,38 +176,52 @@ class RootSystem:
             tuple(map(self.index.__getitem__, row))
             for row in zip(*map(images.__getitem__, self.roots))
         )
-        expected = POSITIVE_ROOT_COUNTS[stype.family](stype.rank)
         if len(self.positive_roots) != expected:
             raise AssertionError(
                 f"{stype}: found {len(self.positive_roots)} positive roots, expected {expected}"
             )
-        self.highest_root = max(self.positive_roots, key=lambda r: (sum(r), r))
+        self.highest_root = theta = self.positive_roots[-1]
+        # theta is long, of squared length 2, so len2(beta_i) = 2 theta^vee_i / theta_i
+        self.lengths = tuple(Fraction(2 * m, t) for m, t in zip(self._coroot_coords[theta], theta))
+        # (beta_i, beta_j) = len2(beta_i)/2 * C[i][j] must come out symmetric
+        for i in range(n):
+            for j in range(i):
+                if self.lengths[i] * self.cartan[i][j] != self.lengths[j] * self.cartan[j][i]:
+                    raise AssertionError("Cartan data is not symmetrizable as configured")
         self.rho = (1,) * n
-        self._lengths3 = tuple(int(3 * l) for l in self.lengths)  # 3 len2(beta_i)
-        self._coroot_coords = {
-            r: self._coroot_in_simple_coroots(r) for r in self.positive_roots
-        }
-        self._coroots = tuple(self._coroot_coords.values())  # in positive-root order
+        self._coroots = tuple(map(self._coroot_coords.__getitem__, self.positive_roots))
+        # the k-th largest exponent is the number of heights with at least k positive roots
+        per_height = Counter(map(sum, self.positive_roots)).values()
+        self.degrees = tuple(1 + sum(c >= k for c in per_height) for k in range(n, 0, -1))
 
     # -- construction -----------------------------------------------------
 
-    def _close_under_reflections(self) -> tuple:
-        """Every root with its weight, and its image under each simple reflection.
+    def _close_under_reflections(self, limit: int) -> tuple:
+        """Every root with its weight and coroot, and its image under each simple reflection.
 
-        Returns ``(weights, images)``: ``weights[r]`` holds the pairings
-        <r, beta_i^vee>, and ``images[r][i - 1]`` is s_i(r).  A simple root's
-        weight is its column of the Cartan matrix, and s_i sends a root r of
-        weight w to r - w_i beta_i, of weight w - w_i times column i.  Each
-        root is reflected by every s_i once, when the closure reaches it.
+        Returns ``(weights, coroots, images)``: ``weights[r]`` holds the
+        pairings <r, beta_i^vee>, ``coroots[r]`` the coordinates of r^vee in
+        the simple coroots, and ``images[r][i - 1]`` is s_i(r).  Alongside
+        its coroot each root carries the coweight cw, the pairings
+        <beta_j, r^vee>, which a simple coroot takes from its row of the
+        Cartan matrix; the updates under s_i are the module docstring's.
+        Each root is reflected by every s_i once, when the closure reaches
+        it.  Holding more than ``limit`` roots raises ``AssertionError``, as
+        Cartan data of infinite type has infinitely many.
         """
-        columns = self._columns
+        columns, rows = self._columns, self.cartan
         weights = dict(zip(self.simple_roots, columns))
+        coroots = dict(zip(self.simple_roots, self.simple_roots))
+        coweights = dict(zip(self.simple_roots, rows))
         images = {}
         frontier = self.simple_roots
         while frontier:
+            if len(weights) > limit:
+                raise AssertionError(f"{self.stype}: more than {limit} roots, so not of finite type")
             found = []
             for r in frontier:
                 w, row = weights[r], []
+                m, cw = coroots[r], coweights[r]
                 for i, c in enumerate(w):
                     if not c:  # s_i fixes r
                         row.append(r)
@@ -224,27 +229,14 @@ class RootSystem:
                     s = (*r[:i], r[i] - c, *r[i + 1 :])
                     if s not in weights:
                         weights[s] = tuple(map(sub, w, map(mul, repeat(c), columns[i])))
+                        d = cw[i]
+                        coroots[s] = (*m[:i], m[i] - d, *m[i + 1 :])
+                        coweights[s] = tuple(map(sub, cw, map(mul, repeat(d), rows[i])))
                         found.append(s)
                     row.append(s)
                 images[r] = row
             frontier = found
-        return weights, images
-
-    def _coroot_in_simple_coroots(self, r: Root) -> tuple:
-        """Integer coordinates m with r^vee = sum m_i beta_i^vee.
-
-        m_i = n_i * len2(beta_i) / len2(r); coroots form a root system with
-        the simple coroots as a base, so every m_i is an integer.  Lengths
-        are scaled by 3, which makes every one an integer (G2's short root
-        has len2 2/3), and the quotients are taken exactly by ``divmod``.
-        """
-        lengths = self._lengths3
-        pairings = self.weight_of_root(r)
-        len2 = sum(l * c * p for l, c, p in zip(lengths, r, pairings)) // 2  # 3 (r, r)
-        coords = [divmod(n_i * l, len2) for n_i, l in zip(r, lengths)]
-        if any(rem for _, rem in coords):
-            raise AssertionError(f"{self.stype}: coroot of {r} is not integral")
-        return tuple(q for q, _ in coords)
+        return weights, coroots, images
 
     # -- basic queries -----------------------------------------------------
 
@@ -301,10 +293,10 @@ class RootSystem:
         return w
 
     def pairing(self, lam: Weight, r: Root):
-        """<lam, r^vee> for a positive root r."""
+        """<lam, r^vee> for a root r."""
         m = self._coroot_coords.get(tuple(r))
         if m is None:
-            m = self._coroot_in_simple_coroots(tuple(r))
+            raise ValueError(f"{tuple(r)} is not a root of {self.stype}")
         return sum(map(mul, lam, m))
 
     def is_dominant(self, lam: Weight) -> bool:

@@ -10,6 +10,10 @@ as the reference for the orbits ``weyl_orbit_pairs`` reads off root
 permutations.  ``reflection_tables`` reflects root by root, as the
 reference for the tables the closure in ``RootSystem`` records.
 ``is_nilpotent`` reads nilpotency off the characteristic polynomial.
+``simple_root_lengths`` is the per-family table of squared simple-root
+lengths, and ``length2_by_form`` and ``coroot_by_form`` compute (r, r) and
+r^vee = 2r/(r, r) from it, as the references for the lengths and coroots
+``RootSystem`` derives from the Cartan matrix alone.
 ``in_cartan``, ``decompose``, ``directional_derivatives``,
 ``simple_index``, ``inversions`` and ``TorusBorel`` are direct definitions
 that only the tests read.
@@ -197,3 +201,31 @@ def rho_shift_by_generator(rs, r, sign):
     """rho + sign*r, built from a generator over r's coroot pairings."""
     w = rs.weight_of_root(r)
     return tuple(1 + sign * x for x in w)
+
+
+def simple_root_lengths(stype) -> tuple:
+    """Squared lengths of the simple roots, long roots normalized to 2, family by family."""
+    fam, n = stype.family, stype.rank
+    if fam in ("A", "D", "E"):
+        return (Fraction(2),) * n
+    if fam == "B":
+        return (Fraction(2),) * (n - 1) + (Fraction(1),)
+    if fam == "C":
+        return (Fraction(1),) * (n - 1) + (Fraction(2),)
+    if fam == "F":
+        return (Fraction(2), Fraction(2), Fraction(1), Fraction(1))
+    return (Fraction(2, 3), Fraction(2))  # G2
+
+
+def length2_by_form(rs, r) -> Fraction:
+    """(r, r) = sum_ij r_i r_j (beta_i, beta_j), where (beta_i, beta_j) = len2(beta_i)/2 C[i][j]."""
+    lengths, n = simple_root_lengths(rs.stype), rs.rank
+    return sum(
+        Fraction(r[i]) * r[j] * lengths[i] / 2 * rs.cartan[i][j] for i in range(n) for j in range(n)
+    )
+
+
+def coroot_by_form(rs, r) -> tuple:
+    """r^vee = 2r/(r, r) in simple-coroot coordinates: m_i = r_i len2(beta_i) / (r, r)."""
+    len2 = length2_by_form(rs, r)
+    return tuple(x * l / len2 for x, l in zip(r, simple_root_lengths(rs.stype)))

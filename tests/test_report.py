@@ -98,6 +98,18 @@ def test_a_lowercase_type_gives_the_records_of_its_canonical_name(suites):
     assert records("a2") == records("A2")
 
 
+def test_a_lowercase_type_gives_the_structured_report_of_its_canonical_name():
+    # the header names each type as the records do, so a library run of a2
+    # writes the lines the CLI writes for A2
+    def lines(types):
+        config = RunConfig(suites=("roots",), types=types)
+        return structured_lines(config, run(config)[1])
+
+    canonical = lines(("A2", "B2"))
+    assert json.loads(canonical[0])["config"]["types"] == ["A2", "B2"]
+    assert lines(("a2", "b2")) == canonical
+
+
 def test_every_entry_gate_names_canonical_realized_types():
     # a misspelt gate would drop its records without a trace
     for checks in report._CHECKS.values():

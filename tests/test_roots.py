@@ -2,22 +2,34 @@
 
 import copy
 import random
+import signal
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    coroot_by_form,
+    length2_by_form,
     pairing_is_regular,
     pairing_zero_witness,
     reflect_by_cartan_entries,
     reflection_tables,
     rho_shift_by_generator,
+    simple_root_lengths,
 )
 
-from nullcone import weyl
+from nullcone import roots, weyl
+from nullcone.algebra import SUPPORTED_RANKS, build_algebra
 from nullcone.report import DEFAULT_TYPES
-from nullcone.roots import SimpleType, build_root_system
+from nullcone.roots import (
+    POSITIVE_ROOT_COUNTS,
+    WEYL_ORDERS,
+    RootSystem,
+    SimpleType,
+    build_root_system,
+)
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -76,33 +88,28 @@ def test_rho_is_half_sum_of_positives(family, rank):
     assert rs.is_regular(rs.rho) and rs.is_dominant(rs.rho)
 
 
-def _double_sum_length2(rs, r):
-    """Reference (r, r) = sum_ij r_i r_j (beta_i, beta_j) over the symmetrized form."""
-    n = rs.rank
-    return sum(Fraction(r[i]) * r[j] * rs.bilinear[i][j] for i in range(n) for j in range(n))
-
-
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_root_length2_matches_double_sum(family, rank):
     rs = build_root_system(family, rank)
-    for r in rs.positive_roots:
-        for root in (r, tuple(-c for c in r)):
-            got = rs.root_length2(root)
-            assert got == _double_sum_length2(rs, root) and isinstance(got, Fraction)
+    # the lengths derived from the highest root are the per-family table's
+    assert rs.lengths == simple_root_lengths(rs.stype)
+    for root in rs.roots:
+        got = rs.root_length2(root)
+        assert got == length2_by_form(rs, root) and isinstance(got, Fraction)
     assert {rs.root_length2(r) for r in rs.positive_roots} == set(rs.lengths)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_coroot_coordinates_are_integers(family, rank):
     rs = build_root_system(family, rank)
+    # the closure gives every root, negative ones included, its coroot 2r/(r, r)
+    assert set(rs._coroot_coords) == set(rs.roots)
     for r, coords in rs._coroot_coords.items():
         assert all(type(c) is int for c in coords), (r, coords)
+        assert coords == coroot_by_form(rs, r), r
 
     # r^vee = 2r/(r, r) in simple-coroot coordinates, recomputed over Fraction
-    fraction_coroots = []
-    for r in rs.positive_roots:
-        len2 = _double_sum_length2(rs, r)
-        fraction_coroots.append([Fraction(n_i) * l / len2 for n_i, l in zip(r, rs.lengths)])
+    fraction_coroots = [coroot_by_form(rs, r) for r in rs.positive_roots]
 
     def fraction_regular(lam):
         return all(sum(x * c for x, c in zip(lam, m)) != 0 for m in fraction_coroots)
@@ -111,6 +118,60 @@ def test_coroot_coordinates_are_integers(family, rank):
         for sign in (1, -1):
             lam = rs.rho_shift(alpha, sign)
             assert rs.is_regular(lam) == fraction_regular(lam), (alpha, sign)
+
+
+# Humphreys, Reflection Groups and Coxeter Groups, table 3.7
+TABULATED_DEGREES = {
+    ("D", 4): (2, 4, 4, 6),
+    ("D", 5): (2, 4, 5, 6, 8),
+    ("D", 6): (2, 4, 6, 6, 8, 10),
+    ("D", 7): (2, 4, 6, 7, 8, 10, 12),
+    ("D", 8): (2, 4, 6, 8, 8, 10, 12, 14),
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+    ("F", 4): (2, 6, 8, 12),
+    ("G", 2): (2, 6),
+}
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_degrees_from_root_heights(family, rank):
+    rs = build_root_system(family, rank)
+    assert prod(rs.degrees) == WEYL_ORDERS[family](rank)  # Chevalley
+    assert sum(d - 1 for d in rs.degrees) == POSITIVE_ROOT_COUNTS[family](rank)
+    if family == "A":
+        assert rs.degrees == tuple(range(2, rank + 2))
+    elif family in ("B", "C"):
+        assert rs.degrees == tuple(range(2, 2 * rank + 1, 2))
+    else:
+        assert rs.degrees == TABULATED_DEGREES[family, rank]
+    if rank in SUPPORTED_RANKS.get(family, ()):
+        assert build_algebra(family, rank).degrees == rs.degrees
+
+
+@pytest.mark.parametrize(
+    "family,rank,planted",
+    [
+        ("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))),  # nodes 1 and 3 joined: a 3-cycle
+        ("G", 2, ((2, -4), (-1, 2))),  # C[0][1] = -3 made -4
+    ],
+)
+def test_cartan_data_of_infinite_type_fails_fast(monkeypatch, family, rank, planted):
+    # both are symmetrizable and of affine type, so the closure never ends by itself
+    monkeypatch.setattr(roots, "cartan_matrix", lambda stype: planted)
+
+    def stop(signum, frame):
+        raise TimeoutError("the root closure did not stop")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        with pytest.raises(AssertionError, match="not of finite type"):
+            RootSystem(SimpleType(family, rank))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rank_bounds():
@@ -241,7 +302,7 @@ def _weight_grid(rs) -> list:
         tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(rs.rank)) for _ in range(10)
     )
     for r in rs.positive_roots:
-        coroot = rs._coroot_in_simple_coroots(r)
+        coroot = coroot_by_form(rs, r)
         i = next(k for k, m in enumerate(coroot) if m)
         generic = [rng.randint(-(10**6), 10**6) for _ in range(rs.rank)]
         on_wall = [coroot[i] * x for x in generic]
