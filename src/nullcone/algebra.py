@@ -449,9 +449,9 @@ class MatrixLieAlgebra:
     @cached_property
     def _simple_reflection_reps(self) -> tuple:
         """exp(e) exp(-f) exp(e) for each simple root, f scaled so that (e, h, f) is an sl2 triple."""
-        reps = []
+        reps, cells, index = [], self._exp_cells, self.rs.index
         for root in self.rs.simple_roots:
-            e, f_raw = self._exp_cells[root], self._exp_cells[tuple(-x for x in root)]
+            e, f_raw = cells[index[root]], cells[index[tuple(-x for x in root)]]
             c = self.root_value(root, la.commutator(self.pos_vectors[root], self.neg_vectors[root]))
             reps.append(self._exp([(*e, 1), (*f_raw, la.ratio(-2, c)), (*e, 1)]))
         return tuple(reps)
@@ -470,16 +470,16 @@ class MatrixLieAlgebra:
         return out
 
     @cached_property
-    def _exp_cells(self) -> dict:
-        """The nonzero cells (a, b, value) of e and e^2 per root vector e, negatives included."""
-        out = {}
-        for root, cells in zip(self.rs.roots, self._nonzero[self.rank :]):
+    def _exp_cells(self) -> list:
+        """The nonzero cells (a, b, value) of e and e^2 per root vector e, in ``rs.roots`` order."""
+        out = []
+        for cells in self._nonzero[self.rank :]:
             square = {}
             for a, b, v in cells:
                 for b2, d, w in cells:
                     if b == b2:
                         square[a, d] = square.get((a, d), 0) + v * w
-            out[root] = (cells, [(a, d, v) for (a, d), v in square.items() if v])
+            out.append((cells, [(a, d, v) for (a, d), v in square.items() if v]))
         return out
 
     def _exp(self, factors) -> GroupElement:
@@ -512,8 +512,8 @@ class MatrixLieAlgebra:
 
     def unipotent(self, coeffs: dict) -> GroupElement:
         """Product of exp(c * e_root) over the given roots, in the dict's order."""
-        cells = self._exp_cells
-        return self._exp((*cells[tuple(root)], c) for root, c in coeffs.items() if c)
+        cells, index = self._exp_cells, self.rs.index
+        return self._exp((*cells[index[tuple(root)]], c) for root, c in coeffs.items() if c)
 
     def torus(self, params) -> GroupElement:
         """Diagonal group element (diag t, diag 1/t) from rank nonzero rational parameters.

@@ -226,18 +226,18 @@ def _positive_count(u, rng):
 
 
 def _simple_reflections(u, rng):
+    """Reads the tables the Weyl group composes: s_i(root k) is root ``table[k]``."""
     rs, bad = u.rs, []
-    for i, beta in enumerate(rs.simple_roots, 1):
-        images = set()
-        for r in rs.positive_roots:
-            img = rs.reflect_root(r, i)
-            if r == beta:
-                if img != tuple(-x for x in beta):
-                    bad.append((i, r))
-            elif not rs.is_positive_root(img):
-                bad.append((i, r))
-            images.add(img)
-        if len(images) != len(rs.positive_roots):
+    m = rs.num_positive
+    for i, (beta, table) in enumerate(zip(rs.simple_roots, rs.reflection_tables), 1):
+        own, images = rs.index[beta], table[:m]  # root k + m is the negative of root k
+        for k, img in enumerate(images):
+            if k == own:
+                if img != own + m:
+                    bad.append((i, beta))
+            elif img >= m:
+                bad.append((i, rs.roots[k]))
+        if len(set(images)) != m:
             bad.append((i, "not injective"))
     return not bad, bad or None
 
@@ -253,12 +253,12 @@ def _rho_half_sum(u, rng):
 
 
 def _weight_reflect(u, rng):
+    """Checks every entry of every reflection table, negative roots included."""
     rs, bad = u.rs, []
-    for r in rs.positive_roots:
-        wr = rs.weight_of_root(r)
-        for i in range(1, rs.rank + 1):
-            img = rs.reflect_root(r, i)
-            if rs.is_root(img) and rs.weight_of_root(img) != rs.reflect(wr, i):
+    weights = list(map(rs.weight_of_root, rs.roots))
+    for k, (r, wr) in enumerate(zip(rs.roots, weights)):
+        for i, table in enumerate(rs.reflection_tables, 1):
+            if weights[table[k]] != rs.reflect(wr, i):
                 bad.append((r, i))
     return not bad, bad or None
 

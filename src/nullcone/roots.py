@@ -24,8 +24,9 @@ coordinates m in the simple coroots and pairings cw with the simple roots,
 to m - cw_i e_i, with pairings cw - cw_i times row i.  So the pass takes
 vector subtractions and no pairing.  It records every reflection it takes
 as well, which gives ``rs.reflection_tables``: entry k of table i - 1 is
-the index of s_i(root k), the table S_i that :mod:`nullcone.weyl`
-composes.  Cartan data of infinite type fails the closure's root bound.
+the index of s_i(root k), the one action of s_i on roots, which the roots
+suite checks and :mod:`nullcone.weyl` composes.  Cartan data of infinite
+type fails the closure's root bound.
 
 Long roots have squared length 2.  The highest root theta is long and
 every theta_i is positive, so r^vee = 2r/(r, r) gives the squared lengths
@@ -34,10 +35,10 @@ matrix.  The degrees d_i of the fundamental invariants are the exponents
 plus one, and as many exponents are >= h as there are positive roots of
 height h (Kostant).
 
-The root predicates read per-root tables built once per root system: the
-coroot coordinates of every root, and the columns of the Cartan matrix.
-A pairing <lam, r^vee> is the sum of lam against r's coroot row, and
-s_{beta_i} subtracts lam_i times column i.
+The weights and the coroot coordinates are one table each in ``rs.roots``
+order, a root's row read at its position in ``rs.index``.  A pairing
+<lam, r^vee> is the sum of lam against r's coroot row, and s_{beta_i} on
+weights subtracts lam_i times column i of the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -164,14 +165,16 @@ class RootSystem:
         self.simple_roots = tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
         self._columns = tuple(zip(*self.cartan))  # column j holds C[i][j] for every i
         expected = POSITIVE_ROOT_COUNTS[stype.family](n)
-        self._weights, self._coroot_coords, images = self._close_under_reflections(2 * expected)
-        positive = [r for r in self._weights if min(r) >= 0]
-        negative = [r for r in self._weights if max(r) <= 0]
-        if len(positive) + len(negative) != len(self._weights):
+        weights, coroots, images = self._close_under_reflections(2 * expected)
+        positive = [r for r in weights if min(r) >= 0]
+        negative = [r for r in weights if max(r) <= 0]
+        if len(positive) + len(negative) != len(weights):
             raise AssertionError("found a root with mixed-sign coordinates")
         self.positive_roots = tuple(sorted(positive, key=lambda r: (sum(r), r)))
         self.roots = self.positive_roots + tuple(tuple(map(neg, r)) for r in self.positive_roots)
         self.index = {r: k for k, r in enumerate(self.roots)}
+        self._weights = tuple(map(weights.__getitem__, self.roots))
+        self._coroots = tuple(map(coroots.__getitem__, self.roots))
         self.reflection_tables = tuple(
             tuple(map(self.index.__getitem__, row))
             for row in zip(*map(images.__getitem__, self.roots))
@@ -182,14 +185,13 @@ class RootSystem:
             )
         self.highest_root = theta = self.positive_roots[-1]
         # theta is long, of squared length 2, so len2(beta_i) = 2 theta^vee_i / theta_i
-        self.lengths = tuple(Fraction(2 * m, t) for m, t in zip(self._coroot_coords[theta], theta))
+        self.lengths = tuple(Fraction(2 * m, t) for m, t in zip(self._coroots[expected - 1], theta))
         # (beta_i, beta_j) = len2(beta_i)/2 * C[i][j] must come out symmetric
         for i in range(n):
             for j in range(i):
                 if self.lengths[i] * self.cartan[i][j] != self.lengths[j] * self.cartan[j][i]:
                     raise AssertionError("Cartan data is not symmetrizable as configured")
         self.rho = (1,) * n
-        self._coroots = tuple(map(self._coroot_coords.__getitem__, self.positive_roots))
         # the k-th largest exponent is the number of heights with at least k positive roots
         per_height = Counter(map(sum, self.positive_roots)).values()
         self.degrees = tuple(1 + sum(c >= k for c in per_height) for k in range(n, 0, -1))
@@ -249,9 +251,6 @@ class RootSystem:
         """b_g = |R+| + rank, the dimension of a Borel subalgebra."""
         return self.num_positive + self.rank
 
-    def is_root(self, r) -> bool:
-        return tuple(r) in self.index
-
     def is_positive_root(self, r) -> bool:
         m = len(self.positive_roots)
         return self.index.get(tuple(r), m) < m
@@ -269,16 +268,6 @@ class RootSystem:
 
     # -- reflections and pairings ------------------------------------------
 
-    def reflect_root(self, r: Root, i: int) -> Root:
-        """s_{beta_i}(r) in simple-root coordinates (i is 1-based)."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple index {i} out of range 1..{self.rank}")
-        k = i - 1
-        pairing = sum(map(mul, self.cartan[k], r))
-        out = list(r)
-        out[k] -= pairing
-        return tuple(out)
-
     def reflect(self, lam: Weight, i: int) -> Weight:
         """s_{beta_i}(lam) on coroot-pairing coordinates (i is 1-based)."""
         if not 1 <= i <= self.rank:
@@ -287,17 +276,18 @@ class RootSystem:
 
     def weight_of_root(self, r) -> Weight:
         """Coroot pairings <r, beta_i^vee> of a root (integer entries)."""
-        w = self._weights.get(tuple(r))
-        if w is None:
-            raise ValueError(f"{tuple(r)} is not a root of {self.stype}")
-        return w
+        return self._weights[self._position(r)]
 
     def pairing(self, lam: Weight, r: Root):
         """<lam, r^vee> for a root r."""
-        m = self._coroot_coords.get(tuple(r))
-        if m is None:
+        return sum(map(mul, lam, self._coroots[self._position(r)]))
+
+    def _position(self, r) -> int:
+        """The index of root r in ``self.roots``; ``ValueError`` if r is not a root."""
+        k = self.index.get(tuple(r))
+        if k is None:
             raise ValueError(f"{tuple(r)} is not a root of {self.stype}")
-        return sum(map(mul, lam, m))
+        return k
 
     def is_dominant(self, lam: Weight) -> bool:
         return all(x >= 0 for x in lam)
@@ -307,7 +297,7 @@ class RootSystem:
 
     def zero_pairing_witness(self, lam: Weight):
         """The first positive root r with <lam, r^vee> = 0, or None if lam is regular."""
-        for r, coroot in zip(self.positive_roots, self._coroots):
+        for r, coroot in zip(self.positive_roots, self._coroots):  # the first m rows
             if sum(map(mul, lam, coroot)) == 0:
                 return r
         return None

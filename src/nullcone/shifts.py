@@ -16,7 +16,8 @@ a regular dominant weight for ``regular_after_reflection``, and for
 reflection makes regular dominant, which no stated classification allows).
 The stated classification is the system under test; the pairing oracle is
 the ground truth, and any disagreement between them becomes a reported
-discrepancy rather than a silent fix.
+discrepancy rather than a silent fix.  The oracle-agreement check pairs through
+the invariant form, not the coroot table, so it fails a coroot that moves a verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
+from math import lcm
+from operator import mul
 
 from .roots import RootSystem, build_root_system
 
@@ -484,13 +487,19 @@ def classification_report(rs: RootSystem) -> list:
     oracle_bad = {"minus": [], "plus": []}
     stated_bad = {"minus": [], "plus": []}
     evidence_bad, plus_regular = [], []
+    # the oracle pairs through the form: <lam, r^vee> = sum_j r_j len2(beta_j) lam_j / (r, r)
+    scale = lcm(*(l.denominator for l in rs.lengths))
+    form = [l.numerator * scale // l.denominator for l in rs.lengths]  # integer multiples
+    rows = [tuple(map(mul, form, r)) for r in rs.positive_roots]  # scale (r, r) times r^vee
     for alpha in rs.positive_roots:
         vp = classify_rho_plus(rs, alpha)
         for v, predicted in (
             (classify_rho_minus(rs, alpha), predicted_minus_status(rs, alpha)),
             (vp, predicted_plus_status(rs, alpha)),
         ):
-            if (v.status == NOT_REGULAR) == rs.is_regular(rs.rho_shift(alpha, _SIGNS[v.shift])):
+            lam = rs.rho_shift(alpha, _SIGNS[v.shift])
+            regular = all(sum(map(mul, lam, row)) for row in rows)
+            if (v.status == NOT_REGULAR) == regular:
                 oracle_bad[v.shift].append(alpha)
             if not verdict_evidence_ok(rs, v):
                 evidence_bad.append((v.shift, alpha))

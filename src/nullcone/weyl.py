@@ -6,8 +6,8 @@ first, then their negatives), looked up through ``rs.index``, so that
 2m <= 255 roots fit a byte each.  Composition is one C-level call,
 perm(v u) = perm(u).translate(perm(v) + the identity tail), and a simple
 reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k):
-``rs.reflection_tables``, which the closure that finds the roots records,
-with the identity tail appended.
+``rs.reflection_tables``, the one action of s_i on roots, which the roots
+suite checks, with the identity tail appended.
 Generation runs up the parabolic chain W_1 < W_2 < ... < W_n, where
 W_k = <s_1, ..., s_k>: W_k is every product of an element of W_{k-1} with
 one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
@@ -37,7 +37,7 @@ from .roots import RootSystem, WEYL_ORDERS
 
 
 class WeylOrderError(ValueError):
-    """Raised when a group is too large for the configured enumeration cap."""
+    """Raised when a group is too large to enumerate: above the order cap, or over 255 roots."""
 
 
 @lru_cache(maxsize=None)
@@ -45,11 +45,11 @@ def _reflections(rs: RootSystem) -> tuple:
     """(index of alpha_i, table S_i) per letter i, with S_i[k] the index of s_i(root k).
 
     S_i is ``rs.reflection_tables[i - 1]`` as bytes, with the identity on
-    the bytes above 2m.  Indices are bytes: at most 255 roots.
+    the bytes above 2m.  Indices are bytes: over 255 roots raise ``WeylOrderError``.
     """
     n = len(rs.roots)
     if n > 255:
-        raise ValueError(f"{rs.stype} has {n} roots, above the 255 bytes can index")
+        raise WeylOrderError(f"{rs.stype} has {n} roots, above the 255 bytes can index")
     rest = bytes(range(n, 256))
     return tuple(
         (rs.index[alpha], bytes(table) + rest)
@@ -93,7 +93,7 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> WeylGroup:
-    """Enumerate the full Weyl group, refusing if it exceeds max_order.
+    """Enumerate the full Weyl group, refusing if it exceeds max_order or has over 255 roots.
 
     Returns a ``WeylGroup`` sequence in product order, the identity first,
     held as one perm buffer whose elements are built on each read.  The cap

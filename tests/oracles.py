@@ -7,8 +7,12 @@ solves for the Cartan element on which every simple root is 1.
 ``nullcone_membership`` verdict.  ``apply_h`` moves a point of the Cartan
 subalgebra by a Weyl element letter by letter, through the Cartan matrix,
 as the reference for the orbits ``weyl_orbit_pairs`` reads off root
-permutations.  ``reflection_tables`` reflects root by root, as the
-reference for the tables the closure in ``RootSystem`` records.
+permutations.  ``reflect_root`` is the Cartan-row formula for s_i on a
+root and ``is_root`` the membership test, and ``reflection_tables``
+reflects root by root with them, as the reference for the tables the
+closure in ``RootSystem`` records.  ``pairing_zero_witness`` and
+``pairing_is_regular`` pair through the invariant form, as the reference
+for the coroot table.
 ``is_nilpotent`` reads nilpotency off the characteristic polynomial.
 ``simple_root_lengths`` is the per-family table of squared simple-root
 lengths, and ``length2_by_form`` and ``coroot_by_form`` compute (r, r) and
@@ -22,6 +26,7 @@ that only the tests read.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
@@ -164,6 +169,21 @@ def apply_h(rs, w, xi) -> tuple:
     return out
 
 
+def is_root(rs, r) -> bool:
+    """Whether r is a root of rs: a key of ``rs.index``."""
+    return tuple(r) in rs.index
+
+
+def reflect_root(rs, r, i: int) -> tuple:
+    """s_{beta_i}(r) = r - <r, beta_i^vee> beta_i in simple-root coordinates (i is 1-based)."""
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
+    k = i - 1
+    out = list(r)
+    out[k] -= sum(map(mul, rs.cartan[k], r))
+    return tuple(out)
+
+
 def reflection_tables(rs) -> list:
     """Each simple reflection as a tuple: entry k is the index of s_i(root k).
 
@@ -173,19 +193,24 @@ def reflection_tables(rs) -> list:
     all_roots = list(rs.positive_roots) + [tuple(-x for x in r) for r in rs.positive_roots]
     index = {r: k for k, r in enumerate(all_roots)}
     return [
-        tuple(index[rs.reflect_root(r, i)] for r in all_roots) for i in range(1, rs.rank + 1)
+        tuple(index[reflect_root(rs, r, i)] for r in all_roots) for i in range(1, rs.rank + 1)
     ]
 
 
 def pairing_is_regular(rs, lam) -> bool:
-    """Whether lam pairs nonzero with every positive coroot, one ``pairing`` per root."""
-    return all(rs.pairing(lam, r) != 0 for r in rs.positive_roots)
+    """Whether lam pairs nonzero with every positive coroot, through the invariant form."""
+    return pairing_zero_witness(rs, lam) is None
 
 
 def pairing_zero_witness(rs, lam):
-    """The first positive root r with <lam, r^vee> = 0, one ``pairing`` per root, or None."""
+    """The first positive root r with <lam, r^vee> = 0, or None, with no coroot table read.
+
+    <lam, r^vee> = sum_j r_j len2(beta_j) lam_j / (r, r) with the per-family
+    lengths, which 6 len2 scales to integers.
+    """
+    scaled = [int(6 * l) * x for l, x in zip(simple_root_lengths(rs.stype), lam)]
     for r in rs.positive_roots:
-        if rs.pairing(lam, r) == 0:
+        if sum(map(mul, r, scaled)) == 0:
             return r
     return None
 

@@ -134,6 +134,18 @@ def test_weyl_cap_skips_enumeration_checks():
     assert "48" in str(by_id["roots/B3/weyl-order"].witness)
 
 
+def test_more_roots_than_a_byte_indexes_skip_the_group_entries(capsys):
+    # A16 has 272 roots; its order 17! is below this cap, so the root count refuses
+    assert main(["roots", "--type", "A16", "--max-weyl-order", str(10**15)]) == 0
+    out = capsys.readouterr().out
+    assert "summary: 4 passed, 0 failed, 0 undecided, 2 skipped" in out
+    _, results = run(RunConfig(suites=("roots",), types=("A16",), max_weyl_order=10**15))
+    by_id = {c.check_id: c for c in results}
+    for entry in ("weyl-order", "torus-borel-count"):
+        record = by_id[f"roots/A16/{entry}"]
+        assert record.status == "skipped" and "272 roots" in record.witness
+
+
 def test_text_format_summary():
     config = RunConfig(suites=("roots",), types=("A1",))
     _, results = run(config)

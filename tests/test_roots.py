@@ -11,18 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     coroot_by_form,
+    is_root,
     length2_by_form,
     pairing_is_regular,
     pairing_zero_witness,
     reflect_by_cartan_entries,
+    reflect_root,
     reflection_tables,
     rho_shift_by_generator,
     simple_root_lengths,
 )
 
-from nullcone import roots, weyl
+from nullcone import report, roots, weyl
 from nullcone.algebra import SUPPORTED_RANKS, build_algebra
-from nullcone.report import DEFAULT_TYPES
+from nullcone.report import DEFAULT_TYPES, RunConfig
 from nullcone.roots import (
     POSITIVE_ROOT_COUNTS,
     WEYL_ORDERS,
@@ -65,8 +67,8 @@ def test_simple_reflections_permute_other_positives(family, rank):
     for i in range(1, rank + 1):
         beta = tuple(1 if j == i - 1 else 0 for j in range(rank))
         for r in rs.positive_roots:
-            img = rs.reflect_root(r, i)
-            assert rs.is_root(img)
+            img = reflect_root(rs, r, i)
+            assert is_root(rs, img)
             if r == beta:
                 assert img == tuple(-x for x in beta)
             else:
@@ -103,10 +105,11 @@ def test_root_length2_matches_double_sum(family, rank):
 def test_coroot_coordinates_are_integers(family, rank):
     rs = build_root_system(family, rank)
     # the closure gives every root, negative ones included, its coroot 2r/(r, r)
-    assert set(rs._coroot_coords) == set(rs.roots)
-    for r, coords in rs._coroot_coords.items():
+    assert len(rs._coroots) == len(rs.roots)
+    for r, coords in zip(rs.roots, rs._coroots):
         assert all(type(c) is int for c in coords), (r, coords)
         assert coords == coroot_by_form(rs, r), r
+        assert rs.pairing(rs.rho, r) == sum(coords)  # pairing reads r's row by position
 
     # r^vee = 2r/(r, r) in simple-coroot coordinates, recomputed over Fraction
     fraction_coroots = [coroot_by_form(rs, r) for r in rs.positive_roots]
@@ -226,10 +229,10 @@ def test_simple_roots_and_reflection_indices(family, rank):
     assert set(rs.simple_roots) == {r for r in rs.positive_roots if rs.is_simple(r)}
     for i, beta in enumerate(rs.simple_roots, 1):
         assert beta[i - 1] == 1
-        assert rs.reflect_root(beta, i) == tuple(-x for x in beta)
+        assert reflect_root(rs, beta, i) == tuple(-x for x in beta)
     for i in (0, -1, rank + 1):
         with pytest.raises(ValueError):
-            rs.reflect_root(rs.highest_root, i)
+            reflect_root(rs, rs.highest_root, i)
 
 
 def test_reflection_examples():
@@ -277,7 +280,7 @@ def test_weight_of_root_commutes_with_reflection(stype, data):
     rs = build_root_system(family, rank)
     r = data.draw(st.sampled_from(rs.positive_roots), label="root")
     i = data.draw(st.integers(1, rank), label="i")
-    img = rs.reflect_root(r, i)
+    img = reflect_root(rs, r, i)
     assert rs.weight_of_root(img) == rs.reflect(rs.weight_of_root(r), i)
 
 
@@ -338,7 +341,7 @@ def test_root_tables_match_the_per_root_formulas(name):
     assert {rs.zero_pairing_witness(lam) for lam in weights} >= set(rs.positive_roots)
     # the closure's image of every root under every s_i, and the bytes weyl composes
     for i, table in enumerate(rs.reflection_tables, 1):
-        assert [rs.roots[k] for k in table] == [rs.reflect_root(r, i) for r in rs.roots]
+        assert [rs.roots[k] for k in table] == [reflect_root(rs, r, i) for r in rs.roots]
     tail = bytes(range(len(rs.roots), 256))
     assert weyl._reflections(rs) == tuple(
         (rs.index[alpha], bytes(table) + tail)
@@ -357,6 +360,29 @@ def test_a_planted_wrong_coroot_row_is_caught(name):
         planted = copy.copy(rs)  # row k holds the coroot of the next positive root
         planted._coroots = rows[:k] + (rows[(k + 1) % m],) + rows[k + 1 :]
         assert _table_mismatches(planted, weights), f"row {k} of {name} planted unseen"
+
+
+def _roots_record(rs, name: str):
+    """The record of the roots suite's entry ``name`` on ``rs``, planted or not."""
+    unit = report._Unit(RunConfig(), "roots", rs.stype)
+    unit.rs = rs
+    return report._run_check(next(c for c in report._CHECKS["roots"] if c.name == name), unit)
+
+
+@pytest.mark.parametrize("name", DEFAULT_TYPES)
+def test_a_planted_wrong_reflection_table_entry_fails_a_roots_record(name):
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    entries = ("simple-reflection-permutation", "weight-reflect-commutes")
+    assert [_roots_record(rs, entry).status for entry in entries] == ["pass", "pass"]
+    rng, n, tables = random.Random(f"plant-table:{name}"), len(rs.roots), rs.reflection_tables
+    for i in range(rs.rank):
+        for k in sorted({0, rng.randrange(n), n - 1}):
+            planted = copy.copy(rs)  # s_{i + 1}(root k) points at the next root
+            wrong = tables[i][:k] + ((tables[i][k] + 1) % n,) + tables[i][k + 1 :]
+            planted.reflection_tables = tables[:i] + (wrong,) + tables[i + 1 :]
+            statuses = [_roots_record(planted, entry).status for entry in entries]
+            assert "fail" in statuses, f"entry {k} of table {i} of {name} planted unseen"
 
 
 @pytest.mark.parametrize("name", DEFAULT_TYPES)
@@ -379,12 +405,12 @@ def test_root_predicates_agree_with_their_definitions(name):
     # the roots by definition: the orbit of the simple roots under the reflections
     roots, frontier = set(rs.simple_roots), list(rs.simple_roots)
     while frontier:
-        images = {rs.reflect_root(r, i) for r in frontier for i in range(1, rs.rank + 1)}
+        images = {reflect_root(rs, r, i) for r in frontier for i in range(1, rs.rank + 1)}
         frontier = list(images - roots)
         roots |= images
     assert roots == set(rs.roots)
     for r in rs.roots:
-        assert rs.is_root(r) and rs.is_root(list(r))
+        assert is_root(rs, r) and is_root(rs, list(r))
         assert rs.is_positive_root(r) == all(x >= 0 for x in r)
         assert rs.weight_of_root(r) == tuple(
             sum(c * x for c, x in zip(row, r)) for row in rs.cartan
@@ -394,6 +420,6 @@ def test_root_predicates_agree_with_their_definitions(name):
     non_roots = candidates - roots
     assert len(non_roots) > len(rs.roots)
     for r in non_roots:
-        assert not rs.is_root(r) and not rs.is_positive_root(r)
+        assert not is_root(rs, r) and not rs.is_positive_root(r)
         with pytest.raises(ValueError):
             rs.weight_of_root(r)

@@ -8,11 +8,13 @@ its witness rather than hiding it.
 """
 
 import copy
+from operator import mul
 
 import pytest
-from oracles import simple_index
+from oracles import coroot_by_form, simple_index
 
 from nullcone import shifts
+from nullcone.report import DEFAULT_TYPES
 from nullcone.roots import RootSystem, SimpleType, build_root_system
 from nullcone.shifts import (
     BEYOND_ONE_REFLECTION,
@@ -437,3 +439,28 @@ def test_beyond_one_reflection_evidence_needs_every_reflection_to_fail():
     # a regular dominant weight is no evidence either
     theta = classify_rho_plus(rs, rs.highest_root)
     assert not verdict_evidence_ok(rs, theta._replace(status=BEYOND_ONE_REFLECTION))
+
+
+# A1 has one positive root, so no other root's coroot can take its row
+@pytest.mark.parametrize("name", DEFAULT_TYPES[1:])
+def test_a_planted_wrong_coroot_row_fails_the_oracle_agreement_record(name):
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    coroots = [tuple(map(int, coroot_by_form(rs, r))) for r in rs.positive_roots]
+    # the positive roots that are the one zero pairing of some rho +- alpha:
+    # with another root's coroot in that root's row the classifier calls the
+    # weight regular, and the invariant form does not
+    lone = set()
+    for alpha in rs.positive_roots:
+        for sign in (1, -1):
+            lam = rs.rho_shift(alpha, sign)
+            zeros = [k for k, c in enumerate(coroots) if sum(map(mul, lam, c)) == 0]
+            if len(zeros) == 1:
+                lone.update(zeros)
+    assert lone
+    rows, m = rs._coroots, rs.num_positive
+    for k in sorted(lone):
+        planted = copy.copy(rs)  # row k holds the coroot of the next positive root
+        planted._coroots = rows[:k] + (rows[(k + 1) % m],) + rows[k + 1 :]
+        outcomes = {o.check_id: o for o in classification_report(planted)}
+        assert not outcomes[f"{name}/oracle-agreement"].ok, f"row {k} of {name} planted unseen"

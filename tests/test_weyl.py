@@ -557,6 +557,9 @@ def test_root_systems_beyond_byte_indices_are_refused():
         element_from_word(rs, (1,))
     with pytest.raises(WeylOrderError):
         generate_weyl(rs)
+    # 17! is below this cap, so the root count is what refuses
+    with pytest.raises(WeylOrderError, match="272 roots"):
+        generate_weyl(rs, 10**15)
 
 
 def test_group_is_enumerated_once_per_root_system():
