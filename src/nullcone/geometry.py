@@ -168,8 +168,11 @@ def nullcone_membership(alg: MatrixLieAlgebra, x, y) -> Membership:
     the rejection's witness.  Otherwise V_0 > V_1 > ... > V_N = 0 and any
     subspace between V_(k+1) and V_k is mapped into V_(k+1), so the kept
     vectors of V_(N-1), ..., V_0 that raise the rank, in that order, form a
-    common flag, verified before ``member`` is returned.
+    common flag, verified before ``member`` is returned.  A pair outside g
+    raises ``ValueError``.
     """
+    if not (alg.in_algebra(x) and alg.in_algebra(y)):
+        raise ValueError("x and y must lie in the algebra")
     n = alg.size
     letters = (("x", la.clear_denominators(x)[1]), ("y", la.clear_denominators(y)[1]))
     levels = [[(v, "") for v in la.identity(n)]]  # the kept vectors of each V_k, with their words

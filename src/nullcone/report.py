@@ -3,7 +3,7 @@
 A run is configured by :class:`RunConfig` and produces a list of
 :class:`CheckResult`.  The roots, invariants and geometry suites are tables
 of entries (:class:`_Check`), one per claim, run by one runner: it builds
-the check ids, gives each stream label of a suite x type unit one seeded
+the check ids, gives each stream label of a suite on a type one seeded
 stream that every entry naming it shares, and makes and counts the draws of
 sampled entries.  Above the configured Weyl cap (``--max-weyl-order``),
 ``weyl-order`` and ``regular-semisimple-fiber-count`` are skipped, each
@@ -11,29 +11,30 @@ with its own witness naming the group's order; ``torus-borel-count`` and
 ``line-chains`` give no record, nor does ``length-inversions`` (also above
 order 1152); any other entry that asks for the group is skipped with the
 refusal, which names the order and the cap, as its witness.  The other
-records of its unit are kept.  The shifts suite reports
+records of its suite and type are kept.  The shifts suite reports
 :mod:`nullcone.shifts` outcomes.
 
 :func:`run` hands out whole types, each with all of its suites, from one
 queue shared by this process and, when the run has several types and
 several CPUs, by children forked from it (see :func:`_process_count` for
-the whole gate).  A type's caches, its Weyl group and the notes its units
-share therefore stay in one process.  The queue hands out the largest
-types first, by positive-root count.
+the whole gate).  A type's suites share one :class:`_Unit`, which holds
+its root system, realization, Weyl group, streams and notes, so the group
+is enumerated at most once per type and run.  The queue hands out the
+largest types first, by positive-root count.
 
 Structured output is line-delimited JSON sorted by check id with a versioned
 schema identifier; it contains no timing, no draw counts and no environment
 data, so two runs with the same configuration are byte-identical.  Text
-output is for humans: the records unit by unit, each unit in the order its
-records were checked, with each check's measured time, from the previous
-record of its unit (so set-up shared by several checks is charged to the
-first of them), and a sampled check's draw count.  A shifts unit's records
-all come from one :func:`~nullcone.shifts.full_shift_report` pass, so the
-first record that pass returns (``shifts/<type>/oracle-agreement``) comes
-first and carries the whole unit's time, and every other shifts record of
-the type shows 0.000s.  A check is timed in the process that ran its unit,
-so with several processes the times can add up to more than the run's wall
-time.
+output is for humans: the records suite x type by suite x type, each in
+the order its records were checked, with each check's measured time, from
+the previous record of its suite on its type (so set-up shared by several
+checks, or by several suites of the type, is charged to the first of them),
+and a sampled check's draw count.  A type's shifts records all come from
+one :func:`~nullcone.shifts.full_shift_report` pass, so the first record
+that pass returns (``shifts/<type>/oracle-agreement``) comes first and
+carries the whole pass's time, and every other shifts record of the type
+shows 0.000s.  A check is timed in the process that ran its type, so with
+several processes the times can add up to more than the run's wall time.
 
 Exit status convention: 0 when some check passed and none failed, 1 when
 any check failed (undecided and skipped do not fail a run), 2 for usage
@@ -133,7 +134,7 @@ class _Check(namedtuple("_Check", "name claim body types stream draws summary",
                         defaults=(None, None, None, lambda unit, n: (True, None)))):
     """One claim of a suite, checked on every type in ``types`` (None: all).
 
-    ``body(unit, rng)`` gets the unit's stream named ``stream`` (None without
+    ``body(unit, rng)`` gets its suite's stream named ``stream`` (None without
     one).  A direct entry (``draws`` None) returns ``(ok, witness)``, or None
     for no record.  A sampled entry calls it up to ``draws`` times (an int,
     or a function of the configured sample count); a draw returns True when
@@ -152,19 +153,19 @@ def _fifth(samples: int) -> int:
 
 
 class _Unit:
-    """What the entries of one suite x type unit share, each part built on first use."""
+    """What the suites of one type share in one run, each part built on first use."""
 
-    def __init__(self, config: RunConfig, suite: str, stype: SimpleType):
-        self.config, self.suite, self.stype = config, suite, stype
+    def __init__(self, config: RunConfig, stype: SimpleType):
+        self.config, self.stype = config, stype
         self.streams = {}
-        self.notes = {}  # values an entry leaves for a later entry of the unit
+        self.notes = {}  # values an entry leaves for a later entry of the type
 
-    def stream(self, label: str) -> random.Random:
-        """The stream seeded by ``<suite>/<type>/<label>``, one per label."""
-        if label not in self.streams:
-            seed = f"{self.config.seed}:{self.suite}/{self.stype.name}/{label}"
-            self.streams[label] = random.Random(seed)
-        return self.streams[label]
+    def stream(self, suite: str, label: str) -> random.Random:
+        """The stream seeded by ``<suite>/<type>/<label>``, one per suite and label."""
+        seed = f"{self.config.seed}:{suite}/{self.stype.name}/{label}"
+        if seed not in self.streams:
+            self.streams[seed] = random.Random(seed)
+        return self.streams[seed]
 
     @cached_property
     def rs(self):
@@ -192,10 +193,10 @@ class _Unit:
         return self.alg.regular_nilpotent()
 
 
-def _run_check(check: _Check, unit: _Unit):
-    """The record of ``check`` on ``unit``, or None; see :class:`_Check`."""
-    check_id = f"{unit.suite}/{unit.stype.name}/{check.name}"
-    rng = unit.stream(check.stream) if check.stream else None
+def _run_check(check: _Check, unit: _Unit, suite: str):
+    """The record of ``suite``'s ``check`` on ``unit``, or None; see :class:`_Check`."""
+    check_id = f"{suite}/{unit.stype.name}/{check.name}"
+    rng = unit.stream(suite, check.stream) if check.stream else None
     try:
         if check.draws is None:
             got = check.body(unit, rng)
@@ -428,7 +429,7 @@ def _line_chains(u, rng):
         return None
     rs, group, bad = u.rs, u.group, []
     for w in rng.sample(group, 60) if len(group) > 60 else group:
-        support = [r for r in _common_positive_roots(rs, w) if rng.random() < 0.5]
+        support = [r for r in _common_positive_roots(rs, w) if rng.getrandbits(1)]
         try:
             chain = chain_of_lines(rs, support, w)
         except (ValueError, AssertionError) as exc:
@@ -718,36 +719,33 @@ _CHECKS = {
 }
 
 
-def _shifts_checks(stype: SimpleType):
-    for o in full_shift_report(build_root_system(stype.family, stype.rank)):
-        yield _result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
-
-
 # -- assembly ------------------------------------------------------------------
 
 
-def _unit_results(config: RunConfig, suite: str, stype: SimpleType) -> list:
-    """The records of one suite x type unit, each timed as it arrives.
+def _type_results(config: RunConfig, stype: SimpleType) -> list:
+    """The records of each configured suite on one type, each timed as it arrives.
 
-    A record's elapsed time runs from the previous record of the unit (or
-    the unit's start), so set-up shared by later checks is charged to the
-    first check after it.  An entry that hits the Weyl enumeration cap is
-    skipped by :func:`_run_check`, and the unit's other records stay.
+    The suites share one :class:`_Unit`.  A record's elapsed time runs from
+    the previous record of its suite (or the suite's start), so set-up
+    shared by later checks is charged to the first check after it.  An
+    entry that hits the Weyl enumeration cap is skipped by
+    :func:`_run_check`, and the type's other records stay.
     """
-    last = time.perf_counter()
-    results = []
-    if suite == "shifts":
-        records = _shifts_checks(stype)
-    else:
-        unit = _Unit(config, suite, stype)
-        checks = (c for c in _CHECKS[suite] if c.types is None or stype.name in c.types)
-        records = (_run_check(check, unit) for check in checks)
-    for check in records:
-        if check is None:
-            continue
-        now = time.perf_counter()
-        results.append(check._replace(elapsed=now - last))
-        last = now
+    unit, results = _Unit(config, stype), []
+    for suite in config.suites:
+        if suite == "shifts":
+            records = (_result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
+                       for o in full_shift_report(unit.rs))
+        else:
+            records = (_run_check(check, unit, suite) for check in _CHECKS[suite]
+                       if check.types is None or stype.name in check.types)
+        last = time.perf_counter()
+        for record in records:
+            if record is None:
+                continue
+            now = time.perf_counter()
+            results.append(record._replace(elapsed=now - last))
+            last = now
     return results
 
 
@@ -763,8 +761,7 @@ class _ChildTraceback(Exception):
 
 def _records(config: RunConfig, stypes: tuple, slots) -> list:
     """The records of every configured suite on the types of each queue slot in ``slots``."""
-    return [c for b in slots for stype in stypes[b::_SLOTS] for suite in config.suites
-            for c in _unit_results(config, suite, stype)]
+    return [c for b in slots for stype in stypes[b::_SLOTS] for c in _type_results(config, stype)]
 
 
 def _slot_order(stypes: tuple) -> bytes:
@@ -911,8 +908,8 @@ def _shared_results(config: RunConfig, stypes: tuple, processes: int) -> list:
 def run(config: RunConfig):
     """Execute the configured suites; returns (exit_code, results).
 
-    The results are grouped by suite x type unit, the units sorted by name
-    and each unit's records in the order they were checked.  Each type is
+    The results are grouped by suite x type, the groups sorted by name and
+    each group's records in the order they were checked.  Each type is
     parsed here, once, and checked and reported by its canonical name (``a2``
     as ``A2``).  A count below 1, an unknown suite, a name that is not a
     valid simple type or a type named twice (``A2`` and ``a2`` included)

@@ -16,9 +16,9 @@ one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
 to lie in W_k and to be free of left descents below k, which makes the
 products pairwise distinct, and their final count is checked against |W|.
 The stored word of each element is its lexicographically smallest reduced
-word.  Each group is enumerated once per process and root system and held
-in product order as a read-only ``WeylGroup``: the joined perms of
-W_{n-1}, the top level's representatives, and one length byte and one
+word.  Each call of ``generate_weyl`` enumerates a new group, held in
+product order as a read-only ``WeylGroup``: the joined perms of W_{n-1},
+the top level's representatives, and one length byte and one
 inversion-count byte per element, with no ``WeylElement`` built and no
 product of the top level formed until one is read.  The inversion count
 n(w), the number of positive roots w makes negative, is read for every
@@ -96,19 +96,16 @@ def generate_weyl(rs: RootSystem, max_order: int = 10**6) -> WeylGroup:
     """Enumerate the full Weyl group, refusing if it exceeds max_order or has over 255 roots.
 
     Returns a ``WeylGroup`` sequence in product order, the identity first,
-    held as one perm buffer whose elements are built on each read.  The cap
-    is checked on every call; the group itself is enumerated once per root
-    system and the same sequence is returned afterwards.
+    held as one perm buffer whose elements are built on each read.  Each
+    call checks the cap, then enumerates a new group; a caller that reads
+    the group more than once keeps it.
     """
     order = weyl_order(rs)
     if order > max_order:
         raise WeylOrderError(
             f"Weyl group of {rs.stype} has order {order}, above the cap {max_order}"
         )
-    return _GROUPS.get(rs) or _GROUPS.setdefault(rs, _enumerate_weyl(rs))
-
-
-_GROUPS: dict = {}  # root system -> its group, enumerated on first request
+    return _enumerate_weyl(rs)
 
 
 class WeylGroup(Sequence):

@@ -159,6 +159,20 @@ def test_domain_validation():
         geo.rank_nullcone_pair(alg, H, E)
 
 
+def test_membership_refuses_a_pair_outside_the_algebra():
+    # E_01 alone is not in so(5), whose cells come in signed mirror pairs;
+    # a pair of 2 x 2 matrices does not even have B2's size
+    b2 = build_algebra("B", 2)
+    e01 = tuple(tuple(int((a, b) == (0, 1)) for b in range(5)) for a in range(5))
+    zero = la.zeros(5, 5)
+    assert not b2.in_algebra(e01) and b2.in_algebra(zero)
+    for x, y in ((e01, zero), (zero, e01), (E, E)):
+        with pytest.raises(ValueError, match="must lie in the algebra"):
+            geo.nullcone_membership(b2, x, y)
+    with pytest.raises(ValueError, match="must lie in the algebra"):
+        geo.nullcone_membership(build_algebra("A", 1), ((1, 0), (0, 0)), E)  # trace 1
+
+
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2)])
 def test_pencil_tangent_vanishing(family, rank):
     alg = build_algebra(family, rank)
@@ -374,8 +388,8 @@ def _entry_record(suite, tname, name):
     are those of a whole default run, where every one of them passes.
     """
     check = next(c for c in report._CHECKS[suite] if c.name == name)
-    unit = report._Unit(RunConfig(), suite, SimpleType.from_name(tname))
-    return report._run_check(check, unit)
+    unit = report._Unit(RunConfig(), SimpleType.from_name(tname))
+    return report._run_check(check, unit, suite)
 
 
 @pytest.mark.parametrize("tname", ["A2", "B2"])

@@ -82,7 +82,7 @@ def test_exit_code_one_on_any_failure():
 def test_run_rejects_an_invalid_type_before_running_any(monkeypatch, tname):
     # the library refuses what the CLI refuses, naming the type
     units = []
-    monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
+    monkeypatch.setattr(report, "_type_results", lambda *args: units.append(args) or [])
     with pytest.raises(ValueError, match=re.escape(f"invalid simple type {tname!r}")):
         run(RunConfig(suites=("roots",), types=("A2", tname)))
     assert units == []
@@ -340,7 +340,7 @@ def test_run_rejects_counts_below_one(field, value):
 
 def test_run_rejects_an_unknown_suite_before_running_any(monkeypatch):
     units = []
-    monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
+    monkeypatch.setattr(report, "_type_results", lambda *args: units.append(args) or [])
     with pytest.raises(ValueError, match="bogus"):
         run(RunConfig(suites=("roots", "bogus"), types=("A1",)))
     assert units == []
@@ -348,7 +348,7 @@ def test_run_rejects_an_unknown_suite_before_running_any(monkeypatch):
 
 def test_run_rejects_a_repeated_type_before_running_any(monkeypatch):
     units = []
-    monkeypatch.setattr(report, "_unit_results", lambda *args: units.append(args) or [])
+    monkeypatch.setattr(report, "_type_results", lambda *args: units.append(args) or [])
     for types in (("A2", "A2", "a2"), ("A2", "G2", "a2")):
         with pytest.raises(ValueError, match="repeats"):
             run(RunConfig(suites=("roots",), types=types))
@@ -496,10 +496,36 @@ def test_bulk_weyl_records_build_no_element(monkeypatch):
             made.append(word)
             super().__init__(word, perm)
 
-    # fresh groups, so that nothing is read from an earlier test's cache
     monkeypatch.setattr(weyl, "WeylElement", Counting)
-    monkeypatch.setattr(weyl, "_GROUPS", {})
     for tname, check in (("E6", "torus-borel-count"), ("F4", "length-inversions")):
-        records = report._unit_results(RunConfig(), "roots", SimpleType.from_name(tname))
+        records = report._type_results(RunConfig(suites=("roots",)), SimpleType.from_name(tname))
         assert [r.status for r in records if r.check_id == f"roots/{tname}/{check}"] == ["pass"]
     assert made == []
+
+
+def _counting_enumerations(monkeypatch) -> list:
+    """The types whose group ``weyl._enumerate_weyl`` enumerates, in one process."""
+    enumerated, honest = [], weyl._enumerate_weyl
+
+    def counted(rs):
+        enumerated.append(rs.stype.name)
+        return honest(rs)
+
+    monkeypatch.setattr(weyl, "_enumerate_weyl", counted)
+    monkeypatch.setattr(report, "_process_count", lambda config: 1)
+    return enumerated
+
+
+def test_the_suites_of_a_type_share_one_enumerated_group(monkeypatch):
+    # roots, invariants and geometry all read the group; E7 is above the cap
+    enumerated = _counting_enumerations(monkeypatch)
+    code, results = run(RunConfig(types=("B3", "E6", "E7")))
+    assert code == 0 and {c.check_id.partition("/")[0] for c in results} == set(report.SUITES)
+    assert sorted(enumerated) == ["B3", "E6"]
+
+
+def test_each_run_enumerates_its_own_groups(monkeypatch):
+    enumerated = _counting_enumerations(monkeypatch)
+    config = RunConfig(suites=("roots", "geometry"), types=("A2",))
+    first, second = (structured_lines(config, run(config)[1]) for _ in range(2))
+    assert first == second and enumerated == ["A2", "A2"]

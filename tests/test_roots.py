@@ -364,9 +364,10 @@ def test_a_planted_wrong_coroot_row_is_caught(name):
 
 def _roots_record(rs, name: str):
     """The record of the roots suite's entry ``name`` on ``rs``, planted or not."""
-    unit = report._Unit(RunConfig(), "roots", rs.stype)
+    unit = report._Unit(RunConfig(), rs.stype)
     unit.rs = rs
-    return report._run_check(next(c for c in report._CHECKS["roots"] if c.name == name), unit)
+    check = next(c for c in report._CHECKS["roots"] if c.name == name)
+    return report._run_check(check, unit, "roots")
 
 
 @pytest.mark.parametrize("name", DEFAULT_TYPES)
