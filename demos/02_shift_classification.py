@@ -7,22 +7,25 @@ per-family list.  The toolkit's ground truth is the direct pairing oracle,
 and it finds that family C has *two* such values (the stated classification
 lists one) while family D has none (the stated value is the highest root
 itself).  This demo shows both the verified tables and the discrepancy.
+Each G2 verdict's evidence is checked again with ``verdict_evidence_ok``.
 """
 
 from nullcone import build_root_system, classify_rho_minus, classify_rho_plus
-from nullcone.shifts import full_shift_report, verify_shift_tables
+from nullcone.shifts import full_shift_report, verdict_evidence_ok, verify_shift_tables
 
 g2 = build_root_system("G", 2)
 print("G2, minus shift:")
 for alpha in g2.positive_roots:
     v = classify_rho_minus(g2, alpha)
-    print(f"  rho - {alpha}: {v.status} (witness {v.witness})")
+    checked = "checked" if verdict_evidence_ok(g2, v) else "FAILS"
+    print(f"  rho - {alpha}: {v.status} (witness {v.witness}, evidence {checked})")
 
 print()
 print("G2, plus shift:")
 for alpha in g2.positive_roots:
     v = classify_rho_plus(g2, alpha)
-    print(f"  rho + {alpha}: {v.status} (witness {v.witness})")
+    checked = "checked" if verdict_evidence_ok(g2, v) else "FAILS"
+    print(f"  rho + {alpha}: {v.status} (witness {v.witness}, evidence {checked})")
 
 print()
 c3 = build_root_system("C", 3)

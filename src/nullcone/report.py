@@ -53,6 +53,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import repeat
+from operator import itemgetter, mul, sub
 
 from . import geometry as geo
 from . import linalg as la
@@ -254,13 +256,25 @@ def _rho_half_sum(u, rng):
 
 
 def _weight_reflect(u, rng):
-    """Checks every entry of every reflection table, negative roots included."""
-    rs, bad = u.rs, []
-    weights = list(map(rs.weight_of_root, rs.roots))
-    for k, (r, wr) in enumerate(zip(rs.roots, weights)):
-        for i, table in enumerate(rs.reflection_tables, 1):
-            if weights[table[k]] != rs.reflect(wr, i):
-                bad.append((r, i))
+    """Checks every entry of every reflection table, negative roots included.
+
+    The weight of s_i(root k) must be s_i of root k's weight, whose entry j
+    is w_j - C[j][i] w_i.  So for each s_i and j, column j of the weights
+    (w_j of every root) gathered through table i is compared whole with
+    w_j - C[j][i] w_i, column i scaled; a failing entry (root k, i) is
+    listed once, by root order, then letter.
+    """
+    rs, bad = u.rs, set()
+    columns = tuple(zip(*map(rs.weight_of_root, rs.roots)))
+    for i, table in enumerate(rs.reflection_tables):
+        gather = itemgetter(*table)  # a tuple: every table has 2m >= 2 entries
+        for j, wj in enumerate(columns):
+            c = rs.cartan[j][i]
+            got = gather(wj)
+            want = tuple(map(sub, wj, map(mul, repeat(c), columns[i]))) if c else wj
+            if got != want:
+                bad.update((k, i + 1) for k, (g, w) in enumerate(zip(got, want)) if g != w)
+    bad = [(rs.roots[k], i) for k, i in sorted(bad)]
     return not bad, bad or None
 
 
@@ -733,13 +747,13 @@ def _type_results(config: RunConfig, stype: SimpleType) -> list:
     """
     unit, results = _Unit(config, stype), []
     for suite in config.suites:
+        last = time.perf_counter()  # building the shifts records runs the whole pass
         if suite == "shifts":
             records = (_result(f"shifts/{o.check_id}", o.claim, o.ok, o.witness)
                        for o in full_shift_report(unit.rs))
         else:
             records = (_run_check(check, unit, suite) for check in _CHECKS[suite]
                        if check.types is None or stype.name in check.types)
-        last = time.perf_counter()
         for record in records:
             if record is None:
                 continue

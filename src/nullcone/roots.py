@@ -37,8 +37,15 @@ height h (Kostant).
 
 The weights and the coroot coordinates are one table each in ``rs.roots``
 order, a root's row read at its position in ``rs.index``.  A pairing
-<lam, r^vee> is the sum of lam against r's coroot row, and s_{beta_i} on
-weights subtracts lam_i times column i of the Cartan matrix.
+<lam, r^vee> with one root is the sum of lam against r's coroot row, and
+s_{beta_i} on weights subtracts lam_i times column i of the Cartan matrix.
+The first zero pairing over all positive roots, which regularity asks for,
+is one exact integer pass over the whole table: each coroot column is
+packed into byte lanes of one int, one lane per positive root, and
+sum_j lam_j column_j plus a bias of half a lane in every lane holds each
+pairing in its own lane.  The lane width comes from the bound
+|<lam, r^vee>| <= sum_j |lam_j| max_r r^vee_j, so no lane carries into the
+next; see ``RootSystem.zero_pairing_witness``.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ from functools import lru_cache
 from itertools import repeat
 from math import factorial
 from operator import mul, neg, sub
+
+from .linalg import clear_denominators
 
 Root = tuple  # integer coordinates in the simple-root basis
 Weight = tuple  # pairings with the simple coroots
@@ -154,8 +163,10 @@ class RootSystem:
     from one closure; the squared simple-root lengths from the highest
     root; the degrees of the fundamental invariants from the root heights.
 
-    Immutable after construction; every method is a pure function of its
-    arguments, so instances are safe for any number of concurrent readers.
+    Immutable after construction, apart from the packed coroot lanes that
+    ``zero_pairing_witness`` builds on first use; every method is a pure
+    function of its arguments, so instances are safe for any number of
+    concurrent readers (two first uses at once build the same lanes twice).
     """
 
     def __init__(self, stype: SimpleType):
@@ -175,6 +186,7 @@ class RootSystem:
         self.index = {r: k for k, r in enumerate(self.roots)}
         self._weights = tuple(map(weights.__getitem__, self.roots))
         self._coroots = tuple(map(coroots.__getitem__, self.roots))
+        self._lanes = None  # (coroot table, column maxima, columns, {width: lanes}), on first use
         self.reflection_tables = tuple(
             tuple(map(self.index.__getitem__, row))
             for row in zip(*map(images.__getitem__, self.roots))
@@ -296,15 +308,62 @@ class RootSystem:
         return self.zero_pairing_witness(lam) is None
 
     def zero_pairing_witness(self, lam: Weight):
-        """The first positive root r with <lam, r^vee> = 0, or None if lam is regular."""
-        for r, coroot in zip(self.positive_roots, self._coroots):  # the first m rows
-            if sum(map(mul, lam, coroot)) == 0:
-                return r
-        return None
+        """The first positive root r with <lam, r^vee> = 0, or None if lam is regular.
+
+        One exact integer pass over the positive coroot table.  lam is
+        first scaled to integers by the lcm of its denominators, which
+        keeps every zero pairing and no other.  Column j of the table,
+        coordinate j of each positive coroot, is packed into one int of
+        m lanes of w bytes, lane k holding the coroot of positive root k;
+        then sum_j lam_j column_j plus a bias of 2^(8w - 1) in every lane
+        has <lam, r_k^vee> + 2^(8w - 1) in lane k, with no carry or borrow
+        between lanes as long as each of those values lies in
+        0 .. 2^(8w) - 1.  Positive coroots have nonnegative coordinates, so
+        |<lam, r^vee>| <= sum_j |lam_j| max_r r^vee_j, and w is the fewest
+        bytes that put this bound below 2^(8w - 1).  A zero pairing is then
+        a lane that reads exactly the bias, the bytes 0 ... 0 0x80; a match
+        of those bytes that straddles two lanes is skipped.  The packed
+        columns are built on first use, and again whenever ``_coroots`` is
+        not the table they were built from.
+        """
+        lanes = self._lanes
+        if lanes is None or lanes[0] is not self._coroots:
+            columns = tuple(map(bytes, zip(*self._coroots[: self.num_positive])))
+            lanes = self._lanes = (self._coroots, tuple(map(max, columns)), columns, {})
+        _, maxima, columns, widths = lanes
+        bound = sum(map(mul, map(abs, lam), maxima))
+        if bound.__class__ is not int:  # a Fraction entry makes the bound one
+            _, (lam,) = clear_denominators((lam,))
+            bound = sum(map(mul, map(abs, lam), maxima))
+        width = bound.bit_length() // 8 + 1  # the fewest bytes w with bound < 2^(8w - 1)
+        if width not in widths:
+            widths[width] = _packed(columns, width)
+        packed, bias, zero = widths[width]
+        data = sum(map(mul, lam, packed), bias).to_bytes(len(columns[0]) * width, "little")
+        k = data.find(zero)
+        while k > 0 and k % width:  # a match across two lanes
+            k = data.find(zero, k + 1)
+        return None if k < 0 else self.positive_roots[k // width]
 
     def rho_shift(self, r: Root, sign: int) -> Weight:
         """The weight rho + sign*r for a root r."""
         return tuple([1 + sign * x for x in self.weight_of_root(r)])
+
+
+def _packed(columns: tuple, width: int) -> tuple:
+    """(packed columns, bias, zero lane) for byte columns in lanes of ``width`` bytes.
+
+    Entry k of a column goes to the low byte of lane k of its int, and the
+    bias holds 2^(8 width - 1) in every lane; the zero lane is the bytes
+    of that bias value, least significant first.
+    """
+    m = len(columns[0])
+    zero = bytes(width - 1) + b"\x80"
+    lanes, packed = bytearray(m * width), []
+    for column in columns:
+        lanes[::width] = column
+        packed.append(int.from_bytes(lanes, "little"))
+    return tuple(packed), int.from_bytes(zero * m, "little"), zero
 
 
 @lru_cache(maxsize=None)

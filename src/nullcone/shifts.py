@@ -16,8 +16,16 @@ a regular dominant weight for ``regular_after_reflection``, and for
 reflection makes regular dominant, which no stated classification allows).
 The stated classification is the system under test; the pairing oracle is
 the ground truth, and any disagreement between them becomes a reported
-discrepancy rather than a silent fix.  The oracle-agreement check pairs through
-the invariant form, not the coroot table, so it fails a coroot that moves a verdict.
+discrepancy rather than a silent fix.
+
+A report builds the weights rho - alpha and rho + alpha of every positive
+root once (``_shift_rows``); the classifier, the evidence checks and the
+table, low-coordinate, subsystem and reduction checks read them.  The
+classifier finds zero pairings with ``RootSystem.zero_pairing_witness``,
+one integer pass over the coroot table packed into byte lanes.  The
+oracle-agreement check shares neither that kernel nor the coroot table:
+it scans the positive roots one at a time and pairs through the invariant
+form, so it fails a coroot that moves a verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
+from itertools import repeat
 from math import lcm
 from operator import mul
 
@@ -69,11 +78,8 @@ def _outcome(check_id: str, claim: str, failure) -> CheckOutcome:
     return CheckOutcome(check_id, claim, not failure, failure or None)
 
 
-def _evidence_verdict(rs: RootSystem, alpha, shift: str) -> ShiftVerdict:
-    alpha = tuple(alpha)
-    if not rs.is_positive_root(alpha):
-        raise ValueError(f"{alpha} is not a positive root of {rs.stype}")
-    lam = rs.rho_shift(alpha, _SIGNS[shift])
+def _verdict(rs: RootSystem, alpha, shift: str, lam) -> ShiftVerdict:
+    """The verdict on ``lam``, the weight rho - alpha or rho + alpha that ``shift`` names."""
     gamma = rs.zero_pairing_witness(lam)
     if gamma is not None:
         return ShiftVerdict(shift, alpha, NOT_REGULAR, gamma)
@@ -86,19 +92,31 @@ def _evidence_verdict(rs: RootSystem, alpha, shift: str) -> ShiftVerdict:
     return ShiftVerdict(shift, alpha, BEYOND_ONE_REFLECTION)
 
 
+def _classify(rs: RootSystem, alpha, shift: str) -> ShiftVerdict:
+    """The verdict on the weight ``shift`` names for alpha, which must be a positive root."""
+    alpha = tuple(alpha)
+    if not rs.is_positive_root(alpha):
+        raise ValueError(f"{alpha} is not a positive root of {rs.stype}")
+    return _verdict(rs, alpha, shift, rs.rho_shift(alpha, _SIGNS[shift]))
+
+
 def classify_rho_minus(rs: RootSystem, alpha) -> ShiftVerdict:
     """Verdict for rho - alpha; alpha must be a positive root."""
-    return _evidence_verdict(rs, alpha, "minus")
+    return _classify(rs, alpha, "minus")
 
 
 def classify_rho_plus(rs: RootSystem, alpha) -> ShiftVerdict:
     """Verdict for rho + alpha; alpha must be a positive root."""
-    return _evidence_verdict(rs, alpha, "plus")
+    return _classify(rs, alpha, "plus")
 
 
 def verdict_evidence_ok(rs: RootSystem, v: ShiftVerdict) -> bool:
     """Validate a verdict's evidence against the direct pairing predicates."""
-    lam = rs.rho_shift(v.alpha, _SIGNS[v.shift])
+    return _evidence_ok(rs, v, rs.rho_shift(v.alpha, _SIGNS[v.shift]))
+
+
+def _evidence_ok(rs: RootSystem, v: ShiftVerdict, lam) -> bool:
+    """Whether ``v``'s evidence holds for ``lam``, the weight its shift names."""
     if v.status == NOT_REGULAR:
         return rs.is_positive_root(v.witness) and rs.pairing(lam, v.witness) == 0
     if v.status == REGULAR_DOMINANT:
@@ -110,6 +128,22 @@ def verdict_evidence_ok(rs: RootSystem, v: ShiftVerdict) -> bool:
     refl = rs.reflect(lam, v.witness)
     regular = rs.is_regular(lam) and rs.is_regular(refl)
     return regular and not rs.is_dominant(lam) and rs.is_dominant(refl)
+
+
+def _shift_rows(rs: RootSystem) -> dict:
+    """rho - alpha and rho + alpha for every positive root alpha: {shift: {alpha: weight}}.
+
+    One report builds them once, and its checks read them.
+    """
+    return {
+        shift: dict(zip(rs.positive_roots, map(rs.rho_shift, rs.positive_roots, repeat(sign))))
+        for shift, sign in _SIGNS.items()
+    }
+
+
+def _fixed_points(lam) -> list:
+    """The simple indices i whose reflection fixes ``lam``: those with lam_i = 0."""
+    return [i for i, x in enumerate(lam, 1) if x == 0]
 
 
 # -- the stated classification ----------------------------------------------
@@ -147,18 +181,12 @@ def predicted_minus_status(rs: RootSystem, alpha) -> str:
     return REGULAR_AFTER_REFLECTION if rs.is_simple(alpha) else NOT_REGULAR
 
 
-def predicted_plus_status(rs: RootSystem, alpha) -> str:
-    """Stated classification of rho + alpha."""
+def predicted_plus_status(rs: RootSystem, alpha, designated: list) -> str:
+    """Stated classification of rho + alpha; ``designated`` is ``_designated_plus_values(rs)``."""
     alpha = tuple(alpha)
     if alpha == rs.highest_root:
         return REGULAR_DOMINANT
-    stated = (status for val, status, _ in _designated_plus_values(rs) if val == alpha)
-    return next(stated, NOT_REGULAR)
-
-
-def reflection_fixes_shift(rs: RootSystem, alpha, i: int, sign: int) -> bool:
-    """Whether s_{beta_i} fixes rho + sign*alpha (i.e. the pairing vanishes)."""
-    return rs.rho_shift(alpha, sign)[i - 1] == 0
+    return next((status for val, status, _ in designated if val == alpha), NOT_REGULAR)
 
 
 def neighbor_sum_identity(rs: RootSystem, alpha, i: int, sign: int) -> bool:
@@ -290,38 +318,46 @@ def _expected_table_roots(rs: RootSystem, shift: str) -> set:
     return high
 
 
-def _row_identity_ok(rs: RootSystem, alpha, i: int, sign: int) -> bool:
+def _shifted(rs: RootSystem, rows: dict, alpha, shift: str):
+    """The weight ``shift`` names for alpha, read from ``rows`` when alpha is a positive root."""
+    lam = rows[shift].get(alpha)
+    return rs.rho_shift(alpha, _SIGNS[shift]) if lam is None else lam
+
+
+def _row_identity_ok(rs: RootSystem, alpha, i: int, shift: str, rows: dict) -> bool:
     """The printed form of a table row's claim for one root."""
     if rs.stype.family == "E":
-        return neighbor_sum_identity(rs, alpha, i, sign)
-    if rs.stype.family == "F" and sign < 0:
+        return neighbor_sum_identity(rs, alpha, i, _SIGNS[shift])
+    if rs.stype.family == "F" and shift == "minus":
         return _F4_MINUS_CONDITIONS[i](alpha)
-    return reflection_fixes_shift(rs, alpha, i, sign)
+    return i in _fixed_points(_shifted(rs, rows, alpha, shift))
 
 
-def _row_fault(rs: RootSystem, alpha, i: int, sign: int):
+def _row_fault(rs: RootSystem, alpha, i: int, shift: str, rows: dict):
     """Why row i may not list alpha ('identity' or 'reflection'), or None."""
-    if not _row_identity_ok(rs, alpha, i, sign):
+    if not _row_identity_ok(rs, alpha, i, shift, rows):
         return "identity"
-    lam = rs.rho_shift(alpha, sign)
+    lam = _shifted(rs, rows, alpha, shift)
     return "reflection" if rs.reflect(lam, i) != lam else None
 
 
-def verify_shift_tables(rs: RootSystem) -> list:
+def verify_shift_tables(rs: RootSystem, rows=None) -> list:
     """Check the transcribed tables for one of E6/E7/E8/F4.
 
     Every row entry must satisfy the printed coordinate identity, and the
     corresponding reflection must actually fix the shifted weight; errata
     are validated in both directions (the printed entry fails, the corrected
     one holds); the root lists and the row coverage are checked complete.
+    ``rows`` are the type's ``_shift_rows``, built here when not given.
     """
+    rows = rows or _shift_rows(rs)
     tables = load_shift_tables(rs.stype.family, rs.rank)
     tname = rs.stype.name
     decoded = {
         shift: {j: tables.coords(shift, j) for j in tables.roots[shift]} for shift in _SIGNS
     }
     out = []
-    for shift, sign in _SIGNS.items():
+    for shift in _SIGNS:
         roots = decoded[shift]
         listed, expected = set(roots.values()), _expected_table_roots(rs, shift)
         effective = tables.effective_assigns(shift)
@@ -333,8 +369,8 @@ def verify_shift_tables(rs: RootSystem) -> list:
         bad_reductions = []
         for i, label, (kind, target) in reductions:
             tgt = roots[target] if kind == "r" else display_to_coords(tables.family, target)
-            want = rs.rho_shift(tgt, sign)
-            if rs.reflect(rs.rho_shift(roots[label], sign), i) != want or rs.is_regular(want):
+            lam, want = _shifted(rs, rows, roots[label], shift), _shifted(rs, rows, tgt, shift)
+            if rs.reflect(lam, i) != want or rs.is_regular(want):
                 bad_reductions.append((i, label, tgt))
         out += [
             _outcome(
@@ -356,7 +392,7 @@ def verify_shift_tables(rs: RootSystem) -> list:
                     (i, j, fault)
                     for i, js in sorted(effective.items())
                     for j in js
-                    if (fault := _row_fault(rs, roots[j], i, sign))
+                    if (fault := _row_fault(rs, roots[j], i, shift, rows))
                 ],
             ),
             _outcome(
@@ -374,7 +410,7 @@ def verify_shift_tables(rs: RootSystem) -> list:
         ]
 
     def holds(shift, j, i):
-        return _row_identity_ok(rs, decoded[shift][j], i, _SIGNS[shift])
+        return _row_identity_ok(rs, decoded[shift][j], i, shift, rows)
 
     def justified(kind, shift, a, b, c):
         if kind == "move":  # label a fails its identity at row b and holds at row c
@@ -394,13 +430,14 @@ def verify_shift_tables(rs: RootSystem) -> list:
     return out
 
 
-def verify_subsystem_reduction(rs: RootSystem) -> list:
+def verify_subsystem_reduction(rs: RootSystem, rows: dict) -> list:
     """E7/E8: roots with last coordinate 0 reduce to the lower-rank system.
 
     For such a root the lower system's fixed-point index still works after
     embedding (the extra node contributes 0 to every neighbour sum), except
     for the lower system's highest root on the plus side, where the new
-    node's reflection provides the fixed point.
+    node's reflection provides the fixed point.  ``rows`` are the type's
+    ``_shift_rows``.
     """
     fam, n = rs.stype.family, rs.rank
     assert fam == "E" and n in (7, 8)
@@ -410,13 +447,14 @@ def verify_subsystem_reduction(rs: RootSystem) -> list:
         if max(alpha) < 2 or alpha[n - 1] != 0:
             continue
         sub = alpha[: n - 1]
-        for sign in (-1, +1):
+        for shift, sign in _SIGNS.items():
+            fixed = _fixed_points(rows[shift][alpha])
             if sign > 0 and sub == low.highest_root:
-                if not reflection_fixes_shift(rs, alpha, n, sign):
+                if n not in fixed:
                     bad.append((alpha, sign, n))
                 continue
-            idx = [i for i in range(1, n) if reflection_fixes_shift(low, sub, i, sign)]
-            if not any(reflection_fixes_shift(rs, alpha, i, sign) for i in idx):
+            idx = _fixed_points(low.rho_shift(sub, sign))
+            if not any(i in fixed for i in idx):
                 bad.append((alpha, sign, idx))
     return [
         _outcome(
@@ -455,21 +493,20 @@ def verify_g2_inline(rs: RootSystem) -> list:
     ]
 
 
-def verify_low_coordinate_roots(rs: RootSystem) -> list:
+def verify_low_coordinate_roots(rs: RootSystem, rows: dict) -> list:
     """Roots with all coordinates <= 1 admit the generic simple fixed point.
 
     For the minus shift every non-simple such root is fixed by some s_i with
     coordinate pairing one; for the plus shift every such root other than
     the highest admits a simple fixed point as well.  (Simply-laced types.)
+    ``rows`` are the type's ``_shift_rows``.
     """
     bad = []
     for alpha in rs.positive_roots:
         if max(alpha) >= 2:
             continue
         for shift, exempt in (("minus", rs.is_simple(alpha)), ("plus", alpha == rs.highest_root)):
-            if not exempt and not any(
-                reflection_fixes_shift(rs, alpha, i, _SIGNS[shift]) for i in range(1, rs.rank + 1)
-            ):
+            if not exempt and not _fixed_points(rows[shift][alpha]):
                 bad.append((shift, alpha))
     return [
         _outcome(
@@ -481,27 +518,34 @@ def verify_low_coordinate_roots(rs: RootSystem) -> list:
     ]
 
 
-def classification_report(rs: RootSystem) -> list:
-    """Compare verdicts, oracle predicates and the stated classification."""
+def classification_report(rs: RootSystem, rows=None) -> list:
+    """Compare verdicts, oracle predicates and the stated classification.
+
+    ``rows`` are the type's ``_shift_rows``, built here when not given; the
+    classifier and the evidence checks read them.  The oracle does not read
+    the coroot table: it pairs each row with every positive root through
+    the invariant form, one root at a time.
+    """
+    rows = rows or _shift_rows(rs)
     tname = rs.stype.name
     oracle_bad = {"minus": [], "plus": []}
     stated_bad = {"minus": [], "plus": []}
-    evidence_bad, plus_regular = [], []
+    evidence_bad, plus_regular, plus_verdicts = [], [], {}
+    designated = _designated_plus_values(rs)
     # the oracle pairs through the form: <lam, r^vee> = sum_j r_j len2(beta_j) lam_j / (r, r)
     scale = lcm(*(l.denominator for l in rs.lengths))
     form = [l.numerator * scale // l.denominator for l in rs.lengths]  # integer multiples
-    rows = [tuple(map(mul, form, r)) for r in rs.positive_roots]  # scale (r, r) times r^vee
-    for alpha in rs.positive_roots:
-        vp = classify_rho_plus(rs, alpha)
-        for v, predicted in (
-            (classify_rho_minus(rs, alpha), predicted_minus_status(rs, alpha)),
-            (vp, predicted_plus_status(rs, alpha)),
+    form_rows = [tuple(map(mul, form, r)) for r in rs.positive_roots]  # scale (r, r) times r^vee
+    for alpha, minus, plus in zip(rs.positive_roots, rows["minus"].values(), rows["plus"].values()):
+        vp = plus_verdicts[alpha] = _verdict(rs, alpha, "plus", plus)
+        for v, lam, predicted in (
+            (_verdict(rs, alpha, "minus", minus), minus, predicted_minus_status(rs, alpha)),
+            (vp, plus, predicted_plus_status(rs, alpha, designated)),
         ):
-            lam = rs.rho_shift(alpha, _SIGNS[v.shift])
-            regular = all(sum(map(mul, lam, row)) for row in rows)
+            regular = all(sum(map(mul, lam, row)) for row in form_rows)
             if (v.status == NOT_REGULAR) == regular:
                 oracle_bad[v.shift].append(alpha)
-            if not verdict_evidence_ok(rs, v):
+            if not _evidence_ok(rs, v, lam):
                 evidence_bad.append((v.shift, alpha))
             if predicted != v.status:
                 stated_bad[v.shift].append((alpha, predicted, v.status))
@@ -510,13 +554,13 @@ def classification_report(rs: RootSystem) -> list:
 
     claimed = CLAIMED_PLUS_COUNTS[rs.stype.family]
     bad_designated = []
-    for val, status, refl in _designated_plus_values(rs):
+    for val, status, refl in designated:
         if not rs.is_positive_root(val):
             bad_designated.append((val, "not a root"))
         elif val == rs.highest_root:
             bad_designated.append((val, "designated value equals the highest root"))
         else:
-            v = classify_rho_plus(rs, val)
+            v = plus_verdicts[val]
             if v.status != status or (refl is not None and v.witness != refl):
                 bad_designated.append((val, f"stated {status}, got {v.status}"))
     return [
@@ -568,7 +612,7 @@ def classification_report(rs: RootSystem) -> list:
             [
                 (a, v.status)
                 for a, v in plus_regular
-                if not rs.is_dominant(rs.rho_shift(a, +1)) and v.status != REGULAR_AFTER_REFLECTION
+                if not rs.is_dominant(rows["plus"][a]) and v.status != REGULAR_AFTER_REFLECTION
             ],
         ),
     ]
@@ -576,14 +620,15 @@ def classification_report(rs: RootSystem) -> list:
 
 def full_shift_report(rs: RootSystem) -> list:
     """All shift checks applicable to one root system."""
-    out = classification_report(rs)
+    rows = _shift_rows(rs)
+    out = classification_report(rs, rows)
     fam, n = rs.stype.family, rs.rank
     if fam in ("A", "D", "E"):
-        out.extend(verify_low_coordinate_roots(rs))
+        out.extend(verify_low_coordinate_roots(rs, rows))
     if (fam, n) in _TABLE_FILES:
-        out.extend(verify_shift_tables(rs))
+        out.extend(verify_shift_tables(rs, rows))
     if fam == "E" and n in (7, 8):
-        out.extend(verify_subsystem_reduction(rs))
+        out.extend(verify_subsystem_reduction(rs, rows))
     if fam == "G":
         out.extend(verify_g2_inline(rs))
     return out

@@ -10,14 +10,18 @@ as the reference for the orbits ``weyl_orbit_pairs`` reads off root
 permutations.  ``reflect_root`` is the Cartan-row formula for s_i on a
 root and ``is_root`` the membership test, and ``reflection_tables``
 reflects root by root with them, as the reference for the tables the
-closure in ``RootSystem`` records.  ``pairing_zero_witness`` and
-``pairing_is_regular`` pair through the invariant form, as the reference
-for the coroot table.
+closure in ``RootSystem`` records, and ``weight_reflect_failures`` checks
+those tables against the weights entry by entry, as the reference for the
+roots suite's whole-column check.  ``pairing_zero_witness`` and
+``pairing_is_regular`` pair through the invariant form, one root at a time,
+as the reference for the packed coroot lanes of ``zero_pairing_witness``.
 ``is_nilpotent`` reads nilpotency off the characteristic polynomial.
 ``simple_root_lengths`` is the per-family table of squared simple-root
 lengths, and ``length2_by_form`` and ``coroot_by_form`` compute (r, r) and
 r^vee = 2r/(r, r) from it, as the references for the lengths and coroots
 ``RootSystem`` derives from the Cartan matrix alone.
+``reflection_fixes_shift`` reads one simple fixed point of rho +- alpha off
+its shifted weight, as the reference for the printed neighbour sums.
 ``in_cartan``, ``decompose``, ``directional_derivatives``,
 ``simple_index``, ``inversions`` and ``TorusBorel`` are direct definitions
 that only the tests read.
@@ -213,6 +217,26 @@ def pairing_zero_witness(rs, lam):
         if sum(map(mul, r, scaled)) == 0:
             return r
     return None
+
+
+def reflection_fixes_shift(rs, alpha, i: int, sign: int) -> bool:
+    """Whether s_{beta_i} fixes rho + sign*alpha: entry i of the shifted weight is 0."""
+    return rs.rho_shift(alpha, sign)[i - 1] == 0
+
+
+def weight_reflect_failures(rs) -> list:
+    """(root, i) for each table entry whose weight is not s_i of its root's weight.
+
+    One entry at a time: root k's weight reflected by ``reflect_by_cartan_entries``
+    against the weight of root ``table[k]``, by root order, then letter.
+    """
+    weights = [rs.weight_of_root(r) for r in rs.roots]
+    return [
+        (r, i)
+        for k, r in enumerate(rs.roots)
+        for i, table in enumerate(rs.reflection_tables, 1)
+        if weights[table[k]] != reflect_by_cartan_entries(rs, weights[k], i)
+    ]
 
 
 def reflect_by_cartan_entries(rs, lam, i):

@@ -255,6 +255,25 @@ def test_text_timings_are_measured_per_check(monkeypatch):
     assert all(t < 0.05 for t in elapsed.values()), elapsed
 
 
+def test_the_shifts_pass_is_timed_on_its_first_record(monkeypatch):
+    # a type's shifts records all come from one full_shift_report pass, so a
+    # slow pass must show up on the first of them and on no other
+    shift_report = report.full_shift_report
+
+    def slow_report(rs):
+        time.sleep(0.05)
+        return shift_report(rs)
+
+    monkeypatch.setattr(report, "full_shift_report", slow_report)
+    start = time.perf_counter()
+    _, results = run(RunConfig(suites=("shifts",), types=("E7",)))
+    wall = time.perf_counter() - start
+    elapsed = {c.check_id: c.elapsed for c in results}
+    assert sum(elapsed.values()) <= wall
+    assert elapsed.pop("shifts/E7/oracle-agreement") >= 0.05
+    assert all(t < 0.05 for t in elapsed.values()), elapsed
+
+
 def test_weyl_cap_inside_a_unit_skips_only_the_entries_that_need_the_group():
     # W(A2) has order 6: above a cap of 2 the entries that enumerate it are
     # skipped with the refusal as witness, and every other record is kept

@@ -5,6 +5,7 @@ import random
 import signal
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from oracles import (
     reflection_tables,
     rho_shift_by_generator,
     simple_root_lengths,
+    weight_reflect_failures,
 )
 
 from nullcone import report, roots, weyl
@@ -284,13 +286,64 @@ def test_weight_of_root_commutes_with_reflection(stype, data):
     assert rs.weight_of_root(img) == rs.reflect(rs.weight_of_root(r), i)
 
 
+def _weight_with_bound(maxima, target) -> tuple:
+    """A dominant weight lam with sum_j lam_j maxima_j = target, on at most two coordinates."""
+    low = min(maxima)
+    j0 = maxima.index(low)
+    for j1, high in enumerate(maxima):
+        for s in range(low):
+            q, rest = divmod(target - s * high, low)
+            if not rest:
+                lam = [0] * len(maxima)
+                lam[j0] += q
+                lam[j1] += s
+                return tuple(lam)
+    raise AssertionError(f"no dominant weight reaches {target} against {maxima}")
+
+
+def _lane_weights(rs) -> list:
+    """Weights at the edges of the lanes ``zero_pairing_witness`` packs the coroots into.
+
+    A lane of w bytes holds pairings up to 2^(8w - 1) - 1 in absolute value,
+    and the kernel's bound, sum_j |lam_j| times the largest coordinate j of a
+    positive coroot, is reached by the highest coroot, which is largest in
+    every coordinate.  So a dominant weight and its negative whose bound is
+    2^7 - 1, 2^7, 2^15 - 1 or 2^15 have that as their largest |pairing|, on
+    the last value a lane width holds or the first one the next width takes.
+    Then one weight per simple index with one huge entry, and, from rank 2,
+    one whose two-byte lanes put the bytes of a zero lane, 00 80, across
+    lanes 0 and 1: lanes 0 and 1 are beta_n and beta_(n-1), and where the
+    largest coordinates n and n - 1 of a coroot are 1 (types A and D),
+    lam_n = -32639 reads 0x0081 and lam_(n-1) = 128 reads 0x8080.
+    """
+    coroots = [coroot_by_form(rs, r) for r in rs.positive_roots]
+    maxima = tuple(int(max(c[j] for c in coroots)) for j in range(rs.rank))
+    weights = []
+    for target in (2**7 - 1, 2**7, 2**15 - 1, 2**15):
+        lam = _weight_with_bound(maxima, target)
+        assert max(abs(sum(map(mul, lam, c))) for c in coroots) == target
+        weights += [lam, tuple(-x for x in lam)]
+    rng = random.Random(f"lanes:{rs.stype}")
+    for j in range(rs.rank):
+        lam = [rng.randint(-3, 3) for _ in range(rs.rank)]
+        lam[j] = (-1) ** j * 10**40
+        weights.append(tuple(lam))
+    if rs.rank >= 2:
+        lam = [0] * rs.rank
+        lam[-1] = -((2**15 - 1 - 128 * maxima[-2]) // maxima[-1])
+        lam[-2] = 128
+        weights.append(tuple(lam))
+    return weights
+
+
 def _weight_grid(rs) -> list:
     """rho +- alpha for every positive alpha, each simple reflection of those, and a seeded grid.
 
     The grid holds the zero weight, weights with entries in -3..3 (mostly
-    non-dominant), half-integral ones, and one weight on each positive
-    root's wall: m_i lam' - <lam', r^vee> e_i pairs to zero with r and, for
-    a generic lam', with no root whose coroot is not a multiple of r's.
+    non-dominant), half-integral ones, one weight on each positive root's
+    wall: m_i lam' - <lam', r^vee> e_i pairs to zero with r and, for a
+    generic lam', with no root whose coroot is not a multiple of r's, and
+    the lane-edge weights of ``_lane_weights``.
     """
     weights = []
     for alpha in rs.positive_roots:
@@ -311,7 +364,7 @@ def _weight_grid(rs) -> list:
         on_wall = [coroot[i] * x for x in generic]
         on_wall[i] -= sum(x * m for x, m in zip(generic, coroot))
         weights.append(tuple(on_wall))
-    return weights
+    return weights + _lane_weights(rs)
 
 
 def _table_mismatches(rs, weights) -> list:
@@ -349,6 +402,15 @@ def test_root_tables_match_the_per_root_formulas(name):
     )
 
 
+@pytest.mark.parametrize("name", ("A8", "B8", "C8", "D8"))
+def test_the_coroot_lanes_match_the_per_root_scan_on_rank_eight(name):
+    # ranks above the default types': longer lanes, and B8 and C8 have 128
+    # positive roots
+    stype = SimpleType.from_name(name)
+    rs = build_root_system(stype.family, stype.rank)
+    assert _table_mismatches(rs, _weight_grid(rs)) == []
+
+
 # A1 has one positive root, so no other root's coroot can take its row
 @pytest.mark.parametrize("name", DEFAULT_TYPES[1:])
 def test_a_planted_wrong_coroot_row_is_caught(name):
@@ -382,8 +444,22 @@ def test_a_planted_wrong_reflection_table_entry_fails_a_roots_record(name):
             planted = copy.copy(rs)  # s_{i + 1}(root k) points at the next root
             wrong = tables[i][:k] + ((tables[i][k] + 1) % n,) + tables[i][k + 1 :]
             planted.reflection_tables = tables[:i] + (wrong,) + tables[i + 1 :]
-            statuses = [_roots_record(planted, entry).status for entry in entries]
-            assert "fail" in statuses, f"entry {k} of table {i} of {name} planted unseen"
+            records = [_roots_record(planted, entry) for entry in entries]
+            assert "fail" in [r.status for r in records], (
+                f"entry {k} of table {i} of {name} planted unseen"
+            )
+            # the whole-column check names the entries the per-entry loop does
+            assert records[1].witness == (weight_reflect_failures(planted) or None)
+            assert records[1].witness in (None, [(rs.roots[k], i + 1)])
+    if rs.rank >= 2:
+        # two entries, root 0 under s_2 and the last root under s_1, are
+        # listed by root order, then letter
+        planted = copy.copy(rs)
+        first = tables[0][:-1] + ((tables[0][-1] + 1) % n,)
+        second = ((tables[1][0] + 1) % n,) + tables[1][1:]
+        planted.reflection_tables = (first, second) + tables[2:]
+        witness = _roots_record(planted, "weight-reflect-commutes").witness
+        assert witness == weight_reflect_failures(planted) == [(rs.roots[0], 2), (rs.roots[-1], 1)]
 
 
 @pytest.mark.parametrize("name", DEFAULT_TYPES)

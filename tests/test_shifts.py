@@ -11,7 +11,7 @@ import copy
 from operator import mul
 
 import pytest
-from oracles import coroot_by_form, simple_index
+from oracles import coroot_by_form, reflection_fixes_shift, simple_index
 
 from nullcone import shifts
 from nullcone.report import DEFAULT_TYPES
@@ -28,7 +28,6 @@ from nullcone.shifts import (
     full_shift_report,
     load_shift_tables,
     neighbor_sum_identity,
-    reflection_fixes_shift,
     verdict_evidence_ok,
     verify_shift_tables,
 )
@@ -292,31 +291,27 @@ def _bad_g2_identity(monkeypatch, rs):
     monkeypatch.setattr(shifts, "_G2_INLINE", inline)
 
 
-def _unfixed(monkeypatch, lost):
-    """Make ``reflection_fixes_shift`` false for every call ``lost`` accepts."""
-    real = shifts.reflection_fixes_shift
+def _lost_fixed_point(weight):
+    """A plant under which the fixed points of ``weight`` read as none."""
 
-    def fixes(rs, alpha, i, sign):
-        return not lost(rs, tuple(alpha), sign) and real(rs, alpha, i, sign)
+    def plant(monkeypatch, rs):
+        real = shifts._fixed_points
+        monkeypatch.setattr(shifts, "_fixed_points", lambda lam: [] if lam == weight else real(lam))
 
-    monkeypatch.setattr(shifts, "reflection_fixes_shift", fixes)
-
-
-def _lost_subsystem_index(monkeypatch, rs):
-    _unfixed(monkeypatch, lambda low, a, sign: low.rank == 6 and a == (0, 1, 1, 2, 1, 0)
-             and sign < 0)
-
-
-def _bad_low_coordinate_root(monkeypatch, rs):
-    _unfixed(monkeypatch, lambda rs, a, sign: a == (1, 1, 0) and sign > 0)
+    return plant
 
 
 def _verdict(change):
-    """A plant under which ``classify_rho_plus`` returns ``change(rs, verdict)``."""
+    """A plant under which every plus verdict is ``change(rs, verdict)``."""
 
     def plant(monkeypatch, rs):
-        real = shifts.classify_rho_plus
-        monkeypatch.setattr(shifts, "classify_rho_plus", lambda rs, a: change(rs, real(rs, a)))
+        real = shifts._verdict
+
+        def verdict(rs, alpha, shift, lam):
+            v = real(rs, alpha, shift, lam)
+            return change(rs, v) if shift == "plus" else v
+
+        monkeypatch.setattr(shifts, "_verdict", verdict)
 
     return plant
 
@@ -369,10 +364,12 @@ PLANTED_FAULTS = [
     pytest.param("G2", _bad_g2_identity, {
         "G2/inline-equalities": [(-1, (2, 1), 2)],
     }, id="inline-equalities"),
-    pytest.param("E7", _lost_subsystem_index, {
+    # rho - (0, 1, 1, 2, 1, 0) on E6, the lower system of E7
+    pytest.param("E7", _lost_fixed_point((2, 1, 1, 0, 1, 2)), {
         "E7/subsystem-reduction": [((0, 1, 1, 2, 1, 0, 0), -1, [])],
     }, id="subsystem-reduction"),
-    pytest.param("A3", _bad_low_coordinate_root, {
+    # rho + (1, 1, 0) on A3, fixed by s_3 alone
+    pytest.param("A3", _lost_fixed_point((2, 2, 0)), {
         "A3/low-coordinate-roots": [("plus", (1, 1, 0))],
     }, id="low-coordinate-roots"),
     pytest.param("A2", _verdict(_wrong_evidence), {

@@ -95,6 +95,15 @@ def test_chain_precondition_rejects_theta_for_length_two_words():
         chain_of_lines(rs, [(1, 1)], w)
 
 
+def test_chain_refuses_a_step_that_leaves_the_nilradical():
+    # the word (1, 2) with the perm of s_1: w^(-1)(theta) = (0, 1) is positive,
+    # so the precondition passes, and step 2, letter 2, finds theta sent to beta_2
+    rs = build_root_system("A", 2)
+    w = WeylElement(word=(1, 2), perm=element_from_word(rs, (1,)).perm)
+    with pytest.raises(AssertionError, match="chain step 2: "):
+        chain_of_lines(rs, [rs.highest_root], w)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
 def test_chains_over_whole_group_with_seeded_supports(family, rank):
     rs = build_root_system(family, rank)
