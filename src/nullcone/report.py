@@ -11,8 +11,9 @@ with its own witness naming the group's order; ``torus-borel-count`` and
 ``line-chains`` give no record, nor does ``length-inversions`` (also above
 order 1152); any other entry that asks for the group is skipped with the
 refusal, which names the order and the cap, as its witness.  The other
-records of its suite and type are kept.  The shifts suite reports
-:mod:`nullcone.shifts` outcomes.
+records of its suite and type are kept.  ``line-chains`` gives each sampled
+element w its maximal common support R+ ∩ w(R+), which covers every
+sub-support.  The shifts suite reports :mod:`nullcone.shifts` outcomes.
 
 :func:`run` hands out whole types, each with all of its suites, from one
 queue shared by this process and, when the run has several types and
@@ -431,21 +432,24 @@ def _fiber_count(u, rng):
 
 
 def _common_positive_roots(rs, w) -> list:
-    """R+ ∩ w(R+) in positive-root order: positive root k is in w(R+) when w's
-    perm sends some positive root (an index below m) to k."""
+    """R+ ∩ w(R+) in positive-root order: the positive roots indexed in w.perm[:m]."""
     image = set(w.perm[: rs.num_positive])
     return [r for k, r in enumerate(rs.positive_roots) if k in image]
 
 
 def _line_chains(u, rng):
-    # a direct body: the at most 60 elements are drawn once, not per draw
+    # A direct body: the at most 60 elements are drawn once, not per draw.
+    # Each w gets the maximal support R+ ∩ w(R+), the strongest case
+    # (Humphreys, Reflection Groups and Coxeter Groups, secs. 1.6-1.7): along
+    # a reduced word, R+ \ w_q(R+) grows by exactly w_{q-1}(alpha_{a_q}) at
+    # step q and stays inside R+ \ w(R+), so R+ ∩ w(R+) lies in
+    # w_{q-1}(R+ \ {alpha_{a_q}}) at every step, and so does each sub-support.
     if u.capped:
         return None
     rs, group, bad = u.rs, u.group, []
     for w in rng.sample(group, 60) if len(group) > 60 else group:
-        support = [r for r in _common_positive_roots(rs, w) if rng.getrandbits(1)]
         try:
-            chain = chain_of_lines(rs, support, w)
+            chain = chain_of_lines(rs, _common_positive_roots(rs, w), w)
         except (ValueError, AssertionError) as exc:
             bad.append((w.word, str(exc)))
             continue

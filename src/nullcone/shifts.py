@@ -318,36 +318,33 @@ def _expected_table_roots(rs: RootSystem, shift: str) -> set:
     return high
 
 
-def _shifted(rs: RootSystem, rows: dict, alpha, shift: str):
-    """The weight ``shift`` names for alpha, read from ``rows`` when alpha is a positive root."""
-    lam = rows[shift].get(alpha)
-    return rs.rho_shift(alpha, _SIGNS[shift]) if lam is None else lam
-
-
-def _row_identity_ok(rs: RootSystem, alpha, i: int, shift: str, rows: dict) -> bool:
-    """The printed form of a table row's claim for one root."""
+def _row_identity_ok(rs: RootSystem, alpha, i: int, shift: str, lam) -> bool:
+    """The printed form of a table row's claim for one root, ``lam`` its shifted weight."""
     if rs.stype.family == "E":
         return neighbor_sum_identity(rs, alpha, i, _SIGNS[shift])
     if rs.stype.family == "F" and shift == "minus":
         return _F4_MINUS_CONDITIONS[i](alpha)
-    return i in _fixed_points(_shifted(rs, rows, alpha, shift))
+    return i in _fixed_points(lam)
 
 
 def _row_fault(rs: RootSystem, alpha, i: int, shift: str, rows: dict):
-    """Why row i may not list alpha ('identity' or 'reflection'), or None."""
-    if not _row_identity_ok(rs, alpha, i, shift, rows):
+    """Why row i may not list alpha ('not a root', 'identity' or 'reflection'), or None."""
+    lam = rows[shift].get(alpha)
+    if lam is None:
+        return "not a root"
+    if not _row_identity_ok(rs, alpha, i, shift, lam):
         return "identity"
-    lam = _shifted(rs, rows, alpha, shift)
     return "reflection" if rs.reflect(lam, i) != lam else None
 
 
 def verify_shift_tables(rs: RootSystem, rows=None) -> list:
     """Check the transcribed tables for one of E6/E7/E8/F4.
 
-    Every row entry must satisfy the printed coordinate identity, and the
-    corresponding reflection must actually fix the shifted weight; errata
-    are validated in both directions (the printed entry fails, the corrected
-    one holds); the root lists and the row coverage are checked complete.
+    Every row entry must be a positive root, satisfy the printed coordinate
+    identity, and have the corresponding reflection actually fix the shifted
+    weight, and a reduction must join two positive roots; errata are
+    validated in both directions (the printed entry fails, the corrected one
+    holds); the root lists and the row coverage are checked complete.
     ``rows`` are the type's ``_shift_rows``, built here when not given.
     """
     rows = rows or _shift_rows(rs)
@@ -369,14 +366,14 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
         bad_reductions = []
         for i, label, (kind, target) in reductions:
             tgt = roots[target] if kind == "r" else display_to_coords(tables.family, target)
-            lam, want = _shifted(rs, rows, roots[label], shift), _shifted(rs, rows, tgt, shift)
-            if rs.reflect(lam, i) != want or rs.is_regular(want):
+            lam, want = rows[shift].get(roots[label]), rows[shift].get(tgt)
+            if lam is None or want is None or rs.reflect(lam, i) != want or rs.is_regular(want):
                 bad_reductions.append((i, label, tgt))
         out += [
             _outcome(
                 f"{tname}/table-decode-{shift}",
                 "every transcribed coordinate list decodes to a positive root",
-                [j for j, r in roots.items() if not rs.is_positive_root(r)],
+                [j for j, r in roots.items() if r not in rows[shift]],
             ),
             _outcome(
                 f"{tname}/table-roots-complete-{shift}",
@@ -410,7 +407,8 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
         ]
 
     def holds(shift, j, i):
-        return _row_identity_ok(rs, decoded[shift][j], i, shift, rows)
+        lam = rows[shift].get(decoded[shift][j])
+        return lam is not None and _row_identity_ok(rs, decoded[shift][j], i, shift, lam)
 
     def justified(kind, shift, a, b, c):
         if kind == "move":  # label a fails its identity at row b and holds at row c

@@ -7,7 +7,8 @@ first, then their negatives), looked up through ``rs.index``, so that
 perm(v u) = perm(u).translate(perm(v) + the identity tail), and a simple
 reflection is the 256-byte table S_i with S_i[k] the index of s_i(root k):
 ``rs.reflection_tables``, the one action of s_i on roots, which the roots
-suite checks, with the identity tail appended.
+suite checks, with the identity tail appended.  ``chain_of_lines`` walks a
+word forward by the same rule, its support one ``bytes`` of root indices.
 Generation runs up the parabolic chain W_1 < W_2 < ... < W_n, where
 W_k = <s_1, ..., s_k>: W_k is every product of an element of W_{k-1} with
 one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
@@ -16,15 +17,12 @@ one of the few minimal representatives of the cosets W_{k-1}\\W_k (2, 2,
 to lie in W_k and to be free of left descents below k, which makes the
 products pairwise distinct, and their final count is checked against |W|.
 The stored word of each element is its lexicographically smallest reduced
-word.  Each call of ``generate_weyl`` enumerates a new group, held in
-product order as a read-only ``WeylGroup``: the joined perms of W_{n-1},
-the top level's representatives, and one length byte and one
-inversion-count byte per element, with no ``WeylElement`` built and no
-product of the top level formed until one is read.  The inversion count
-n(w), the number of positive roots w makes negative, is read for every
-element at once from the columns of W_{n-1}'s perms; the torus-fixed Borels
-w(b) are counted from it by orbit and stabilizer, and the word lengths are
-checked against it, with no element built.
+word.  Each call of ``generate_weyl`` enumerates a new group, a read-only
+``WeylGroup`` in product order that forms an element only when it is read.
+The inversion count n(w), the number of positive roots w makes negative,
+is read for every element at once from the columns of W_{n-1}'s perms; the
+torus-fixed Borels w(b) are counted from it by orbit and stabilizer, and
+the word lengths are checked against it, with no element built.
 """
 
 from __future__ import annotations
@@ -353,43 +351,42 @@ def length_inversion_failures(group: WeylGroup) -> list:
     return [j for j, (count, length) in enumerate(zip(counts, lengths)) if count != length]
 
 
-def _inverse_image(rs: RootSystem, w: WeylElement, r):
-    """w^{-1}(r), read off the stored root permutation."""
-    return rs.roots[w.perm.index(rs.index[tuple(r)])]
-
-
 def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
     """Connect b to w(b) through Borels containing a common nilpotent support.
 
-    ``support`` is a set of positive roots S with w^{-1}(S) positive (so
-    both b and w(b) contain nilpotents supported on S).  Returns the chain
-    e = w_0, w_1, ..., w_q = w where consecutive elements differ by a right
-    multiplication by one simple reflection and, at every step i with
-    letter a_i, S lies in w_{i-1}(R+ \\ {alpha_{a_i}}) -- the nilpotent
-    radical of the minimal parabolic defining the connecting projective
-    line.  Every prefix also keeps w_i^{-1}(S) positive, and q = l(w).
+    ``support`` is a set of positive roots S in w(R+), the first m entries
+    of w's perm (so both b and w(b) contain nilpotents supported on S).
+    Returns the prefixes e = w_0, w_1, ..., w_q = w of w's word, each step
+    w_q = w_{q-1} s_{a_q} composed forward like any product, where at every
+    step S lies in w_{q-1}(R+ \\ {alpha_{a_q}}) -- the nilpotent radical of
+    the minimal parabolic defining the connecting projective line.  The
+    last element keeps S in w_q(R+), and q = l(w).
     """
+    m = rs.num_positive
     support = [tuple(s) for s in support]
-    for s in support:
+    # the support's root indices, and 255, which indexes no root, for one that is not positive
+    indices = bytes(rs.index[s] if rs.is_positive_root(s) else 255 for s in support)
+
+    def first_outside(held: bytes):  # the first support root whose index is not held
+        outside = indices.translate(None, held)
+        return support[indices.index(outside[0])] if outside else None
+
+    if (s := first_outside(w.perm[:m])) is not None:
         if not rs.is_positive_root(s):
             raise ValueError(f"support root {s} is not positive")
-        if not all(x >= 0 for x in _inverse_image(rs, w, s)):
-            raise ValueError(f"precondition failed: w^(-1){s} is not a positive root")
-    m = rs.num_positive
+        raise ValueError(f"precondition failed: w^(-1){s} is not a positive root")
     reflections = _reflections(rs)
-    targets = [(s, rs.index[s]) for s in support]
-    ident = bytes(range(2 * m))
-    inv = ident  # perm of w_q^{-1} = s_{a_q} w_{q-1}^{-1}
-    chain = [WeylElement(word=(), perm=ident)]
+    rest = bytes(range(2 * m, 256))
+    perm = bytes(range(2 * m))  # perm(w_{q-1})
+    chain = [WeylElement(word=(), perm=perm)]
     for q, letter in enumerate(w.word, 1):
         alpha, table = reflections[letter - 1]
-        # defensive verification of the step condition on w_{q-1}^{-1}(S)
-        for s, k in targets:
-            if inv[k] >= m or inv[k] == alpha:
-                raise AssertionError(f"chain step {q}: support {s} left the parabolic nilradical")
-        inv = inv.translate(table)
-        chain.append(WeylElement(word=w.word[:q], perm=bytes.maketrans(inv, ident)[: 2 * m]))
-    if any(inv[k] >= m for _, k in targets):
+        # defensive verification of the step condition: S in perm(w_{q-1})[:m] less alpha's image
+        if (s := first_outside(perm[:alpha] + perm[alpha + 1 : m])) is not None:
+            raise AssertionError(f"chain step {q}: support {s} left the parabolic nilradical")
+        perm = table[: 2 * m].translate(perm + rest)
+        chain.append(WeylElement(word=w.word[:q], perm=perm))
+    if first_outside(perm[:m]) is not None:
         raise AssertionError("the last Borel lost the support")
     return chain
 

@@ -5,16 +5,20 @@ A stdlib ``ast`` scan, beside the unused-import scan of
 ``sys.stdlib_module_names`` or one of the package's own modules.  No float
 or complex literal and no use of the name ``float`` may appear, outside
 the sites listed in ``ALLOWED_FLOAT_SITES``: a timing default, which
-enters no check's arithmetic.
+enters no check's arithmetic.  Every module must parse as the oldest
+Python that ``requires-python`` in ``pyproject.toml`` admits; this guards
+syntax only, not the use of a stdlib function added after that version.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nullcone"
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
 OWN = frozenset(path.stem for path in SRC.glob("*.py"))
 
 # (file, enclosing class or function, value) of each float allowed in the package
@@ -76,6 +80,27 @@ def test_every_import_is_stdlib_or_the_package(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_float_outside_the_allowed_sites(path):
     assert _float_violations(path) == []
+
+
+def _oldest_python() -> tuple:
+    """(major, minor) of ``requires-python = ">=major.minor"`` in pyproject.toml."""
+    spec = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    return int(spec[1]), int(spec[2])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(), path.name, feature_version=_oldest_python())
+
+
+def test_the_oldest_python_parse_refuses_newer_syntax():
+    # except* came with Python 3.11, one release after the oldest supported
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    if sys.version_info >= (3, 11):
+        ast.parse(source)
+    assert _oldest_python() == (3, 10)
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse(source, feature_version=_oldest_python())
 
 
 def test_every_allowed_float_site_exists():

@@ -235,6 +235,41 @@ def test_common_positive_roots_read_off_the_perm_match_apply_root():
             assert report._common_positive_roots(rs, w) == expected, (tname, w.word)
 
 
+@pytest.mark.parametrize("tname", ["G2", "D4"])
+def test_line_chains_hand_each_sampled_element_its_maximal_common_support(monkeypatch, tname):
+    # all 12 elements of W(G2), and 60 sampled of the 192 of W(D4)
+    calls = []
+    chain = report.chain_of_lines
+
+    def recording_chain(rs, support, w):
+        calls.append((rs, list(support), w))
+        return chain(rs, support, w)
+
+    monkeypatch.setattr(report, "chain_of_lines", recording_chain)
+    _, results = run(RunConfig(suites=("geometry",), types=(tname,)))
+    assert {c.check_id: c.status for c in results}[f"geometry/{tname}/line-chains"] == "pass"
+    rs = calls[0][0]
+    assert len(calls) == min(60, weyl.weyl_order(rs))
+    for _, support, w in calls:
+        image = {w.apply_root(rs, r) for r in rs.positive_roots}
+        assert support == [r for r in rs.positive_roots if r in image], w.word
+
+
+def test_an_element_whose_word_does_not_spell_its_perm_fails_line_chains():
+    # s_1 of G2 labelled (2,): its support R+ ∩ s_1(R+) holds beta_2, which
+    # the one step of that word, by s_2, sends out of R+
+    unit = report._Unit(RunConfig(types=("G2",)), SimpleType.from_name("G2"))
+    group = list(unit.group)
+    j = next(j for j, w in enumerate(group) if w.word == (1,))
+    group[j] = weyl.WeylElement((2,), group[j].perm)
+    unit.group = group
+    check = next(c for c in report._CHECKS["geometry"] if c.name == "line-chains")
+    result = report._run_check(check, unit, "geometry")
+    assert (result.check_id, result.status) == ("geometry/G2/line-chains", "fail")
+    assert [word for word, _ in result.witness] == [(2,)]
+    assert result.witness[0][1].startswith("chain step 1: ")
+
+
 def test_text_timings_are_measured_per_check(monkeypatch):
     # a slow torus-Borel count must show up on its own check only, not be
     # spread evenly over the seven roots/A2 checks

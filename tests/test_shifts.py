@@ -262,6 +262,15 @@ def _reduction_onto_regular(t):
     t.reductions["plus"].append((3, 22, ("c", (1, 2, 3, 2))))
 
 
+def _non_root_row_label(t):
+    # label 6 of the plus list sits in plus row 1
+    t.roots["plus"][6] = (9, 9, 9, 9)
+
+
+def _non_root_reduction_target(t):
+    t.reductions["minus"][0] = (3, 1, ("c", (9, 9, 9, 9)))
+
+
 def _unjustified_move(t):
     # r(1) satisfies its plus identity at both 1 and 6, so moving it is unjustified
     t.errata.append(("move", "plus", 1, 6, 1))
@@ -355,6 +364,14 @@ PLANTED_FAULTS = [
         "F4/table-roots-complete-plus": {"missing": [], "extra": [(1, 2, 2, 2)]},
         "F4/table-reductions-plus": [(3, 22, (1, 2, 3, 2))],
     }, id="table-reductions-regular"),
+    pytest.param("F4", _tables(_non_root_row_label), {
+        "F4/table-decode-plus": [6],
+        "F4/table-roots-complete-plus": {"missing": [(0, 1, 1, 0)], "extra": [(9, 9, 9, 9)]},
+        "F4/table-rows-plus": [(1, 6, "not a root")],
+    }, id="table-rows-non-root"),
+    pytest.param("F4", _tables(_non_root_reduction_target), {
+        "F4/table-reductions-minus": [(3, 1, (9, 9, 9, 9))],
+    }, id="table-reductions-non-root"),
     pytest.param("E6", _tables(_unjustified_move), {
         "E6/table-errata": [("move", "plus", 1, 6, 1)],
     }, id="table-errata-move"),

@@ -121,11 +121,30 @@ def test_chains_over_whole_group_with_seeded_supports(family, rank):
                 assert len(b.word) == len(a.word) + 1
 
 
+@pytest.mark.parametrize(
+    "family,rank", [("A", 3), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+)
+def test_the_maximal_common_support_chains_every_element(family, rank):
+    # R+ ∩ w(R+) is the largest support chain_of_lines accepts for w, and
+    # each chain element is the element its prefix word spells
+    rs = build_root_system(family, rank)
+    m = rs.num_positive
+    spelled = {}
+    for w in generate_weyl(rs):
+        image = set(w.perm[:m])
+        support = [r for k, r in enumerate(rs.positive_roots) if k in image]
+        chain = chain_of_lines(rs, support, w)
+        assert [c.word for c in chain] == [w.word[:q] for q in range(len(w.word) + 1)]
+        for c in chain:
+            if c.word not in spelled:
+                spelled[c.word] = element_from_word(rs, c.word).perm
+            assert c.perm == spelled[c.word], (w.word, c.word)
+        assert chain[-1].perm == w.perm
+
+
 def test_connectivity_transport_between_two_torus_borels():
     # if v(b) and w(b) both contain the support, a chain joins them after
     # translating by v: the element u = v^{-1} w satisfies the precondition
-    from nullcone.weyl import _inverse_image
-
     rs = build_root_system("A", 3)
     group = generate_weyl(rs)
     by_perm = {g.perm: g for g in group}
@@ -145,7 +164,7 @@ def test_connectivity_transport_between_two_torus_borels():
         for j, img in enumerate(v.perm):
             inv_v[img] = j
         u = by_perm[bytes(inv_v[w.perm[j]] for j in range(len(w.perm)))]
-        translated = [_inverse_image(rs, v, s) for s in support]
+        translated = [rs.roots[inv_v[rs.index[s]]] for s in support]  # v^{-1}(S)
         chain = chain_of_lines(rs, translated, u)
         assert chain[-1].perm == u.perm
         checked += 1
