@@ -7,6 +7,9 @@ the remaining roots it is regular for a short per-family list of values.
 This module produces machine-checkable verdicts for both shifts, compares
 them against the stated per-family classification, and verifies the
 transcribed fixed-point tables for E6/E7/E8/F4 shipped under ``data/``.
+The loader decodes the tables' display order once; a missing label, a
+misplaced erratum or a row index outside 1..rank fails a ``table-*``
+record instead of stopping the run.
 
 Soundness contract: every verdict carries evidence that is checked against
 the direct pairing predicates of :mod:`nullcone.roots` (a zero-pairing
@@ -215,35 +218,29 @@ _F4_MINUS_CONDITIONS = {
 # -- table data --------------------------------------------------------------
 
 
-def display_to_coords(family: str, disp) -> tuple:
-    """Undo a table's display ordering ([n2, n1, n3, ...] for type E)."""
-    disp = tuple(disp)
-    return (disp[1], disp[0]) + disp[2:] if family == "E" else disp
-
-
 class ShiftTables(namedtuple("ShiftTables", "family rank roots assigns errata reductions")):
     """The parsed tables of one type.
 
-    ``roots`` maps each shift to {label: display coords} and ``assigns``
-    maps it to {i: [labels]} as printed; ``errata`` lists the (kind, shift,
-    ...) records and ``reductions`` maps each shift to [(i, label, target)].
+    ``roots`` maps each shift to {label: coords}, decoded from the display
+    order, and ``assigns`` maps it to {i: [labels]} as printed; ``errata``
+    lists the (kind, shift, ...) records and ``reductions`` maps each shift
+    to [(i, label, target)], a ``c`` target decoded too.  A label its list
+    lacks, a misplaced erratum and a row index outside 1..rank are left to
+    fail a ``table-*`` record.
     """
 
     __slots__ = ()
 
-    def coords(self, shift: str, label: int) -> tuple:
-        return display_to_coords(self.family, self.roots[shift][label])
-
     def effective_assigns(self, shift: str) -> dict:
-        """Assignments with the documented errata applied."""
+        """Assignments with the documented errata applied where their printed entry is."""
         out = {i: list(js) for i, js in self.assigns[shift].items()}
         for kind, rec_shift, a, b, c in self.errata:
             if rec_shift != shift:
                 continue
-            if kind == "move":  # label a moves from row b to row c
+            if kind == "move" and a in out.get(b, ()):  # label a moves from row b to row c
                 out[b].remove(a)
                 out.setdefault(c, []).append(a)
-            else:  # entry b of row a becomes c
+            elif kind == "swap" and b in out.get(a, ()):  # entry b of row a becomes c
                 out[a][out[a].index(b)] = c
         return out
 
@@ -265,6 +262,8 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
     Errata are recorded as they are printed; :meth:`ShiftTables.effective_assigns`
     applies them.
     """
+    # coordinates are decoded once from the display order, [n2, n1, n3, ...] for type E
+    decode = tuple if family != "E" else lambda disp: tuple(disp[1::-1] + disp[2:])
     fname = _TABLE_FILES[(family, rank)]
     with open(os.path.join(os.path.dirname(__file__), "data", fname), encoding="utf-8") as fh:
         text = fh.read()
@@ -286,7 +285,7 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
             continue
         m = _REDUCE_RE.match(line)
         if m:
-            target = ("r", int(m[5])) if m[5] else ("c", tuple(int(x) for x in m[6].split()))
+            target = ("r", int(m[5])) if m[5] else ("c", decode([int(x) for x in m[6].split()]))
             tables.reductions[m[1]].append((int(m[2]), int(m[3]), target))
             continue
         head, _, tail = line.partition("|")
@@ -297,7 +296,7 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
         elif kind in ("root", "root-minus", "root-plus"):
             # a plain root record belongs to both lists
             for shift in _SIGNS if kind == "root" else (kind.removeprefix("root-"),):
-                tables.roots[shift][int(key)] = tuple(values)
+                tables.roots[shift][int(key)] = decode(values)
         else:
             raise ValueError(f"unrecognized table record: {raw!r}")
     return tables
@@ -318,21 +317,21 @@ def _expected_table_roots(rs: RootSystem, shift: str) -> set:
     return high
 
 
-def _row_identity_ok(rs: RootSystem, alpha, i: int, shift: str, lam) -> bool:
-    """The printed form of a table row's claim for one root, ``lam`` its shifted weight."""
-    if rs.stype.family == "E":
-        return neighbor_sum_identity(rs, alpha, i, _SIGNS[shift])
-    if rs.stype.family == "F" and shift == "minus":
-        return _F4_MINUS_CONDITIONS[i](alpha)
-    return i in _fixed_points(lam)
-
-
 def _row_fault(rs: RootSystem, alpha, i: int, shift: str, rows: dict):
-    """Why row i may not list alpha ('not a root', 'identity' or 'reflection'), or None."""
+    """Why row i may not list alpha: 'not a root', 'no such row', 'identity' or 'reflection'."""
     lam = rows[shift].get(alpha)
     if lam is None:
         return "not a root"
-    if not _row_identity_ok(rs, alpha, i, shift, lam):
+    if not 1 <= i <= rs.rank:
+        return "no such row"
+    # the printed form of the row's claim for alpha
+    if rs.stype.family == "E":
+        printed = neighbor_sum_identity(rs, alpha, i, _SIGNS[shift])
+    elif rs.stype.family == "F" and shift == "minus":
+        printed = _F4_MINUS_CONDITIONS[i](alpha)
+    else:
+        printed = i in _fixed_points(lam)
+    if not printed:
         return "identity"
     return "reflection" if rs.reflect(lam, i) != lam else None
 
@@ -350,12 +349,9 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
     rows = rows or _shift_rows(rs)
     tables = load_shift_tables(rs.stype.family, rs.rank)
     tname = rs.stype.name
-    decoded = {
-        shift: {j: tables.coords(shift, j) for j in tables.roots[shift]} for shift in _SIGNS
-    }
     out = []
     for shift in _SIGNS:
-        roots = decoded[shift]
+        roots = tables.roots[shift]  # roots.get(label) is None for a label the list lacks
         listed, expected = set(roots.values()), _expected_table_roots(rs, shift)
         effective = tables.effective_assigns(shift)
         reductions = tables.reductions[shift]
@@ -365,9 +361,10 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
         due = {j for j, r in roots.items() if shift == "minus" or r != rs.highest_root}
         bad_reductions = []
         for i, label, (kind, target) in reductions:
-            tgt = roots[target] if kind == "r" else display_to_coords(tables.family, target)
-            lam, want = rows[shift].get(roots[label]), rows[shift].get(tgt)
-            if lam is None or want is None or rs.reflect(lam, i) != want or rs.is_regular(want):
+            tgt = roots.get(target) if kind == "r" else target
+            lam, want = rows[shift].get(roots.get(label)), rows[shift].get(tgt)
+            fits = lam is not None and want is not None and 1 <= i <= rs.rank
+            if not fits or rs.reflect(lam, i) != want or rs.is_regular(want):
                 bad_reductions.append((i, label, tgt))
         out += [
             _outcome(
@@ -389,7 +386,7 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
                     (i, j, fault)
                     for i, js in sorted(effective.items())
                     for j in js
-                    if (fault := _row_fault(rs, roots[j], i, shift, rows))
+                    if (fault := _row_fault(rs, roots.get(j), i, shift, rows))
                 ],
             ),
             _outcome(
@@ -406,16 +403,16 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
             ),
         ]
 
-    def holds(shift, j, i):
-        lam = rows[shift].get(decoded[shift][j])
-        return lam is not None and _row_identity_ok(rs, decoded[shift][j], i, shift, lam)
+    def holds(shift, j, i):  # r(j) satisfies the printed identity of row i
+        return _row_fault(rs, tables.roots[shift].get(j), i, shift, rows) in (None, "reflection")
 
     def justified(kind, shift, a, b, c):
-        if kind == "move":  # label a fails its identity at row b and holds at row c
-            return not holds(shift, a, b) and holds(shift, a, c)
+        printed = tables.assigns[shift]
+        if kind == "move":  # label a, printed in row b, fails its identity there and holds at row c
+            return a in printed.get(b, ()) and not holds(shift, a, b) and holds(shift, a, c)
         # entry b of row a fails the identity; c is the one root satisfying it
-        satisfiers = [j for j in decoded[shift] if holds(shift, j, a)]
-        return not holds(shift, b, a) and satisfiers == [c]
+        satisfiers = [j for j in tables.roots[shift] if holds(shift, j, a)]
+        return b in printed.get(a, ()) and not holds(shift, b, a) and satisfiers == [c]
 
     out.append(
         _outcome(

@@ -386,6 +386,7 @@ def chain_of_lines(rs: RootSystem, support, w: WeylElement) -> list:
             raise AssertionError(f"chain step {q}: support {s} left the parabolic nilradical")
         perm = table[: 2 * m].translate(perm + rest)
         chain.append(WeylElement(word=w.word[:q], perm=perm))
+    # fires only when the last letter's table sends a root of R+ \ {alpha} outside R+
     if first_outside(perm[:m]) is not None:
         raise AssertionError("the last Borel lost the support")
     return chain

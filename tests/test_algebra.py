@@ -19,9 +19,10 @@ from oracles import (
 )
 
 from nullcone import linalg as la
-from nullcone.algebra import SUPPORTED_RANKS, GroupElement, build_algebra
-from nullcone.report import ALGEBRA_TYPES, _regular_pencil_pair
+from nullcone.algebra import SUPPORTED_RANKS, GroupElement, MatrixLieAlgebra, build_algebra
+from nullcone.report import ALGEBRA_TYPES, _regular_cartan, _regular_pencil_pair
 from nullcone.roots import SimpleType, cartan_matrix
+from nullcone.weyl import weyl_order
 
 E = ((0, 1), (0, 0))
 F = ((0, 0), (1, 0))
@@ -935,3 +936,33 @@ def test_trace_form_proportional_constants_documented():
         alg = build_algebra(fam, rk)
         gram = _gram_matrix(alg)
         assert la.rank(gram) == alg.dim
+
+
+# -- Chevalley's criterion -----------------------------------------------------
+#
+# Homogeneous W-invariants on h generate C[h]^W when their Jacobian is nonzero
+# at one point and the product of their degrees is |W| (Humphreys, Reflection
+# Groups and Coxeter Groups, ch. 3); Chevalley's restriction theorem carries
+# generation to C[g]^G.  J_ij = <eps_i(h_0), h_j> is the Jacobian of the p_i
+# restricted to h, at a regular Cartan point h_0.
+
+
+def _cartan_jacobian(alg, seed: str) -> list:
+    h0 = _regular_cartan(alg, random.Random(seed))
+    return [[alg.trace_form(eps, h) for h in alg.h_basis] for eps in alg.epsilon_all(h0)]
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_the_invariants_meet_chevalleys_criterion(name):
+    stype = SimpleType.from_name(name)
+    alg = build_algebra(stype.family, stype.rank)
+    assert nullspace(_cartan_jacobian(alg, f"chevalley:{name}")) == []
+    assert prod(alg.degrees) == weyl_order(alg.rs)
+
+
+def test_a_repeated_degree_fails_chevalleys_criterion():
+    # reading c_3 twice in place of c_4: the Jacobian has two equal rows
+    alg = MatrixLieAlgebra("A", 3)
+    alg.degrees = (2, 3, 3)
+    assert nullspace(_cartan_jacobian(alg, "chevalley:A3"))
+    assert prod(alg.degrees) == 18 != weyl_order(alg.rs) == 24

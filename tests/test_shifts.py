@@ -9,6 +9,7 @@ its witness rather than hiding it.
 
 import copy
 from operator import mul
+from pathlib import Path
 
 import pytest
 from oracles import coroot_by_form, reflection_fixes_shift, simple_index
@@ -161,20 +162,20 @@ def test_specific_table_rows():
     e6 = build_root_system("E", 6)
     t6 = load_shift_tables("E", 6)
     # row (2 | 11) of the minus table: coordinates [2,1,2,3,2,1] displayed
-    assert t6.roots["minus"][11] == (2, 1, 2, 3, 2, 1)
-    alpha = t6.coords("minus", 11)
+    alpha = t6.roots["minus"][11]
     assert alpha == (1, 2, 2, 3, 2, 1)
     assert neighbor_sum_identity(e6, alpha, 2, -1)
 
     e8 = build_root_system("E", 8)
     t8 = load_shift_tables("E", 8)
-    assert t8.coords("minus", 47) == e8.highest_root
+    assert t8.roots["minus"][47] == e8.highest_root
     assert neighbor_sum_identity(e8, e8.highest_root, 8, -1)
 
     e7 = build_root_system("E", 7)
     t7 = load_shift_tables("E", 7)
-    assert t7.roots["plus"][17] == (2, 1, 3, 4, 3, 2, 1)
-    assert neighbor_sum_identity(e7, t7.coords("plus", 17), 1, +1)
+    # displayed [2,1,3,4,3,2,1]
+    assert t7.roots["plus"][17] == (1, 2, 3, 4, 3, 2, 1)
+    assert neighbor_sum_identity(e7, t7.roots["plus"][17], 1, +1)
 
 
 def test_e8_errata_are_validated_both_ways():
@@ -183,11 +184,11 @@ def test_e8_errata_are_validated_both_ways():
     assert ("move", "plus", 9, 3, 1) in tables.errata
     assert ("swap", "plus", 8, 16, 46) in tables.errata
     # printed entries fail, corrected ones hold
-    a9 = tables.coords("plus", 9)
+    a9 = tables.roots["plus"][9]
     assert not neighbor_sum_identity(rs, a9, 3, +1)
     assert neighbor_sum_identity(rs, a9, 1, +1)
-    assert not neighbor_sum_identity(rs, tables.coords("plus", 16), 8, +1)
-    assert neighbor_sum_identity(rs, tables.coords("plus", 46), 8, +1)
+    assert not neighbor_sum_identity(rs, tables.roots["plus"][16], 8, +1)
+    assert neighbor_sum_identity(rs, tables.roots["plus"][46], 8, +1)
     effective = tables.effective_assigns("plus")
     assert 9 in effective[1] and 9 not in effective[3]
     assert effective[8] == [46]
@@ -269,6 +270,41 @@ def _non_root_row_label(t):
 
 def _non_root_reduction_target(t):
     t.reductions["minus"][0] = (3, 1, ("c", (9, 9, 9, 9)))
+
+
+def _missing_row_label(t):
+    t.assigns["plus"][1].append(99)
+
+
+def _missing_reduction_target(t):
+    t.reductions["minus"][1] = (4, 6, ("r", 99))
+
+
+def _missing_reduction_label(t):
+    t.reductions["minus"][1] = (4, 99, ("r", 3))
+
+
+def _erratum(*record):
+    """An edit that appends the erratum ``record``."""
+    return lambda t: t.errata.append(record)
+
+
+def _drop_corrected_entry(t):
+    # the shipped erratum moves plus label 9 out of row 3
+    t.assigns["plus"][3].remove(9)
+
+
+def _rename_row(shift, i):
+    """An edit that renames row i of ``shift`` to row 99, outside 1..rank."""
+    return lambda t: t.assigns[shift].update({99: t.assigns[shift].pop(i)})
+
+
+def _reduction_index_out_of_range(t):
+    t.reductions["minus"][1] = (99, 6, ("r", 3))
+
+
+def _move_to_row_out_of_range(t):
+    t.errata[t.errata.index(("move", "plus", 9, 3, 1))] = ("move", "plus", 9, 3, 99)
 
 
 def _unjustified_move(t):
@@ -372,6 +408,46 @@ PLANTED_FAULTS = [
     pytest.param("F4", _tables(_non_root_reduction_target), {
         "F4/table-reductions-minus": [(3, 1, (9, 9, 9, 9))],
     }, id="table-reductions-non-root"),
+    pytest.param("F4", _tables(_missing_row_label), {
+        "F4/table-rows-plus": [(1, 99, "not a root")],
+        "F4/table-coverage-plus": [99],
+    }, id="table-rows-missing-label"),
+    pytest.param("F4", _tables(_missing_reduction_target), {
+        "F4/table-reductions-minus": [(4, 6, None)],
+    }, id="table-reductions-missing-target"),
+    pytest.param("F4", _tables(_missing_reduction_label), {
+        "F4/table-coverage-minus": [6, 99],
+        "F4/table-reductions-minus": [(4, 99, (0, 1, 2, 1))],
+    }, id="table-reductions-missing-label"),
+    pytest.param("F4", _tables(_erratum("move", "plus", 99, 1, 2)), {
+        "F4/table-errata": [("move", "plus", 99, 1, 2)],
+    }, id="table-errata-move-missing-label"),
+    pytest.param("F4", _tables(_erratum("swap", "plus", 1, 99, 2)), {
+        "F4/table-errata": [("swap", "plus", 1, 99, 2)],
+    }, id="table-errata-swap-missing-label"),
+    pytest.param("E6", _tables(_erratum("move", "plus", 6, 77, 2)), {
+        "E6/table-errata": [("move", "plus", 6, 77, 2)],
+    }, id="table-errata-move-missing-row"),
+    pytest.param("E6", _tables(_erratum("swap", "plus", 77, 6, 10)), {
+        "E6/table-errata": [("swap", "plus", 77, 6, 10)],
+    }, id="table-errata-swap-missing-row"),
+    pytest.param("E8", _tables(_drop_corrected_entry), {
+        "E8/table-coverage-plus": [9],
+        "E8/table-errata": [("move", "plus", 9, 3, 1)],
+    }, id="table-errata-corrected-entry-missing"),
+    pytest.param("E6", _tables(_rename_row("minus", 2)), {
+        "E6/table-rows-minus": [(99, 11, "no such row")],
+    }, id="table-rows-e-row-out-of-range"),
+    pytest.param("F4", _tables(_rename_row("minus", 4)), {
+        "F4/table-rows-minus": [(99, 11, "no such row")],
+    }, id="table-rows-f4-row-out-of-range"),
+    pytest.param("F4", _tables(_reduction_index_out_of_range), {
+        "F4/table-reductions-minus": [(99, 6, (0, 1, 2, 1))],
+    }, id="table-reductions-index-out-of-range"),
+    pytest.param("E8", _tables(_move_to_row_out_of_range), {
+        "E8/table-rows-plus": [(99, 9, "no such row")],
+        "E8/table-errata": [("move", "plus", 9, 3, 99)],
+    }, id="table-errata-target-row-out-of-range"),
     pytest.param("E6", _tables(_unjustified_move), {
         "E6/table-errata": [("move", "plus", 1, 6, 1)],
     }, id="table-errata-move"),
@@ -422,6 +498,59 @@ def test_a_planted_fault_fails_exactly_its_outcomes(monkeypatch, tname, plant, e
     assert _failures(rs) == {}
     plant(monkeypatch, rs)
     assert _failures(rs) == expected
+
+
+def _table_text_edits(text: str):
+    """Each one-token edit of a table file that sets a label or a row index to 99.
+
+    Yields (kind, edited line, edited text): kind is 'label' for an entry of
+    a row, a reduction's label or ``r`` target, and each number of an
+    erratum; 'index' for the header of a non-empty row and a reduction's index.
+    """
+    lines = text.splitlines()
+    for n, line in enumerate(lines):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind in ("minus", "plus"):  # minus i | j ...
+            spots = {k: "label" for k in range(3, len(tokens))}
+            if spots:
+                spots[1] = "index"
+        elif kind.startswith("reduce-"):  # reduce-minus i j -> r k
+            spots = {1: "index", 2: "label"} | ({5: "label"} if tokens[4] == "r" else {})
+        elif kind in ("move", "swap"):  # move plus j : i -> i'
+            spots = dict.fromkeys((2, 4, 6), "label")
+        else:
+            spots = {}
+        for k, what in spots.items():
+            edited = " ".join(tokens[:k] + ["99"] + tokens[k + 1 :])
+            yield what, edited, "\n".join(lines[:n] + [edited] + lines[n + 1 :])
+
+
+# labels and indices: how many edits of each kind the shipped file admits
+@pytest.mark.parametrize(
+    "family,rank,labels,indices",
+    [("F", 4, 40, 13), ("E", 6, 21, 11), ("E", 7, 35, 12), ("E", 8, 99, 15)],
+)
+def test_every_slip_in_the_table_text_fails_a_table_record(
+    monkeypatch, tmp_path, family, rank, labels, indices
+):
+    rs = build_root_system(family, rank)
+    shipped = Path(shifts.__file__).parent / "data" / shifts._TABLE_FILES[(family, rank)]
+    text = shipped.read_text(encoding="utf-8")
+    source = tmp_path / shipped.name
+    source.write_text(text, encoding="utf-8")
+    # the loader joins the data directory with this name, and os.path.join keeps an absolute one
+    monkeypatch.setitem(shifts._TABLE_FILES, (family, rank), str(source))
+    assert all(o.ok for o in full_shift_report(rs))
+    counts = {"label": 0, "index": 0}
+    for what, line, edited in _table_text_edits(text):
+        counts[what] += 1
+        source.write_text(edited, encoding="utf-8")
+        failed = [o.check_id for o in full_shift_report(rs) if not o.ok]
+        assert any("/table-" in c for c in failed), line
+    assert counts == {"label": labels, "index": indices}
 
 
 def test_a_shift_no_single_reflection_dominates_fails_records_instead_of_raising():

@@ -9,9 +9,9 @@ from types import SimpleNamespace
 import pytest
 from oracles import TorusBorel, apply_h, inversions, reflection_tables
 
-from nullcone import weyl
+from nullcone import report, weyl
 from nullcone.report import DEFAULT_TYPES, RunConfig, _length_inversions
-from nullcone.roots import build_root_system
+from nullcone.roots import RootSystem, SimpleType, build_root_system
 from nullcone.weyl import (
     WeylElement,
     WeylOrderError,
@@ -102,6 +102,21 @@ def test_chain_refuses_a_step_that_leaves_the_nilradical():
     w = WeylElement(word=(1, 2), perm=element_from_word(rs, (1,)).perm)
     with pytest.raises(AssertionError, match="chain step 2: "):
         chain_of_lines(rs, [rs.highest_root], w)
+
+
+def test_chain_refuses_a_last_step_whose_table_leaves_the_positive_roots():
+    # a fresh A2, not the cached system: with entries 0 and 3 of s_1's table
+    # swapped, s_1 sends alpha_2 = root 0 to -theta = root 5, outside R+.
+    # The one step condition holds, and only the last check sees the Borel
+    # s_1(b) lose the support R+ \ {alpha_1} = {alpha_2, theta}
+    rs = RootSystem(SimpleType("A", 2))
+    real = rs.reflection_tables[0]
+    assert real == (2, 4, 0, 5, 1, 3)
+    rs.reflection_tables = ((5, 4, 0, 2, 1, 3),) + rs.reflection_tables[1:]
+    assert report._simple_reflections(SimpleNamespace(rs=rs), None)[1] == [(1, (0, 1))]
+    w = WeylElement(word=(1,), perm=bytes(real))
+    with pytest.raises(AssertionError, match="the last Borel lost the support"):
+        chain_of_lines(rs, [(0, 1), (1, 1)], w)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
