@@ -39,7 +39,7 @@ print(f"mu-kernel dimension at a regular nilpotent: {rep.kernel_dim} = b_g")
 # every parametrized tangent direction annihilates the invariants along the pencil
 tangents = geo.nullcone_tangent_spanners(alg, e, u)
 print("invariant differentials vanish along the pencil:",
-      geo.pencil_tangent_vanishing(alg, e, u, tangents, range(6)))
+      geo.pencil_tangent_vanishing(alg, e, u, tangents))
 
 # membership: a conjugated pair of upper-triangular nilpotents is recognized
 g = alg.unipotent({r: 1 for r in alg.rs.positive_roots}) * alg.weyl_rep((1, 2))

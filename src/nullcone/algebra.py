@@ -34,13 +34,23 @@ is proportional to the Killing form (sl(n+1): factor 2(n+1); so(2n+1):
 gradient is the orthogonal projection onto g for this form.
 
 Group elements carry their inverses in closed form, so nothing is inverted
-by elimination and integral elements keep int entries.  One sparse
-exponential builds the unipotent elements and the Weyl representatives
-exp(e_i) exp(-f_i) exp(e_i): a root vector e, positive or negative, and e^2
-have one or two nonzero cells each, so exp(c e) = I + c e + c^2 e^2 / 2 is a
-few column operations on the matrix and row operations on its inverse.  A
-torus element reads the slot weights.  Conjugation clears the denominators
-of g, x and g^-1, takes both products over the integers and divides once.
+by elimination; each of the two is an int matrix over one denominator.  One
+sparse exponential builds the unipotent elements and the Weyl
+representatives exp(e_i) exp(-f_i) exp(e_i): a root vector e, positive or
+negative, and e^2 have one or two nonzero cells each, so
+exp(c e) = I + c e + c^2 e^2 / 2 is a few column operations on the matrix
+and row operations on its inverse, over int.  A torus element reads the slot
+weights.  A product multiplies numerators over int and denominators, and
+conjugation multiplies g's numerator, x scaled to integers and g^-1's
+numerator over int and divides once.
+
+Along a pencil x + t y, the gradient matrix G_i(x + t y) is a matrix of
+polynomials in t.  Scaled to X = L x, Y = L y, their coefficients are the
+signed base-2^K digits of the entries of G_i(z), z = X + 2^K Y, from one
+faddeev(z) (gradient_pencil); with lanes widened by a bound on a
+direction's entries, trace(G_i(X + t Y)(V + t W)) is read off the same
+values, so an identity in t is one packed integer test
+(geometry.pencil_tangent_vanishing).
 
 Regularity is decided in the defining representation too: x is regular
 exactly when its minimal polynomial has degree N (is_regular_element), an
@@ -60,7 +70,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from math import perm, prod
+from math import gcd, perm, prod
 from operator import add, itemgetter, lshift, mul, sub
 
 from . import linalg as la
@@ -75,31 +85,57 @@ def _diagonal(entries):
     return tuple(tuple(d if a == b else 0 for b in range(n)) for a, d in enumerate(entries))
 
 
-class GroupElement:
-    """An invertible matrix together with its exact inverse; integral entries are ints.
+def _lowest(den: int, num):
+    """(den, num) over their gcd, num as a tuple of int rows: the same matrix num / den."""
+    g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+    if g == 1:
+        return den, la.mat(num)
+    return den // g, tuple(tuple([x // g for x in row]) for row in num)
 
-    Built by MatrixLieAlgebra.unipotent and the Weyl representatives (one
-    sparse exponential, a factor exp(c e) at a time), torus or weyl_rep.
-    conjugate scales g, x and g^-1 to integer matrices, multiplies over int
-    and makes one exact division; products of group elements stay plain
-    la.mul products, as the Weyl representatives they mostly join are
-    monomial int matrices.
+
+class GroupElement:
+    """An invertible matrix and its exact inverse, each an int matrix over one denominator.
+
+    ``mat`` is ``num / den`` and ``inv`` is ``inv_num / inv_den``, each over
+    its gcd.  Built by MatrixLieAlgebra.unipotent and the Weyl representatives
+    (one sparse exponential, a factor exp(c e) at a time), torus or weyl_rep.
+    A product multiplies the numerators over int and the denominators, and
+    conjugate multiplies g, x and g^-1 scaled to integers and makes one exact
+    division, so neither forms a Fraction product.
     """
 
-    __slots__ = ("mat", "inv")
+    __slots__ = ("den", "num", "inv_den", "inv_num")
 
-    def __init__(self, mat, inv):
-        self.mat = la.whole(mat)
-        self.inv = la.whole(inv)
+    def __init__(self, mat, inv, den: int = 1, inv_den: int = 1):
+        """The element mat / den with inverse inv / inv_den; mat and inv may be rational."""
+        d, m = la.clear_denominators(mat)
+        self.den, self.num = _lowest(d * den, m)
+        d, m = la.clear_denominators(inv)
+        self.inv_den, self.inv_num = _lowest(d * inv_den, m)
+
+    @property
+    def mat(self):
+        """The matrix, integral entries as ints."""
+        return self.num if self.den == 1 else la.divide(self.num, self.den)
+
+    @property
+    def inv(self):
+        """The inverse, integral entries as ints."""
+        return self.inv_num if self.inv_den == 1 else la.divide(self.inv_num, self.inv_den)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(la.mul(self.mat, other.mat), la.mul(other.inv, self.inv))
+        return GroupElement(
+            la.mul(self.num, other.num),
+            la.mul(other.inv_num, self.inv_num),
+            self.den * other.den,
+            other.inv_den * self.inv_den,
+        )
 
     def conjugate(self, x):
         """g x g^-1, from one product over int: (L g)(M x)(K g^-1) / (L M K)."""
-        (dm, m), (dx, ix), (di, inv) = map(la.clear_denominators, (self.mat, x, self.inv))
-        out = la.mul(la.mul(m, ix), inv)
-        d = dm * dx * di
+        dx, ix = la.clear_denominators(x)
+        out = la.mul(la.mul(self.num, ix), self.inv_num)
+        d = self.den * dx * self.inv_den
         return out if d == 1 else la.divide(out, d)
 
 
@@ -327,7 +363,7 @@ class MatrixLieAlgebra:
         coeffs = la.char_poly(x)
         return tuple(coeffs[d - 1] for d in self.degrees)
 
-    def _pencil(self, x, y):
+    def _pencil(self, x, y, spare: int = 1):
         """(L, K, z): z = X + 2^K Y for X = L x, Y = L y, L the lcm of their denominators.
 
         X and Y come from one clear_denominators pass over the rows of x and y, and
@@ -336,18 +372,31 @@ class MatrixLieAlgebra:
         c_k(X + t Y) is +- a sum of perm(N, k) products of k entries X_e + t Y_e,
         so with M = max(1, max |entry| of X, Y) its t^j coefficient is at most
         perm(N, k) (2M)^k in absolute value, as is that of each entry of Faddeev's
-        M_{k-1}, a derivative of c_k.  For k <= d_max that is below 2^(K-1), so the
-        signed base-2^K digits of c_k(z) and of M_{k-1}(z) are their t-coefficients.
+        M_{k-1}, a derivative of c_k.  For k <= d_max that bound times ``spare`` is
+        below 2^(K-1), so the signed base-2^K digits of c_k(z) and of M_{k-1}(z) are
+        their t-coefficients, and so are those of any integer polynomial whose
+        coefficients are at most ``spare`` times that bound.
         """
         lcd, rows = la.clear_denominators((*x, *y))
         bound = max(1, max(map(abs, chain.from_iterable(rows))))
         dmax = self.degrees[-1]
-        bits = (perm(self.size, dmax) * (2 * bound) ** dmax).bit_length() + 1
+        bits = (perm(self.size, dmax) * (2 * bound) ** dmax * spare).bit_length() + 1
         n = len(x)
         z = tuple(
             tuple(map(add, a, map(lshift, b, repeat(bits)))) for a, b in zip(rows[:n], rows[n:])
         )
         return lcd, bits, z
+
+    def gradient_pencil(self, x, y, spare: int = 1):
+        """(L, K, aux): aux[i-1] is Faddeev's M_{d_i-1}(z), z from _pencil(x, y, spare).
+
+        -M_{d_i-1}(X + t Y) = L^(d_i-1) G_i(x + t y) is the gradient matrix of p_i
+        along the pencil, a matrix of integer polynomials in t, and M_{d_i-1}(z)
+        holds their values at t = 2^K.  One faddeev(z) gives every invariant's.
+        """
+        lcd, bits, z = self._pencil(x, y, spare)
+        _, aux = la.faddeev(z)
+        return lcd, bits, tuple(aux[d - 1] for d in self.degrees)
 
     def polarize_all(self, x, y):
         """Polarization coefficient lists of every invariant at (x, y).
@@ -358,6 +407,8 @@ class MatrixLieAlgebra:
         lcd, bits, z = self._pencil(x, y)
         coeffs = la.char_poly(z)
         digits = [la.signed_digits(coeffs[d - 1], bits, d + 1) for d in self.degrees]
+        if lcd == 1:
+            return tuple(digits)
         return tuple(tuple(la.ratio(c, lcd**d) for c in ds) for d, ds in zip(self.degrees, digits))
 
     def sigma(self, x, y):
@@ -368,6 +419,10 @@ class MatrixLieAlgebra:
 
     def trace_form(self, x, y):
         return la.trace_mul(x, y)
+
+    def basis_pairings(self, m) -> tuple:
+        """trace(m v) for each basis vector v, read off v's one or two nonzero cells."""
+        return tuple(sum(c * m[b][a] for a, b, c in cells) for cells in self._nonzero)
 
     def gradient_matrices(self, x):
         """Matrices G_i with d p_i(x)(v) = trace(G_i v), from one char-poly pass."""
@@ -387,16 +442,15 @@ class MatrixLieAlgebra:
     def epsilon_polarize_all(self, x, y):
         """The d_i polarizations of the gradient of every p_i at (x, y).
 
-        The entries of G_i(z) = -M_{d_i-1}(z), z from _pencil, hold those of G_i(x + t y)
-        as signed digits times L^{d_i-1}; each digit matrix is projected onto g.
-        One faddeev(z) holds every M_{d_i-1}.
+        The entries of G_i(z) = -M_{d_i-1}(z), from gradient_pencil, hold those of
+        G_i(x + t y) as signed digits times L^{d_i-1}; each digit matrix is projected
+        onto g.
         """
-        lcd, bits, z = self._pencil(x, y)
-        _, aux = la.faddeev(z)
+        lcd, bits, aux = self.gradient_pencil(x, y)
         out = []
-        for d in self.degrees:
+        for d, m in zip(self.degrees, aux):
             # row a of digit matrix k holds digit k of each entry in row a of -M_{d-1}(z)
-            rows = [zip(*(la.signed_digits(-e, bits, d) for e in row)) for row in aux[d - 1]]
+            rows = [zip(*(la.signed_digits(-e, bits, d) for e in row)) for row in m]
             out.append([la.divide(self._project(part), lcd ** (d - 1)) for part in zip(*rows)])
         return tuple(out)
 
@@ -463,9 +517,11 @@ class MatrixLieAlgebra:
         return self._simple_reflection_reps[i - 1]
 
     def weyl_rep(self, word) -> GroupElement:
-        ident = la.identity(self.size)
-        out = GroupElement(ident, ident)
-        for i in word:
+        if not word:
+            ident = la.identity(self.size)
+            return GroupElement(ident, ident)
+        out = self.simple_reflection_rep(word[0])
+        for i in word[1:]:
             out = out * self.simple_reflection_rep(i)
         return out
 
@@ -488,27 +544,37 @@ class MatrixLieAlgebra:
         exp(+-c e) = I +- c e + c^2 e^2 / 2, with one or two cells in each of
         e and e^2, so each factor updates the matrix by column operations
         (mat <- mat (I + S)) and the inverse by row operations (inv <- (I + S') inv)
-        in O(N) per cell.  Every operation reads the columns and rows as they
-        were before the factor: on so(2n+1) the short root vector
+        in O(N) per cell.  Both are kept as int matrices over one denominator:
+        with q the lcm of the denominators of the factor's coefficients, mat (I + S)
+        is (q mat + mat (q S)) / q, so the matrices are scaled by q and the int
+        coefficients of q S added.  Every operation reads the columns and rows as
+        they were before the factor: on so(2n+1) the short root vector
         E_{i,n} - E_{n,N-1-i} makes column n both a source and a target.
         """
         ident = la.identity(self.size)
         mat = [list(row) for row in ident]
         inv = [list(row) for row in ident]
+        den = 1
         for cells, square, c in factors:
-            even = [(a, b, la.ratio(c * c * v, 2)) for a, b, v in square]
-            forward = [(a, b, c * v) for a, b, v in cells] + even
-            backward = [(a, b, -c * v) for a, b, v in cells] + even
+            odd = [c * v for _, _, v in cells]
+            even = [la.ratio(c * c * v, 2) for _, _, v in square]
+            q, (coeffs,) = la.clear_denominators([odd + even])
+            forward = [(a, b, v) for (a, b, _), v in zip((*cells, *square), coeffs)]
+            backward = [(a, b, -v) for a, b, v in forward[: len(odd)]] + forward[len(odd) :]
             # column b of mat gains v times column a; rows of inv are replaced, not mutated
             columns = {a: [row[a] for row in mat] for a, _, _ in forward}
+            rows = {b: inv[b] for _, b, _ in backward}
+            if q != 1:
+                den *= q
+                mat = [[q * x for x in row] for row in mat]
+                inv = [[q * x for x in row] for row in inv]
             for a, b, v in forward:
                 for row, y in zip(mat, columns[a]):
                     if y:
                         row[b] += v * y
-            rows = {b: inv[b] for _, b, _ in backward}
             for a, b, v in backward:
                 inv[a] = [x + v * y for x, y in zip(inv[a], rows[b])]
-        return GroupElement(mat, inv)
+        return GroupElement(mat, inv, den, den)
 
     def unipotent(self, coeffs: dict) -> GroupElement:
         """Product of exp(c * e_root) over the given roots, in the dict's order."""
@@ -539,14 +605,38 @@ class MatrixLieAlgebra:
         """Integer-coefficient combination of basis vectors, seeded by rng."""
         if where not in self.subspace_indices:
             raise ValueError(f"unknown subspace {where!r}")
-        out = [[0] * self.size for _ in range(self.size)]
-        for k in self.subspace_indices[where]:
-            coeff = rng.randint(-bound, bound)  # drawn for every k, zero or not
-            if not coeff:
-                continue
-            for a, b, c in self._nonzero[k]:
-                out[a][b] += coeff * c
-        return la.mat(out)
+        n = self.size
+        out = [0] * (n * n)
+        indices = self.subspace_indices[where]
+        # one coefficient drawn for every k, zero or not
+        for k, coeff in zip(indices, randints(rng, -bound, bound, len(indices))):
+            if coeff:
+                for a, b, c in self._nonzero[k]:
+                    out[a * n + b] += coeff * c
+        return tuple(zip(*[iter(out)] * n))  # the rows, n cells each
+
+
+def randints(rng, lo: int, hi: int, count: int) -> list:
+    """``count`` draws of ``rng.randint(lo, hi)``: the same values, and rng left in the same state.
+
+    ``Random.randint(lo, hi)`` is ``lo + rng._randbelow(n)`` for n = hi - lo + 1,
+    which draws ``getrandbits(n.bit_length())`` until a draw is below n; this is
+    that loop without the three Python frames per draw.  ``rng.choice(seq)`` is
+    ``seq[randints(rng, 0, len(seq) - 1, 1)[0]]`` and ``rng.randrange(n)`` is
+    ``randints(rng, 0, n - 1, 1)[0]``, as both draw ``_randbelow`` once.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = n.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(lo + r)
+    return out
 
 
 class SpanReport(namedtuple("SpanReport", "vectors dim in_borel")):

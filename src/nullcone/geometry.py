@@ -6,7 +6,10 @@ nilradical (pairs of nilpotents in a common Borel).  Ranks are exact, in
 root coordinates, so the dimension statements become integer equalities:
 generic rank 3*b_g - rk for the Borel pair map, 3*(b_g - rk) for the
 nilpotent pair map, and kernel dimension b_g for the nilradical map at a
-regular nilpotent first coordinate.
+regular nilpotent first coordinate.  The tangent directions (v, w) of the
+nilpotent pair map annihilate the invariant differentials along the whole
+pencil: p_i'(x + t y)(v + t w) = 0 as a polynomial in t, checked for every
+t at once by one packed value per direction and invariant.
 
 Also here: nullcone membership on every realized type, decided by whether
 every word of length N in x and y vanishes, with a certificate for every
@@ -19,7 +22,7 @@ are written in the bodies of its entries in :mod:`nullcone.report`.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 
 from . import linalg as la
@@ -111,17 +114,34 @@ def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:
     return out
 
 
-def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents, t_list) -> bool:
-    """Whether p_i'(x + t y)(v + t w) = 0 for all i, all t, all (v, w)."""
-    # trace(g d) is the sum of g[i][j] d[j][i], and trace(g (v + t w)) is
-    # trace(g v) + t trace(g w): each v and w is transposed and flattened once,
-    # and each gradient is flattened once per t
-    directions = [(la.flatten(la.transpose(v)), la.flatten(la.transpose(w))) for v, w in tangents]
-    for t in t_list:
-        grads = [la.flatten(g) for g in alg.gradient_matrices(la.add(x, la.scale(t, y)))]
-        for v, w in directions:
-            if any(sum(map(mul, g, v)) + t * sum(map(mul, g, w)) for g in grads):
-                return False
+def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents) -> bool:
+    """Whether p_i'(x + t y)(v + t w) = 0 as a polynomial in t, for all i and all (v, w).
+
+    The directions are scaled to integer matrices V, W by one common
+    denominator, and x, y to X = L x, Y = L y; neither scaling moves a zero.
+    With A(t) = M_{d_i-1}(X + t Y) = -L^(d_i-1) G_i(x + t y), Faddeev's
+    auxiliary matrix, P(t) = trace(A(t) (V + t W)) is then an integer
+    polynomial, and P(2^K) = trace(M_{d_i-1}(z) (V + 2^K W)) for z = X + 2^K Y,
+    so one faddeev(z) (gradient_pencil) serves every t, i and direction.  The
+    entries of A(t) have t-coefficients of size at most
+    C = perm(N, d_max) (2M)^d_max, M = max(1, max |entry| of X, Y) (see
+    MatrixLieAlgebra._pencil).  So with B = max(1, max |entry| of V, W), the
+    t^j coefficient of P, a sum over the N^2 cells of a_j V + a_(j-1) W, is at
+    most 2 N^2 B C.  The lanes are widened by spare = 2 N^2 B, which puts that
+    below 2^(K-1); the signed base-2^K digits of a value are unique, so
+    P(2^K) = 0 exactly when P = 0.
+    """
+    n = alg.size
+    _, rows = la.clear_denominators([row for pair in tangents for m in pair for row in m])
+    bound = max(1, max(map(abs, chain.from_iterable(rows)), default=0))
+    _, bits, aux = alg.gradient_pencil(x, y, 2 * n * n * bound)
+    grads = [la.flatten(m) for m in aux]
+    for k in range(0, len(rows), 2 * n):
+        # trace(A D) is the sum of A[a][b] D[b][a]: D = V + 2^K W, transposed and flattened
+        v, w = (chain.from_iterable(zip(*rows[j : j + n])) for j in (k, k + n))
+        packed = [a + (b << bits) for a, b in zip(v, w)]
+        if any(sum(map(mul, g, packed)) for g in grads):
+            return False
     return True
 
 

@@ -36,7 +36,7 @@ columns is faster on dense operands but slower on those sparse ones, which
 most products have.  ``trace_mul`` gives trace(a b) from the entries alone,
 in O(N^2).  The entrywise kernels do their per-entry work in ``map``, list
 builds or ``chain``, and keep the entry types of the plain entry-by-entry
-formulas: an int stays an int, and ``whole`` leaves int entries untouched.
+formulas: an int stays an int.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ Mat = tuple
 
 def mat(rows) -> Mat:
     return tuple(map(tuple, rows))
-
-
-def whole(rows) -> Mat:
-    """The matrix with each integral entry as an int (Fraction(3, 1) becomes 3)."""
-    return tuple(
-        tuple([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
-        for row in rows
-    )
 
 
 def zeros(nrows: int, ncols: int) -> Mat:
@@ -401,5 +393,7 @@ def char_poly(rows) -> tuple:
             if c:
                 out[k:] = [x + c * y for x, y in zip(out[k:], poly)]
         poly = out
+    if d == 1:
+        return tuple(poly[1:])
     return tuple(ratio(c, d**k) for k, c in enumerate(poly[1:], start=1))
 

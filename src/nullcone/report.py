@@ -60,7 +60,7 @@ from operator import itemgetter, mul, sub
 from . import geometry as geo
 from . import linalg as la
 from . import __version__
-from .algebra import SUPPORTED_RANKS, build_algebra
+from .algebra import SUPPORTED_RANKS, build_algebra, randints
 from .roots import POSITIVE_ROOT_COUNTS, SimpleType, build_root_system
 from .shifts import full_shift_report
 from .weyl import (
@@ -311,7 +311,13 @@ def _sigma_length(u, rng):
 
 def _unipotent(alg, rng):
     """exp of a combination of the positive root vectors, each coefficient drawn in [-2, 2]."""
-    return alg.unipotent({r: rng.randint(-2, 2) for r in alg.rs.positive_roots})
+    roots = alg.rs.positive_roots
+    return alg.unipotent(dict(zip(roots, randints(rng, -2, 2, len(roots)))))
+
+
+def _torus_params(rng, values, count):
+    """``count`` torus parameters, each drawn from ``values`` as ``rng.choice`` draws."""
+    return [values[i] for i in randints(rng, 0, len(values) - 1, count)]
 
 
 def _reassembly_failure(alg, pols, x, y, a, b):
@@ -327,7 +333,7 @@ def _reassembly_failure(alg, pols, x, y, a, b):
 def _polarization(u, rng):
     alg = u.alg
     x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
-    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    a, b = randints(rng, -3, 3, 2)
     bad = _reassembly_failure(alg, alg.polarize_all(x, y), x, y, a, b)
     return bad is None or {"invariant": bad, "a": a, "b": b}
 
@@ -342,7 +348,7 @@ def _conjugation(u, rng):
     alg = u.alg
     x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
     g = _unipotent(alg, rng)
-    g = g * alg.torus([rng.choice([1, 2, 3, Fraction(1, 2)]) for _ in range(alg.rank)])
+    g = g * alg.torus(_torus_params(rng, (1, 2, 3, Fraction(1, 2)), alg.rank))
     return alg.sigma(g.conjugate(x), g.conjugate(y)) == alg.sigma(x, y) or {"x": x, "y": y}
 
 
@@ -357,10 +363,8 @@ def _euler(u, rng):
 def _gradient_pairing(u, rng):
     alg = u.alg
     x = alg.random_element(rng, 2)
-    pairs = tuple(zip(alg.epsilon_all(x), alg.gradient_matrices(x)))
-    ok = all(
-        alg.trace_form(eps, v) == la.trace_mul(grad, v) for v in alg.basis for eps, grad in pairs
-    )
+    pairs = zip(alg.epsilon_all(x), alg.gradient_matrices(x))
+    ok = all(alg.basis_pairings(eps) == alg.basis_pairings(grad) for eps, grad in pairs)
     return ok or {"x": x}
 
 
@@ -486,7 +490,7 @@ def _pencil_tangent_vanishing(u, rng):
     alg = u.alg
     y = alg.random_element(rng, 2, where="u")
     tangents = geo.nullcone_tangent_spanners(alg, u.xreg, y)
-    return geo.pencil_tangent_vanishing(alg, u.xreg, y, tangents, range(6)), None
+    return geo.pencil_tangent_vanishing(alg, u.xreg, y, tangents), None
 
 
 def _pencil_consistency(u, rng):
@@ -509,7 +513,7 @@ def _commuting(u, rng):
         return {"h1": h1, "h2": h2}
     # sigma vanishes on (n, q(n)) for n nilpotent and q(t) = c_1 t + c_2 t^2
     n = alg.random_element(rng, 2, where="u")
-    coeffs = [rng.randint(-2, 2) for _ in range(2)]
+    coeffs = randints(rng, -2, 2, 2)
     q = la.add(la.scale(coeffs[0], n), la.scale(coeffs[1], la.mul(n, n)))
     return not any(alg.sigma(n, q)) or {"n": n, "coeffs": coeffs}
 
@@ -518,9 +522,9 @@ def _h_component_conjugation(u, rng):
     # ((n_w b)(x))_0 = w(x_0) for x in the Borel and b in the Borel group
     alg = u.alg
     x = alg.random_element(rng, 2, where="b")
-    word = tuple(rng.randint(1, alg.rank) for _ in range(rng.randint(0, 4)))
+    word = tuple(randints(rng, 1, alg.rank, randints(rng, 0, 4, 1)[0]))
     b_elem = _unipotent(alg, rng)
-    b_elem = b_elem * alg.torus([rng.choice([1, 2, Fraction(1, 2), 3]) for _ in range(alg.rank)])
+    b_elem = b_elem * alg.torus(_torus_params(rng, (1, 2, Fraction(1, 2), 3), alg.rank))
     n_w = alg.weyl_rep(word)
     ok = alg.h_component((n_w * b_elem).conjugate(x)) == n_w.conjugate(alg.h_component(x))
     return ok or {"x": x, "word": word}
@@ -528,7 +532,8 @@ def _h_component_conjugation(u, rng):
 
 def _height_grading(u, rng):
     # x in the Borel is its Cartan part x_0 plus parts x_h on the roots of
-    # height h; rho^vee grades them, [rho^vee, x_h] = h x_h, and they sum to x
+    # height h; rho^vee grades them, [rho^vee, x_h] = h x_h, and they sum to x,
+    # checked over int with L rho^vee, L the denominator of rho^vee
     alg = u.alg
     x = alg.random_element(rng, 2, where="b")
     parts, heights = {0: alg.h_component(x)}, []
@@ -538,8 +543,8 @@ def _height_grading(u, rng):
             heights.append(h)
             part = la.scale(c, alg.pos_vectors[root])
             parts[h] = la.add(parts[h], part) if h in parts else part
-    t = alg.height_element
-    ok = all(la.commutator(t, part) == la.scale(h, part) for h, part in parts.items())
+    lcd, t = la.clear_denominators(alg.height_element)
+    ok = all(la.commutator(t, part) == la.scale(lcd * h, part) for h, part in parts.items())
     ok = ok and la.is_zero(la.sub(x, reduce(la.add, parts.values())))
     return ok or {"x": x, "heights": sorted(heights)}
 
@@ -553,7 +558,7 @@ def _sigma_fibers(u, rng):
     ]
     ok = True
     for i, pa in enumerate(pairs):
-        rep_w = alg.weyl_rep(group[rng.randrange(len(group))].word)
+        rep_w = alg.weyl_rep(group[randints(rng, 0, len(group) - 1, 1)[0]].word)
         moved = (rep_w.conjugate(pa[0]), rep_w.conjugate(pa[1]))
         ok = geo.sigma_fiber_is_weyl_orbit(alg, group, pa, moved) and ok
         if i + 1 < len(pairs):
@@ -615,7 +620,7 @@ def _membership(u, rng):
     alg = u.alg
     u1, u2 = alg.random_element(rng, 2, where="u"), alg.random_element(rng, 2, where="u")
     g = _unipotent(alg, rng)
-    g = g * alg.weyl_rep(tuple(rng.randint(1, alg.rank) for _ in range(2)))
+    g = g * alg.weyl_rep(tuple(randints(rng, 1, alg.rank, 2)))
     m = geo.nullcone_membership(alg, g.conjugate(u1), g.conjugate(u2))
     return m.status == "member" or {"rejected": [m.reason]}
 

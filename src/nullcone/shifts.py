@@ -7,9 +7,9 @@ the remaining roots it is regular for a short per-family list of values.
 This module produces machine-checkable verdicts for both shifts, compares
 them against the stated per-family classification, and verifies the
 transcribed fixed-point tables for E6/E7/E8/F4 shipped under ``data/``.
-The loader decodes the tables' display order once; a missing label, a
-misplaced erratum or a row index outside 1..rank fails a ``table-*``
-record instead of stopping the run.
+The loader decodes the tables' display order once; a line it cannot read,
+a missing label, a misplaced erratum or a row index outside 1..rank fails
+a ``table-*`` record instead of stopping the run.
 
 Soundness contract: every verdict carries evidence that is checked against
 the direct pairing predicates of :mod:`nullcone.roots` (a zero-pairing
@@ -218,15 +218,18 @@ _F4_MINUS_CONDITIONS = {
 # -- table data --------------------------------------------------------------
 
 
-class ShiftTables(namedtuple("ShiftTables", "family rank roots assigns errata reductions")):
+class ShiftTables(namedtuple("ShiftTables", "family rank roots assigns errata reductions slips")):
     """The parsed tables of one type.
 
     ``roots`` maps each shift to {label: coords}, decoded from the display
     order, and ``assigns`` maps it to {i: [labels]} as printed; ``errata``
     lists the (kind, shift, ...) records and ``reductions`` maps each shift
-    to [(i, label, target)], a ``c`` target decoded too.  A label its list
-    lacks, a misplaced erratum and a row index outside 1..rank are left to
-    fail a ``table-*`` record.
+    to [(i, label, target)], a ``c`` target decoded too.  ``slips`` maps each
+    shift to the lines that could not be read, as "line <n>: <text>": a line
+    with a token that is not a number, or no record the loader knows, is
+    the slip of the shift it names, or of both when it names neither.  A
+    slip, a label its list lacks, a misplaced erratum and a row index
+    outside 1..rank are left to fail a ``table-*`` record.
     """
 
     __slots__ = ()
@@ -260,10 +263,8 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
     """Parse one of the table data files shipped under ``data/``.
 
     Errata are recorded as they are printed; :meth:`ShiftTables.effective_assigns`
-    applies them.
+    applies them.  A line that cannot be read is kept in ``slips``.
     """
-    # coordinates are decoded once from the display order, [n2, n1, n3, ...] for type E
-    decode = tuple if family != "E" else lambda disp: tuple(disp[1::-1] + disp[2:])
     fname = _TABLE_FILES[(family, rank)]
     with open(os.path.join(os.path.dirname(__file__), "data", fname), encoding="utf-8") as fh:
         text = fh.read()
@@ -274,32 +275,45 @@ def load_shift_tables(family: str, rank: int) -> ShiftTables:
         assigns={"minus": {}, "plus": {}},
         errata=[],
         reductions={"minus": [], "plus": []},
+        slips={"minus": [], "plus": []},
     )
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _ERRATUM_RE.match(line)
-        if m:
-            tables.errata.append((m[1], m[2], int(m[3]), int(m[4]), int(m[5])))
-            continue
-        m = _REDUCE_RE.match(line)
-        if m:
-            target = ("r", int(m[5])) if m[5] else ("c", decode([int(x) for x in m[6].split()]))
-            tables.reductions[m[1]].append((int(m[2]), int(m[3]), target))
-            continue
-        head, _, tail = line.partition("|")
-        kind, _, key = head.strip().partition(" ")
-        values = [int(x) for x in tail.split()]
-        if kind in ("minus", "plus"):
-            tables.assigns[kind][int(key)] = values
-        elif kind in ("root", "root-minus", "root-plus"):
-            # a plain root record belongs to both lists
-            for shift in _SIGNS if kind == "root" else (kind.removeprefix("root-"),):
-                tables.roots[shift][int(key)] = decode(values)
-        else:
-            raise ValueError(f"unrecognized table record: {raw!r}")
+        try:
+            _read_record(tables, line)
+        except ValueError:
+            named = [shift for shift in _SIGNS if re.search(rf"\b{shift}\b", line)]
+            for shift in named or _SIGNS:
+                tables.slips[shift].append(f"line {number}: {line}")
     return tables
+
+
+def _read_record(tables: ShiftTables, line: str) -> None:
+    """Add the record on one line to ``tables``; ValueError, adding nothing, if it cannot be read."""
+    # coordinates are decoded once from the display order, [n2, n1, n3, ...] for type E
+    decode = tuple if tables.family != "E" else lambda disp: tuple(disp[1::-1] + disp[2:])
+    m = _ERRATUM_RE.match(line)
+    if m:
+        tables.errata.append((m[1], m[2], int(m[3]), int(m[4]), int(m[5])))
+        return
+    m = _REDUCE_RE.match(line)
+    if m:
+        target = ("r", int(m[5])) if m[5] else ("c", decode([int(x) for x in m[6].split()]))
+        tables.reductions[m[1]].append((int(m[2]), int(m[3]), target))
+        return
+    head, _, tail = line.partition("|")
+    kind, _, key = head.strip().partition(" ")
+    values = [int(x) for x in tail.split()]
+    if kind in ("minus", "plus"):
+        tables.assigns[kind][int(key)] = values
+    elif kind in ("root", "root-minus", "root-plus"):
+        # a plain root record belongs to both lists
+        for shift in _SIGNS if kind == "root" else (kind.removeprefix("root-"),):
+            tables.roots[shift][int(key)] = decode(values)
+    else:
+        raise ValueError(f"unrecognized table record: {line!r}")
 
 
 # -- verification -----------------------------------------------------------
@@ -370,7 +384,7 @@ def verify_shift_tables(rs: RootSystem, rows=None) -> list:
             _outcome(
                 f"{tname}/table-decode-{shift}",
                 "every transcribed coordinate list decodes to a positive root",
-                [j for j, r in roots.items() if r not in rows[shift]],
+                [j for j, r in roots.items() if r not in rows[shift]] + tables.slips[shift],
             ),
             _outcome(
                 f"{tname}/table-roots-complete-{shift}",

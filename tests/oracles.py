@@ -22,6 +22,8 @@ r^vee = 2r/(r, r) from it, as the references for the lengths and coroots
 ``RootSystem`` derives from the Cartan matrix alone.
 ``reflection_fixes_shift`` reads one simple fixed point of rho +- alpha off
 its shifted weight, as the reference for the printed neighbour sums.
+``whole`` writes each integral entry of a matrix as an int, as the group
+elements of ``nullcone.algebra`` read back their scaled matrices.
 ``in_cartan``, ``decompose``, ``directional_derivatives``,
 ``simple_index``, ``inversions`` and ``TorusBorel`` are direct definitions
 that only the tests read.
@@ -34,6 +36,14 @@ from operator import mul
 
 from nullcone import geometry as geo
 from nullcone import linalg as la
+
+
+def whole(rows):
+    """The matrix with each integral entry as an int (Fraction(3, 1) becomes 3)."""
+    return tuple(
+        tuple([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
+        for row in rows
+    )
 
 
 def nullspace(rows) -> list:

@@ -313,12 +313,12 @@ def test_c09_tangent_directions_annihilate_invariants_along_pencils():
         for _ in range(3):
             y = alg.random_element(rng, 2, where="u")
             tangents = geo.nullcone_tangent_spanners(alg, x, y)
-            if not geo.pencil_tangent_vanishing(alg, x, y, tangents, range(6)):
+            if not geo.pencil_tangent_vanishing(alg, x, y, tangents):
                 bad.append((family, rank))
     _criterion(
         "C09",
-        "all parametrized tangent directions satisfy p_i'(x+ty)(v+tw)=0 for "
-        "t in 0..5, exactly (sl2, sl3)",
+        "all parametrized tangent directions satisfy p_i'(x+ty)(v+tw)=0 as a "
+        "polynomial in t, exactly (sl2, sl3)",
         not bad,
         bad,
     )

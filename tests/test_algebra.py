@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import product
-from math import comb, lcm, perm, prod
+from math import comb, gcd, lcm, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,17 @@ from oracles import (
     in_cartan,
     is_nilpotent,
     nullspace,
+    whole,
 )
 
 from nullcone import linalg as la
-from nullcone.algebra import SUPPORTED_RANKS, GroupElement, MatrixLieAlgebra, build_algebra
+from nullcone.algebra import (
+    SUPPORTED_RANKS,
+    GroupElement,
+    MatrixLieAlgebra,
+    build_algebra,
+    randints,
+)
 from nullcone.report import ALGEBRA_TYPES, _regular_cartan, _regular_pencil_pair
 from nullcone.roots import SimpleType, cartan_matrix
 from nullcone.weyl import weyl_order
@@ -285,6 +293,16 @@ def test_epsilon_matches_gram_solve_oracle(fam, rk):
         assert all(alg.in_algebra(e) for e in eps)
 
 
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_basis_pairings_are_trace_products(fam, rk):
+    # a matrix that is neither in g nor symmetric, so a transposed cell shows
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"pairings:{fam}{rk}")
+    n = alg.size
+    m = [[Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    assert alg.basis_pairings(m) == tuple(la.trace_mul(m, v) for v in alg.basis)
+
+
 def _is_int(m):
     return all(isinstance(x, int) for row in m for x in row)
 
@@ -304,9 +322,13 @@ def test_group_elements_carry_their_inverses(fam, rk):
         assert la.mul(g.mat, g.inv) == ident
         assert la.mul(g.inv, g.mat) == ident
         assert all(alg.in_algebra(g.conjugate(b)) for b in alg.basis)
+        # each int matrix is over its lowest denominator
+        for den, num in ((g.den, g.num), (g.inv_den, g.inv_num)):
+            assert _is_int(num) and den > 0 and gcd(den, *la.flatten(num)) == 1
     if fam in "AC":  # every root vector squares to 0, so exp(c e) = I + c e
         for g in integral:
             assert _is_int(g.mat) and _is_int(g.inv)
+            assert g.den == g.inv_den == 1
 
 
 def exp_by_series(m):
@@ -316,7 +338,7 @@ def exp_by_series(m):
     for k in range(1, n + 2):
         term = la.divide(la.mul(term, m), k)
         if la.is_zero(term):
-            return la.whole(out)
+            return whole(out)
         out = la.add(out, term)
     raise ValueError("matrix is not nilpotent")
 
@@ -418,7 +440,7 @@ def test_unipotent_matches_product_of_dense_exp_factors(name):
             assert (u.mat, u.inv) == (dense.mat, dense.inv)
             assert la.mul(u.mat, u.inv) == ident
             for m in (u.mat, u.inv):
-                assert _types(m) == _types(la.whole(m))
+                assert _types(m) == _types(whole(m))
     assert alg.unipotent({r: 0 for r in roots}).mat == ident
     # B's short root vectors have e^2 = -E_{i,N-1-i}: c = 1/3 gives an e^2 term of -1/18
     if name[0] == "B":
@@ -457,6 +479,48 @@ def test_conjugate_matches_dense_products(name):
     even = alg.unipotent({r: 2 for r in alg.rs.positive_roots})
     assert _types(even.mat) == _types(even.inv) == [int] * alg.size**2
     assert _types(even.conjugate(points[2])) == [int] * alg.size**2
+
+
+# every randint range, choice length and randrange bound that src/ draws:
+# random_element's (-b, b) for b = 1, 2, 3 and rank + 2 (and 4 in the demos),
+# the words' letters (1, rank) and lengths (0, 4), the unipotent coefficients
+# (-2, 2), the polarization scalars (-3, 3), the four torus parameters, and
+# an element of each realized Weyl group
+_RANDINT_RANGES = sorted(
+    {(-b, b) for b in (1, 2, 3, 4)}
+    | {(-(rk + 2), rk + 2) for ranks in SUPPORTED_RANKS.values() for rk in ranks}
+    | {(1, rk) for ranks in SUPPORTED_RANKS.values() for rk in ranks}
+    | {(0, 4), (-2, 2), (-3, 3)}
+)
+_CHOICE_LENGTHS = (4,)
+_RANDRANGE_BOUNDS = sorted(
+    {weyl_order(build_algebra(name[0], int(name[1:])).rs) for name in ALGEBRA_TYPES}
+)
+
+
+@pytest.mark.parametrize("seed", ["1789:invariants/B3/conjugation", "7:geometry/A8/fibers", "x", ""])
+def test_randints_reproduces_randint_choice_and_randrange(seed):
+    # the slow path is the stdlib's; the helper must give its values and leave its state
+    slow, fast = random.Random(seed), random.Random(seed)
+
+    def same(want, got):
+        assert got == want and fast.getstate() == slow.getstate()
+
+    for lo, hi in _RANDINT_RANGES:
+        for _ in range(3):
+            same(slow.randint(lo, hi), randints(fast, lo, hi, 1)[0])
+        same([slow.randint(lo, hi) for _ in range(5)], randints(fast, lo, hi, 5))
+    for n in _CHOICE_LENGTHS:
+        seq = tuple(range(10, 10 + n))
+        for _ in range(3):
+            same(slow.choice(seq), seq[randints(fast, 0, n - 1, 1)[0]])
+        same([slow.choice(seq) for _ in range(5)], [seq[i] for i in randints(fast, 0, n - 1, 5)])
+    for n in _RANDRANGE_BOUNDS:
+        for _ in range(3):
+            same(slow.randrange(n), randints(fast, 0, n - 1, 1)[0])
+    same([], randints(fast, 0, 9, 0))
+    with pytest.raises(ValueError):
+        randints(fast, 3, 2, 1)
 
 
 def test_unsupported_types_rejected():
@@ -566,7 +630,7 @@ def pencil_pairs(draw, alg):
         out = la.zeros(alg.size, alg.size)
         for k in alg.subspace_indices[where]:
             out = la.add(out, la.scale(draw(coefficient), alg.basis[k]))
-        return la.whole(out)
+        return whole(out)
 
     x = element()
     kind = draw(st.sampled_from(["independent", "zero", "equal", "multiple"]))
@@ -577,7 +641,7 @@ def pencil_pairs(draw, alg):
     elif kind == "equal":
         y = x
     else:  # the pair spans a line
-        y = la.whole(la.scale(draw(st.builds(Q, st.integers(-9, 9), st.integers(1, 5))), x))
+        y = whole(la.scale(draw(st.builds(Q, st.integers(-9, 9), st.integers(1, 5))), x))
     if draw(st.booleans()):
         x, y = y, x
     return x, y
@@ -778,7 +842,7 @@ def _combination(alg, coefficients):
     out = la.zeros(alg.size, alg.size)
     for k, c in coefficients.items():
         out = la.add(out, la.scale(c, alg.basis[k]))
-    return la.whole(out)
+    return whole(out)
 
 
 @st.composite
@@ -835,7 +899,7 @@ def regularity_points(draw, alg):
         x = (g * alg.torus(params)).conjugate(x)
     elif kind == "pencil":
         t = draw(st.one_of(st.integers(-3, 3), st.builds(Q, st.integers(-3, 3), st.integers(1, 4))))
-        x = la.whole(la.add(x, la.scale(t, base())))
+        x = whole(la.add(x, la.scale(t, base())))
     return x
 
 
@@ -916,7 +980,7 @@ def test_height_element_matches_solve_oracle(name):
     alg = build_algebra(name[0], int(name[1:]))
     t = alg.height_element
     assert t == height_element_by_solve(alg)
-    assert _types(t) == _types(la.whole(t))
+    assert _types(t) == _types(whole(t))
 
 
 def test_weyl_representatives_normalize_cartan():
@@ -928,6 +992,19 @@ def test_weyl_representatives_normalize_cartan():
             g = alg.simple_reflection_rep(i)
             assert in_cartan(alg, g.conjugate(x))
             assert alg.in_algebra(g.conjugate(alg.random_element(rng, 2)))
+
+
+@pytest.mark.parametrize("fam,rk", ALL_TYPES)
+def test_weyl_rep_is_the_product_of_its_letters(fam, rk):
+    alg = build_algebra(fam, rk)
+    rng = random.Random(f"weyl-rep:{fam}{rk}")
+    ident = la.identity(alg.size)
+    for length in range(5):
+        word = tuple(rng.randint(1, rk) for _ in range(length))
+        g = alg.weyl_rep(word)
+        letters = [alg.simple_reflection_rep(i) for i in word]
+        assert g.mat == reduce(la.mul, (r.mat for r in letters), ident)
+        assert g.inv == reduce(la.mul, (r.inv for r in reversed(letters)), ident)
 
 
 def test_trace_form_proportional_constants_documented():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Q
 from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from oracles import (
     is_nilpotent,
     membership_certificate_holds,
     named_word,
+    nullspace,
     sl2_common_borel_criterion,
     word_product,
 )
@@ -180,15 +182,16 @@ def test_pencil_tangent_vanishing(family, rank):
     x = alg.regular_nilpotent()
     y = alg.random_element(rng, 2, where="u")
     tangents = geo.nullcone_tangent_spanners(alg, x, y)
-    assert geo.pencil_tangent_vanishing(alg, x, y, tangents, range(6))
+    assert geo.pencil_tangent_vanishing(alg, x, y, tangents)
     # the lowering direction leaves the nilpotent variety to first order
     lowering = alg.neg_vectors[alg.rs.positive_roots[0]]
     zero = la.zeros(alg.size, alg.size)
-    assert not geo.pencil_tangent_vanishing(alg, x, y, [(lowering, zero)], [0])
+    assert not geo.pencil_tangent_vanishing(alg, x, y, [(lowering, zero)])
+    assert geo.pencil_tangent_vanishing(alg, x, y, [])
 
 
 def _pencil_by_trace_mul(alg, x, y, tangents, t_list):
-    """pencil_tangent_vanishing as one trace_mul per gradient and direction."""
+    """pencil_tangent_vanishing at the points of t_list, one trace_mul per gradient and direction."""
     for t in t_list:
         grads = alg.gradient_matrices(la.add(x, la.scale(t, y)))
         for v, w in tangents:
@@ -200,24 +203,66 @@ def _pencil_by_trace_mul(alg, x, y, tangents, t_list):
 
 @pytest.mark.parametrize("name", ALGEBRA_TYPES)
 def test_pencil_vanishing_agrees_with_trace_mul(name):
+    # p_i'(x + t y)(v + t w) has degree at most d_i in t, so d_max + 1 points
+    # determine it; the reference reads it at d_max + 2
     alg = build_algebra(name[0], int(name[1:]))
     rng = random.Random(f"pencil-trace-mul:{name}")
+    points = range(alg.degrees[-1] + 2)
     x = alg.regular_nilpotent()
     y = alg.random_element(rng, 2, where="u")
     tangents = geo.nullcone_tangent_spanners(alg, x, y)
-    assert geo.pencil_tangent_vanishing(alg, x, y, tangents, range(6))
-    assert _pencil_by_trace_mul(alg, x, y, tangents, range(6))
+    assert geo.pencil_tangent_vanishing(alg, x, y, tangents)
+    assert _pencil_by_trace_mul(alg, x, y, tangents, points)
     # (1 + t) f_alpha for a simple root alpha, planted after the real tangents,
     # pairs with the quadratic invariant's gradient, a multiple of x at t = 0
     alpha = alg.rs.positive_roots[0]
     assert alg.rs.is_simple(alpha)
     lowering = alg.neg_vectors[alpha]
     planted = tangents + [(lowering, lowering)]
-    assert not geo.pencil_tangent_vanishing(alg, x, y, planted, range(6))
-    for t in range(6):
-        assert geo.pencil_tangent_vanishing(alg, x, y, planted, [t]) == _pencil_by_trace_mul(
-            alg, x, y, planted, [t]
+    assert not geo.pencil_tangent_vanishing(alg, x, y, planted)
+    assert not _pencil_by_trace_mul(alg, x, y, planted, points)
+    # one direction at a time, each with rational entries: the verdicts agree
+    third = [(la.scale(Q(1, 3), v), la.scale(Q(-2, 3), w)) for v, w in planted]
+    for pair in third[:: max(1, len(third) // 8)] + third[-1:]:
+        assert geo.pencil_tangent_vanishing(alg, x, y, [pair]) == _pencil_by_trace_mul(
+            alg, x, y, [pair], points
         )
+
+
+def test_pencil_lanes_are_widened_by_the_directions():
+    # on sl2 with x = H, y = 0, v = -2^K H, w = H: p'(x + t y)(v + t w) =
+    # trace(H (v + t w)) = 2 (t - 2^K), which is not 0 but vanishes at the 2^K
+    # of the lanes the polarizations use, so the check must use wider ones
+    alg = build_algebra("A", 1)
+    zero = la.zeros(2, 2)
+    _, bits, _ = alg._pencil(H, zero)
+    v = la.scale(-(1 << bits), H)
+    assert not _pencil_by_trace_mul(alg, H, zero, [(v, H)], range(4))
+    assert not geo.pencil_tangent_vanishing(alg, H, zero, [(v, H)])
+
+
+@pytest.mark.parametrize("name", ["B3", "C3"])
+def test_pencil_vanishing_is_an_identity_in_t(name):
+    # six points do not determine a degree-6 polynomial: a direction (v, w) with
+    # p_i'(x + t y)(v + t w) zero at t = 0..5 for every i, and not zero at t = 6,
+    # passes the six-point reference and fails the identity
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"pencil-identity:{name}")
+    x, y = alg.random_element(rng, 2), alg.random_element(rng, 2)
+
+    def rows(t):  # (v, w) in basis coordinates -> trace(G_i(x + t y) (v + t w)), each i
+        grads = alg.gradient_matrices(la.add(x, la.scale(t, y)))
+        return [[*alg.basis_pairings(g), *(t * c for c in alg.basis_pairings(g))] for g in grads]
+
+    kernel = nullspace([row for t in range(6) for row in rows(t)])
+    coords = next(k for k in kernel if any(sum(map(mul, r, k)) for r in rows(6)))
+    v, w = (
+        reduce(la.add, (la.scale(c, e) for c, e in zip(part, alg.basis)))
+        for part in (coords[: alg.dim], coords[alg.dim :])
+    )
+    assert _pencil_by_trace_mul(alg, x, y, [(v, w)], range(6))
+    assert not _pencil_by_trace_mul(alg, x, y, [(v, w)], [6])
+    assert not geo.pencil_tangent_vanishing(alg, x, y, [(v, w)])
 
 
 def test_sl2_membership_examples():

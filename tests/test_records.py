@@ -32,7 +32,8 @@ RECORDS = [
     (ShiftVerdict("plus", (1, 1), "not_regular", (0, 1)), ("shift", "alpha", "status", "witness")),
     (CheckOutcome("A2/oracle-agreement", "claim", False, [(1, 0)]),
      ("check_id", "claim", "ok", "witness")),
-    (load_shift_tables("F", 4), ("family", "rank", "roots", "assigns", "errata", "reductions")),
+    (load_shift_tables("F", 4),
+     ("family", "rank", "roots", "assigns", "errata", "reductions", "slips")),
     (SpanReport(((1, 0), (0, 1)), 2, True), ("vectors", "dim", "in_borel")),
     (TangentReport(10, 7, 3), ("domain_dim", "rank", "kernel_dim")),
     (Membership("member", flag=((1, 0), (0, 1))), ("status", "reason", "flag")),

@@ -8,6 +8,7 @@ its witness rather than hiding it.
 """
 
 import copy
+import re
 from operator import mul
 from pathlib import Path
 
@@ -528,6 +529,18 @@ def _table_text_edits(text: str):
             yield what, edited, "\n".join(lines[:n] + [edited] + lines[n + 1 :])
 
 
+def _serve_text(monkeypatch, tmp_path, rs, edit) -> str:
+    """Serve the type's shipped table file with ``edit`` applied to its text; the shipped text."""
+    key = (rs.stype.family, rs.rank)
+    shipped = Path(shifts.__file__).parent / "data" / shifts._TABLE_FILES[key]
+    text = shipped.read_text(encoding="utf-8")
+    source = tmp_path / shipped.name
+    source.write_text(edit(text), encoding="utf-8")
+    # the loader joins the data directory with this name, and os.path.join keeps an absolute one
+    monkeypatch.setitem(shifts._TABLE_FILES, key, str(source))
+    return text
+
+
 # labels and indices: how many edits of each kind the shipped file admits
 @pytest.mark.parametrize(
     "family,rank,labels,indices",
@@ -537,12 +550,8 @@ def test_every_slip_in_the_table_text_fails_a_table_record(
     monkeypatch, tmp_path, family, rank, labels, indices
 ):
     rs = build_root_system(family, rank)
-    shipped = Path(shifts.__file__).parent / "data" / shifts._TABLE_FILES[(family, rank)]
-    text = shipped.read_text(encoding="utf-8")
-    source = tmp_path / shipped.name
-    source.write_text(text, encoding="utf-8")
-    # the loader joins the data directory with this name, and os.path.join keeps an absolute one
-    monkeypatch.setitem(shifts._TABLE_FILES, (family, rank), str(source))
+    text = _serve_text(monkeypatch, tmp_path, rs, lambda text: text)
+    source = Path(shifts._TABLE_FILES[(family, rank)])
     assert all(o.ok for o in full_shift_report(rs))
     counts = {"label": 0, "index": 0}
     for what, line, edited in _table_text_edits(text):
@@ -551,6 +560,62 @@ def test_every_slip_in_the_table_text_fails_a_table_record(
         failed = [o.check_id for o in full_shift_report(rs) if not o.ok]
         assert any("/table-" in c for c in failed), line
     assert counts == {"label": labels, "index": indices}
+
+
+# a line the loader cannot read fails the table-decode record of the shift it
+# names, or of both, with its line number and text; at the parent each raised
+# ValueError out of load_shift_tables
+UNREAD_LINES = [
+    pytest.param("F4", "plus 1 | 2 6 9", "plus 1 | 2 6x 9", {
+        "F4/table-decode-plus": ["line 69: plus 1 | 2 6x 9 11 13 16 21"],
+        "F4/table-coverage-plus": [2, 6, 9, 11, 13, 16, 21],
+    }, id="non-numeric-token"),
+    pytest.param("F4", "reduce-minus 4 6 -> r 3", "reduce-minus 4 6 -> r", {
+        "F4/table-decode-minus": ["line 44: reduce-minus 4 6 -> r"],
+        "F4/table-coverage-minus": [6],
+    }, id="unrecognized-reduction"),
+    pytest.param("F4", "root-minus 3 | 0 1 2 1", "rot 3 | 0 1 2 1", {
+        "F4/table-decode-minus": ["line 25: rot 3 | 0 1 2 1"],
+        "F4/table-decode-plus": ["line 25: rot 3 | 0 1 2 1"],
+        "F4/table-roots-complete-minus": {"missing": [(0, 1, 2, 1)], "extra": []},
+        "F4/table-rows-minus": [(3, 3, "not a root")],
+        "F4/table-coverage-minus": [3],
+        "F4/table-reductions-minus": [(4, 6, None)],
+    }, id="unrecognized-record-names-no-shift"),
+    pytest.param("E8", "move plus 9 : 3 -> 1", "move plus 9 : 3 -> one", {
+        "E8/table-decode-plus": ["line 83: move plus 9 : 3 -> one"],
+        "E8/table-rows-plus": [(3, 9, "identity")],
+    }, id="unrecognized-erratum"),
+]
+
+
+@pytest.mark.parametrize("tname,old,new,expected", UNREAD_LINES)
+def test_an_unreadable_table_line_fails_its_decode_record(
+    monkeypatch, tmp_path, tname, old, new, expected
+):
+    rs = build_root_system(tname[0], int(tname[1:]))
+    assert _failures(rs) == {}
+    text = _serve_text(monkeypatch, tmp_path, rs, lambda text: text.replace(old, new, 1))
+    assert text.count(old) == 1
+    assert _failures(rs) == expected
+
+
+def test_every_non_numeric_token_fails_a_decode_record(monkeypatch, tmp_path):
+    # each number of the F4 file in turn gets an "x" appended
+    rs = build_root_system("F", 4)
+    lines = _serve_text(monkeypatch, tmp_path, rs, lambda text: text).splitlines()
+    source = Path(shifts._TABLE_FILES[("F", 4)])
+    count = 0
+    for n, line in enumerate(lines):
+        for m in re.finditer(r"\d+", line.split("#", 1)[0]):
+            edited = line[: m.end()] + "x" + line[m.end() :]
+            source.write_text("\n".join(lines[:n] + [edited] + lines[n + 1 :]), encoding="utf-8")
+            count += 1
+            slip = f"line {n + 1}: {edited.split('#', 1)[0].strip()}"
+            failed = {o.check_id: o.witness for o in full_shift_report(rs) if not o.ok}
+            decode = [w for k, w in failed.items() if "/table-decode-" in k]
+            assert decode and all(slip in w for w in decode), edited
+    assert count == 232
 
 
 def test_a_shift_no_single_reflection_dominates_fails_records_instead_of_raising():
