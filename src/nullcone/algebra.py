@@ -420,6 +420,23 @@ class MatrixLieAlgebra:
     def trace_form(self, x, y):
         return la.trace_mul(x, y)
 
+    def basis_brackets(self, x) -> list:
+        """[v, x] for each basis vector v, built from v's one or two nonzero cells.
+
+        As in :meth:`ad_coordinates`, [E_ab, x] is x's row b moved to row a
+        minus x's column a moved to column b.
+        """
+        N = self.size
+        out = []
+        for cells in self._nonzero:
+            m = [[0] * N for _ in range(N)]
+            for a, b, c in cells:
+                m[a] = [s + c * v for s, v in zip(m[a], x[b])]
+                for row, xrow in zip(m, x):
+                    row[b] -= c * xrow[a]
+            out.append(tuple(map(tuple, m)))
+        return out
+
     def basis_pairings(self, m) -> tuple:
         """trace(m v) for each basis vector v, read off v's one or two nonzero cells."""
         return tuple(sum(c * m[b][a] for a, b, c in cells) for cells in self._nonzero)

@@ -104,10 +104,8 @@ def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
 
 def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:
     """Images (v, w) of the basis directions under the nilpotent-pair map."""
-    out = []
+    out = list(zip(alg.basis_brackets(x), alg.basis_brackets(y)))
     zero = la.zeros(alg.size, alg.size)
-    for xi in alg.basis:
-        out.append((la.commutator(xi, x), la.commutator(xi, y)))
     for r in alg.rs.positive_roots:
         out.append((alg.pos_vectors[r], zero))
         out.append((zero, alg.pos_vectors[r]))

@@ -45,6 +45,7 @@ errors, 3 when nothing was checked: no record passed and none failed.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import random
 import signal
@@ -822,35 +823,64 @@ def _process_count(config: RunConfig) -> int:
     return min(cpus, len(config.types))
 
 
+# Exact types whose values marshal gives back as they were sent.  A subclass
+# (a named tuple, an enum) or a buffer is not among them: marshal would send
+# a bytearray or memoryview as bytes and a named tuple as a plain tuple.
+# The one non-integer number is a record's elapsed time, of its default's type.
+_MARSHAL_TYPES = frozenset((type(None), bool, int, type(CheckResult._field_defaults["elapsed"]),
+                            str, bytes, tuple, list, dict, set, frozenset))
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` is built of :data:`_MARSHAL_TYPES` alone, at every depth."""
+    kind = type(value)
+    if kind not in _MARSHAL_TYPES:
+        return False
+    if kind is dict:
+        return all(_plain(k) and _plain(v) for k, v in value.items())
+    if kind in (tuple, list, set, frozenset):
+        return all(map(_plain, value))
+    return True
+
+
 def _child_result(config: RunConfig, stypes: tuple, queue: int) -> bytes:
-    """The pickled ``(records, None, None)`` of the types this child reads from
-    ``queue``, or ``(None, exception, traceback text)`` if it raised.
+    """The ``(records, None, None)`` of the types this child reads from
+    ``queue``, or ``(None, exception, traceback text)`` if it raised, each
+    record as the plain tuple of its fields, behind a one-byte tag.
 
-    An exception that cannot be pickled, or that the parent could not
-    rebuild from its pickle, is sent as a ``RuntimeError`` naming it, with
-    both tracebacks in the text.
+    Records of plain values alone (:func:`_plain`) go by ``marshal`` (tag
+    ``m``), which is built in and already loaded; any other payload goes
+    whole by ``pickle`` (tag ``p``), imported here only then.  An exception
+    that cannot be pickled, or that the parent could not rebuild from its
+    pickle, is sent as a ``RuntimeError`` naming it, with both tracebacks in
+    the text.
     """
-    import pickle  # already loaded: the parent imported it before forking
-
     try:
-        return pickle.dumps((_records(config, stypes, _queued(queue)), None, None))
+        payload = ([tuple(c) for c in _records(config, stypes, _queued(queue))], None, None)
+        if _plain(payload):
+            return b"m" + marshal.dumps(payload)
+        import pickle
+
+        return b"p" + pickle.dumps(payload)
     except BaseException as exc:  # the parent re-raises it
         import traceback
 
         error, text = exc, traceback.format_exc()
+    import pickle
+
     try:
         data = pickle.dumps((None, error, text))
         pickle.loads(data)
-        return data
+        return b"p" + data
     except BaseException:
         text += "\nIt could not be sent to the parent process:\n\n" + traceback.format_exc()
         name = "".join(traceback.format_exception_only(type(error), error)).strip()
         message = f"worker process {os.getpid()} raised an exception it could not send: {name}"
-        return pickle.dumps((None, RuntimeError(message), text))
+        return b"p" + pickle.dumps((None, RuntimeError(message), text))
 
 
 def _work_as_child(config: RunConfig, stypes: tuple, queue: int, out: int) -> None:
-    """Run the types read from ``queue`` in a forked child, write their pickled
+    """Run the types read from ``queue`` in a forked child, write their tagged
     result (see :func:`_child_result`) to ``out``, and exit.
 
     Never returns: the child exits with status 0 once its result is
@@ -872,14 +902,16 @@ def _shared_results(config: RunConfig, stypes: tuple, processes: int) -> list:
 
     The queue is a pipe holding one byte per type slot, costliest slot
     first (:func:`_slot_order`), filled and closed before any fork; every
-    process reads one slot at a time until EOF.  A run that forks imports
-    ``pickle`` before its first fork, so no child imports a module before
-    its first type.
-    Each child pickles its records (or the exception it raised, with its
-    traceback text) to a pipe of its own.  Once its own share is done,
-    this process reads each child's pipe to EOF, reaps the child and
-    re-raises its exception, with the child's traceback as the cause, or
-    raises ``RuntimeError`` for a child that exited without a result.
+    process reads one slot at a time until EOF.  No process imports a
+    module between the fork and its first type.
+    Each child writes its records (or the exception it raised, with its
+    traceback text) to a pipe of its own, by ``marshal`` when they hold
+    plain values alone (see :func:`_child_result`).  Once its own share is
+    done, this process reads each child's pipe to EOF, reaps the child,
+    rebuilds its records with ``CheckResult._make`` (importing ``pickle``
+    only for a payload tagged as pickled) and re-raises its exception,
+    with the child's traceback as the cause, or raises ``RuntimeError``
+    for a child that exited without a result.
     Whatever this process raises, it first kills and reaps the children
     still running.  A fork that fails leaves the queue to the processes
     already running.
@@ -889,8 +921,6 @@ def _shared_results(config: RunConfig, stypes: tuple, processes: int) -> list:
     os.close(fill)
     children = {}  # pid -> read end of its result pipe, until the child is reaped
     try:
-        if processes > 1:
-            import pickle
         for _ in range(processes - 1):
             read_end, write_end = os.pipe()
             try:
@@ -912,11 +942,17 @@ def _shared_results(config: RunConfig, stypes: tuple, processes: int) -> list:
             if status != 0 or not data:
                 raise RuntimeError(f"worker process {pid} exited with status {status} "
                                    "and no result")
-            records, error, text = pickle.loads(data)
+            body = memoryview(data)[1:]
+            if data[:1] == b"m":
+                records, error, text = marshal.loads(body)
+            else:
+                import pickle
+
+                records, error, text = pickle.loads(body)
             if error is not None:
                 error.__cause__ = _ChildTraceback(text)
                 raise error
-            results.extend(records)
+            results.extend(map(CheckResult._make, records))
         return results
     finally:
         os.close(queue)
@@ -986,7 +1022,8 @@ def structured_lines(config: RunConfig, results) -> list:
             "max_weyl_order": config.max_weyl_order,
         },
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [encode(header)]
     for c in sorted(results, key=lambda c: c.check_id):
         record = {
             "check_id": c.check_id,
@@ -994,7 +1031,7 @@ def structured_lines(config: RunConfig, results) -> list:
             "status": c.status,
             "witness": _jsonable(c.witness),
         }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        lines.append(encode(record))
     return lines
 
 

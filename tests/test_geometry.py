@@ -202,6 +202,19 @@ def _pencil_by_trace_mul(alg, x, y, tangents, t_list):
 
 
 @pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_tangent_spanners_agree_with_dense_commutators(name):
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"spanners:{name}")
+    x = alg.regular_nilpotent()
+    y = la.scale(Q(2, 3), alg.random_element(rng, 3))
+    zero = la.zeros(alg.size, alg.size)
+    expected = [(la.commutator(v, x), la.commutator(v, y)) for v in alg.basis]
+    for r in alg.rs.positive_roots:
+        expected += [(alg.pos_vectors[r], zero), (zero, alg.pos_vectors[r])]
+    assert geo.nullcone_tangent_spanners(alg, x, y) == expected
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
 def test_pencil_vanishing_agrees_with_trace_mul(name):
     # p_i'(x + t y)(v + t w) has degree at most d_i in t, so d_max + 1 points
     # determine it; the reference reads it at d_max + 2

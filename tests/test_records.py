@@ -1,7 +1,8 @@
 """Records keep their value semantics: pickling, equality and their repr.
 
-A shared run pickles ``CheckResult`` records across the fork, and the text
-report prints a failing witness with ``repr``, so each record type must
+A shared run sends a ``CheckResult`` whose witness marshal cannot carry
+exactly (a record type among them) across the fork by ``pickle``, and the
+text report prints a failing witness with ``repr``, so each record type must
 come back from ``pickle`` equal and keep the ``Name(field=value, ...)`` form.
 The rank checks of ``SimpleType`` are in ``test_roots.py::test_rank_bounds``.
 """

@@ -13,11 +13,13 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nullcone import cli, report
+from nullcone.geometry import TangentReport
 from nullcone.report import RunConfig, run, structured_lines
 from nullcone.roots import SimpleType
 
@@ -109,8 +111,9 @@ def _plant_first(monkeypatch, body, suite="invariants"):
 
 
 @contextmanager
-def _in_a_child(action):
-    """A body that runs ``action`` in the first forked child to call it.
+def _in_a_child(action, result=None):
+    """A body that runs ``action`` in the first forked child to call it, and
+    returns ``result`` in every process.
 
     In the parent it waits, once, until a child has started ``action``, so
     the parent cannot run every type itself before a child has drawn one.
@@ -124,6 +127,7 @@ def _in_a_child(action):
             action()
         elif not waited:
             waited.append(os.read(ready_r, 1))
+        return result
 
     try:
         yield body
@@ -312,7 +316,7 @@ def test_equal_slots_keep_their_order_and_a_slot_weighs_the_sum_of_its_types():
 
 
 def test_a_child_imports_no_module_between_its_fork_and_its_first_type(monkeypatch):
-    # drop pickle, so that importing it anywhere in the run adds a module
+    # drop pickle, so that importing it anywhere before the first type shows
     monkeypatch.delitem(sys.modules, "pickle", raising=False)
     at_fork, fork, checked = [], os.fork, []
 
@@ -324,7 +328,7 @@ def test_a_child_imports_no_module_between_its_fork_and_its_first_type(monkeypat
         if not checked:
             checked.append(None)
             new = sorted(set(sys.modules) - at_fork[-1])
-            if new or "pickle" not in sys.modules:
+            if new or "pickle" in sys.modules:
                 raise AssertionError(f"new modules at the first type: {new}")
 
     monkeypatch.setattr(os, "fork", snapshot)
@@ -349,6 +353,47 @@ def test_a_run_in_one_process_imports_no_pickle():
                           env=_subprocess_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_a_forked_run_of_plain_records_imports_no_module():
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(None) or fork()\n"
+        "from nullcone import cli\n"
+        "cli.build_parser()\n"
+        "before = set(sys.modules)\n"
+        "cli.main(['all', '--type', 'A1', '--type', 'G2', '--format', 'structured'])\n"
+        "print(len(forks), sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1 []"
+
+
+@pytest.mark.parametrize("witness", [
+    {"ratio": Fraction(2, 3)},
+    [TangentReport(10, 7, 3)],
+    {"cells": (1, bytearray(b"\x00\x01"))},
+], ids=["fraction", "named-tuple", "bytearray"])
+def test_a_witness_marshal_cannot_carry_comes_back_as_in_one_process(witness, monkeypatch):
+    config = RunConfig(suites=("roots",), types=SMALL_ALGEBRAS)
+    with monkeypatch.context() as m:
+        _plant_first(m, lambda unit, rng: (True, witness), "roots")
+        _cpus(m, 1)
+        alone = [c._replace(elapsed=0) for c in run(config)[1]]
+    with _in_a_child(lambda: None, (True, witness)) as body:
+        _plant_first(monkeypatch, body, "roots")
+        forks = _counting_forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        with _deadline(60):
+            shared = [c._replace(elapsed=0) for c in run(config)[1]]
+    assert len(forks) == 1
+    assert shared == alone and list(map(repr, shared)) == list(map(repr, alone))
+    assert sum(c.witness == witness for c in shared) == len(SMALL_ALGEBRAS)
+    _assert_no_child_left()
 
 
 def test_reversing_the_type_order_gives_the_same_records(monkeypatch):
