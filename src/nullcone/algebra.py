@@ -47,10 +47,11 @@ numerator over int and divides once.
 Along a pencil x + t y, the gradient matrix G_i(x + t y) is a matrix of
 polynomials in t.  Scaled to X = L x, Y = L y, their coefficients are the
 signed base-2^K digits of the entries of G_i(z), z = X + 2^K Y, from one
-faddeev(z) (gradient_pencil); with lanes widened by a bound on a
-direction's entries, trace(G_i(X + t Y)(V + t W)) is read off the same
-values, so an identity in t is one packed integer test
-(geometry.pencil_tangent_vanishing).
+faddeev(z) (gradient_pencil).  A direction V + t W in root coordinates pairs
+with them through basis_pairings, since each basis vector has one or two
+nonzero cells, each +-1; with lanes widened by a bound on its coordinates,
+trace(G_i(X + t Y)(V + t W)) is read off the same values, so an identity in
+t is one packed integer test (geometry.pencil_tangent_vanishing).
 
 Regularity is decided in the defining representation too: x is regular
 exactly when its minimal polynomial has degree N (is_regular_element), an
@@ -96,8 +97,8 @@ def _lowest(den: int, num):
 class GroupElement:
     """An invertible matrix and its exact inverse, each an int matrix over one denominator.
 
-    ``mat`` is ``num / den`` and ``inv`` is ``inv_num / inv_den``, each over
-    its gcd.  Built by MatrixLieAlgebra.unipotent and the Weyl representatives
+    The matrix is ``num / den`` and its inverse ``inv_num / inv_den``, each
+    over its gcd.  Built by MatrixLieAlgebra.unipotent and the Weyl representatives
     (one sparse exponential, a factor exp(c e) at a time), torus or weyl_rep.
     A product multiplies the numerators over int and the denominators, and
     conjugate multiplies g, x and g^-1 scaled to integers and makes one exact
@@ -112,16 +113,6 @@ class GroupElement:
         self.den, self.num = _lowest(d * den, m)
         d, m = la.clear_denominators(inv)
         self.inv_den, self.inv_num = _lowest(d * inv_den, m)
-
-    @property
-    def mat(self):
-        """The matrix, integral entries as ints."""
-        return self.num if self.den == 1 else la.divide(self.num, self.den)
-
-    @property
-    def inv(self):
-        """The inverse, integral entries as ints."""
-        return self.inv_num if self.inv_den == 1 else la.divide(self.inv_num, self.inv_den)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
@@ -420,23 +411,6 @@ class MatrixLieAlgebra:
     def trace_form(self, x, y):
         return la.trace_mul(x, y)
 
-    def basis_brackets(self, x) -> list:
-        """[v, x] for each basis vector v, built from v's one or two nonzero cells.
-
-        As in :meth:`ad_coordinates`, [E_ab, x] is x's row b moved to row a
-        minus x's column a moved to column b.
-        """
-        N = self.size
-        out = []
-        for cells in self._nonzero:
-            m = [[0] * N for _ in range(N)]
-            for a, b, c in cells:
-                m[a] = [s + c * v for s, v in zip(m[a], x[b])]
-                for row, xrow in zip(m, x):
-                    row[b] -= c * xrow[a]
-            out.append(tuple(map(tuple, m)))
-        return out
-
     def basis_pairings(self, m) -> tuple:
         """trace(m v) for each basis vector v, read off v's one or two nonzero cells."""
         return tuple(sum(c * m[b][a] for a, b, c in cells) for cells in self._nonzero)
@@ -522,8 +496,11 @@ class MatrixLieAlgebra:
         """exp(e) exp(-f) exp(e) for each simple root, f scaled so that (e, h, f) is an sl2 triple."""
         reps, cells, index = [], self._exp_cells, self.rs.index
         for root in self.rs.simple_roots:
-            e, f_raw = cells[index[root]], cells[index[tuple(-x for x in root)]]
-            c = self.root_value(root, la.commutator(self.pos_vectors[root], self.neg_vectors[root]))
+            k = index[root]
+            e, f_raw = cells[k], cells[index[tuple(-x for x in root)]]
+            # [e, f_raw] lies in h: its Cartan coordinates, from the row of e in ad f_raw
+            t = self.ad_coordinates(self.neg_vectors[root])[self.rank + k][: self.rank]
+            c = sum(v * self.root_value(root, h) for v, h in zip(t, self.h_basis))
             reps.append(self._exp([(*e, 1), (*f_raw, la.ratio(-2, c)), (*e, 1)]))
         return tuple(reps)
 

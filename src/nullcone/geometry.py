@@ -7,9 +7,10 @@ root coordinates, so the dimension statements become integer equalities:
 generic rank 3*b_g - rk for the Borel pair map, 3*(b_g - rk) for the
 nilpotent pair map, and kernel dimension b_g for the nilradical map at a
 regular nilpotent first coordinate.  The tangent directions (v, w) of the
-nilpotent pair map annihilate the invariant differentials along the whole
-pencil: p_i'(x + t y)(v + t w) = 0 as a polynomial in t, checked for every
-t at once by one packed value per direction and invariant.
+nilpotent pair map, the same root-coordinate rows (ad_coordinates) that the
+ranks read, annihilate the invariant differentials along the whole pencil:
+p_i'(x + t y)(v + t w) = 0 as a polynomial in t, checked for every t at once
+by one packed value per direction and invariant.
 
 Also here: nullcone membership on every realized type, decided by whether
 every word of length N in x and y vanishes, with a certificate for every
@@ -103,42 +104,49 @@ def mu_kernel(alg: MatrixLieAlgebra, x, y) -> TangentReport:
 
 
 def nullcone_tangent_spanners(alg: MatrixLieAlgebra, x, y) -> list:
-    """Images (v, w) of the basis directions under the nilpotent-pair map."""
-    out = list(zip(alg.basis_brackets(x), alg.basis_brackets(y)))
-    zero = la.zeros(alg.size, alg.size)
-    for r in alg.rs.positive_roots:
-        out.append((alg.pos_vectors[r], zero))
-        out.append((zero, alg.pos_vectors[r]))
+    """Images (v, w) of the basis directions under the nilpotent-pair map, in root coordinates.
+
+    The rows ([e_k, x], [e_k, y]) that _pair_map_report ranks, then the unit
+    rows (e_k, 0) and (0, e_k) of the nilradical fiber; x or y outside g
+    raises ``ValueError``.
+    """
+    out = list(zip(alg.ad_coordinates(x), alg.ad_coordinates(y)))
+    zero = (0,) * alg.dim
+    for k in alg.subspace_indices["u"]:
+        unit = zero[:k] + (1,) + zero[k + 1 :]
+        out += [(unit, zero), (zero, unit)]
     return out
 
 
 def pencil_tangent_vanishing(alg: MatrixLieAlgebra, x, y, tangents) -> bool:
     """Whether p_i'(x + t y)(v + t w) = 0 as a polynomial in t, for all i and all (v, w).
 
-    The directions are scaled to integer matrices V, W by one common
-    denominator, and x, y to X = L x, Y = L y; neither scaling moves a zero.
-    With A(t) = M_{d_i-1}(X + t Y) = -L^(d_i-1) G_i(x + t y), Faddeev's
-    auxiliary matrix, P(t) = trace(A(t) (V + t W)) is then an integer
-    polynomial, and P(2^K) = trace(M_{d_i-1}(z) (V + 2^K W)) for z = X + 2^K Y,
-    so one faddeev(z) (gradient_pencil) serves every t, i and direction.  The
-    entries of A(t) have t-coefficients of size at most
-    C = perm(N, d_max) (2M)^d_max, M = max(1, max |entry| of X, Y) (see
-    MatrixLieAlgebra._pencil).  So with B = max(1, max |entry| of V, W), the
-    t^j coefficient of P, a sum over the N^2 cells of a_j V + a_(j-1) W, is at
-    most 2 N^2 B C.  The lanes are widened by spare = 2 N^2 B, which puts that
-    below 2^(K-1); the signed base-2^K digits of a value are unique, so
-    P(2^K) = 0 exactly when P = 0.
+    Each direction (v, w) is a pair of coordinate rows in the root-graded
+    basis, scaled to integer rows V, W by one common denominator, and x, y to
+    X = L x, Y = L y; neither scaling moves a zero.  With A(t) =
+    M_{d_i-1}(X + t Y) = -L^(d_i-1) G_i(x + t y), Faddeev's auxiliary matrix,
+    and a_j(t) = trace(A(t) e_j), P(t) = sum_j a_j(t) (V_j + t W_j) is an
+    integer polynomial, and P(2^K) = sum_j p_j (V_j + 2^K W_j) for p =
+    basis_pairings(M_{d_i-1}(z)), z = X + 2^K Y, so one faddeev(z)
+    (gradient_pencil) serves every t, i and direction.  The entries of A(t)
+    have t-coefficients of size at most C = perm(N, d_max) (2M)^d_max,
+    M = max(1, max |entry| of X, Y) (see MatrixLieAlgebra._pencil), and e_j
+    has one or two nonzero cells, each +-1, so a_j(t) has coefficients of
+    size at most 2C.  With B = max(1, max |coordinate| of V, W), the t^k
+    coefficient of P, sum_j a_j,k V_j + a_j,(k-1) W_j, is at most 4 dim B C.
+    The lanes are widened by spare = 4 dim B, which puts that below 2^(K-1);
+    the signed base-2^K digits of a value are unique, so P(2^K) = 0 exactly
+    when P = 0.  A row whose length is not dim raises ``ValueError``.
     """
-    n = alg.size
-    _, rows = la.clear_denominators([row for pair in tangents for m in pair for row in m])
+    _, rows = la.clear_denominators([part for pair in tangents for part in pair])
+    if any(len(row) != alg.dim for row in rows):
+        raise ValueError(f"a tangent direction must be a pair of {alg.dim} coordinates")
     bound = max(1, max(map(abs, chain.from_iterable(rows)), default=0))
-    _, bits, aux = alg.gradient_pencil(x, y, 2 * n * n * bound)
-    grads = [la.flatten(m) for m in aux]
-    for k in range(0, len(rows), 2 * n):
-        # trace(A D) is the sum of A[a][b] D[b][a]: D = V + 2^K W, transposed and flattened
-        v, w = (chain.from_iterable(zip(*rows[j : j + n])) for j in (k, k + n))
+    _, bits, aux = alg.gradient_pencil(x, y, 4 * alg.dim * bound)
+    pairings = [alg.basis_pairings(m) for m in aux]
+    for v, w in zip(rows[::2], rows[1::2]):
         packed = [a + (b << bits) for a, b in zip(v, w)]
-        if any(sum(map(mul, g, packed)) for g in grads):
+        if any(sum(map(mul, p, packed)) for p in pairings):
             return False
     return True
 

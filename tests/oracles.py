@@ -22,8 +22,9 @@ r^vee = 2r/(r, r) from it, as the references for the lengths and coroots
 ``RootSystem`` derives from the Cartan matrix alone.
 ``reflection_fixes_shift`` reads one simple fixed point of rho +- alpha off
 its shifted weight, as the reference for the printed neighbour sums.
-``whole`` writes each integral entry of a matrix as an int, as the group
-elements of ``nullcone.algebra`` read back their scaled matrices.
+``whole`` writes each integral entry of a matrix as an int, and
+``group_matrices`` reads a group element's matrix and inverse back from
+their int numerators and denominators, integral entries as ints.
 ``in_cartan``, ``decompose``, ``directional_derivatives``,
 ``simple_index``, ``inversions`` and ``TorusBorel`` are direct definitions
 that only the tests read.
@@ -44,6 +45,11 @@ def whole(rows):
         tuple([x if type(x) is int or x.denominator != 1 else x.numerator for x in row])
         for row in rows
     )
+
+
+def group_matrices(g) -> tuple:
+    """(matrix, inverse) of a ``GroupElement``: num / den and inv_num / inv_den."""
+    return la.divide(g.num, g.den), la.divide(g.inv_num, g.inv_den)
 
 
 def nullspace(rows) -> list:

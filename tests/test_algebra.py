@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction as Q
-from functools import reduce
 from itertools import product
 from math import comb, gcd, lcm, perm, prod
 
@@ -13,6 +12,7 @@ from interpolation import interpolate
 from oracles import (
     decompose,
     directional_derivatives,
+    group_matrices,
     height_element_by_solve,
     in_cartan,
     is_nilpotent,
@@ -293,6 +293,16 @@ def test_epsilon_matches_gram_solve_oracle(fam, rk):
         assert all(alg.in_algebra(e) for e in eps)
 
 
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_basis_vectors_have_one_or_two_unit_cells(name):
+    # ad_coordinates, basis_pairings and the lanes of the pencil tangent check
+    # read each basis vector as one or two cells, each +-1
+    alg = build_algebra(name[0], int(name[1:]))
+    for v in alg.basis:
+        cells = [c for c in la.flatten(v) if c]
+        assert len(cells) in (1, 2) and all(c in (1, -1) for c in cells)
+
+
 @pytest.mark.parametrize("fam,rk", ALL_TYPES)
 def test_basis_pairings_are_trace_products(fam, rk):
     # a matrix that is neither in g nor symmetric, so a transposed cell shows
@@ -319,15 +329,16 @@ def test_group_elements_carry_their_inverses(fam, rk):
     integral = [u, word] + reflections
     elements = integral + [torus, u * torus * word, word * u]
     for g in elements:
-        assert la.mul(g.mat, g.inv) == ident
-        assert la.mul(g.inv, g.mat) == ident
+        mat, inv = group_matrices(g)
+        assert la.mul(mat, inv) == ident
+        assert la.mul(inv, mat) == ident
         assert all(alg.in_algebra(g.conjugate(b)) for b in alg.basis)
         # each int matrix is over its lowest denominator
         for den, num in ((g.den, g.num), (g.inv_den, g.inv_num)):
             assert _is_int(num) and den > 0 and gcd(den, *la.flatten(num)) == 1
     if fam in "AC":  # every root vector squares to 0, so exp(c e) = I + c e
         for g in integral:
-            assert _is_int(g.mat) and _is_int(g.inv)
+            assert all(map(_is_int, group_matrices(g)))
             assert g.den == g.inv_den == 1
 
 
@@ -359,17 +370,17 @@ def test_closed_form_group_elements_match_exponential_series(fam, rk):
         fresh = ge * _exp_pair(la.divide(la.scale(-2, f_raw), c)) * ge
         rep = alg.simple_reflection_rep(i)
         assert rep is alg.simple_reflection_rep(i)
-        assert (rep.mat, rep.inv) == (fresh.mat, fresh.inv)
+        assert group_matrices(rep) == group_matrices(fresh)
     rng = random.Random(f"exp:{fam}{rk}")
     coeffs = {r: rng.randint(-3, 3) for r in alg.rs.positive_roots}
     u = alg.unipotent(coeffs)
     series = GroupElement(ident, ident)
     for root, c in coeffs.items():
         series = series * _exp_pair(la.scale(c, alg.pos_vectors[root]))
-    assert (u.mat, u.inv) == (series.mat, series.inv)
+    assert group_matrices(u) == group_matrices(series)
     word = tuple(rng.randint(1, rk) for _ in range(6))
     for g in (u, alg.weyl_rep(word), u * alg.weyl_rep(word)):
-        assert la.mul(g.mat, g.inv) == ident
+        assert la.mul(*group_matrices(g)) == ident
 
 
 @pytest.mark.parametrize("fam,rk", ALL_TYPES)
@@ -377,15 +388,15 @@ def test_torus_lies_in_the_group_with_p_k_at_slot_k(fam, rk):
     alg = build_algebra(fam, rk)
     ident = la.identity(alg.size)
     for params in ([k + 2 for k in range(rk)], [Q(k + 2, 2 * k + 1) for k in range(rk)], [Q(-3, 7)] * rk):
-        g = alg.torus(params)
-        assert la.mul(g.mat, g.inv) == ident
-        assert g.mat == alg.h_component(g.mat)
-        diag = [g.mat[a][a] for a in range(alg.size)]
+        mat, inv = group_matrices(alg.torus(params))
+        assert la.mul(mat, inv) == ident
+        assert mat == alg.h_component(mat)
+        diag = [mat[a][a] for a in range(alg.size)]
         assert diag[:rk] == params
         if fam == "A":  # diag(p, 1) lies in GL(n+1); its conjugation is that of SL(n+1)
             assert prod(diag) == prod(params)
         else:  # g^T J g = J
-            assert alg._mirror(g.mat) == g.inv
+            assert alg._mirror(mat) == inv
         for wrong in (params[:-1], params + [2]):
             with pytest.raises(ValueError):
                 alg.torus(wrong)
@@ -404,7 +415,8 @@ def test_type_b_group_elements_store_whole_entries_as_ints(rk):
     ]
     halves = 0
     for g in elements:
-        for x in la.flatten(g.mat) + la.flatten(g.inv):
+        mat, inv = group_matrices(g)
+        for x in la.flatten(mat) + la.flatten(inv):
             assert isinstance(x, int) or x.denominator != 1
             halves += not isinstance(x, int)
     assert halves  # the short root vectors still contribute halves
@@ -437,16 +449,16 @@ def test_unipotent_matches_product_of_dense_exp_factors(name):
         for draw in (lambda: rng.randint(-3, 3), lambda: rng.choice(values)):
             coeffs = {r: draw() for r in order}
             u, dense = alg.unipotent(coeffs), _dense_unipotent(alg, coeffs)
-            assert (u.mat, u.inv) == (dense.mat, dense.inv)
-            assert la.mul(u.mat, u.inv) == ident
-            for m in (u.mat, u.inv):
+            assert group_matrices(u) == group_matrices(dense)
+            assert la.mul(*group_matrices(u)) == ident
+            for m in group_matrices(u):
                 assert _types(m) == _types(whole(m))
-    assert alg.unipotent({r: 0 for r in roots}).mat == ident
+    assert group_matrices(alg.unipotent({r: 0 for r in roots})) == (ident, ident)
     # B's short root vectors have e^2 = -E_{i,N-1-i}: c = 1/3 gives an e^2 term of -1/18
     if name[0] == "B":
         short = next(r for r, e in alg.pos_vectors.items() if not la.is_zero(la.mul(e, e)))
-        u = alg.unipotent({short: Q(1, 3)})
-        assert Q(-1, 18) in la.flatten(u.mat) and Q(-1, 18) in la.flatten(u.inv)
+        mat, inv = group_matrices(alg.unipotent({short: Q(1, 3)}))
+        assert Q(-1, 18) in la.flatten(mat) and Q(-1, 18) in la.flatten(inv)
 
 
 @pytest.mark.parametrize("name", ALGEBRA_TYPES)
@@ -469,15 +481,16 @@ def test_conjugate_matches_dense_products(name):
     ]
     seen = set()
     for g in elements:
+        mat, inv = group_matrices(g)
         for z in points:
             out = g.conjugate(z)
-            assert out == la.mul(la.mul(g.mat, z), g.inv)
+            assert out == la.mul(la.mul(mat, z), inv)
             assert all(isinstance(v, int) or v.denominator != 1 for v in la.flatten(out))
             seen.update(map(type, la.flatten(out)))
     assert seen == {int, Q}
     # an integral element conjugating integral Fraction entries gives ints
     even = alg.unipotent({r: 2 for r in alg.rs.positive_roots})
-    assert _types(even.mat) == _types(even.inv) == [int] * alg.size**2
+    assert [_types(m) for m in group_matrices(even)] == [[int] * alg.size**2] * 2
     assert _types(even.conjugate(points[2])) == [int] * alg.size**2
 
 
@@ -1003,8 +1016,10 @@ def test_weyl_rep_is_the_product_of_its_letters(fam, rk):
         word = tuple(rng.randint(1, rk) for _ in range(length))
         g = alg.weyl_rep(word)
         letters = [alg.simple_reflection_rep(i) for i in word]
-        assert g.mat == reduce(la.mul, (r.mat for r in letters), ident)
-        assert g.inv == reduce(la.mul, (r.inv for r in reversed(letters)), ident)
+        mat, inv = ident, ident
+        for m, i in map(group_matrices, letters):
+            mat, inv = la.mul(mat, m), la.mul(i, inv)
+        assert group_matrices(g) == (mat, inv)
 
 
 def test_trace_form_proportional_constants_documented():

@@ -175,6 +175,15 @@ def test_membership_refuses_a_pair_outside_the_algebra():
         geo.nullcone_membership(build_algebra("A", 1), ((1, 0), (0, 0)), E)  # trace 1
 
 
+def _matrix(alg, coords):
+    """The element sum_k c_k basis_k of a row of root coordinates."""
+    return reduce(la.add, (la.scale(c, e) for c, e in zip(coords, alg.basis)))
+
+
+def _scaled(c, row):
+    return tuple(c * v for v in row)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2)])
 def test_pencil_tangent_vanishing(family, rank):
     alg = build_algebra(family, rank)
@@ -184,17 +193,23 @@ def test_pencil_tangent_vanishing(family, rank):
     tangents = geo.nullcone_tangent_spanners(alg, x, y)
     assert geo.pencil_tangent_vanishing(alg, x, y, tangents)
     # the lowering direction leaves the nilpotent variety to first order
-    lowering = alg.neg_vectors[alg.rs.positive_roots[0]]
-    zero = la.zeros(alg.size, alg.size)
+    lowering = alg.coordinates(alg.neg_vectors[alg.rs.positive_roots[0]])
+    zero = (0,) * alg.dim
     assert not geo.pencil_tangent_vanishing(alg, x, y, [(lowering, zero)])
     assert geo.pencil_tangent_vanishing(alg, x, y, [])
+    with pytest.raises(ValueError, match="coordinates"):
+        geo.pencil_tangent_vanishing(alg, x, y, [(lowering, zero[1:])])
 
 
 def _pencil_by_trace_mul(alg, x, y, tangents, t_list):
-    """pencil_tangent_vanishing at the points of t_list, one trace_mul per gradient and direction."""
+    """pencil_tangent_vanishing at the points of t_list, one trace_mul per gradient and direction.
+
+    Each direction is rebuilt as a matrix, sum_k c_k basis_k, from its coordinates.
+    """
+    directions = [(_matrix(alg, v), _matrix(alg, w)) for v, w in tangents]
     for t in t_list:
         grads = alg.gradient_matrices(la.add(x, la.scale(t, y)))
-        for v, w in tangents:
+        for v, w in directions:
             direction = la.add(v, la.scale(t, w))
             if any(la.trace_mul(g, direction) != 0 for g in grads):
                 return False
@@ -211,7 +226,23 @@ def test_tangent_spanners_agree_with_dense_commutators(name):
     expected = [(la.commutator(v, x), la.commutator(v, y)) for v in alg.basis]
     for r in alg.rs.positive_roots:
         expected += [(alg.pos_vectors[r], zero), (zero, alg.pos_vectors[r])]
-    assert geo.nullcone_tangent_spanners(alg, x, y) == expected
+    spanners = geo.nullcone_tangent_spanners(alg, x, y)
+    assert [(_matrix(alg, v), _matrix(alg, w)) for v, w in spanners] == expected
+
+
+@pytest.mark.parametrize("name", ALGEBRA_TYPES)
+def test_tangent_spanners_rank_is_the_nullcone_pair_rank(name):
+    # the spanners are the rows rank_nullcone_pair ranks, fiber columns included
+    alg = build_algebra(name[0], int(name[1:]))
+    rng = random.Random(f"spanner-rank:{name}")
+    x = alg.regular_nilpotent()
+    y = alg.random_element(rng, 2, where="u")
+    rows = [(*v, *w) for v, w in geo.nullcone_tangent_spanners(alg, x, y)]
+    assert la.rank(rows) == geo.rank_nullcone_pair(alg, x, y).rank
+    outside = la.identity(alg.size)  # trace N on sl, and not -mirror(I) = -I on so/sp
+    for pair in ((outside, y), (x, outside)):
+        with pytest.raises(ValueError, match="not in the algebra"):
+            geo.nullcone_tangent_spanners(alg, *pair)
 
 
 @pytest.mark.parametrize("name", ALGEBRA_TYPES)
@@ -230,12 +261,12 @@ def test_pencil_vanishing_agrees_with_trace_mul(name):
     # pairs with the quadratic invariant's gradient, a multiple of x at t = 0
     alpha = alg.rs.positive_roots[0]
     assert alg.rs.is_simple(alpha)
-    lowering = alg.neg_vectors[alpha]
+    lowering = alg.coordinates(alg.neg_vectors[alpha])
     planted = tangents + [(lowering, lowering)]
     assert not geo.pencil_tangent_vanishing(alg, x, y, planted)
     assert not _pencil_by_trace_mul(alg, x, y, planted, points)
-    # one direction at a time, each with rational entries: the verdicts agree
-    third = [(la.scale(Q(1, 3), v), la.scale(Q(-2, 3), w)) for v, w in planted]
+    # one direction at a time, each with rational coordinates: the verdicts agree
+    third = [(_scaled(Q(1, 3), v), _scaled(Q(-2, 3), w)) for v, w in planted]
     for pair in third[:: max(1, len(third) // 8)] + third[-1:]:
         assert geo.pencil_tangent_vanishing(alg, x, y, [pair]) == _pencil_by_trace_mul(
             alg, x, y, [pair], points
@@ -249,9 +280,10 @@ def test_pencil_lanes_are_widened_by_the_directions():
     alg = build_algebra("A", 1)
     zero = la.zeros(2, 2)
     _, bits, _ = alg._pencil(H, zero)
-    v = la.scale(-(1 << bits), H)
-    assert not _pencil_by_trace_mul(alg, H, zero, [(v, H)], range(4))
-    assert not geo.pencil_tangent_vanishing(alg, H, zero, [(v, H)])
+    h = alg.coordinates(H)
+    v = _scaled(-(1 << bits), h)
+    assert not _pencil_by_trace_mul(alg, H, zero, [(v, h)], range(4))
+    assert not geo.pencil_tangent_vanishing(alg, H, zero, [(v, h)])
 
 
 @pytest.mark.parametrize("name", ["B3", "C3"])
@@ -269,13 +301,10 @@ def test_pencil_vanishing_is_an_identity_in_t(name):
 
     kernel = nullspace([row for t in range(6) for row in rows(t)])
     coords = next(k for k in kernel if any(sum(map(mul, r, k)) for r in rows(6)))
-    v, w = (
-        reduce(la.add, (la.scale(c, e) for c, e in zip(part, alg.basis)))
-        for part in (coords[: alg.dim], coords[alg.dim :])
-    )
-    assert _pencil_by_trace_mul(alg, x, y, [(v, w)], range(6))
-    assert not _pencil_by_trace_mul(alg, x, y, [(v, w)], [6])
-    assert not geo.pencil_tangent_vanishing(alg, x, y, [(v, w)])
+    direction = (coords[: alg.dim], coords[alg.dim :])
+    assert _pencil_by_trace_mul(alg, x, y, [direction], range(6))
+    assert not _pencil_by_trace_mul(alg, x, y, [direction], [6])
+    assert not geo.pencil_tangent_vanishing(alg, x, y, [direction])
 
 
 def test_sl2_membership_examples():

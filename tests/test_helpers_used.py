@@ -8,7 +8,10 @@ in ``tests/oracles.py``, and one that has moved there must not linger in
 ``src/`` under the same name.  A reference is a name, an attribute, an
 imported name, or a string constant that is exactly the name
 (``perfbench`` traces functions by name); words inside docstrings are not
-references.
+references.  A method or property is referenced only through an attribute
+that is not read off a ``nullcone`` module (``la.mat`` names
+``linalg.mat``, not a method ``mat``) or through such a string: a local
+variable or a module function of the same spelling does not keep it.
 """
 
 import ast
@@ -17,10 +20,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nullcone"
 SCANNED = ("src", "demos", "perfbench")
+MODULES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
 
 
 def _defined(tree) -> list:
-    """(line, name) of each top-level function and method, dunders excluded."""
+    """(line, name, is_member) of each top-level function and method, dunders excluded."""
     out = []
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else [node]
@@ -28,35 +32,53 @@ def _defined(tree) -> list:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                 fn.name.startswith("__") and fn.name.endswith("__")
             ):
-                out.append((fn.lineno, fn.name))
+                out.append((fn.lineno, fn.name, fn is not node))
     return out
 
 
-def _referenced(tree) -> set:
-    names = set()
+def _module_aliases(tree) -> set:
+    """The local names a tree binds to ``nullcone`` and its modules."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name for a in node.names if a.name.split(".")[0] == "nullcone"}
+        elif isinstance(node, ast.ImportFrom) and (node.module == "nullcone" or node.level):
+            out |= {a.asname or a.name for a in node.names if a.name in MODULES}
+    return out
+
+
+def _referenced(tree) -> tuple:
+    """(names, members): every reference, and those that can name a method or property."""
+    names, members = set(), set()
+    aliases = _module_aliases(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in aliases):
+                members.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 names.add(node.value)
-    return names
+                members.add(node.value)
+    return names, members
 
 
 def _unreferenced(defining: dict, others) -> list:
     """(file, line, name) of definitions in ``defining`` referenced in no tree at all."""
-    used = set()
+    used, used_members = set(), set()
     for tree in list(defining.values()) + list(others):
-        used |= _referenced(tree)
+        names, members = _referenced(tree)
+        used |= names
+        used_members |= members
     return sorted(
         (path, line, name)
         for path, tree in defining.items()
-        for line, name in _defined(tree)
-        if name not in used
+        for line, name, is_member in _defined(tree)
+        if name not in (used_members if is_member else used)
     )
 
 
@@ -86,6 +108,19 @@ def test_scan_flags_a_planted_helper():
         "        pass\n"
         "    def traced(self):\n"
         "        pass\n"
+        "    @property\n"
+        "    def mat(self):\n"
+        "        pass\n"
+        "    def inv(self):\n"
+        "        pass\n"
     )
-    tests = ast.parse("from m import K\nK().method()\nTARGETS = [('K', 'traced')]\n")
-    assert _unreferenced({"m.py": module}, [tests]) == [("m.py", 3, "planted")]
+    tests = ast.parse(
+        "from m import K\n"
+        "from nullcone import linalg as la\n"
+        "K().method()\n"
+        "TARGETS = [('K', 'traced')]\n"
+        "inv = la.mat(la.inv(1))\n"
+    )
+    assert _unreferenced({"m.py": module}, [tests]) == [
+        ("m.py", 3, "planted"), ("m.py", 14, "mat"), ("m.py", 16, "inv")
+    ]
